@@ -24,21 +24,14 @@
 //! * Batched-vs-unbatched transfers — the 256-DPU host-executed DSE
 //!   run under per-DPU calls vs per-rank shards (`HostBatching`),
 //!   reporting the modeled transfer-time speedup and call counts.
-//! * 512-DPU placement sweep — the same per-DPU workload re-simulated
-//!   over several epochs on a modeled two-socket host under every
-//!   executor placement policy (oblivious vs sticky vs sticky+steal),
-//!   reporting the modeled end-to-end seconds (kernel + cross-node
-//!   placement penalty) and the sticky-placement speedups. The modeled
-//!   numbers are deterministic — fixed topology, fixed epochs — so CI
-//!   can gate on them.
 //!
 //! Before the timed groups run, one untimed pass measures everything
 //! and writes `BENCH_host_throughput.json` (ops/sec for both churn
-//! variants plus the serial-vs-parallel, batched-vs-unbatched,
-//! sticky-placement, and three-tier-vs-two-tier speedups). CI uploads
-//! the file as an artifact and gates on all speedups staying ≥ 1.0 and
-//! the churn throughput staying above its floor, so a lost
-//! parallelism, batching, placement, or tiering win fails the build
+//! variants plus the serial-vs-parallel, batched-vs-unbatched, and
+//! three-tier-vs-two-tier speedups). CI uploads the file as an
+//! artifact and gates on all speedups staying ≥ 1.0 and the churn
+//! throughput staying above its floor, so a lost parallelism,
+//! batching, or tiering win fails the build
 //! instead of scrolling past in a log. The modeled fields are
 //! deterministic and must be byte-identical across `PIM_EXEC_WORKERS`
 //! settings; CI runs the report on two worker legs and diffs the JSON
@@ -49,10 +42,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_dse::{run_strategy, DseConfig, DseResult, Strategy};
 use pim_malloc::{AllocGeometry, FrontendKind, PimAllocator, PimMalloc, TierPolicy};
-use pim_sim::{
-    Cycles, DpuConfig, DpuSim, ExecPolicy, Executor, HostBatching, HostTopology, PimSystem,
-    TransferModel,
-};
+use pim_sim::{Cycles, DpuConfig, DpuSim, HostBatching, PimSystem};
 use pim_trace::{replay, synthesize, SizeLaw, SynthConfig, TemporalShape};
 use pim_workloads::driver::{drive, Request};
 use pim_workloads::AllocatorKind;
@@ -60,8 +50,6 @@ use pim_workloads::AllocatorKind;
 const CHURN_OPS: usize = 1_000_000;
 const N_DPUS: usize = 64;
 const DSE_DPUS: usize = 256;
-const PLACEMENT_DPUS: usize = 512;
-const PLACEMENT_EPOCHS: usize = 4;
 
 /// Runs `CHURN_OPS` total operations: mallocs through a sliding window
 /// of 64 live slots per tasklet (freeing the oldest once full), sizes
@@ -176,75 +164,6 @@ fn fig15_cell(dpu: &mut DpuSim) {
         })
         .collect();
     drive(dpu, alloc.as_mut(), &streams);
-}
-
-/// One DPU's cell of the placement sweep: a trimmed Figure 15-style
-/// allocation burst (8 tasklets × 8 alloc/free pairs per size), small
-/// enough that 512 DPUs × epochs × policies stays in bench budget.
-fn placement_cell(dpu: &mut DpuSim) -> Cycles {
-    let n_tasklets = 8;
-    let mut alloc = AllocatorKind::Sw.build(dpu, n_tasklets, 32 << 20);
-    let streams: Vec<Vec<Request>> = (0..n_tasklets)
-        .map(|_| {
-            let mut s = Vec::new();
-            for (slot, &size) in [32u32, 256, 4096].iter().enumerate() {
-                for _ in 0..8 {
-                    s.push(Request::Malloc { size, slot });
-                    s.push(Request::Free { slot });
-                }
-            }
-            s
-        })
-        .collect();
-    drive(dpu, alloc.as_mut(), &streams);
-    dpu.max_clock()
-}
-
-/// One arm of the 512-DPU placement sweep.
-struct PlacementArm {
-    /// Modeled end-to-end seconds over all epochs: per-epoch kernel
-    /// finish (slowest DPU) plus the cross-node placement penalty.
-    modeled_secs: f64,
-    /// Placement-penalty share of `modeled_secs`.
-    penalty_secs: f64,
-    /// Cross-node migrations over all epochs (deterministic).
-    cross_node_moves: u64,
-    /// Host wall clock of the whole arm (informational; machine- and
-    /// schedule-dependent).
-    wall_secs: f64,
-    /// Per-epoch kernel finish, to assert engine invariance.
-    kernel: Cycles,
-}
-
-/// Re-simulates the 512-DPU fleet for `PLACEMENT_EPOCHS` epochs under
-/// `policy` on a fresh executor modeling a two-socket host (fixed
-/// topology, so the modeled numbers are machine-independent).
-fn placement_sweep(policy: ExecPolicy) -> PlacementArm {
-    let exec = Executor::new(HostTopology::uniform(2, 8));
-    let model = TransferModel::default();
-    let mhz = DpuConfig::default().cost.clock_mhz;
-    let mut penalty = 0.0;
-    let mut moves = 0u64;
-    let mut kernel_secs = 0.0;
-    let mut kernel = Cycles::ZERO;
-    let t0 = Instant::now();
-    for _ in 0..PLACEMENT_EPOCHS {
-        let (finishes, report) = exec.run_report(PLACEMENT_DPUS, policy, |_| {
-            let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(8));
-            placement_cell(&mut dpu)
-        });
-        kernel = finishes.into_iter().max().expect("512 DPUs ran");
-        kernel_secs += kernel.as_secs(mhz);
-        penalty += report.placement_penalty_secs(&model);
-        moves += report.cross_node_moves;
-    }
-    PlacementArm {
-        modeled_secs: kernel_secs + penalty,
-        penalty_secs: penalty,
-        cross_node_moves: moves,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        kernel,
-    }
 }
 
 /// The 256-DPU host-executed DSE run under one transfer schedule.
@@ -384,34 +303,6 @@ fn emit_ci_report(_c: &mut Criterion) {
         sharded.transfer_calls
     );
 
-    // 512-DPU placement sweep: oblivious vs sticky vs sticky+steal on
-    // a modeled two-socket host. The kernel is engine-invariant; the
-    // policies differ only in the modeled cross-node placement penalty
-    // (and wall clock), so the speedups are deterministic.
-    let oblivious = placement_sweep(ExecPolicy::Oblivious);
-    let sticky = placement_sweep(ExecPolicy::Sticky);
-    let steal = placement_sweep(ExecPolicy::StickySteal);
-    assert_eq!(
-        (oblivious.kernel, sticky.kernel),
-        (sticky.kernel, steal.kernel),
-        "placement policy must never change simulated kernel results"
-    );
-    let sticky_speedup = oblivious.modeled_secs / sticky.modeled_secs;
-    let sticky_steal_speedup = oblivious.modeled_secs / steal.modeled_secs;
-    println!(
-        "host_throughput/placement_512dpu: modeled oblivious {:.4}s ({} moves), \
-         sticky {:.4}s ({} moves), sticky+steal {:.4}s; speedups {sticky_speedup:.3}x / \
-         {sticky_steal_speedup:.3}x; wall {:.2}s / {:.2}s / {:.2}s",
-        oblivious.modeled_secs,
-        oblivious.cross_node_moves,
-        sticky.modeled_secs,
-        sticky.cross_node_moves,
-        steal.modeled_secs,
-        oblivious.wall_secs,
-        sticky.wall_secs,
-        steal.wall_secs,
-    );
-
     // Machine-readable report for the CI artifact + gate. Hand-rolled
     // so the bench stays free of serializer details; every value is a
     // finite number.
@@ -437,31 +328,13 @@ fn emit_ci_report(_c: &mut Criterion) {
          \"dse256_sharded_transfer_secs\": {:.6},\n  \
          \"dse256_per_dpu_calls\": {},\n  \
          \"dse256_sharded_calls\": {},\n  \
-         \"batched_speedup\": {batched_speedup:.4},\n  \
-         \"placement_dpus\": {PLACEMENT_DPUS},\n  \
-         \"placement_epochs\": {PLACEMENT_EPOCHS},\n  \
-         \"placement_oblivious_secs\": {:.6},\n  \
-         \"placement_sticky_secs\": {:.6},\n  \
-         \"placement_sticky_steal_secs\": {:.6},\n  \
-         \"placement_oblivious_penalty_secs\": {:.6},\n  \
-         \"placement_sticky_penalty_secs\": {:.6},\n  \
-         \"placement_oblivious_moves\": {},\n  \
-         \"placement_sticky_moves\": {},\n  \
-         \"placement_sticky_speedup\": {sticky_speedup:.4},\n  \
-         \"placement_sticky_steal_speedup\": {sticky_steal_speedup:.4}\n}}\n",
+         \"batched_speedup\": {batched_speedup:.4}\n}}\n",
         three_finish.0,
         two_finish.0,
         per_dpu.transfer_secs,
         sharded.transfer_secs,
         per_dpu.transfer_calls,
         sharded.transfer_calls,
-        oblivious.modeled_secs,
-        sticky.modeled_secs,
-        steal.modeled_secs,
-        oblivious.penalty_secs,
-        sticky.penalty_secs,
-        oblivious.cross_node_moves,
-        sticky.cross_node_moves,
     );
     // Cargo runs benches with CWD = the package dir (crates/bench);
     // drop the report at the workspace root, where the CI artifact
@@ -520,30 +393,11 @@ fn bench_batching(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_placement(c: &mut Criterion) {
-    // The modeled result is deterministic; the bench tracks the wall
-    // clock of re-simulating the 512-DPU fleet under each placement
-    // policy (stealing should win on imbalanced machines).
-    let mut g = c.benchmark_group("placement_512dpu");
-    g.sample_size(2);
-    for policy in [
-        ExecPolicy::Oblivious,
-        ExecPolicy::Sticky,
-        ExecPolicy::StickySteal,
-    ] {
-        g.bench_function(policy.label(), |b| {
-            b.iter(|| placement_sweep(policy).modeled_secs)
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     host_throughput,
     emit_ci_report,
     bench_churn,
     bench_figure_run,
-    bench_batching,
-    bench_placement
+    bench_batching
 );
 criterion_main!(host_throughput);

@@ -37,7 +37,7 @@ fn bench_cfg(rps: f64, faults: FaultPlan) -> ServeConfig {
         n_dpus: N_DPUS,
         n_requests: N_REQUESTS,
         arrival: ArrivalProcess::Poisson { rps },
-        ctx: pim_sim::SimContext::sweep_default().with_faults(faults),
+        ctx: pim_sim::SimContext::default().with_faults(faults),
         ..ServeConfig::default()
     }
 }

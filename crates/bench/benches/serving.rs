@@ -37,7 +37,7 @@ fn bench_cfg(rps: f64) -> ServeConfig {
         n_dpus: N_DPUS,
         n_requests: N_REQUESTS,
         arrival: ArrivalProcess::Poisson { rps },
-        ctx: pim_sim::SimContext::sweep_default(),
+        ctx: pim_sim::SimContext::default(),
         ..ServeConfig::default()
     }
 }

@@ -4,12 +4,12 @@
 //! * `round_trip` — JSON encode + parse of the same trace.
 //! * `replay_1dpu` — replaying it against PIM-malloc-SW on one DPU.
 //! * `replay_fleet_64dpu/{serial,parallel}` — the same trace fanned
-//!   over 64 share-nothing DPUs, serial loop vs the topology-aware
-//!   executor (default sticky+steal policy).
+//!   over 64 share-nothing DPUs, a serial loop of direct replays vs
+//!   `replay_fleet` on the parallel engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_malloc::PimAllocator;
-use pim_sim::{DpuConfig, DpuSim};
+use pim_sim::{Cycles, DpuConfig, DpuSim};
 use pim_trace::{
     replay, replay_fleet, synthesize, AllocTrace, FleetConfig, SizeLaw, SynthConfig, TemporalShape,
 };
@@ -38,6 +38,13 @@ fn build(dpu: &mut DpuSim, trace: &AllocTrace) -> Box<dyn PimAllocator> {
     AllocatorKind::Sw.build(dpu, trace.n_tasklets, trace.heap_size)
 }
 
+/// Replays `trace` on a fresh DPU and returns its finish time.
+fn replay_one(trace: &AllocTrace) -> Cycles {
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
+    let mut alloc = build(&mut dpu, trace);
+    replay(&mut dpu, alloc.as_mut(), trace).finish
+}
+
 fn bench_synthesize(c: &mut Criterion) {
     let (cfg, _) = bench_trace();
     let mut g = c.benchmark_group("trace");
@@ -60,13 +67,7 @@ fn bench_round_trip(c: &mut Criterion) {
 fn bench_replay(c: &mut Criterion) {
     let (_, trace) = bench_trace();
     let mut g = c.benchmark_group("trace");
-    g.bench_function("replay_1dpu", |b| {
-        b.iter(|| {
-            let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
-            let mut alloc = build(&mut dpu, &trace);
-            replay(&mut dpu, alloc.as_mut(), &trace).finish
-        })
-    });
+    g.bench_function("replay_1dpu", |b| b.iter(|| replay_one(&trace)));
     g.finish();
 }
 
@@ -74,18 +75,16 @@ fn bench_fleet(c: &mut Criterion) {
     let (_, trace) = bench_trace();
     let mut g = c.benchmark_group("replay_fleet_64dpu");
     g.sample_size(2);
-    for (label, exec) in [
-        ("serial", pim_sim::ExecPolicy::Serial),
-        ("parallel", pim_sim::ExecPolicy::StickySteal),
-    ] {
-        let cfg = FleetConfig {
-            n_dpus: 64,
-            ctx: pim_sim::SimContext::default().with_exec(exec),
-        };
-        g.bench_function(label, |b| {
-            b.iter(|| replay_fleet(&trace, &cfg, |dpu| build(dpu, &trace)).kernel_finish)
-        });
-    }
+    g.bench_function("serial", |b| {
+        b.iter(|| (0..64).map(|_| replay_one(&trace)).max())
+    });
+    let cfg = FleetConfig {
+        n_dpus: 64,
+        ..FleetConfig::default()
+    };
+    g.bench_function("parallel", |b| {
+        b.iter(|| replay_fleet(&trace, &cfg, |dpu| build(dpu, &trace)).kernel_finish)
+    });
     g.finish();
 }
 

@@ -5,14 +5,12 @@
 //! benchmarking).
 
 use pim_dse::{run_strategy, DseConfig, Strategy};
-use pim_sim::{parallel_indexed_with, HostBatching};
+use pim_sim::{parallel_indexed, HostBatching};
 use pim_workloads::graph::{run_graph_update, GraphRepr, GraphUpdateConfig};
 use pim_workloads::llm::{fixed_trace, run_serving, KvScheme, ServingConfig};
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 const POLICIES: [HostBatching; 2] = [HostBatching::PerDpu, HostBatching::Sharded];
 
@@ -37,7 +35,7 @@ pub fn host_batching(quick: bool) -> Experiment {
         .iter()
         .flat_map(|&p| counts.iter().map(move |&n| (p, n)))
         .collect();
-    let dse = parallel_indexed_with(grid.len(), SWEEP_POLICY, |i| {
+    let dse = parallel_indexed(grid.len(), |i| {
         let (batching, n) = grid[i];
         let base = DseConfig::default().with_dpus(n);
         run_strategy(
@@ -62,7 +60,7 @@ pub fn host_batching(quick: bool) -> Experiment {
     // LLM serving: the per-step KV push either hides behind FC compute
     // (sharded) or stalls every decode step (per-DPU).
     let trace = fixed_trace(if quick { 40 } else { 100 }, 10.0);
-    let serving = parallel_indexed_with(POLICIES.len(), SWEEP_POLICY, |i| {
+    let serving = parallel_indexed(POLICIES.len(), |i| {
         let base = ServingConfig::default();
         run_serving(
             KvScheme::Dynamic(AllocatorKind::Sw),
@@ -94,7 +92,7 @@ pub fn host_batching(quick: bool) -> Experiment {
         new_edges: if quick { 3200 } else { 13_000 },
         ..GraphUpdateConfig::default()
     };
-    let graph = parallel_indexed_with(POLICIES.len(), SWEEP_POLICY, |i| {
+    let graph = parallel_indexed(POLICIES.len(), |i| {
         run_graph_update(&GraphUpdateConfig {
             ctx: graph_cfg.ctx.with_batching(POLICIES[i]),
             ..graph_cfg

@@ -22,17 +22,15 @@
 //!
 //! Both serve runs are seeded and single-threaded, and every fault
 //! draw is a pure function of the plan — the experiment is
-//! byte-identical across `ExecPolicy` × `PIM_EXEC_WORKERS`.
+//! byte-identical for any `PIM_EXEC_WORKERS`.
 
 use pim_malloc::{AllocError, AllocGeometry, PimAllocator, PimMalloc};
 use pim_serving::{estimated_capacity_rps, serve, ArrivalProcess, ServeConfig, ServeReport};
-use pim_sim::{parallel_indexed_with, DpuConfig, DpuSim, FaultPlan};
+use pim_sim::{parallel_indexed, DpuConfig, DpuSim, FaultPlan};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 /// Fraction of calibrated capacity the chaos comparison offers.
 const CHAOS_LOAD: f64 = 0.6;
@@ -46,7 +44,7 @@ fn build(dpu: &mut DpuSim, tasklets: usize, heap: u32) -> Box<dyn PimAllocator> 
 }
 
 fn scaled(quick: bool, seed: u64) -> ServeConfig {
-    let ctx = pim_sim::SimContext::sweep_default().with_seed(seed);
+    let ctx = pim_sim::SimContext::default().with_seed(seed);
     if quick {
         ServeConfig {
             n_dpus: 64,
@@ -165,9 +163,7 @@ pub fn chaos_resilience(quick: bool, seed: u64) -> Experiment {
             ..base.with_arrival(arrival)
         },
     ];
-    let runs = parallel_indexed_with(cfgs.len(), SWEEP_POLICY, |i| {
-        serve(&cfgs[i], &classes, &build)
-    });
+    let runs = parallel_indexed(cfgs.len(), |i| serve(&cfgs[i], &classes, &build));
     let (clean, chaos) = (&runs[0], &runs[1]);
     e.push(serve_row("fault-free", clean));
     e.push(serve_row("chaos", chaos));

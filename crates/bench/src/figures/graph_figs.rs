@@ -5,13 +5,11 @@
 //! out with [`pim_sim::parallel_indexed`] and assemble rows from the
 //! index-ordered results.
 
-use pim_sim::parallel_indexed_with;
+use pim_sim::parallel_indexed;
 use pim_workloads::graph::{run_graph_update, GraphRepr, GraphUpdateConfig};
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 fn scaled(quick: bool, seed: u64) -> GraphUpdateConfig {
     let ctx = pim_sim::SimContext::default().with_seed(seed);
@@ -49,7 +47,7 @@ pub fn fig3c(quick: bool, seed: u64) -> Experiment {
     let reprs = [GraphRepr::StaticCsr, GraphRepr::LinkedList];
     // Node count stays fixed; "size" is the pre-update edge count, as
     // in the paper's small/medium/large sweep.
-    let per_edge_us = parallel_indexed_with(reprs.len() * sizes.len(), SWEEP_POLICY, |i| {
+    let per_edge_us = parallel_indexed(reprs.len() * sizes.len(), |i| {
         let cfg = GraphUpdateConfig {
             repr: reprs[i / sizes.len()],
             base_edges: sizes[i % sizes.len()].1,
@@ -89,7 +87,7 @@ pub fn fig11(quick: bool, seed: u64) -> Experiment {
     );
     let base = scaled(quick, seed);
     let reprs = [GraphRepr::LinkedList, GraphRepr::VarArray];
-    let runs = parallel_indexed_with(reprs.len(), SWEEP_POLICY, |i| {
+    let runs = parallel_indexed(reprs.len(), |i| {
         run_graph_update(&GraphUpdateConfig {
             repr: reprs[i],
             allocator: AllocatorKind::Sw,
@@ -150,7 +148,7 @@ pub fn fig17(quick: bool, seed: u64) -> Experiment {
                     .flat_map(|repr| AllocatorKind::HEADLINE.into_iter().map(move |k| (repr, k))),
             )
             .collect();
-    let runs = parallel_indexed_with(grid.len(), SWEEP_POLICY, |i| {
+    let runs = parallel_indexed(grid.len(), |i| {
         let (repr, allocator) = grid[i];
         run_graph_update(&GraphUpdateConfig {
             repr,

@@ -5,7 +5,7 @@
 //! [`pim_workloads::llm::run_serving_many`] and
 //! [`pim_sim::parallel_indexed`]) and report in paper order.
 
-use pim_sim::parallel_indexed_with;
+use pim_sim::parallel_indexed;
 use pim_workloads::llm::{
     fixed_trace, max_batch_size, run_serving_many, sharegpt_like_trace, KvScheme, LlmConfig,
     ServingConfig,
@@ -13,8 +13,6 @@ use pim_workloads::llm::{
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 /// Figure 4(b): maximum batch size under static vs dynamic KV-cache
 /// allocation (512 PIM cores, ShareGPT-shaped lengths, Llama-2-7B).
@@ -29,9 +27,7 @@ pub fn fig4b(quick: bool, seed: u64) -> Experiment {
     let cfg = LlmConfig::default();
     let trace = sharegpt_like_trace(if quick { 250 } else { 500 }, 10.0, cfg.max_seq_len, seed);
     let schemes = [KvScheme::Static, KvScheme::Dynamic(AllocatorKind::Sw)];
-    let runs = parallel_indexed_with(schemes.len(), SWEEP_POLICY, |i| {
-        max_batch_size(schemes[i], &cfg, &trace)
-    });
+    let runs = parallel_indexed(schemes.len(), |i| max_batch_size(schemes[i], &cfg, &trace));
     for (scheme, r) in schemes.into_iter().zip(runs) {
         e.push(Row::new(
             scheme.label(),

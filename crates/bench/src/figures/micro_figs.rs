@@ -5,15 +5,13 @@
 //! assembles rows from the index-ordered results — same tables, host
 //! wall-clock divided by the core count.
 
-use pim_sim::{parallel_indexed_with, BuddyCacheConfig};
+use pim_sim::{parallel_indexed, BuddyCacheConfig};
 use pim_workloads::micro::{
     run_micro, run_micro_with_cache, run_straw_man_grid_point, MicroConfig,
 };
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 /// Figure 7: straw-man slowdown over heap size × allocation size,
 /// normalized to (32 KB heap, 2 KB allocations).
@@ -39,7 +37,7 @@ pub fn fig7(quick: bool) -> Experiment {
         .flat_map(|&alloc| heaps.iter().map(move |&heap| (alloc, heap)))
         .collect();
     let baseline = run_straw_man_grid_point(32 << 10, 2048, pairs);
-    let latencies = parallel_indexed_with(grid.len(), SWEEP_POLICY, |i| {
+    let latencies = parallel_indexed(grid.len(), |i| {
         let (alloc, heap) = grid[i];
         run_straw_man_grid_point(heap, alloc, pairs)
     });
@@ -72,7 +70,7 @@ pub fn fig8(quick: bool) -> Experiment {
     );
     let allocs = if quick { 64 } else { 300 };
     let thread_counts = [1usize, 16];
-    let runs = parallel_indexed_with(thread_counts.len(), SWEEP_POLICY, |i| {
+    let runs = parallel_indexed(thread_counts.len(), |i| {
         let threads = thread_counts[i];
         let cfg = MicroConfig {
             n_tasklets: threads,
@@ -124,7 +122,7 @@ pub fn fig15(quick: bool) -> Experiment {
         .flat_map(|threads| [32u32, 256, 4096].into_iter().map(move |s| (threads, s)))
         .collect();
     let kinds = AllocatorKind::HEADLINE;
-    let latencies = parallel_indexed_with(cells.len() * kinds.len(), SWEEP_POLICY, |i| {
+    let latencies = parallel_indexed(cells.len() * kinds.len(), |i| {
         let (threads, size) = cells[i / kinds.len()];
         let cfg = MicroConfig {
             n_tasklets: threads,
@@ -168,7 +166,7 @@ pub fn fig16(quick: bool) -> Experiment {
     };
     let sw = run_micro(AllocatorKind::Sw, &cfg).avg_latency_us;
     let sizes = [16u32, 32, 64, 128, 256];
-    let runs = parallel_indexed_with(sizes.len(), SWEEP_POLICY, |i| {
+    let runs = parallel_indexed(sizes.len(), |i| {
         run_micro_with_cache(&cfg, BuddyCacheConfig::with_capacity_bytes(sizes[i]))
     });
     for (bytes, r) in sizes.into_iter().zip(runs) {
@@ -202,7 +200,7 @@ pub fn ablation_swlru(quick: bool) -> Experiment {
         alloc_size: 4096,
         ..MicroConfig::default()
     };
-    let mut runs = parallel_indexed_with(2, SWEEP_POLICY, |i| {
+    let mut runs = parallel_indexed(2, |i| {
         run_micro([AllocatorKind::Sw, AllocatorKind::SwFineLru][i], &cfg)
     });
     let fine = runs.pop().expect("two runs");
@@ -245,7 +243,7 @@ pub fn ablation_descent(quick: bool) -> Experiment {
         ("full marks", DescentPolicy::FullMarks),
         ("three-state", DescentPolicy::ThreeState),
     ];
-    let runs = parallel_indexed_with(policies.len(), SWEEP_POLICY, |i| {
+    let runs = parallel_indexed(policies.len(), |i| {
         let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
         let cfg = StrawManConfig {
             descent: policies[i].1,

@@ -37,11 +37,6 @@ pub use tune_figs::{geometry_tune, tune_families, Measured, TunedFamily};
 
 use crate::report::Experiment;
 
-/// Figure sweeps index *grid cells*, not DPUs: the indices carry no
-/// cross-epoch locality for sticky placement to exploit, so every
-/// figure sweep declares itself topology-oblivious.
-const SWEEP_POLICY: pim_sim::ExecPolicy = pim_sim::ExecPolicy::Oblivious;
-
 /// Fixed seed of the ShareGPT-shaped LLM trace (Figure 4(b)).
 const LLM_DEFAULT_SEED: u64 = 11;
 /// Fixed seed of the graph-update workload generator.
@@ -222,8 +217,18 @@ pub fn run(id: &str, quick: bool, seed: Option<u64>) -> Vec<Experiment> {
 mod tests {
     use super::*;
 
+    /// Committed `repro all --quick --json` outputs, one `<id>.json` per
+    /// experiment.
+    const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+
+    /// Runs the whole quick catalogue and diffs every experiment's JSON
+    /// against its golden file byte for byte. `PIM_BLESS=1` rewrites the
+    /// goldens instead, so a deliberate output change shows up as a
+    /// reviewable diff under `tests/golden/`.
     #[test]
     fn every_listed_id_runs_in_quick_mode() {
+        let bless = std::env::var("PIM_BLESS").is_ok_and(|v| v == "1");
+        let mut mismatched = Vec::new();
         for entry in &CATALOG {
             assert!(
                 !entry.description.is_empty(),
@@ -234,8 +239,20 @@ mod tests {
             assert!(!out.is_empty(), "{} produced no experiments", entry.id);
             for e in out {
                 assert!(!e.rows.is_empty(), "{} produced an empty table", entry.id);
+                let path = std::path::Path::new(GOLDEN_DIR).join(format!("{}.json", e.id));
+                let json = e.to_json();
+                if bless {
+                    std::fs::write(&path, &json).expect("write golden");
+                } else if std::fs::read_to_string(&path).ok().as_deref() != Some(json.as_str()) {
+                    mismatched.push(e.id);
+                }
             }
         }
+        assert!(
+            mismatched.is_empty(),
+            "quick outputs differ from tests/golden/ for {mismatched:?}; \
+             rerun with PIM_BLESS=1 to rewrite the goldens"
+        );
     }
 
     #[test]

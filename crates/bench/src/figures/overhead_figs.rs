@@ -1,15 +1,13 @@
 //! Table III (fragmentation) and the §VI-E/§VI-F overhead analyses.
 
 use pim_malloc::BuddyGeometry;
-use pim_sim::parallel_indexed_with;
+use pim_sim::parallel_indexed;
 use pim_sim::{BuddyCacheConfig, CamOverheadModel};
 use pim_workloads::graph::{run_graph_update, GraphRepr, GraphUpdateConfig};
 use pim_workloads::llm::{kv_fragmentation, LlmConfig};
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 /// Table III: fragmentation A/U of PIM-malloc as-is (eager
 /// pre-population) vs PIM-malloc-lazy, per workload.
@@ -32,7 +30,7 @@ pub fn table3(quick: bool) -> Experiment {
     };
     let reprs = [GraphRepr::LinkedList, GraphRepr::VarArray];
     let kinds = [AllocatorKind::Sw, AllocatorKind::SwLazy];
-    let ratios = parallel_indexed_with(reprs.len() * kinds.len(), SWEEP_POLICY, |i| {
+    let ratios = parallel_indexed(reprs.len() * kinds.len(), |i| {
         run_graph_update(&GraphUpdateConfig {
             repr: reprs[i / kinds.len()],
             allocator: kinds[i % kinds.len()],

@@ -12,19 +12,17 @@
 //!   calibrated capacity, the knee, and the saturation throughput.
 //!
 //! Each serve run is single-threaded and seeded; the shape rows and
-//! ladder points fan out over the topology-aware executor and merge in
-//! index order, so the whole experiment is byte-identical across
-//! `ExecPolicy` × `PIM_EXEC_WORKERS`.
+//! ladder points fan out over [`parallel_indexed`] and merge in index
+//! order, so the whole experiment is byte-identical for any
+//! `PIM_EXEC_WORKERS`.
 
 use pim_malloc::PimAllocator;
 use pim_serving::{estimated_capacity_rps, saturation_sweep, serve, ArrivalProcess, ServeConfig};
-use pim_sim::{parallel_indexed_with, DpuSim};
+use pim_sim::{parallel_indexed, DpuSim};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
 
 use crate::report::{Experiment, Row};
-
-use super::SWEEP_POLICY;
 
 /// Fraction of calibrated capacity the arrival-shape rows offer.
 const SHAPE_LOAD: f64 = 0.6;
@@ -34,7 +32,7 @@ fn build(dpu: &mut DpuSim, tasklets: usize, heap: u32) -> Box<dyn PimAllocator> 
 }
 
 fn scaled(quick: bool, seed: u64) -> ServeConfig {
-    let ctx = pim_sim::SimContext::sweep_default().with_seed(seed);
+    let ctx = pim_sim::SimContext::default().with_seed(seed);
     if quick {
         ServeConfig {
             n_dpus: 64,
@@ -94,7 +92,7 @@ pub fn serve_frontend(quick: bool, seed: u64) -> Experiment {
             depth: 0.8,
         },
     ];
-    let runs = parallel_indexed_with(shapes.len(), SWEEP_POLICY, |i| {
+    let runs = parallel_indexed(shapes.len(), |i| {
         serve(&base.with_arrival(shapes[i]), &classes, &build)
     });
     for (shape, r) in shapes.iter().zip(&runs) {

@@ -296,29 +296,22 @@ mod tests {
     }
 
     #[test]
-    fn replay_measurements_are_policy_invariant() {
-        use pim_sim::{ExecPolicy, SimContext};
+    fn fleet_measurements_match_a_direct_replay() {
         let families = scenario_families(true, TRACE_DEFAULT_SEED);
         let trace = synthesize(&families[0]);
         let profile = AllocProfile::from_trace(&trace);
         let synth = synthesize_table(&profile, &SynthesisObjective::default()).unwrap();
-        let run = |policy: ExecPolicy| {
-            let cfg = FleetConfig {
-                n_dpus: 2,
-                ctx: SimContext::default().with_exec(policy),
-            };
-            let fleet = replay_fleet(&trace, &cfg, |dpu| {
-                Box::new(build_alloc(dpu, &trace, &synth.table))
-            });
-            (fleet.kernel_finish, fleet.mean_latency())
+        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
+        let mut alloc = build_alloc(&mut dpu, &trace, &synth.table);
+        let direct = replay(&mut dpu, &mut alloc, &trace);
+        let cfg = FleetConfig {
+            n_dpus: 2,
+            ..FleetConfig::default()
         };
-        let serial = run(ExecPolicy::Serial);
-        for policy in [
-            ExecPolicy::Oblivious,
-            ExecPolicy::Sticky,
-            ExecPolicy::StickySteal,
-        ] {
-            assert_eq!(run(policy), serial, "{policy:?} diverged from serial");
-        }
+        let fleet = replay_fleet(&trace, &cfg, |dpu| {
+            Box::new(build_alloc(dpu, &trace, &synth.table))
+        });
+        assert_eq!(fleet.kernel_finish, direct.finish);
+        assert!(fleet.per_dpu.iter().all(|r| r.timeline == direct.timeline));
     }
 }

@@ -11,8 +11,7 @@
 //!   size-class list. `class_for`/`class_bytes` live here; the thread
 //!   caches, the transfer cache, and the central free list all consume
 //!   one shared table instead of private slices.
-//! * [`AllocGeometry`] is a fluent builder mirroring
-//!   `pim_sim::SimContextBuilder`: start from a paper preset
+//! * [`AllocGeometry`] is a fluent builder: start from a paper preset
 //!   ([`AllocGeometry::sw`] / [`AllocGeometry::hw_sw`]), chain
 //!   `with_*` overrides, and [`AllocGeometry::build`] the immutable
 //!   [`PimMallocConfig`] that [`crate::PimMalloc::init`] consumes.
@@ -334,9 +333,8 @@ impl PimMallocConfig {
     }
 }
 
-/// Fluent builder for [`PimMallocConfig`], mirroring
-/// `pim_sim::SimContextBuilder`: preset entry points, `with_*`
-/// overrides, terminal [`AllocGeometry::build`].
+/// Fluent builder for [`PimMallocConfig`]: preset entry points,
+/// `with_*` overrides, terminal [`AllocGeometry::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocGeometry {
     cfg: PimMallocConfig,

@@ -6,10 +6,9 @@
 //! against MRAM fragmentation? This module sweeps a ladder of
 //! objectives over one [`AllocProfile`] and reports the Pareto-style
 //! frontier of (modeled fragmentation, WRAM footprint) points, fanned
-//! across the host executor exactly like the Figure 6 strategy sweep.
+//! across host threads exactly like the Figure 6 strategy sweep.
 
 use pim_profile::{synthesize_table, AllocProfile, SynthesisError, SynthesisObjective};
-use pim_sim::SimContext;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an objective-weight sweep.
@@ -17,9 +16,6 @@ use serde::{Deserialize, Serialize};
 pub struct GeometrySweepConfig {
     /// The objectives to synthesize under, one grid point each.
     pub objectives: Vec<SynthesisObjective>,
-    /// Execution context placing grid points on the host executor;
-    /// results are identical under every policy.
-    pub ctx: SimContext,
 }
 
 impl Default for GeometrySweepConfig {
@@ -34,7 +30,6 @@ impl Default for GeometrySweepConfig {
                     ..SynthesisObjective::default()
                 })
                 .collect(),
-            ctx: SimContext::sweep_default(),
         }
     }
 }
@@ -56,15 +51,14 @@ pub struct GeometryPoint {
     pub predicted_frag_ratio: f64,
 }
 
-/// Synthesizes a table per objective in `config`, in grid order, each
-/// point placed on the host executor by `config.ctx.exec`. Results
-/// are deterministic: grid order is preserved regardless of policy or
-/// worker count.
+/// Synthesizes a table per objective in `config`, fanned over
+/// [`pim_sim::parallel_indexed`]. Results are deterministic: grid order
+/// is preserved for any worker count.
 pub fn sweep_objectives(
     profile: &AllocProfile,
     config: &GeometrySweepConfig,
 ) -> Vec<Result<GeometryPoint, SynthesisError>> {
-    pim_sim::parallel_indexed_with(config.objectives.len(), config.ctx.exec, |i| {
+    pim_sim::parallel_indexed(config.objectives.len(), |i| {
         let objective = config.objectives[i];
         synthesize_table(profile, &objective).map(|s| GeometryPoint {
             frag_weight: objective.frag_weight,
@@ -80,7 +74,6 @@ pub fn sweep_objectives(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_sim::ExecPolicy;
 
     fn profile() -> AllocProfile {
         let mut p = AllocProfile::new("sweep", 16);
@@ -108,17 +101,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_policy_invariant() {
+    fn sweep_points_match_direct_synthesis() {
         let p = profile();
-        let base = GeometrySweepConfig::default();
-        let serial = sweep_objectives(
-            &p,
-            &GeometrySweepConfig {
-                ctx: SimContext::sweep_default().with_exec(ExecPolicy::Serial),
-                ..base.clone()
-            },
-        );
-        let parallel = sweep_objectives(&p, &base);
-        assert_eq!(serial, parallel);
+        let config = GeometrySweepConfig::default();
+        let points = sweep_objectives(&p, &config);
+        for (point, objective) in points.iter().zip(&config.objectives) {
+            let direct = synthesize_table(&p, objective).expect("synthesizes");
+            assert_eq!(
+                point.as_ref().expect("synthesizes").classes,
+                direct.report.classes
+            );
+        }
     }
 }

@@ -23,11 +23,7 @@ pub struct DseConfig {
     /// Shared execution context: `ctx.transfer` prices host↔PIM
     /// traffic, `ctx.batching` schedules it (per-DPU calls vs per-rank
     /// shards — what separates a naive host loop from a batched
-    /// `dpu_push_xfer` data path), and `ctx.exec` places [`sweep`]'s
-    /// grid points on the host executor. Grid cells carry no
-    /// cross-epoch index locality, so the default is
-    /// [`SimContext::sweep_default`] ([`pim_sim::ExecPolicy::Oblivious`]);
-    /// results are identical under every policy.
+    /// `dpu_push_xfer` data path).
     pub ctx: SimContext,
     /// Fixed cost of one `pimLaunch` kernel dispatch, microseconds.
     pub launch_us: f64,
@@ -52,7 +48,7 @@ impl Default for DseConfig {
             alloc_size: 32,
             straw_man: StrawManConfig::default(),
             host: HostConfig::default(),
-            ctx: SimContext::sweep_default(),
+            ctx: SimContext::default(),
             launch_us: 60.0,
             host_llc_bytes: 16 << 20,
         }
@@ -213,16 +209,16 @@ pub fn run_strategy(strategy: Strategy, config: &DseConfig) -> DseResult {
 /// order.
 ///
 /// Each grid point is an independent simulation (its own `DpuSim` and
-/// host model), so the sweep fans out over the machine's cores via the
-/// topology-aware executor (`config.ctx.exec`) and merges results
-/// back in grid order — the output is identical to the serial double
-/// loop it replaced, under every policy and worker count.
+/// host model), so the sweep fans out over the machine's cores via
+/// [`pim_sim::parallel_indexed`] and merges results back in grid order —
+/// the output is identical to the serial double loop it replaced, for
+/// any worker count.
 pub fn sweep(config: &DseConfig, dpu_counts: &[usize]) -> Vec<DseResult> {
     let grid: Vec<(Strategy, usize)> = Strategy::ALL
         .iter()
         .flat_map(|&s| dpu_counts.iter().map(move |&n| (s, n)))
         .collect();
-    pim_sim::parallel_indexed_with(grid.len(), config.ctx.exec, |i| {
+    pim_sim::parallel_indexed(grid.len(), |i| {
         let (strategy, n) = grid[i];
         run_strategy(strategy, &config.clone().with_dpus(n))
     })

@@ -24,8 +24,8 @@
 //!    the loop end to end).
 //!
 //! Everything here is deterministic: the same trace and objective
-//! produce a byte-identical profile, table, and report regardless of
-//! execution policy or worker count.
+//! produce a byte-identical profile, table, and report for any worker
+//! count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,11 +41,10 @@
 //!
 //! Every fault decision is a pure function of the plan and a stable
 //! identity (DPU index, flush ordinal), and the loop itself is
-//! single-threaded, so reports stay byte-identical across
-//! [`pim_sim::ExecPolicy`] values and worker counts — the workspace's
-//! standing contract — and a disabled plan takes none of the fault
-//! paths, leaving fault-free reports byte-identical to the
-//! pre-fault-model frontend. The degraded-capacity story lands in
+//! single-threaded, so reports stay byte-identical for any worker
+//! count — the workspace's standing contract — and a disabled plan
+//! takes none of the fault paths, leaving fault-free reports
+//! byte-identical to the pre-fault-model frontend. The degraded-capacity story lands in
 //! [`FaultSummary`]: healthy-DPU timeline, retries, re-dispatches,
 //! and drop attribution.
 
@@ -110,9 +109,8 @@ pub struct ServeConfig {
     /// Retry/timeout policy under faults (inert on a healthy fleet).
     pub retry: RetryPolicy,
     /// Shared execution context: `seed` drives arrivals and class
-    /// composition, `transfer`/`batching` price dispatch windows,
-    /// `faults` schedules fleet/transfer faults, `exec` fans out sweep
-    /// points (never a single run).
+    /// composition, `transfer`/`batching` price dispatch windows, and
+    /// `faults` schedules fleet/transfer faults.
     pub ctx: SimContext,
 }
 

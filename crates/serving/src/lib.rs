@@ -17,14 +17,13 @@
 //!   per-DPU service; reports p50/p95/p99/p99.9 *simulated* latency,
 //!   a queue-depth timeline, and drop counts in a [`ServeReport`].
 //! * [`saturation_sweep`] — a knee-finding ladder of offered loads,
-//!   fanned over the topology-aware executor, yielding the fleet's
+//!   fanned over [`pim_sim::parallel_indexed`], yielding the fleet's
 //!   saturation throughput.
 //!
 //! Everything is seeded and single-threaded per run: reports are
-//! byte-identical across [`pim_sim::ExecPolicy`] values and
-//! `PIM_EXEC_WORKERS` settings — including runs under a
-//! [`pim_sim::FaultPlan`], whose fault draws are pure functions of the
-//! plan and stable identities. With faults scheduled the frontend
+//! byte-identical across `PIM_EXEC_WORKERS` settings — including runs
+//! under a [`pim_sim::FaultPlan`], whose fault draws are pure functions
+//! of the plan and stable identities. With faults scheduled the frontend
 //! *self-heals*: health-aware routing skips dead DPUs, failed transfer
 //! shards retry with bounded exponential backoff, and requests
 //! stranded on a DPU that dies mid-run are re-dispatched; the

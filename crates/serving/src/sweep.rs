@@ -4,10 +4,9 @@
 //! load multipliers relative to the fleet's calibrated capacity and
 //! finds the *knee*: the highest offered load the fleet still serves
 //! without shedding (≤1% drops) while achieving ≥95% of what was
-//! offered. Sweep points are independent serve runs fanned over the
-//! topology-aware executor under the config's
-//! [`pim_sim::ExecPolicy`]; results merge in index order, so the
-//! report is byte-identical across policies and worker counts.
+//! offered. Sweep points are independent serve runs fanned over
+//! [`pim_sim::parallel_indexed`]; results merge in index order, so the
+//! report is byte-identical for any worker count.
 //!
 //! Sweeping a config whose context carries a [`pim_sim::FaultPlan`]
 //! measures the *degraded* fleet: fault-attributed drops count
@@ -15,7 +14,7 @@
 //! [`ServeReport::drop_frac`]), so the knee under faults is the
 //! honest capacity of the surviving DPUs.
 
-use pim_sim::parallel_indexed_with;
+use pim_sim::parallel_indexed;
 
 use crate::frontend::{serve, ServeConfig, ServeReport};
 use crate::request::{BuildAllocator, RequestClass};
@@ -94,7 +93,7 @@ pub fn saturation_sweep(
         "load multipliers must be positive and ascending"
     );
     let capacity_rps = estimated_capacity_rps(classes, build, base.n_dpus);
-    let reports = parallel_indexed_with(loads.len(), base.ctx.exec, |i| {
+    let reports = parallel_indexed(loads.len(), |i| {
         let cfg = base.with_arrival(base.arrival.with_rps(loads[i] * capacity_rps));
         serve(&cfg, classes, build)
     });
@@ -181,22 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_identical_across_exec_policies() {
+    fn sweep_points_match_direct_serve_runs() {
         let cls = classes();
-        let run = |exec| {
-            let cfg = ServeConfig {
-                ctx: base().ctx.with_exec(exec),
-                ..base()
-            };
-            saturation_sweep(&cfg, &cls, &sw_build, &[0.5, 2.0])
-        };
-        let reference = run(pim_sim::ExecPolicy::Serial);
-        for exec in [
-            pim_sim::ExecPolicy::Oblivious,
-            pim_sim::ExecPolicy::Sticky,
-            pim_sim::ExecPolicy::StickySteal,
-        ] {
-            assert_eq!(run(exec), reference, "{exec:?}");
+        let r = saturation_sweep(&base(), &cls, &sw_build, &[0.5, 2.0]);
+        for p in &r.points {
+            let cfg = base().with_arrival(base().arrival.with_rps(p.load * r.capacity_rps));
+            assert_eq!(p.report, serve(&cfg, &cls, &sw_build), "load {}", p.load);
         }
     }
 

@@ -1,43 +1,34 @@
-//! The shared execution context: one bundle of the four knobs every
+//! The shared execution context: one bundle of the knobs every
 //! multi-DPU engine in the workspace needs — transfer pricing, host
-//! batching policy, sweep execution policy, and the workload seed.
+//! batching policy, the workload seed, and the fault schedule.
 //!
-//! Before [`SimContext`], `ServingConfig`, `GraphUpdateConfig`,
-//! `DseConfig`, and `FleetConfig` each carried their own copy of the
-//! `transfer`/`batching`/`exec`/`seed` field cluster; every new engine
-//! (the serving frontend being the fifth) would have grown another.
-//! Embedding one `ctx: SimContext` instead keeps the knobs, their
-//! defaults, and their sweep conventions in a single place.
+//! `ServingConfig`, `GraphUpdateConfig`, `DseConfig`, and `FleetConfig`
+//! each embed one `ctx: SimContext` instead of their own copy of the
+//! field cluster, so the knobs and their defaults live in one place.
 //!
 //! ```
-//! use pim_sim::{ExecPolicy, HostBatching, SimContext};
+//! use pim_sim::{HostBatching, SimContext};
 //!
-//! let ctx = SimContext::builder()
-//!     .batching(HostBatching::PerDpu)
-//!     .exec(ExecPolicy::Serial)
-//!     .seed(7)
-//!     .build();
+//! let ctx = SimContext::default()
+//!     .with_batching(HostBatching::PerDpu)
+//!     .with_seed(7);
 //! assert_eq!(ctx.batching, HostBatching::PerDpu);
 //! assert_eq!(ctx.seed, 7);
-//! // Figure sweeps pin the oblivious policy so placement effects stay
-//! // out of comparative rows:
-//! assert_eq!(SimContext::sweep_default().exec, ExecPolicy::Oblivious);
 //! ```
 
 use serde::{Deserialize, Serialize};
 
-use crate::exec::ExecPolicy;
 use crate::fault::FaultPlan;
 use crate::host::TransferModel;
 use crate::xfer::{HostBatching, ShardedXfer};
 
 /// The execution context shared by every multi-DPU engine: how
 /// host↔PIM traffic is priced ([`TransferModel`]) and scheduled
-/// ([`HostBatching`]), how sweep indices are placed ([`ExecPolicy`]),
-/// and which seed drives the workload's stochastic choices.
+/// ([`HostBatching`]), which seed drives the workload's stochastic
+/// choices, and which faults the fleet suffers.
 ///
-/// All four fields are plain data (`Copy`), so configs embed the
-/// context by value and struct-update syntax keeps working:
+/// All fields are plain data (`Copy`), so configs embed the context by
+/// value and struct-update syntax keeps working:
 /// `GraphUpdateConfig { ctx: SimContext { seed: 7, ..Default::default() }, .. }`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimContext {
@@ -45,8 +36,6 @@ pub struct SimContext {
     pub transfer: TransferModel,
     /// How the host schedules a transfer plan's per-DPU buffers.
     pub batching: HostBatching,
-    /// How the executor places and schedules sweep indices.
-    pub exec: ExecPolicy,
     /// Seed for the workload's stochastic generators.
     pub seed: u64,
     /// Seeded fault schedule for the fleet; [`FaultPlan::none`] (the
@@ -56,12 +45,11 @@ pub struct SimContext {
 
 impl Default for SimContext {
     /// Production defaults: the default transfer model, rank-sharded
-    /// batching, the sticky work-stealing executor, and seed 42.
+    /// batching, seed 42, and no faults.
     fn default() -> Self {
         SimContext {
             transfer: TransferModel::default(),
             batching: HostBatching::default(),
-            exec: ExecPolicy::default(),
             seed: 42,
             faults: FaultPlan::none(),
         }
@@ -69,21 +57,6 @@ impl Default for SimContext {
 }
 
 impl SimContext {
-    /// A fluent [`SimContextBuilder`] starting from the defaults.
-    pub fn builder() -> SimContextBuilder {
-        SimContextBuilder::default()
-    }
-
-    /// The context figure sweeps use: defaults with
-    /// [`ExecPolicy::Oblivious`], so comparative rows never mix
-    /// placement effects into what they are sweeping.
-    pub fn sweep_default() -> Self {
-        SimContext {
-            exec: ExecPolicy::Oblivious,
-            ..SimContext::default()
-        }
-    }
-
     /// This context with a different seed (sweep ergonomics).
     pub fn with_seed(self, seed: u64) -> Self {
         SimContext { seed, ..self }
@@ -92,11 +65,6 @@ impl SimContext {
     /// This context with a different batching policy.
     pub fn with_batching(self, batching: HostBatching) -> Self {
         SimContext { batching, ..self }
-    }
-
-    /// This context with a different execution policy.
-    pub fn with_exec(self, exec: ExecPolicy) -> Self {
-        SimContext { exec, ..self }
     }
 
     /// This context with a fault schedule (chaos ergonomics).
@@ -112,50 +80,6 @@ impl SimContext {
     }
 }
 
-/// Builder for [`SimContext`]: `Default` start point plus fluent
-/// setters, for call sites that configure more than one knob.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimContextBuilder {
-    ctx: SimContext,
-}
-
-impl SimContextBuilder {
-    /// Sets the host↔PIM transfer model.
-    pub fn transfer(mut self, transfer: TransferModel) -> Self {
-        self.ctx.transfer = transfer;
-        self
-    }
-
-    /// Sets the host batching policy.
-    pub fn batching(mut self, batching: HostBatching) -> Self {
-        self.ctx.batching = batching;
-        self
-    }
-
-    /// Sets the sweep execution policy.
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.ctx.exec = exec;
-        self
-    }
-
-    /// Sets the workload seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.ctx.seed = seed;
-        self
-    }
-
-    /// Sets the fault schedule.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.ctx.faults = faults;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> SimContext {
-        self.ctx
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,40 +89,9 @@ mod tests {
         let ctx = SimContext::default();
         assert_eq!(ctx.transfer, TransferModel::default());
         assert_eq!(ctx.batching, HostBatching::Sharded);
-        assert_eq!(ctx.exec, ExecPolicy::default());
         assert_eq!(ctx.seed, 42);
         assert_eq!(ctx.faults, FaultPlan::none());
         assert!(!ctx.faults.enabled());
-    }
-
-    #[test]
-    fn builder_round_trips_every_field() {
-        let ctx = SimContext::builder()
-            .transfer(TransferModel {
-                base_us_per_call: 1.0,
-                ..TransferModel::default()
-            })
-            .batching(HostBatching::PerDpu)
-            .exec(ExecPolicy::Serial)
-            .seed(99)
-            .build();
-        assert_eq!(ctx.transfer.base_us_per_call, 1.0);
-        assert_eq!(ctx.batching, HostBatching::PerDpu);
-        assert_eq!(ctx.exec, ExecPolicy::Serial);
-        assert_eq!(ctx.seed, 99);
-    }
-
-    #[test]
-    fn sweep_default_is_oblivious_only() {
-        let sweep = SimContext::sweep_default();
-        assert_eq!(sweep.exec, ExecPolicy::Oblivious);
-        assert_eq!(
-            SimContext {
-                exec: ExecPolicy::default(),
-                ..sweep
-            },
-            SimContext::default()
-        );
     }
 
     #[test]
@@ -209,7 +102,6 @@ mod tests {
             base.with_batching(HostBatching::PerDpu).batching,
             HostBatching::PerDpu
         );
-        assert_eq!(base.with_exec(ExecPolicy::Sticky).exec, ExecPolicy::Sticky);
         assert_eq!(base.with_seed(5).transfer, base.transfer);
         let chaotic = base.with_faults(FaultPlan::chaos(3));
         assert_eq!(chaotic.faults, FaultPlan::chaos(3));

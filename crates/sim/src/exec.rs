@@ -1,734 +1,104 @@
-//! Topology-aware persistent executor for multi-DPU sweeps.
-//!
-//! Real UPMEM hosts are NUMA machines: rank worker threads run on two
-//! (or more) sockets, and a DPU's host-side state — here, the
-//! [`crate::DpuSim`] being re-simulated — lives in the memory of the
-//! node that last touched it. The PrIM benchmarking work shows host
-//! thread placement dominating end-to-end numbers at high DPU counts,
-//! which is exactly the regime the paper's multi-DPU figures aggregate
-//! over. This module replaces the old spawn-per-call, topology-oblivious
-//! `parallel_indexed` with a persistent [`Executor`]:
-//!
-//! * a modeled [`HostTopology`] (`nodes × cores_per_node`), detected
-//!   from the machine and overridable via `PIM_HOST_TOPO=NxC` for
-//!   reproducible tests;
-//! * **sticky index→node placement**: the executor remembers, across
-//!   calls, which node last simulated each index, and re-deals the
-//!   index to a worker on that node, so a DPU's state is re-simulated
-//!   where its memory already is;
-//! * a **cross-node penalty model**: placement quality is observable in
-//!   *simulated* results, not just wall clock — every first touch and
-//!   every cross-node migration of an index is priced by the new
-//!   [`TransferModel::cross_node_us`] term and reported per epoch in an
-//!   [`EpochReport`];
-//! * **bounded work-stealing** ([`ExecPolicy::StickySteal`]) for
-//!   imbalanced sweeps: a worker whose queue drains steals single
-//!   indices from the *back* of the fullest remaining queue, so
-//!   monotone-cost sweeps no longer pile their heavy tail onto one
-//!   worker.
-//!
-//! Determinism is non-negotiable: `f` must be pure with respect to
-//! shared state, results are merged by index, and the *placement
-//! model* is a pure function of `(policy, topology, n, epoch, ledger)`
-//! — never of the OS steal schedule — so every simulated number is
-//! byte-identical for any worker count and any interleaving. Only wall
-//! clock and the schedule diagnostics ([`EpochReport::steals`],
-//! [`EpochReport::per_worker_items`]) vary.
-//!
-//! The executor persists its placement state (ledger, epoch counter)
-//! across calls; the OS worker crew itself is leased per epoch via
-//! [`std::thread::scope`], because handing a non-`'static` sweep
-//! closure to a detached thread is impossible under this crate's
-//! `#![forbid(unsafe_code)]` — leasing a handful of threads costs
-//! microseconds, while placement (the part that needs memory) lives in
-//! the long-lived [`Executor`].
-//!
-//! [`parallel_indexed`] remains as a thin facade over
-//! [`Executor::global`] with the default policy.
+//! Deterministic parallel map for share-nothing DPU sweeps: a scoped
+//! crew pulls indices from one atomic counter and results merge by
+//! index, so every sweep is byte-identical for any worker count.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::iter::from_fn;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
-
-use crate::host::TransferModel;
-
-/// Environment variable overriding the modeled host topology
-/// (`PIM_HOST_TOPO=2x4` → 2 NUMA nodes × 4 cores each).
-pub const TOPOLOGY_ENV: &str = "PIM_HOST_TOPO";
-
-/// Environment variable overriding the executor's worker count
-/// (`PIM_EXEC_WORKERS=1` forces single-threaded execution — the CI
-/// matrix gates determinism with it).
+/// Sets the worker count (`PIM_EXEC_WORKERS=1` runs sweeps inline).
+/// Read on every call; unset or invalid means the hardware threads.
 pub const WORKERS_ENV: &str = "PIM_EXEC_WORKERS";
 
-/// Locks a mutex, ignoring poisoning: the executor's shared structures
-/// (queues, ledger) are only ever mutated outside user code, so a
-/// poisoned lock means a sibling worker panicked *in `f`* — the panic
-/// is re-raised after all workers drain, and the data itself is sound.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// Runs `f(0), …, f(n - 1)` and returns the results in index order.
+/// `f` must be pure with respect to shared state. One worker, or
+/// `n <= 1`, runs inline. The first worker panic is re-raised once
+/// every worker has joined.
+pub fn parallel_indexed<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
+    let var = std::env::var(WORKERS_ENV).ok();
+    let workers = var.and_then(|s| s.trim().parse().ok());
+    let workers = workers.or_else(|| std::thread::available_parallelism().ok());
+    run(n, workers.map_or(1, NonZeroUsize::get), &f)
 }
 
-/// The modeled host machine: NUMA nodes × cores per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct HostTopology {
-    /// NUMA nodes (sockets) the host schedules worker threads across.
-    pub nodes: usize,
-    /// Hardware threads per node.
-    pub cores_per_node: usize,
-}
-
-impl HostTopology {
-    /// A topology with `nodes` nodes of `cores_per_node` cores each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn uniform(nodes: usize, cores_per_node: usize) -> Self {
-        assert!(
-            nodes > 0 && cores_per_node > 0,
-            "a host has at least one node with at least one core"
-        );
-        HostTopology {
-            nodes,
-            cores_per_node,
-        }
+fn run<T: Send>(n: usize, workers: usize, f: &(impl Fn(usize) -> T + Sync)) -> Vec<T> {
+    if workers <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
     }
-
-    /// Parses a `NODESxCORES` spec (e.g. `2x4`), as accepted by the
-    /// [`TOPOLOGY_ENV`] override.
-    pub fn parse(spec: &str) -> Option<Self> {
-        let (nodes, cores) = spec.trim().split_once(['x', 'X'])?;
-        let nodes: usize = nodes.trim().parse().ok()?;
-        let cores: usize = cores.trim().parse().ok()?;
-        (nodes > 0 && cores > 0).then(|| HostTopology::uniform(nodes, cores))
-    }
-
-    /// Detects the host topology: the [`TOPOLOGY_ENV`] override if set,
-    /// else the NUMA node count from sysfs (Linux) with the machine's
-    /// hardware threads split evenly, else a single node holding every
-    /// hardware thread.
-    pub fn detect() -> Self {
-        if let Some(t) = std::env::var(TOPOLOGY_ENV)
-            .ok()
-            .as_deref()
-            .and_then(HostTopology::parse)
-        {
-            return t;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let nodes = Self::sysfs_nodes().unwrap_or(1).max(1);
-        HostTopology::uniform(nodes, (cores / nodes).max(1))
-    }
-
-    /// NUMA node count per `/sys/devices/system/node/node*`, if
-    /// readable.
-    fn sysfs_nodes() -> Option<usize> {
-        let entries = std::fs::read_dir("/sys/devices/system/node").ok()?;
-        let count = entries
-            .flatten()
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .and_then(|n| n.strip_prefix("node"))
-                    .is_some_and(|rest| {
-                        !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit())
-                    })
-            })
-            .count();
-        (count > 0).then_some(count)
-    }
-
-    /// Total hardware threads across all nodes.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node
-    }
-}
-
-/// How an [`Executor`] places and schedules a sweep's indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ExecPolicy {
-    /// Run every index inline on the calling thread. The reference
-    /// engine the others are tested against.
-    Serial,
-    /// Spawn-per-call behaviour of the old engine: indices are dealt
-    /// round-robin across workers with no regard for where an index's
-    /// state last lived; the placement model charges the re-placement
-    /// the OS would inflict on unpinned threads.
-    Oblivious,
-    /// Sticky index→node placement: each index is dealt to a worker on
-    /// the node that last simulated it (first touches split the index
-    /// range into contiguous per-node blocks). No stealing — a
-    /// monotone-cost sweep keeps its imbalance.
-    Sticky,
-    /// [`ExecPolicy::Sticky`] placement plus bounded work-stealing:
-    /// a drained worker steals single indices from the back of the
-    /// fullest remaining queue. The default.
-    #[default]
-    StickySteal,
-}
-
-impl ExecPolicy {
-    /// Every policy, in documentation order.
-    pub const ALL: [ExecPolicy; 4] = [
-        ExecPolicy::Serial,
-        ExecPolicy::Oblivious,
-        ExecPolicy::Sticky,
-        ExecPolicy::StickySteal,
-    ];
-
-    /// Label used in result tables and sweep rows.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecPolicy::Serial => "serial",
-            ExecPolicy::Oblivious => "oblivious",
-            ExecPolicy::Sticky => "sticky",
-            ExecPolicy::StickySteal => "sticky+steal",
-        }
-    }
-}
-
-/// What one [`Executor::run_report`] epoch did: deterministic placement
-/// accounting plus (schedule-dependent) execution diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpochReport {
-    /// Policy the epoch ran under.
-    pub policy: ExecPolicy,
-    /// The executor-wide epoch number (number of prior `run` calls).
-    pub epoch: u64,
-    /// Indices swept.
-    pub items: usize,
-    /// Worker threads used (1 means the sweep ran inline).
-    pub workers: usize,
-    /// Indices this executor had never placed before. Each faults its
-    /// state in from wherever the host first materialized it, priced
-    /// like a cross-node move.
-    pub cold_starts: u64,
-    /// Indices re-simulated on the node that last touched them — the
-    /// locality the sticky policies exist to protect.
-    pub node_hits: u64,
-    /// Indices whose modeled node changed since their last epoch; each
-    /// drags the index's simulated state across the socket interconnect
-    /// and is priced by [`TransferModel::cross_node_us`].
-    pub cross_node_moves: u64,
-    /// Indices executed by a worker other than the one they were dealt
-    /// to. **Schedule-dependent** — a wall-clock diagnostic, never part
-    /// of simulated results.
-    pub steals: u64,
-    /// Indices executed per worker. **Schedule-dependent** under
-    /// [`ExecPolicy::StickySteal`].
-    pub per_worker_items: Vec<usize>,
-    /// Sum of `index + 1` executed per worker — a load proxy for
-    /// monotone-cost sweeps, where cost grows with the index.
-    /// **Schedule-dependent** under [`ExecPolicy::StickySteal`].
-    pub per_worker_index_sum: Vec<u64>,
-}
-
-impl EpochReport {
-    fn empty(policy: ExecPolicy, epoch: u64, items: usize) -> Self {
-        EpochReport {
-            policy,
-            epoch,
-            items,
-            workers: 0,
-            cold_starts: 0,
-            node_hits: 0,
-            cross_node_moves: 0,
-            steals: 0,
-            per_worker_items: Vec::new(),
-            per_worker_index_sum: Vec::new(),
-        }
-    }
-
-    /// Modeled host seconds the epoch's placement costs: cold starts
-    /// and cross-node moves each pay one
-    /// [`TransferModel::cross_node_us`]. Deterministic — derived only
-    /// from the placement ledger, never from the steal schedule.
-    pub fn placement_penalty_secs(&self, model: &TransferModel) -> f64 {
-        (self.cold_starts + self.cross_node_moves) as f64 * model.cross_node_us * 1e-6
-    }
-
-    /// Max/min ratio of [`EpochReport::per_worker_index_sum`] — the
-    /// imbalance of a monotone-cost sweep across workers (1.0 is
-    /// perfectly balanced; workers that executed nothing count as
-    /// load 1).
-    pub fn load_ratio(&self) -> f64 {
-        let max = self.per_worker_index_sum.iter().copied().max().unwrap_or(1);
-        let min = self.per_worker_index_sum.iter().copied().min().unwrap_or(1);
-        max.max(1) as f64 / min.max(1) as f64
-    }
-}
-
-/// The persistent topology-aware execution engine.
-///
-/// One [`Executor::global`] instance backs [`parallel_indexed`]; tests
-/// and benches build private instances ([`Executor::new`]) for
-/// history-free placement measurements. See the module docs for the
-/// model.
-#[derive(Debug)]
-pub struct Executor {
-    topology: HostTopology,
-    workers_override: Option<usize>,
-    /// index → NUMA node that last simulated it.
-    ledger: Mutex<HashMap<usize, usize>>,
-    epochs: AtomicU64,
-}
-
-impl Executor {
-    /// A fresh executor (empty placement ledger) over `topology`.
-    pub fn new(topology: HostTopology) -> Self {
-        Executor {
-            topology,
-            workers_override: None,
-            ledger: Mutex::new(HashMap::new()),
-            epochs: AtomicU64::new(0),
-        }
-    }
-
-    /// Pins the worker count (tests sweep {1, 2, 7, n_cpus} with this;
-    /// production uses the machine's parallelism or [`WORKERS_ENV`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "an executor needs at least one worker");
-        self.workers_override = Some(workers);
-        self
-    }
-
-    /// The process-wide executor backing [`parallel_indexed`].
-    pub fn global() -> &'static Executor {
-        static GLOBAL: OnceLock<Executor> = OnceLock::new();
-        GLOBAL.get_or_init(|| Executor::new(HostTopology::detect()))
-    }
-
-    /// The persistent executor dedicated to one subsystem.
-    ///
-    /// The sticky ledger is keyed by bare sweep index, so stickiness is
-    /// only meaningful among sweeps whose indices name the same thing —
-    /// a graph engine's DPU 7 is not a figure grid's cell 7. Engines
-    /// that re-simulate per-index state across calls (graph update,
-    /// trace fleet, `PimSystem`) therefore each own a ledger under
-    /// their domain name instead of sharing [`Executor::global`]'s,
-    /// which ad-hoc grid sweeps would otherwise pollute. The first call
-    /// for each domain leaks one `Executor` (bounded by the set of
-    /// distinct domain literals).
-    pub fn for_domain(domain: &'static str) -> &'static Executor {
-        static REGISTRY: OnceLock<Mutex<HashMap<&'static str, &'static Executor>>> =
-            OnceLock::new();
-        let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        relock(registry)
-            .entry(domain)
-            .or_insert_with(|| Box::leak(Box::new(Executor::new(HostTopology::detect()))))
-    }
-
-    /// The modeled topology.
-    pub fn topology(&self) -> HostTopology {
-        self.topology
-    }
-
-    /// Epochs (`run`/`run_report` calls) completed so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs.load(Ordering::Relaxed)
-    }
-
-    /// The [`WORKERS_ENV`] override, if set to a positive integer.
-    pub fn env_workers() -> Option<usize> {
-        std::env::var(WORKERS_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&w| w > 0)
-    }
-
-    /// Worker threads a sweep of `n` items uses: the explicit override,
-    /// else [`WORKERS_ENV`], else the machine's hardware threads —
-    /// never more than `n`.
-    fn effective_workers(&self, n: usize) -> usize {
-        self.workers_override
-            .or_else(Self::env_workers)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, n.max(1))
-    }
-
-    /// Deterministic node placement for every index of this epoch, and
-    /// the ledger bookkeeping that prices it. Pure in
-    /// `(policy, topology, n, epoch, ledger)`.
-    fn place(
-        &self,
-        n: usize,
-        policy: ExecPolicy,
-        epoch: u64,
-        report: &mut EpochReport,
-    ) -> Vec<usize> {
-        let nodes = self.topology.nodes;
-        let mut ledger = relock(&self.ledger);
-        let mut node_of = vec![0usize; n];
-        for (i, slot) in node_of.iter_mut().enumerate() {
-            // Fresh indices split the range into contiguous per-node
-            // blocks (neighbouring DPUs share pages).
-            let fresh = i * nodes / n;
-            let node = match policy {
-                // The OS re-places unpinned spawn-per-call threads on
-                // every call; model that as a per-epoch rotation.
-                ExecPolicy::Oblivious => (fresh + epoch as usize) % nodes,
-                _ => ledger.get(&i).copied().unwrap_or(fresh),
-            };
-            *slot = node;
-            match ledger.insert(i, node) {
-                None => report.cold_starts += 1,
-                Some(prev) if prev == node => report.node_hits += 1,
-                Some(_) => report.cross_node_moves += 1,
-            }
-        }
-        node_of
-    }
-
-    /// Runs `f(0), …, f(n - 1)` under `policy` and returns the results
-    /// in index order. See [`Executor::run_report`].
-    pub fn run<T, F>(&self, n: usize, policy: ExecPolicy, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_report(n, policy, f).0
-    }
-
-    /// Runs `f(0), …, f(n - 1)` under `policy`, returning the results
-    /// in index order plus the epoch's placement/schedule report.
-    ///
-    /// `f` must be pure with respect to shared state (each call owns
-    /// everything it mutates). The returned `Vec` is then
-    /// byte-identical for every policy, worker count, and steal
-    /// schedule; so are the report's placement fields (cold starts,
-    /// node hits, cross-node moves), which depend only on the
-    /// executor's ledger history.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by any invocation of `f`
-    /// (remaining workers drain first; the executor stays usable).
-    pub fn run_report<T, F>(&self, n: usize, policy: ExecPolicy, f: F) -> (Vec<T>, EpochReport)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let epoch = self.epochs.fetch_add(1, Ordering::Relaxed);
-        let mut report = EpochReport::empty(policy, epoch, n);
-        if n == 0 {
-            return (Vec::new(), report);
-        }
-        // Serial is the reference engine: inline, no placement model
-        // (the calling thread's node owns everything by definition).
-        if policy == ExecPolicy::Serial {
-            let out = Self::run_inline(n, &f, &mut report);
-            return (out, report);
-        }
-        let node_of = self.place(n, policy, epoch, &mut report);
-        let workers = self.effective_workers(n);
-        if workers == 1 {
-            let out = Self::run_inline(n, &f, &mut report);
-            return (out, report);
-        }
-        report.workers = workers;
-        let queues = self.deal(&node_of, policy, workers);
-        let out = run_on_crew(n, workers, &queues, policy, &f, &mut report);
-        (out, report)
-    }
-
-    fn run_inline<T>(n: usize, f: &impl Fn(usize) -> T, report: &mut EpochReport) -> Vec<T> {
-        report.workers = 1;
-        report.per_worker_items = vec![n];
-        report.per_worker_index_sum = vec![(0..n).map(|i| i as u64 + 1).sum()];
-        (0..n).map(f).collect()
-    }
-
-    /// Deals indices to per-worker queues. Workers are assigned to
-    /// nodes in contiguous blocks (`worker w` serves node
-    /// `w * nodes / workers`); sticky policies deal each index
-    /// round-robin among its node's workers, the oblivious policy
-    /// keeps the old global round-robin.
-    fn deal(
-        &self,
-        node_of: &[usize],
-        policy: ExecPolicy,
-        workers: usize,
-    ) -> Vec<Mutex<VecDeque<usize>>> {
-        let nodes = self.topology.nodes;
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        if policy == ExecPolicy::Oblivious {
-            for i in 0..node_of.len() {
-                queues[i % workers].push_back(i);
-            }
-        } else {
-            let mut crews: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-            for w in 0..workers {
-                crews[w * nodes / workers].push(w);
-            }
-            let mut rr = vec![0usize; nodes];
-            for (i, &node) in node_of.iter().enumerate() {
-                let crew = &crews[node];
-                let w = if crew.is_empty() {
-                    // Fewer workers than nodes: the nearest worker
-                    // covers the unserved node.
-                    (node * workers / nodes).min(workers - 1)
-                } else {
-                    let w = crew[rr[node] % crew.len()];
-                    rr[node] += 1;
-                    w
-                };
-                queues[w].push_back(i);
-            }
-        }
-        queues.into_iter().map(Mutex::new).collect()
-    }
-}
-
-/// Pops one stolen index from the back of the fullest queue other than
-/// `own`, if any queue still has work.
-fn steal_one(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
-    let victim = queues
-        .iter()
-        .enumerate()
-        .filter(|&(w, _)| w != own)
-        .map(|(w, q)| (relock(q).len(), w))
-        .max()?;
-    match victim {
-        (0, _) => None,
-        (_, w) => relock(&queues[w]).pop_back(),
-    }
-}
-
-/// Leases a scoped worker crew, drains the queues (stealing if the
-/// policy allows), merges results by index, and re-raises the first
-/// worker panic after every worker has drained.
-fn run_on_crew<T, F>(
-    n: usize,
-    workers: usize,
-    queues: &[Mutex<VecDeque<usize>>],
-    policy: ExecPolicy,
-    f: &F,
-    report: &mut EpochReport,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let steal = policy == ExecPolicy::StickySteal;
+    // Relaxed suffices: the counter only hands out unique indices, and
+    // results travel back through `join`, which synchronises.
+    let next = AtomicUsize::new(0);
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+    let work = || from_fn(claim).map(|i| (i, f(i))).collect::<Vec<_>>();
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    report.per_worker_items = vec![0; workers];
-    report.per_worker_index_sum = vec![0; workers];
-    let mut panic_payload = None;
+    let mut panic = None;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                std::thread::Builder::new()
-                    .name(format!("pim-exec-{w}"))
-                    .spawn_scoped(scope, move || {
-                        let mut out: Vec<(usize, T)> = Vec::new();
-                        let mut steals = 0u64;
-                        loop {
-                            let own = relock(&queues[w]).pop_front();
-                            let idx = match own {
-                                Some(i) => Some(i),
-                                None if steal => {
-                                    let stolen = steal_one(queues, w);
-                                    if stolen.is_some() {
-                                        steals += 1;
-                                    }
-                                    stolen
-                                }
-                                None => None,
-                            };
-                            match idx {
-                                Some(i) => out.push((i, f(i))),
-                                None => break,
-                            }
-                        }
-                        (out, steals)
-                    })
-                    .expect("spawn executor worker")
-            })
-            .collect();
-        for (w, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((out, steals)) => {
-                    report.steals += steals;
-                    report.per_worker_items[w] = out.len();
-                    for (i, value) in out {
-                        report.per_worker_index_sum[w] += i as u64 + 1;
-                        slots[i] = Some(value);
-                    }
-                }
-                Err(payload) => panic_payload = panic_payload.take().or(Some(payload)),
+        let crew: Vec<_> = (0..workers.min(n)).map(|_| scope.spawn(work)).collect();
+        for worker in crew {
+            match worker.join() {
+                Ok(out) => out.into_iter().for_each(|(i, v)| slots[i] = Some(v)),
+                Err(payload) => panic = panic.take().or(Some(payload)),
             }
         }
     });
-    if let Some(payload) = panic_payload {
+    if let Some(payload) = panic {
         std::panic::resume_unwind(payload);
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index computed"))
-        .collect()
-}
-
-/// Runs `f(0), f(1), …, f(n - 1)` on the global executor under the
-/// default policy ([`ExecPolicy::StickySteal`]) and returns the results
-/// in index order.
-///
-/// `f` must be pure with respect to shared state (each call owns
-/// everything it mutates); determinism then follows from reassembling
-/// results by index — byte-identical for any worker count or steal
-/// schedule. With a single worker ([`WORKERS_ENV`]`=1`, one hardware
-/// thread, or `n == 1`) the calls run inline, spawning nothing.
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f`.
-pub fn parallel_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Executor::global().run(n, ExecPolicy::default(), f)
-}
-
-/// [`parallel_indexed`] under an explicit [`ExecPolicy`] — the knob
-/// call sites thread through their configs (e.g. sweeps whose indices
-/// carry no cross-epoch locality pass [`ExecPolicy::Oblivious`]).
-pub fn parallel_indexed_with<T, F>(n: usize, policy: ExecPolicy, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Executor::global().run(n, policy, f)
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn topo(nodes: usize, cores: usize) -> HostTopology {
-        HostTopology::uniform(nodes, cores)
+    fn worker_counts() -> [usize; 4] {
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        [1, 2, 7, cpus]
     }
 
-    #[test]
-    fn parse_accepts_specs_and_rejects_garbage() {
-        assert_eq!(HostTopology::parse("2x4"), Some(topo(2, 4)));
-        assert_eq!(HostTopology::parse(" 8X2 "), Some(topo(8, 2)));
-        assert_eq!(HostTopology::parse("0x4"), None);
-        assert_eq!(HostTopology::parse("2x"), None);
-        assert_eq!(HostTopology::parse("banana"), None);
-        assert_eq!(topo(2, 4).total_cores(), 8);
-    }
-
+    /// The runner's policies are inline (one worker) and a crew of 2, 7
+    /// or n_cpus workers; each merges by index and runs every index once.
     #[test]
     fn results_merge_in_index_order_for_every_policy() {
-        for policy in ExecPolicy::ALL {
-            for workers in [1, 2, 7] {
-                let exec = Executor::new(topo(2, 4)).with_workers(workers);
-                let out = exec.run(37, policy, |i| i * i);
-                assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        for workers in worker_counts() {
+            for n in [1, 2, 257] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = run(n, workers, &|i| runs[i].fetch_add(1, Ordering::Relaxed) + i);
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "{workers} workers");
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
             }
         }
     }
 
     #[test]
     fn empty_sweep_is_empty() {
-        let exec = Executor::new(topo(2, 2));
-        let (out, report) = exec.run_report(0, ExecPolicy::StickySteal, |i| i);
-        assert!(out.is_empty());
-        assert_eq!(report.items, 0);
-        assert_eq!(report.cold_starts, 0);
-    }
-
-    #[test]
-    fn sticky_placement_hits_after_first_epoch() {
-        let exec = Executor::new(topo(4, 2)).with_workers(4);
-        let (_, first) = exec.run_report(64, ExecPolicy::Sticky, |i| i);
-        assert_eq!(first.cold_starts, 64);
-        assert_eq!(first.cross_node_moves, 0);
-        let (_, second) = exec.run_report(64, ExecPolicy::Sticky, |i| i);
-        assert_eq!(second.node_hits, 64);
-        assert_eq!(second.cross_node_moves, 0);
-        assert_eq!(
-            second.placement_penalty_secs(&TransferModel::default()),
-            0.0
-        );
-    }
-
-    #[test]
-    fn oblivious_placement_migrates_every_epoch() {
-        let exec = Executor::new(topo(2, 4)).with_workers(4);
-        let (_, first) = exec.run_report(64, ExecPolicy::Oblivious, |i| i);
-        assert_eq!(first.cold_starts, 64);
-        let (_, second) = exec.run_report(64, ExecPolicy::Oblivious, |i| i);
-        assert_eq!(
-            second.cross_node_moves, 64,
-            "epoch rotation re-places every index on a 2-node host"
-        );
-        assert!(second.placement_penalty_secs(&TransferModel::default()) > 0.0);
-    }
-
-    #[test]
-    fn single_node_host_never_pays_cross_node_penalties() {
-        let exec = Executor::new(topo(1, 8)).with_workers(4);
-        for policy in [
-            ExecPolicy::Oblivious,
-            ExecPolicy::Sticky,
-            ExecPolicy::StickySteal,
-        ] {
-            let (_, r) = exec.run_report(32, policy, |i| i);
-            assert_eq!(r.cross_node_moves, 0, "{policy:?}");
+        for workers in worker_counts() {
+            let out = run(0, workers, &|i| -> usize { unreachable!("index {i} of 0") });
+            assert!(out.is_empty(), "{workers} workers");
         }
-    }
-
-    #[test]
-    fn placement_stats_are_worker_count_independent() {
-        let runs = |workers: usize| {
-            let exec = Executor::new(topo(4, 4)).with_workers(workers);
-            let mut stats = Vec::new();
-            for policy in [
-                ExecPolicy::Oblivious,
-                ExecPolicy::Sticky,
-                ExecPolicy::StickySteal,
-            ] {
-                let (_, r) = exec.run_report(100, policy, |i| i);
-                stats.push((r.cold_starts, r.node_hits, r.cross_node_moves));
-            }
-            stats
-        };
-        assert_eq!(runs(1), runs(3));
-        assert_eq!(runs(3), runs(16));
-    }
-
-    #[test]
-    fn serial_policy_skips_the_placement_model() {
-        let exec = Executor::new(topo(4, 4));
-        let (_, r) = exec.run_report(16, ExecPolicy::Serial, |i| i);
-        assert_eq!(r.workers, 1);
-        assert_eq!(r.cold_starts + r.node_hits + r.cross_node_moves, 0);
+        assert!(parallel_indexed(0, |i| i).is_empty());
     }
 
     #[test]
     fn facade_matches_a_serial_map() {
-        let out = parallel_indexed(23, |i| 3 * i + 1);
-        assert_eq!(out, (0..23).map(|i| 3 * i + 1).collect::<Vec<_>>());
-        assert!(parallel_indexed(0, |i| i).is_empty());
-        for policy in ExecPolicy::ALL {
-            assert_eq!(
-                parallel_indexed_with(11, policy, |i| i * 2),
-                parallel_indexed(11, |i| i * 2)
-            );
+        assert_eq!(parallel_indexed(23, |i| 3 * i), run(23, 1, &|i| 3 * i));
+    }
+
+    #[test]
+    fn panic_payload_propagates_after_the_crew_drains() {
+        for workers in worker_counts() {
+            let ran = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run(32, workers, &|i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert_ne!(i, 13, "boom");
+                })
+            }));
+            let payload = caught.expect_err("the worker panic must propagate");
+            let msg: Option<&String> = payload.downcast_ref();
+            assert!(msg.is_some_and(|m| m.contains("boom")), "{workers} workers");
+            let drained = if workers == 1 { 14 } else { 32 };
+            assert_eq!(ran.load(Ordering::Relaxed), drained, "{workers} workers");
         }
     }
 }

@@ -15,8 +15,8 @@
 //! 1. **Determinism by construction.** A decision is a pure function
 //!    of `(plan, identity)`, never of wall clock, thread schedule, or
 //!    iteration order. The same plan produces byte-identical fault
-//!    traces across [`crate::ExecPolicy`] values and worker counts,
-//!    which is the workspace's standing contract.
+//!    traces for any worker count, which is the workspace's standing
+//!    contract.
 //! 2. **Zero-cost opt-out.** [`FaultPlan::none`] (the default) has
 //!    every probability at zero; engines check [`FaultPlan::enabled`]
 //!    once and skip the fault paths entirely, so fault-free runs stay

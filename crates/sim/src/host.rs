@@ -48,15 +48,6 @@ pub struct TransferModel {
     /// its bursts with the others on the shared channel and pays
     /// re-arbitration for the privilege.
     pub channel_arb_us: f64,
-    /// Host-side cost to migrate one DPU's simulation state across
-    /// NUMA nodes, microseconds: the remote-socket cache refill a
-    /// worker pays when it re-simulates a DPU whose `DpuSim` memory
-    /// was last touched on the other node. Charged per cold start and
-    /// per cross-node move by
-    /// [`crate::exec::EpochReport::placement_penalty_secs`] — this is
-    /// what makes placement quality observable in *simulated* results
-    /// rather than only in wall clock.
-    pub cross_node_us: f64,
 }
 
 impl TransferModel {
@@ -155,9 +146,7 @@ impl TransferModel {
 impl Default for TransferModel {
     /// Calibrated against UPMEM transfer measurements (Lee et al., CAL
     /// 2024): ~0.8 GB/s per rank, ~2.5 GB/s channel cap, tens of
-    /// microseconds of fixed overhead per batched call. The cross-node
-    /// term is a few microseconds — the remote-socket cache refill of
-    /// one DPU's working set on a two-socket Xeon host.
+    /// microseconds of fixed overhead per batched call.
     fn default() -> Self {
         TransferModel {
             base_us_per_call: 25.0,
@@ -165,7 +154,6 @@ impl Default for TransferModel {
             channel_bw_gbps: 2.5,
             dpus_per_rank: 64,
             channel_arb_us: 3.0,
-            cross_node_us: 5.0,
         }
     }
 }

@@ -65,12 +65,10 @@ pub mod xfer;
 
 pub use buddy_cache::{BuddyCache, BuddyCacheConfig, BuddyCacheStats, Eviction, LookupResult};
 pub use cam_overhead::{CamOverhead, CamOverheadModel};
-pub use context::{SimContext, SimContextBuilder};
+pub use context::SimContext;
 pub use cost::{CostModel, Cycles};
 pub use dpu::{DpuConfig, DpuSim, MutexId, TaskletCtx};
-pub use exec::{
-    parallel_indexed, parallel_indexed_with, EpochReport, ExecPolicy, Executor, HostTopology,
-};
+pub use exec::parallel_indexed;
 pub use fault::{FaultPlan, ShardFault};
 pub use host::{HostConfig, HostSim, TransferDirection, TransferModel};
 pub use iram::Iram;

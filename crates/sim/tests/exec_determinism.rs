@@ -1,35 +1,54 @@
-//! Determinism harness for the topology-aware executor.
+//! Determinism of the public executor: for every `PIM_EXEC_WORKERS`
+//! setting (inline, small crews, the machine, and the invalid values
+//! that fall back to it), `parallel_indexed` returns the serial map,
+//! runs each index exactly once, and leaves per-index `DpuSim` results
+//! untouched.
 //!
-//! The executor's contract is that **simulated results are a pure
-//! function of the sweep**, never of the machine: for any worker count
-//! (the CI matrix pins `PIM_EXEC_WORKERS=1` against the default), any
-//! [`ExecPolicy`], and any steal schedule, the output vector is
-//! byte-identical to the serial reference, panics in the sweep closure
-//! propagate without deadlocking the pool, and the deterministic
-//! placement model never depends on how many OS threads happened to
-//! run the epoch. A separate regression pins the load-balance fix:
-//! monotone-cost sweeps no longer pile their heavy tail onto one
-//! worker once stealing is on.
+//! The tests set the process environment, so they serialise on one
+//! lock and restore the variable before releasing it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
-use pim_sim::{
-    parallel_indexed, parallel_indexed_with, Cycles, DpuConfig, DpuSim, ExecPolicy, Executor,
-    HostTopology, TransferModel,
-};
+use pim_sim::exec::WORKERS_ENV;
+use pim_sim::{parallel_indexed, Cycles, DpuConfig, DpuSim};
 use proptest::prelude::*;
 
-/// The worker counts the harness sweeps: forced-serial, tiny, an odd
-/// count that never divides the sweep evenly, and the machine itself.
-fn worker_counts() -> Vec<usize> {
-    let n_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let mut counts = vec![1, 2, 7, n_cpus];
-    counts.dedup();
-    counts
+static ENV: Mutex<()> = Mutex::new(());
+
+/// Holds `PIM_EXEC_WORKERS` at one setting; dropping restores the old value.
+struct Pinned {
+    saved: Option<String>,
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        match self.saved.take() {
+            Some(w) => std::env::set_var(WORKERS_ENV, w),
+            None => std::env::remove_var(WORKERS_ENV),
+        }
+    }
+}
+
+fn at_workers<T>(setting: &str, f: impl FnOnce() -> T) -> T {
+    // A failed case poisons the lock; the guard still restored the variable.
+    let lock = ENV.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _pinned = Pinned {
+        saved: std::env::var(WORKERS_ENV).ok(),
+        _lock: lock,
+    };
+    std::env::set_var(WORKERS_ENV, setting);
+    f()
+}
+
+/// Forced-inline, tiny, an odd count that never divides a sweep evenly,
+/// the machine itself, and two invalid values that fall back to it.
+fn settings() -> Vec<String> {
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    ["1", "2", "7", &cpus.to_string(), "0", "many"]
+        .map(String::from)
+        .to_vec()
 }
 
 /// A cheap but index-sensitive pure function: any reordering or lost
@@ -44,53 +63,17 @@ fn mix(i: usize, salt: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Identical output for every (policy, worker count) pair, on a
-    /// fresh executor each time, against the serial reference.
+    /// The worker count is the executor's only policy: every setting
+    /// gives the serial reference.
     #[test]
     fn output_is_identical_for_all_policies_and_worker_counts(
         n in 0usize..80,
-        salt in proptest::arbitrary::any::<u64>(),
-        nodes in 1usize..5,
+        salt in any::<u64>(),
     ) {
         let reference: Vec<u64> = (0..n).map(|i| mix(i, salt)).collect();
-        for policy in ExecPolicy::ALL {
-            for workers in worker_counts() {
-                let exec = Executor::new(HostTopology::uniform(nodes, 2))
-                    .with_workers(workers);
-                let out = exec.run(n, policy, |i| mix(i, salt));
-                prop_assert_eq!(
-                    &out, &reference,
-                    "policy {:?}, {} workers", policy, workers
-                );
-            }
-        }
-    }
-
-    /// The placement model is a pure function of (policy, topology, n,
-    /// epoch history) — re-running the same epoch sequence on a fresh
-    /// executor reproduces the exact same placement accounting no
-    /// matter how many workers execute it.
-    #[test]
-    fn placement_stats_ignore_the_worker_count(
-        n in 1usize..120,
-        nodes in 1usize..5,
-        epochs in 1usize..4,
-    ) {
-        let run_seq = |workers: usize| {
-            let exec = Executor::new(HostTopology::uniform(nodes, 2))
-                .with_workers(workers);
-            let mut stats = Vec::new();
-            for _ in 0..epochs {
-                for policy in [ExecPolicy::Oblivious, ExecPolicy::Sticky, ExecPolicy::StickySteal] {
-                    let (_, r) = exec.run_report(n, policy, |i| i);
-                    stats.push((r.cold_starts, r.node_hits, r.cross_node_moves));
-                }
-            }
-            stats
-        };
-        let reference = run_seq(1);
-        for workers in worker_counts() {
-            prop_assert_eq!(&run_seq(workers), &reference, "{} workers", workers);
+        for setting in settings() {
+            let out = at_workers(&setting, || parallel_indexed(n, |i| mix(i, salt)));
+            prop_assert_eq!(&out, &reference, "PIM_EXEC_WORKERS={}", setting);
         }
     }
 }
@@ -98,7 +81,8 @@ proptest! {
 #[test]
 fn dpu_simulation_is_identical_across_engines() {
     // The pattern every workload uses: one private DpuSim per index,
-    // built and consumed inside the worker.
+    // built and consumed inside the worker, whether the sweep runs
+    // inline or on the crew.
     let cell = |i: usize| -> (Cycles, u64) {
         let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(4));
         for t in 0..4 {
@@ -109,130 +93,24 @@ fn dpu_simulation_is_identical_across_engines() {
         (dpu.max_clock(), dpu.traffic().total_bytes())
     };
     let reference: Vec<(Cycles, u64)> = (0..96).map(cell).collect();
-    for policy in ExecPolicy::ALL {
-        for workers in worker_counts() {
-            let exec = Executor::new(HostTopology::uniform(2, 4)).with_workers(workers);
-            assert_eq!(
-                exec.run(96, policy, cell),
-                reference,
-                "{policy:?} at {workers} workers"
-            );
-        }
-    }
-    // The facade runs on the global executor and must agree too.
-    assert_eq!(parallel_indexed(96, cell), reference);
-    for policy in ExecPolicy::ALL {
-        assert_eq!(parallel_indexed_with(96, policy, cell), reference);
-    }
-}
-
-#[test]
-fn panicking_f_propagates_and_does_not_deadlock_the_pool() {
-    let exec = Executor::new(HostTopology::uniform(2, 2)).with_workers(4);
-    for policy in ExecPolicy::ALL {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            exec.run(32, policy, |i| {
-                if i == 13 {
-                    panic!("boom at 13");
-                }
-                i
-            })
-        }));
-        let payload = caught.expect_err("the worker panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("boom at 13"),
-            "{policy:?}: payload was {msg:?}"
-        );
-        // The executor survives: the next epoch runs to completion on
-        // the same instance (no poisoned queue, no wedged worker).
-        let out = exec.run(32, policy, |i| i + 1);
-        assert_eq!(out, (1..=32).collect::<Vec<_>>(), "{policy:?}");
+    for setting in settings() {
+        let out = at_workers(&setting, || parallel_indexed(96, cell));
+        assert_eq!(out, reference, "PIM_EXEC_WORKERS={setting}");
     }
 }
 
 #[test]
 fn every_index_runs_exactly_once_even_with_stealing() {
-    let counter = AtomicU64::new(0);
+    // Seven workers race for 257 indices on one counter: whichever
+    // worker claims an index, it runs once and lands in its own slot.
     let n = 257;
-    let exec = Executor::new(HostTopology::uniform(2, 4)).with_workers(7);
-    let out = exec.run(n, ExecPolicy::StickySteal, |i| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        i
+    let runs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let out = at_workers("7", || {
+        parallel_indexed(n, |i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            i
+        })
     });
     assert_eq!(out, (0..n).collect::<Vec<_>>());
-    assert_eq!(counter.load(Ordering::Relaxed), n as u64);
-}
-
-/// The regression the executor's stealing fixes: the old round-robin
-/// deal handed worker 0 the systematically cheapest indices of a
-/// monotone-cost sweep (and the sticky deal's contiguous blocks are
-/// even more skewed — the last block costs ~7x the first at 4 workers).
-/// With bounded stealing, drained workers pull the heavy tail and the
-/// per-worker load ratio stays bounded.
-#[test]
-fn stealing_bounds_monotone_cost_imbalance() {
-    let n = 48;
-    let workers = 4;
-    // Cost grows linearly with the index: index i sleeps (i + 1) × 400 µs.
-    // Sleeps (not spins) so the test is robust on starved CI runners —
-    // all four workers can overlap their waits even on one core.
-    let linear_cost = |i: usize| {
-        std::thread::sleep(Duration::from_micros(400 * (i as u64 + 1)));
-        i
-    };
-    let unbalanced = Executor::new(HostTopology::uniform(workers, 1)).with_workers(workers);
-    let (_, sticky) = unbalanced.run_report(n, ExecPolicy::Sticky, linear_cost);
-    assert!(
-        sticky.load_ratio() > 4.0,
-        "without stealing the contiguous deal must stay skewed: ratio {}",
-        sticky.load_ratio()
-    );
-    assert_eq!(sticky.steals, 0, "sticky never steals");
-
-    let balanced = Executor::new(HostTopology::uniform(workers, 1)).with_workers(workers);
-    let (_, stolen) = balanced.run_report(n, ExecPolicy::StickySteal, linear_cost);
-    assert!(stolen.steals > 0, "drained workers must steal the tail");
-    // Generous bound (the sticky skew is ~6.5, a balanced steal
-    // schedule lands near 1.5) so scheduler noise on loaded CI
-    // machines cannot flake the gate.
-    assert!(
-        stolen.load_ratio() < 3.5,
-        "stealing must bound the monotone-cost imbalance: ratio {} (sticky was {})",
-        stolen.load_ratio(),
-        sticky.load_ratio()
-    );
-}
-
-#[test]
-fn sticky_placement_penalty_is_observable_and_cheaper_than_oblivious() {
-    // The modeled cross-node penalty — the simulated-results face of
-    // placement quality. Same epochs, same sweep: sticky re-places
-    // nothing after warm-up, oblivious drags state across nodes every
-    // epoch, and the TransferModel prices the difference.
-    let model = TransferModel::default();
-    let run = |policy: ExecPolicy| {
-        let exec = Executor::new(HostTopology::uniform(2, 4)).with_workers(4);
-        let mut penalty = 0.0;
-        for _ in 0..4 {
-            let (_, r) = exec.run_report(128, policy, |i| i);
-            penalty += r.placement_penalty_secs(&model);
-        }
-        penalty
-    };
-    let sticky = run(ExecPolicy::Sticky);
-    let steal = run(ExecPolicy::StickySteal);
-    let oblivious = run(ExecPolicy::Oblivious);
-    assert_eq!(sticky, steal, "stealing never changes modeled placement");
-    assert!(
-        oblivious > sticky,
-        "oblivious {oblivious} must pay more than sticky {sticky}"
-    );
-    // Both share the identical cold-start bill (first epoch).
-    assert!(sticky > 0.0);
+    assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
 }

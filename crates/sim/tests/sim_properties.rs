@@ -123,7 +123,6 @@ proptest! {
             channel_bw_gbps: rank_bw * channel_mult,
             dpus_per_rank,
             channel_arb_us: arb_us,
-            ..TransferModel::default()
         };
         let mut plan = TransferPlan::new(TransferDirection::HostToPim);
         for (dpu, bytes) in entries {

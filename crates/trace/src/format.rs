@@ -22,6 +22,10 @@ pub const TRACE_SCHEMA_VERSION: u64 = 1;
 /// JSON artifacts.
 const TRACE_KIND: &str = "alloc-trace";
 
+/// Most tasklets a DPU runs (`DpuConfig::with_tasklets` accepts
+/// 1..=24).
+const MAX_TASKLETS: usize = 24;
+
 /// One event in a tasklet's stream.
 ///
 /// `slot` names an allocation within a tasklet's slot table so later
@@ -145,8 +149,11 @@ impl AllocTrace {
     }
 
     /// Checks structural invariants: stream count matches
-    /// `n_tasklets`, sizes are non-zero, and every cross-tasklet free
-    /// edge points at a real tasklet.
+    /// `n_tasklets`, which a DPU supports (1..=24), sizes are non-zero,
+    /// every cross-tasklet free edge points at a real tasklet, and
+    /// every slot index is below its owning stream's op count (a slot
+    /// names one of the owner's mallocs, so a larger index can never
+    /// be filled).
     ///
     /// # Errors
     ///
@@ -159,12 +166,15 @@ impl AllocTrace {
                 self.n_tasklets
             ));
         }
-        if self.n_tasklets == 0 {
-            return schema_err("trace has no tasklets");
+        if !(1..=MAX_TASKLETS).contains(&self.n_tasklets) {
+            return schema_err(format!(
+                "{} tasklets outside 1..={MAX_TASKLETS}",
+                self.n_tasklets
+            ));
         }
         for (tid, stream) in self.streams.iter().enumerate() {
             for op in stream {
-                match *op {
+                let (owner, slot) = match *op {
                     TraceOp::Malloc { size: 0, .. } => {
                         return schema_err(format!("tasklet {tid} allocates 0 bytes"));
                     }
@@ -173,7 +183,15 @@ impl AllocTrace {
                             "tasklet {tid} frees slot of nonexistent tasklet {tasklet}"
                         ));
                     }
-                    _ => {}
+                    TraceOp::Malloc { slot, .. } | TraceOp::Free { slot } => (tid, slot),
+                    TraceOp::RemoteFree { tasklet, slot } => (tasklet as usize, slot),
+                    TraceOp::Compute { .. } => continue,
+                };
+                let ops = self.streams[owner].len();
+                if slot as usize >= ops {
+                    return schema_err(format!(
+                        "tasklet {tid} names slot {slot} of tasklet {owner}, which has {ops} ops"
+                    ));
                 }
             }
         }
@@ -405,6 +423,55 @@ mod tests {
         let mut t = sample();
         t.streams[0].push(TraceOp::Malloc { size: 0, slot: 3 });
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_tasklet_counts_a_dpu_cannot_run() {
+        for n in [0, MAX_TASKLETS + 1] {
+            let t = AllocTrace::new("t", 1 << 20, n);
+            assert!(matches!(t.validate(), Err(TraceError::Schema(m)) if m.contains("1..=24")));
+        }
+        assert!(AllocTrace::new("t", 1 << 20, MAX_TASKLETS)
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_slots_beyond_the_owning_stream() {
+        for op in [
+            TraceOp::Malloc {
+                size: 8,
+                slot: u32::MAX,
+            },
+            TraceOp::Free { slot: 5 },
+            TraceOp::RemoteFree {
+                tasklet: 1,
+                slot: 2,
+            },
+        ] {
+            let mut t = sample();
+            t.streams[0].push(op);
+            assert!(
+                matches!(t.validate(), Err(TraceError::Schema(m)) if m.contains("slot")),
+                "{op:?}"
+            );
+        }
+        // The owner's op count bounds its slots: tasklet 0 has 4 ops.
+        let mut t = sample();
+        t.streams[1].push(TraceOp::RemoteFree {
+            tasklet: 0,
+            slot: 3,
+        });
+        assert!(t.validate().is_ok());
+    }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_an_abort() {
+        let deep = "[".repeat(1 << 20);
+        assert!(matches!(
+            AllocTrace::from_json(&deep),
+            Err(TraceError::Json(_))
+        ));
     }
 
     #[test]

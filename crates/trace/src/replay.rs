@@ -12,8 +12,8 @@
 
 use pim_malloc::{AllocError, PimAllocator};
 use pim_sim::{
-    Cycles, DpuConfig, DpuSim, EpochReport, Executor, LatencyRecorder, SimContext,
-    TransferDirection, TransferPlan, VirtualTimeQueue, XferEstimate,
+    parallel_indexed, Cycles, DpuConfig, DpuSim, LatencyRecorder, SimContext, TransferDirection,
+    TransferPlan, VirtualTimeQueue, XferEstimate,
 };
 
 use crate::format::{AllocTrace, TraceOp};
@@ -198,18 +198,13 @@ pub fn replay_streams(
 }
 
 /// Multi-DPU replay configuration: fleet size plus the shared
-/// execution context (how the host distributes the trace and how DPU
-/// simulations are placed on the host).
+/// execution context (how the host distributes the trace).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
     /// DPUs replaying the trace (each runs the whole trace, SPMD).
     pub n_dpus: usize,
     /// Shared execution context: `ctx.batching` schedules the
-    /// trace-distribution push, `ctx.transfer` prices it (and the
-    /// executor's cross-node placement penalty), and `ctx.exec` fans
-    /// DPU simulations over the topology-aware executor
-    /// ([`pim_sim::ExecPolicy::Serial`] runs them inline) — simulated
-    /// results are identical under every policy and worker count.
+    /// trace-distribution push and `ctx.transfer` prices it.
     pub ctx: SimContext,
 }
 
@@ -231,18 +226,6 @@ pub struct FleetResult {
     pub distribution: XferEstimate,
     /// Slowest DPU's finish time.
     pub kernel_finish: Cycles,
-    /// The executor's placement accounting for this fleet epoch. A
-    /// modeled host-side **diagnostic**: it reflects the trace-fleet
-    /// executor's sticky ledger history (the first replay cold-starts
-    /// every DPU), and concurrent fleet replays in one process
-    /// interleave epochs on that shared ledger — per-DPU simulated
-    /// results stay byte-identical regardless.
-    pub placement: EpochReport,
-    /// Modeled host seconds of NUMA placement cost for this epoch
-    /// ([`EpochReport::placement_penalty_secs`] under the fleet
-    /// context's transfer model). Reported separately from
-    /// [`FleetResult::distribution`]; not folded into per-DPU results.
-    pub placement_penalty_secs: f64,
 }
 
 impl FleetResult {
@@ -272,9 +255,9 @@ impl FleetResult {
 /// allocator built by `build`, and prices the host's trace
 /// distribution under `cfg.ctx.batching`.
 ///
-/// Deterministic regardless of `cfg.ctx.exec` and the worker count: every
-/// DPU's simulation is independent and results merge in DPU-index
-/// order on the topology-aware executor.
+/// Deterministic for any worker count: every DPU's simulation is
+/// independent and results merge in DPU-index order on
+/// [`parallel_indexed`].
 ///
 /// # Panics
 ///
@@ -293,20 +276,16 @@ where
         let mut alloc = build(&mut dpu);
         replay(&mut dpu, alloc.as_mut(), trace)
     };
-    let (per_dpu, placement) =
-        Executor::for_domain("trace-fleet").run_report(cfg.n_dpus, cfg.ctx.exec, run_one);
+    let per_dpu = parallel_indexed(cfg.n_dpus, run_one);
     let kernel_finish = per_dpu
         .iter()
         .map(|r| r.finish)
         .max()
         .unwrap_or(Cycles::ZERO);
-    let placement_penalty_secs = placement.placement_penalty_secs(&cfg.ctx.transfer);
     FleetResult {
         per_dpu,
         distribution,
         kernel_finish,
-        placement,
-        placement_penalty_secs,
     }
 }
 
@@ -314,7 +293,6 @@ where
 mod tests {
     use super::*;
     use pim_malloc::{AllocGeometry, PimMalloc};
-    use pim_sim::ExecPolicy;
 
     fn dpu(tasklets: usize) -> DpuSim {
         DpuSim::new(DpuConfig::default().with_tasklets(tasklets))
@@ -430,36 +408,16 @@ mod tests {
                 .collect();
         }
         let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> { sw_alloc(dpu, 4, 1 << 20) };
-        let ser = replay_fleet(
-            &t,
-            &FleetConfig {
-                ctx: SimContext::default().with_exec(ExecPolicy::Serial),
-                ..FleetConfig::default()
-            },
-            build,
-        );
-        for exec in [
-            ExecPolicy::Oblivious,
-            ExecPolicy::Sticky,
-            ExecPolicy::StickySteal,
-        ] {
-            let par = replay_fleet(
-                &t,
-                &FleetConfig {
-                    ctx: SimContext::default().with_exec(exec),
-                    ..FleetConfig::default()
-                },
-                build,
-            );
-            assert_eq!(par.per_dpu.len(), 16);
-            for (p, s) in par.per_dpu.iter().zip(&ser.per_dpu) {
-                assert_eq!(p.timeline, s.timeline);
-            }
-            assert_eq!(par.kernel_finish, ser.kernel_finish);
-            assert_eq!(par.mean_latency(), ser.mean_latency());
-            assert!(par.distribution.bytes > 0);
-            assert!(par.placement_penalty_secs >= 0.0);
+        let mut d = dpu(4);
+        let mut a = build(&mut d);
+        let direct = replay(&mut d, a.as_mut(), &t);
+        let fleet = replay_fleet(&t, &FleetConfig::default(), build);
+        assert_eq!(fleet.per_dpu.len(), 16);
+        for r in &fleet.per_dpu {
+            assert_eq!(r.timeline, direct.timeline);
         }
+        assert_eq!(fleet.kernel_finish, direct.finish);
+        assert!(fleet.distribution.bytes > 0);
     }
 
     #[test]

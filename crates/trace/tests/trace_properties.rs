@@ -3,9 +3,9 @@
 //! * **Serde round-trip** — arbitrary traces (all four op kinds,
 //!   pathological slot/size/cycle values) survive
 //!   `to_json` → `from_json` losslessly.
-//! * **Replay determinism** — replaying one trace twice, and across
-//!   the serial loop vs the `parallel_indexed` engine, yields
-//!   byte-identical latency timelines.
+//! * **Replay determinism** — replaying one trace twice, and a direct
+//!   replay vs every DPU of a `replay_fleet` on the parallel engine,
+//!   yields byte-identical latency timelines.
 //! * **Replay robustness** — arbitrary (even nonsensical) traces
 //!   replay without panicking: bad frees drop, OOM counts, the run
 //!   terminates.
@@ -31,12 +31,27 @@ fn op_strategy() -> impl Strategy<Value = TraceOp> {
     ]
 }
 
+/// Arbitrary traces, with slots folded below their owning stream's op
+/// count so most of them validate; a remote free into an empty stream
+/// keeps slot 0 and stays invalid.
 fn trace_strategy() -> impl Strategy<Value = AllocTrace> {
-    vec(vec(op_strategy(), 0..40), N_TASKLETS..=N_TASKLETS).prop_map(|streams| AllocTrace {
-        name: "prop".to_owned(),
-        n_tasklets: N_TASKLETS,
-        heap_size: 1 << 20,
-        streams,
+    vec(vec(op_strategy(), 0..40), N_TASKLETS..=N_TASKLETS).prop_map(|mut streams| {
+        let ops: Vec<u32> = streams.iter().map(|s| s.len().max(1) as u32).collect();
+        for (tid, stream) in streams.iter_mut().enumerate() {
+            for op in stream {
+                match op {
+                    TraceOp::Malloc { slot, .. } | TraceOp::Free { slot } => *slot %= ops[tid],
+                    TraceOp::RemoteFree { tasklet, slot } => *slot %= ops[*tasklet as usize],
+                    TraceOp::Compute { .. } => {}
+                }
+            }
+        }
+        AllocTrace {
+            name: "prop".to_owned(),
+            n_tasklets: N_TASKLETS,
+            heap_size: 1 << 20,
+            streams,
+        }
     })
 }
 
@@ -92,19 +107,17 @@ proptest! {
             ..SynthConfig::default()
         };
         let trace = synthesize(&cfg);
-        let fleet = |exec: pim_sim::ExecPolicy| replay_fleet(
+        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(N_TASKLETS));
+        let mut alloc = sw_build(&mut dpu);
+        let ser = replay(&mut dpu, alloc.as_mut(), &trace);
+        let par = replay_fleet(
             &trace,
-            &FleetConfig {
-                n_dpus: 5,
-                ctx: pim_sim::SimContext::default().with_exec(exec),
-            },
+            &FleetConfig { n_dpus: 5, ..FleetConfig::default() },
             sw_build,
         );
-        let par = fleet(pim_sim::ExecPolicy::StickySteal);
-        let ser = fleet(pim_sim::ExecPolicy::Serial);
-        for (p, s) in par.per_dpu.iter().zip(&ser.per_dpu) {
-            prop_assert_eq!(&p.timeline, &s.timeline);
+        for p in &par.per_dpu {
+            prop_assert_eq!(&p.timeline, &ser.timeline);
         }
-        prop_assert_eq!(par.kernel_finish, ser.kernel_finish);
+        prop_assert_eq!(par.kernel_finish, ser.finish);
     }
 }

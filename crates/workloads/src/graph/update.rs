@@ -11,7 +11,8 @@
 
 use pim_malloc::{MetadataStore, PimAllocator};
 use pim_sim::{
-    Cycles, DpuConfig, DpuSim, Executor, SimContext, TaskletStats, TransferDirection, TransferPlan,
+    parallel_indexed, Cycles, DpuConfig, DpuSim, SimContext, TaskletStats, TransferDirection,
+    TransferPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -63,13 +64,9 @@ pub struct GraphUpdateConfig {
     pub new_edges: usize,
     /// Per-DPU heap size for the dynamic representations.
     pub heap_size: u32,
-    /// Shared execution context: `ctx.seed` drives the workload RNG,
+    /// Shared execution context: `ctx.seed` drives the workload RNG and
     /// `ctx.transfer`/`ctx.batching` price and schedule the
-    /// edge-staging push, and `ctx.exec` places per-DPU simulations on
-    /// the host's topology-aware executor. Simulated results are
-    /// identical under every policy; the sticky policies keep each
-    /// DPU's state on the NUMA node that last simulated it across
-    /// repeated updates.
+    /// edge-staging push.
     pub ctx: SimContext,
 }
 
@@ -136,16 +133,6 @@ pub struct GraphUpdateResult {
     /// Host↔PIM transfer calls the staging push issued (per-DPU calls
     /// or per-rank shards, per the config context's batching policy).
     pub host_xfer_calls: u64,
-    /// Modeled host seconds of NUMA placement cost for this run's DPU
-    /// fan-out (cold starts and cross-node moves priced by
-    /// [`pim_sim::TransferModel::cross_node_us`]). A host-side **diagnostic**:
-    /// it reflects the graph engine's executor ledger history, and
-    /// concurrent graph updates in one process (e.g. a figure sweep)
-    /// interleave epochs on that shared ledger — the simulated update
-    /// results stay byte-identical regardless. Reported separately
-    /// from [`GraphUpdateResult::update_secs`], like
-    /// [`GraphUpdateResult::host_push_secs`].
-    pub host_placement_secs: f64,
 }
 
 /// Partitions a global edge `(u, v)` to `(dpu, tasklet, local_u)`.
@@ -440,12 +427,9 @@ fn run_graph_update_impl(
         }
     };
 
-    // Per-DPU simulations are share-nothing; fan them out over the
-    // graph engine's own persistent executor (its sticky ledger tracks
-    // *this* engine's DPU indices, not unrelated sweeps) and reduce in
+    // Per-DPU simulations are share-nothing; fan them out and reduce in
     // DPU-index order for determinism.
-    let (mut outcomes, placement): (Vec<DpuOutcome>, _) =
-        Executor::for_domain("graph-update").run_report(cfg.n_dpus, cfg.ctx.exec, run_one_dpu);
+    let mut outcomes: Vec<DpuOutcome> = parallel_indexed(cfg.n_dpus, run_one_dpu);
     let trace = outcomes[0].trace.take();
 
     let mut slowest = Cycles::ZERO;
@@ -513,7 +497,6 @@ fn run_graph_update_impl(
         },
         host_push_secs: staging.secs,
         host_xfer_calls: staging.calls,
-        host_placement_secs: placement.placement_penalty_secs(&cfg.ctx.transfer),
     };
     (result, trace)
 }

@@ -44,12 +44,7 @@ pub struct ServingConfig {
     /// Host-side prefill time per admitted request, seconds.
     pub prefill_secs: f64,
     /// Shared execution context: `ctx.transfer`/`ctx.batching` price
-    /// and schedule the per-step KV push, and `ctx.exec` places
-    /// [`run_serving_many`]'s per-scheme simulations on the host
-    /// executor. Scheme indices carry no cross-epoch locality, so the
-    /// default is [`SimContext::sweep_default`]
-    /// ([`pim_sim::ExecPolicy::Oblivious`]); results are identical
-    /// under every policy.
+    /// and schedule the per-step KV push.
     pub ctx: SimContext,
 }
 
@@ -61,7 +56,7 @@ impl Default for ServingConfig {
             launch_secs: 0.0005,
             mram_bw_bytes_per_s: 0.65e9,
             prefill_secs: 0.015,
-            ctx: SimContext::sweep_default(),
+            ctx: SimContext::default(),
         }
     }
 }
@@ -127,9 +122,7 @@ pub fn run_serving_many(
     cfg: &ServingConfig,
     trace: &[RequestSpec],
 ) -> Vec<ServingResult> {
-    pim_sim::parallel_indexed_with(schemes.len(), cfg.ctx.exec, |i| {
-        run_serving(schemes[i], cfg, trace)
-    })
+    pim_sim::parallel_indexed(schemes.len(), |i| run_serving(schemes[i], cfg, trace))
 }
 
 /// Runs the serving simulation over `trace`.

@@ -41,7 +41,7 @@ fn main() {
         // ~60% of this fleet's calibrated capacity: the fault-free
         // leg serves cleanly, so the chaos leg's damage is visible.
         arrival: ArrivalProcess::Poisson { rps: 13_000.0 },
-        ctx: SimContext::sweep_default(),
+        ctx: SimContext::default(),
         ..ServeConfig::default()
     };
 

@@ -4,15 +4,14 @@
 //! downstream consumers can depend on one crate:
 //!
 //! * [`SimContext`] — the unified execution context (transfer model,
-//!   host batching, executor policy, seed, fault plan) every
-//!   simulation config embeds; [`SimContextBuilder`] for fluent
-//!   construction.
+//!   host batching, seed, fault plan) every simulation config embeds.
 //! * The serving frontend: [`serve`] / [`saturation_sweep`] with
 //!   [`ServeConfig`], [`ArrivalProcess`], [`RequestClass`] and their
 //!   reports — including the self-healing knobs ([`RetryPolicy`]) and
 //!   the degraded-capacity report section ([`FaultSummary`]).
-//! * The execution knobs those APIs take: [`ExecPolicy`],
-//!   [`HostBatching`], and the seeded [`FaultPlan`] fault schedule.
+//! * The execution knobs those APIs take: [`HostBatching`] and the
+//!   seeded [`FaultPlan`] fault schedule. Multi-DPU sweeps fan out over
+//!   [`parallel_indexed`], whose worker count `PIM_EXEC_WORKERS` sets.
 //! * The allocator core: [`PimMalloc`] behind the [`AllocGeometry`]
 //!   builder (size classes via [`SizeClassTable`], free-path hierarchy
 //!   via [`TierPolicy`]/[`TierConfig`]), plus the [`PimAllocator`]
@@ -35,4 +34,4 @@ pub use pim_serving::{
     estimated_capacity_rps, saturation_sweep, serve, ArrivalProcess, FaultSummary, LoadPoint,
     RequestClass, RetryPolicy, SaturationReport, ServeConfig, ServeReport,
 };
-pub use pim_sim::{ExecPolicy, FaultPlan, HostBatching, ShardFault, SimContext, SimContextBuilder};
+pub use pim_sim::{parallel_indexed, FaultPlan, HostBatching, ShardFault, SimContext};

@@ -1,14 +1,14 @@
 //! End-to-end fault-injection contract: a fixed [`FaultPlan`] seed
-//! must produce *byte-identical* serving reports across every
-//! execution policy (and, via the CI matrix, every `PIM_EXEC_WORKERS`
-//! setting) — fault draws are pure functions of the plan, never of
-//! scheduling. A different fault seed must produce a different fault
-//! trace, and a disabled plan must leave reports byte-identical to a
-//! default context.
+//! must produce *byte-identical* serving reports run after run (and,
+//! via the CI matrix, for every `PIM_EXEC_WORKERS` setting) — fault
+//! draws are pure functions of the plan, never of scheduling. A
+//! different fault seed must produce a different fault trace, and a
+//! disabled plan must leave reports byte-identical to a default
+//! context.
 
 use pim_malloc::PimAllocator;
 use pim_serving::{serve, ArrivalProcess, ServeConfig, ServeReport};
-use pim_sim::{DpuSim, ExecPolicy, FaultPlan, SimContext, TransferDirection, TransferPlan};
+use pim_sim::{DpuSim, FaultPlan, SimContext, TransferDirection, TransferPlan};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
 
@@ -21,47 +21,32 @@ fn base(faults: FaultPlan) -> ServeConfig {
         n_dpus: 128,
         n_requests: 10_000,
         arrival: ArrivalProcess::Poisson { rps: 250_000.0 },
-        ctx: SimContext::sweep_default().with_faults(faults),
+        ctx: SimContext::default().with_faults(faults),
         ..ServeConfig::default()
     }
 }
 
-fn chaotic_serve(exec: ExecPolicy, fault_seed: u64) -> ServeReport {
-    let cfg = base(FaultPlan::chaos(fault_seed));
-    let cfg = ServeConfig {
-        ctx: cfg.ctx.with_exec(exec),
-        ..cfg
-    };
-    serve(&cfg, &standard_mix(), &build)
+fn chaotic_serve(fault_seed: u64) -> ServeReport {
+    serve(&base(FaultPlan::chaos(fault_seed)), &standard_mix(), &build)
 }
 
 #[test]
-fn fault_plan_is_exec_policy_invariant() {
+fn fault_plan_is_seed_deterministic() {
     // The whole point of the pure-function fault model: one seed, one
-    // fault trace, regardless of how sweeps are scheduled.
+    // fault trace, however often the run is repeated.
     // (ServeReport derives PartialEq — f64 equality, not tolerance.)
-    let reference = chaotic_serve(ExecPolicy::Serial, 0xFA11);
+    let reference = chaotic_serve(0xFA11);
     assert!(
         reference.faults.doa_dpus > 0,
         "chaos on 128 DPUs must kill some at birth"
     );
-    for policy in [
-        ExecPolicy::Oblivious,
-        ExecPolicy::Sticky,
-        ExecPolicy::StickySteal,
-    ] {
-        assert_eq!(
-            chaotic_serve(policy, 0xFA11),
-            reference,
-            "{policy:?} diverged under faults"
-        );
-    }
+    assert_eq!(chaotic_serve(0xFA11), reference, "same seed diverged");
 }
 
 #[test]
 fn fault_seed_changes_the_fault_trace() {
-    let a = chaotic_serve(ExecPolicy::StickySteal, 1);
-    let b = chaotic_serve(ExecPolicy::StickySteal, 2);
+    let a = chaotic_serve(1);
+    let b = chaotic_serve(2);
     assert_ne!(
         (a.faults.doa_dpus, a.faults.healthy_final, a.latency.p99),
         (b.faults.doa_dpus, b.faults.healthy_final, b.latency.p99),
@@ -75,7 +60,7 @@ fn disabled_faults_match_a_default_context() {
     // one produced by a context that never heard of faults.
     let with_none = serve(&base(FaultPlan::none()), &standard_mix(), &build);
     let cfg = ServeConfig {
-        ctx: SimContext::sweep_default(),
+        ctx: SimContext::default(),
         ..base(FaultPlan::none())
     };
     let vanilla = serve(&cfg, &standard_mix(), &build);
@@ -87,7 +72,7 @@ fn disabled_faults_match_a_default_context() {
 
 #[test]
 fn fault_accounting_closes_under_chaos() {
-    let r = chaotic_serve(ExecPolicy::StickySteal, 0xFA11);
+    let r = chaotic_serve(0xFA11);
     assert_eq!(
         r.admitted + r.dropped,
         10_000,
@@ -111,7 +96,7 @@ fn transfer_faults_are_nonce_deterministic() {
     // The sharded transfer model prices the same plan identically for
     // the same (fault plan, nonce) and differently across nonces that
     // actually change a draw.
-    let ctx = SimContext::sweep_default().with_faults(FaultPlan {
+    let ctx = SimContext::default().with_faults(FaultPlan {
         seed: 9,
         xfer_fail_prob: 0.3,
         ..FaultPlan::none()

@@ -1,13 +1,13 @@
 //! End-to-end serving-frontend contract: the open-loop report — tail
 //! percentiles, drops, queue timeline, saturation knee — must be
-//! byte-identical across every execution policy (and, via the CI
-//! matrix, every `PIM_EXEC_WORKERS` setting), and its SLO metrics must
-//! behave like a queueing system: ordered percentiles, drop-free light
-//! load, load shedding past saturation.
+//! byte-identical between the parallel sweep and direct serial runs
+//! (and, via the CI matrix, every `PIM_EXEC_WORKERS` setting), and its
+//! SLO metrics must behave like a queueing system: ordered
+//! percentiles, drop-free light load, load shedding past saturation.
 
 use pim_malloc::PimAllocator;
 use pim_serving::{saturation_sweep, serve, ArrivalProcess, ServeConfig};
-use pim_sim::{DpuSim, ExecPolicy, SimContext};
+use pim_sim::DpuSim;
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
 
@@ -26,34 +26,24 @@ fn base() -> ServeConfig {
         // Tight enough that a 10k-request stream can overflow it: the
         // default 64-deep queues would buffer the whole test stream.
         queue_cap: 16,
-        ctx: SimContext::sweep_default(),
         ..ServeConfig::default()
     }
 }
 
 #[test]
 fn sweep_is_engine_invariant() {
-    // The knee-finding sweep fans serve runs over the topology-aware
-    // executor; every policy must reproduce the serial ladder exactly
+    // The knee-finding sweep fans serve runs over the parallel engine;
+    // every point must reproduce a direct serial serve run exactly
     // (ServeReport derives PartialEq — f64 equality, not tolerance).
     let classes = standard_mix();
-    let run = |exec: ExecPolicy| {
-        let cfg = ServeConfig {
-            ctx: base().ctx.with_exec(exec),
-            ..base()
-        };
-        saturation_sweep(&cfg, &classes, &build, &[0.5, 1.0, 2.0])
-    };
-    let reference = run(ExecPolicy::Serial);
-    for policy in [
-        ExecPolicy::Oblivious,
-        ExecPolicy::Sticky,
-        ExecPolicy::StickySteal,
-    ] {
-        assert_eq!(run(policy), reference, "{policy:?} diverged");
+    let sweep = saturation_sweep(&base(), &classes, &build, &[0.5, 1.0, 2.0]);
+    for p in &sweep.points {
+        let rps = p.load * sweep.capacity_rps;
+        let cfg = base().with_arrival(base().arrival.with_rps(rps));
+        assert_eq!(p.report, serve(&cfg, &classes, &build), "load {}", p.load);
     }
-    assert!(reference.knee_rps > 0.0);
-    assert!(reference.saturation_rps > 0.0);
+    assert!(sweep.knee_rps > 0.0);
+    assert!(sweep.saturation_rps > 0.0);
 }
 
 #[test]

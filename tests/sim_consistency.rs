@@ -1,12 +1,11 @@
 //! Cross-crate consistency: the analytic design-space model, the DPU
 //! simulator, and the allocator library must tell one coherent story —
-//! and every multi-DPU engine (serial reference, parallel, and the
-//! topology-aware executor policies) must produce identical simulated
-//! results at paper scale (512 DPUs).
+//! and every parallel multi-DPU engine must reproduce its serial
+//! reference exactly at paper scale (512 DPUs).
 
 use pim_dse::{run_strategy, DseConfig, Strategy};
 use pim_malloc::{PimAllocator, StrawManAllocator, StrawManConfig};
-use pim_sim::{DpuConfig, DpuSim, ExecPolicy};
+use pim_sim::{DpuConfig, DpuSim};
 
 #[test]
 fn dse_pim_local_time_matches_a_real_dpu_run() {
@@ -88,59 +87,11 @@ fn wram_budget_is_shared_across_components() {
     ));
 }
 
-/// The non-serial engines the 512-DPU equality tests pit against the
-/// serial reference.
-const PARALLEL_POLICIES: [ExecPolicy; 3] = [
-    ExecPolicy::Oblivious,
-    ExecPolicy::Sticky,
-    ExecPolicy::StickySteal,
-];
-
-#[test]
-fn graph_update_at_512_dpus_is_engine_invariant() {
-    // The Figure 15/17-style graph update, partitioned over 512 DPUs:
-    // serial == parallel == topology-aware, field for field.
-    use pim_workloads::graph::{run_graph_update, GraphUpdateConfig, GraphUpdateResult};
-    let cfg = |exec: ExecPolicy| GraphUpdateConfig {
-        n_dpus: 512,
-        n_nodes: 4096,
-        base_edges: 16_000,
-        new_edges: 16_000,
-        ctx: pim_sim::SimContext::default().with_exec(exec),
-        ..GraphUpdateConfig::default()
-    };
-    // Everything simulated; host_placement_secs is deliberately
-    // excluded — it reflects the executor's cross-run ledger history,
-    // not this run's DPU results.
-    let key = |r: &GraphUpdateResult| {
-        (
-            r.update_secs.to_bits(),
-            r.throughput_meps.to_bits(),
-            r.alloc_timeline.clone(),
-            r.per_tasklet_malloc_us.clone(),
-            r.meta_bytes,
-            r.dram_bytes,
-            r.total_mallocs,
-            r.frag_ratio.to_bits(),
-            r.host_push_secs.to_bits(),
-            r.host_xfer_calls,
-        )
-    };
-    let reference = key(&run_graph_update(&cfg(ExecPolicy::Serial)));
-    for policy in PARALLEL_POLICIES {
-        assert_eq!(
-            key(&run_graph_update(&cfg(policy))),
-            reference,
-            "{policy:?} diverged from the serial engine"
-        );
-    }
-}
-
 #[test]
 fn llm_serving_at_512_dpus_is_engine_invariant() {
     // run_serving_many fans one share-nothing simulation per KV scheme
-    // (each modeling the default 512-DPU PIM side); every policy must
-    // reproduce the serial map exactly.
+    // (each modeling the default 512-DPU PIM side) over the parallel
+    // engine; it must reproduce the serial map exactly.
     use pim_workloads::llm::{
         fixed_trace, run_serving, run_serving_many, KvScheme, ServingConfig, ServingResult,
     };
@@ -152,8 +103,8 @@ fn llm_serving_at_512_dpus_is_engine_invariant() {
         KvScheme::Dynamic(AllocatorKind::HwSw),
     ];
     let trace = fixed_trace(40, 10.0);
-    let base = ServingConfig::default();
-    assert_eq!(base.llm.n_dpus, 512, "the paper's serving fleet");
+    let cfg = ServingConfig::default();
+    assert_eq!(cfg.llm.n_dpus, 512, "the paper's serving fleet");
     let key = |r: &ServingResult| {
         (
             r.throughput_tokens_per_s.to_bits(),
@@ -167,111 +118,69 @@ fn llm_serving_at_512_dpus_is_engine_invariant() {
             r.kv_push_calls,
         )
     };
-    let reference: Vec<_> = schemes
+    let serial: Vec<_> = schemes
         .iter()
-        .map(|&s| key(&run_serving(s, &base, &trace)))
+        .map(|&s| key(&run_serving(s, &cfg, &trace)))
         .collect();
-    for policy in PARALLEL_POLICIES {
-        let cfg = ServingConfig {
-            ctx: base.ctx.with_exec(policy),
-            ..base
-        };
-        let results = run_serving_many(&schemes, &cfg, &trace);
-        let got: Vec<_> = results.iter().map(key).collect();
-        assert_eq!(got, reference, "{policy:?} diverged from the serial map");
+    let parallel: Vec<_> = run_serving_many(&schemes, &cfg, &trace)
+        .iter()
+        .map(key)
+        .collect();
+    assert_eq!(
+        parallel, serial,
+        "run_serving_many diverged from the serial map"
+    );
+}
+
+/// Replays one synthesized trace over 512 share-nothing DPUs with
+/// `replay_fleet` and checks every DPU against a direct single-DPU
+/// `replay` of the same trace (the fleet is SPMD: all replicas match).
+fn fleet_matches_direct_replay(geometry: impl Fn() -> pim_malloc::AllocGeometry + Sync) {
+    use pim_trace::{
+        replay, replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape,
+    };
+    let trace = synthesize(&SynthConfig {
+        n_tasklets: 4,
+        mallocs_per_tasklet: 24,
+        size_law: SizeLaw::Uniform { min: 16, max: 1024 },
+        shape: TemporalShape::Steady { compute: 300 },
+        heap_size: 1 << 20,
+        seed: 7,
+        ..SynthConfig::default()
+    });
+    let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> {
+        Box::new(pim_malloc::PimMalloc::init(dpu, geometry().build()).expect("init"))
+    };
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(4));
+    let mut alloc = build(&mut dpu);
+    let direct = replay(&mut dpu, alloc.as_mut(), &trace);
+    let cfg = FleetConfig {
+        n_dpus: 512,
+        ..FleetConfig::default()
+    };
+    let fleet = replay_fleet(&trace, &cfg, build);
+    assert_eq!(fleet.per_dpu.len(), 512);
+    for r in &fleet.per_dpu {
+        assert_eq!(r.timeline, direct.timeline);
+        assert_eq!(r.oom_count, direct.oom_count);
     }
+    assert_eq!(fleet.kernel_finish, direct.finish);
 }
 
 #[test]
 fn trace_fleet_at_512_dpus_is_engine_invariant() {
-    // replay_fleet over 512 share-nothing DPUs: per-DPU timelines and
-    // the fleet aggregates must not depend on the engine.
-    use pim_trace::{replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape};
-    let trace = synthesize(&SynthConfig {
-        n_tasklets: 4,
-        mallocs_per_tasklet: 24,
-        size_law: SizeLaw::Uniform { min: 16, max: 1024 },
-        shape: TemporalShape::Steady { compute: 300 },
-        heap_size: 1 << 20,
-        seed: 7,
-        ..SynthConfig::default()
-    });
-    let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> {
-        let cfg = pim_malloc::AllocGeometry::sw(4)
-            .with_heap_size(1 << 20)
-            .build();
-        Box::new(pim_malloc::PimMalloc::init(dpu, cfg).expect("init"))
-    };
-    let fleet = |exec: ExecPolicy| {
-        replay_fleet(
-            &trace,
-            &FleetConfig {
-                n_dpus: 512,
-                ctx: pim_sim::SimContext::default().with_exec(exec),
-            },
-            build,
-        )
-    };
-    let reference = fleet(ExecPolicy::Serial);
-    for policy in PARALLEL_POLICIES {
-        let got = fleet(policy);
-        assert_eq!(got.per_dpu.len(), 512);
-        for (g, r) in got.per_dpu.iter().zip(&reference.per_dpu) {
-            assert_eq!(g.timeline, r.timeline, "{policy:?}");
-            assert_eq!(g.oom_count, r.oom_count, "{policy:?}");
-        }
-        assert_eq!(got.kernel_finish, reference.kernel_finish, "{policy:?}");
-        assert_eq!(got.mean_latency(), reference.mean_latency(), "{policy:?}");
-        assert_eq!(got.distribution, reference.distribution, "{policy:?}");
-    }
+    fleet_matches_direct_replay(|| pim_malloc::AllocGeometry::sw(4).with_heap_size(1 << 20));
 }
 
 #[test]
 fn page_frontend_fleet_at_512_dpus_is_engine_invariant() {
-    // The same fleet replay with the PageLocal frontend: the page
-    // path's intrusive-list surgery and frame-table routing must be as
-    // engine-invariant as the legacy bitmap frontend — and land on the
-    // *same addresses*, so the two fleets' timelines differ only in
-    // cycle pricing.
-    use pim_trace::{replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape};
-    let trace = synthesize(&SynthConfig {
-        n_tasklets: 4,
-        mallocs_per_tasklet: 24,
-        size_law: SizeLaw::Uniform { min: 16, max: 1024 },
-        shape: TemporalShape::Steady { compute: 300 },
-        heap_size: 1 << 20,
-        seed: 7,
-        ..SynthConfig::default()
-    });
-    let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> {
-        let cfg = pim_malloc::AllocGeometry::sw(4)
+    // The PageLocal frontend's intrusive-list surgery and frame-table
+    // routing must be as engine-invariant as the bitmap frontend.
+    fleet_matches_direct_replay(|| {
+        pim_malloc::AllocGeometry::sw(4)
             .with_heap_size(1 << 20)
             .page_local()
-            .build();
-        Box::new(pim_malloc::PimMalloc::init(dpu, cfg).expect("init"))
-    };
-    let fleet = |exec: ExecPolicy| {
-        replay_fleet(
-            &trace,
-            &FleetConfig {
-                n_dpus: 512,
-                ctx: pim_sim::SimContext::default().with_exec(exec),
-            },
-            build,
-        )
-    };
-    let reference = fleet(ExecPolicy::Serial);
-    for policy in PARALLEL_POLICIES {
-        let got = fleet(policy);
-        assert_eq!(got.per_dpu.len(), 512);
-        for (g, r) in got.per_dpu.iter().zip(&reference.per_dpu) {
-            assert_eq!(g.timeline, r.timeline, "{policy:?}");
-            assert_eq!(g.oom_count, r.oom_count, "{policy:?}");
-        }
-        assert_eq!(got.kernel_finish, reference.kernel_finish, "{policy:?}");
-        assert_eq!(got.mean_latency(), reference.mean_latency(), "{policy:?}");
-        assert_eq!(got.distribution, reference.distribution, "{policy:?}");
-    }
+    });
 }
 
 #[test]

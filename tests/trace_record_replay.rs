@@ -79,22 +79,19 @@ fn serial_and_parallel_replay_agree_on_recorded_trace() {
         ..MicroConfig::default()
     };
     let (_, trace) = run_micro_recorded(AllocatorKind::Sw, &cfg);
-    let fleet = |exec: pim_sim::ExecPolicy| {
-        replay_fleet(
-            &trace,
-            &FleetConfig {
-                n_dpus: 8,
-                ctx: pim_sim::SimContext::default().with_exec(exec),
-            },
-            |dpu| AllocatorKind::Sw.build(dpu, trace.n_tasklets, trace.heap_size),
-        )
-    };
-    let par = fleet(pim_sim::ExecPolicy::StickySteal);
-    let ser = fleet(pim_sim::ExecPolicy::Serial);
-    for (p, s) in par.per_dpu.iter().zip(&ser.per_dpu) {
-        assert_eq!(p.timeline, s.timeline);
+    let ser = replay_once(&trace, AllocatorKind::Sw);
+    let par = replay_fleet(
+        &trace,
+        &FleetConfig {
+            n_dpus: 8,
+            ..FleetConfig::default()
+        },
+        |dpu| AllocatorKind::Sw.build(dpu, trace.n_tasklets, trace.heap_size),
+    );
+    for p in &par.per_dpu {
+        assert_eq!(p.timeline, ser.timeline);
     }
-    assert_eq!(par.kernel_finish, ser.kernel_finish);
+    assert_eq!(par.kernel_finish, ser.finish);
 }
 
 #[test]
