@@ -2,18 +2,15 @@
 //! machine-readable CI perf report:
 //!
 //! * `churn_1m_ops` — 1,000,000 alloc/free operations through one
-//!   PIM-malloc instance on the page/queue fast path (`.page_local()`),
-//!   exercising the O(1) frame-table free routing on the host (the
-//!   path that used to walk a `BTreeMap` oracle). ns/iter ÷ 1e6 gives
-//!   host nanoseconds per allocator operation. The report also records
-//!   `page_hit_rate`, the deterministic fraction of class-eligible
-//!   requests served without a backend refill.
+//!   PIM-malloc-SW instance, exercising the thread caches and the O(1)
+//!   frame-table free routing on the host (the path that used to walk
+//!   a `BTreeMap` oracle). ns/iter ÷ 1e6 gives host nanoseconds per
+//!   allocator operation. The report also records `page_hit_rate`,
+//!   the deterministic fraction of class-eligible requests served
+//!   without a backend refill.
 //! * `churn_xtask_1m_ops` — the same churn with every free issued by
 //!   the *next* tasklet, so every free is remote and flows through the
 //!   three-tier transfer cache.
-//! * `churn_bitmap_1m_ops` — the same local churn on the legacy
-//!   bitmap-scan thread caches, so every report shows the page-vs-
-//!   bitmap host-throughput gap on identical addresses.
 //! * Tier speedup — the producer-consumer trace family replayed on
 //!   the default three-tier allocator vs the two-tier config, both
 //!   fully modeled (deterministic), reporting the finish-time speedup
@@ -41,7 +38,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_dse::{run_strategy, DseConfig, DseResult, Strategy};
-use pim_malloc::{AllocGeometry, FrontendKind, PimAllocator, PimMalloc, TierPolicy};
+use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc, TierPolicy};
 use pim_sim::{Cycles, DpuConfig, DpuSim, HostBatching, PimSystem};
 use pim_trace::{replay, synthesize, SizeLaw, SynthConfig, TemporalShape};
 use pim_workloads::driver::{drive, Request};
@@ -58,10 +55,10 @@ const DSE_DPUS: usize = 256;
 /// remote-free path (the three-tier transfer cache by default).
 /// Returns `(total mallocs, class-eligible hit rate)` — both
 /// deterministic, since the op stream is fixed.
-fn churn_with(cross_tasklet: bool, frontend: FrontendKind) -> (u64, f64) {
+fn churn_with(cross_tasklet: bool) -> (u64, f64) {
     let n_tasklets = 16;
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
-    let geom = AllocGeometry::sw(n_tasklets).with_frontend(frontend);
+    let geom = AllocGeometry::sw(n_tasklets);
     let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
     let sizes = [16u32, 48, 100, 256, 700, 1500, 2048, 4096];
     let mut windows: Vec<Vec<u32>> = vec![Vec::new(); n_tasklets];
@@ -100,20 +97,12 @@ fn churn_with(cross_tasklet: bool, frontend: FrontendKind) -> (u64, f64) {
     )
 }
 
-/// The headline churn runs on the page/queue fast path — the frontend
-/// the hot-path speedup landed on. The legacy bitmap frontend keeps
-/// its own row (`churn_bitmap_ops_per_sec`) so the page-vs-bitmap gap
-/// stays visible in every report.
 fn churn() -> (u64, f64) {
-    churn_with(false, FrontendKind::PageLocal)
+    churn_with(false)
 }
 
 fn churn_xtask() -> (u64, f64) {
-    churn_with(true, FrontendKind::PageLocal)
-}
-
-fn churn_bitmap() -> (u64, f64) {
-    churn_with(false, FrontendKind::BitmapClasses)
+    churn_with(true)
 }
 
 /// Replays the producer-consumer trace family on one DPU under the
@@ -208,7 +197,7 @@ fn emit_ci_report(_c: &mut Criterion) {
     let (churn_ops_per_sec, mallocs, page_hit_rate) = churn_best(churn);
     println!(
         "host_throughput/churn_1m_ops: {churn_ops_per_sec:.0} host ops/sec \
-         ({mallocs} mallocs, page frontend, hit rate {page_hit_rate:.4})"
+         ({mallocs} mallocs, hit rate {page_hit_rate:.4})"
     );
 
     // Cross-tasklet churn: every free is remote, flowing through the
@@ -217,22 +206,6 @@ fn emit_ci_report(_c: &mut Criterion) {
     println!(
         "host_throughput/churn_xtask_1m_ops: {churn_xtask_ops_per_sec:.0} host ops/sec \
          ({xtask_mallocs} mallocs, all frees remote)"
-    );
-
-    // The legacy bitmap-scan frontend on the same op stream, so the
-    // report always shows what the page layer buys. The differential
-    // suite pins the two frontends to identical addresses; here only
-    // the host throughput may differ.
-    let (churn_bitmap_ops_per_sec, bitmap_mallocs, bitmap_hit_rate) = churn_best(churn_bitmap);
-    assert_eq!(
-        (mallocs, page_hit_rate.to_bits()),
-        (bitmap_mallocs, bitmap_hit_rate.to_bits()),
-        "page and bitmap frontends must service the churn identically"
-    );
-    println!(
-        "host_throughput/churn_bitmap_1m_ops: {churn_bitmap_ops_per_sec:.0} host ops/sec \
-         (legacy frontend; page speedup {:.2}x)",
-        churn_ops_per_sec / churn_bitmap_ops_per_sec
     );
 
     // Producer-consumer tier comparison (modeled, deterministic): the
@@ -316,7 +289,6 @@ fn emit_ci_report(_c: &mut Criterion) {
          \"page_hit_rate\": {page_hit_rate:.6},\n  \
          \"churn_xtask_ops_per_sec\": {churn_xtask_ops_per_sec:.1},\n  \
          \"churn_xtask_mallocs\": {xtask_mallocs},\n  \
-         \"churn_bitmap_ops_per_sec\": {churn_bitmap_ops_per_sec:.1},\n  \
          \"tier_pc_three_tier_finish_cycles\": {},\n  \
          \"tier_pc_two_tier_finish_cycles\": {},\n  \
          \"tier_pc_remote_frees\": {three_remote},\n  \
@@ -354,7 +326,6 @@ fn bench_churn(c: &mut Criterion) {
     g.sample_size(2);
     g.bench_function("churn_1m_ops", |b| b.iter(churn));
     g.bench_function("churn_xtask_1m_ops", |b| b.iter(churn_xtask));
-    g.bench_function("churn_bitmap_1m_ops", |b| b.iter(churn_bitmap));
     g.finish();
 }
 

@@ -2,19 +2,19 @@
 //!
 //! Replays three trace families — allocator-bound churn (no compute
 //! gap, 100% hit rate), steady small-object churn, and the
-//! producer-consumer remote-free pattern — on the page/queue fast path
-//! (`.page_local()`) and on the legacy bitmap-scan thread caches. The
-//! two frontends are address-identical under a fixed op order (the
-//! differential suite pins that), so on the interleave-invariant
-//! local-churn families every difference in the modeled numbers is
-//! pure hot-path cycle count: the page layer replaces the bitmap
-//! walk's block-scan/word-scan/bit-op sequence with one constant-cost
-//! queue pop. The producer-consumer family replays under a
-//! virtual-time interleave, where the faster producer can outrun the
-//! consumer's remote frees and pay extra backend refills — the rows
-//! keep that visible rather than hiding it. One row per (family,
-//! frontend), plus a speedup row per family, all fully modeled and
-//! deterministic for a fixed seed.
+//! producer-consumer remote-free pattern — on the thread caches under
+//! each of their two price lists: the page/queue list (`.page_local()`)
+//! and the paper's bitmap scan. The structure is the same under both,
+//! so under a fixed op order they serve the same addresses, and on the
+//! interleave-invariant local-churn families every difference in the
+//! modeled numbers is hot-path pricing: one constant-cost queue pop
+//! instead of the bitmap walk's block-scan/word-scan/bit-op sequence.
+//! The producer-consumer family replays under a virtual-time
+//! interleave, where the faster producer can outrun the consumer's
+//! remote frees and pay extra backend refills — the rows keep that
+//! visible rather than hiding it. One row per (family, price list),
+//! plus a speedup row per family, all fully modeled and deterministic
+//! for a fixed seed.
 
 use pim_malloc::{AllocGeometry, FrontendKind, PimAllocator, PimMalloc};
 use pim_sim::{CostModel, DpuConfig, DpuSim};
@@ -24,11 +24,11 @@ use crate::report::{Experiment, Row};
 
 /// The trace families the comparison sweeps: pure local churn (every
 /// request on the frontend fast path) and producer-consumer (remote
-/// frees refilling page free lists through the transfer cache). The
+/// frees refilling the owner's blocks through the transfer cache). The
 /// third tuple field marks families whose routing is purely
-/// per-tasklet: for those, refill counts and hit rates must match the
-/// bitmap frontend bit for bit, while cross-tasklet families replay
-/// under a virtual-time interleave that the page path's cheaper
+/// per-tasklet: for those, refill counts and hit rates must match
+/// across the price lists bit for bit, while cross-tasklet families
+/// replay under a virtual-time interleave that the page list's cheaper
 /// pricing legitimately shifts.
 fn families(quick: bool, seed: u64) -> Vec<(String, SynthConfig, bool)> {
     let mallocs = if quick { 128 } else { 512 };
@@ -106,7 +106,8 @@ fn run_frontend(cfg: &SynthConfig, frontend: FrontendKind, mhz: u64) -> Frontend
     }
 }
 
-/// The `pages` experiment: page/queue frontend vs legacy bitmap scan.
+/// The `pages` experiment: the thread caches priced as page queues vs
+/// as the paper's bitmap scan.
 pub fn page_frontend(quick: bool, seed: u64) -> Experiment {
     let mut e = Experiment::new(
         "pages",
@@ -120,11 +121,11 @@ pub fn page_frontend(quick: bool, seed: u64) -> Experiment {
         assert_eq!(pages.mallocs, bitmap.mallocs, "{label}: same trace");
         if local_only {
             // Per-tasklet routing is interleave-invariant, so the
-            // frontends may only differ in pricing.
+            // price lists may only differ in cycles.
             assert_eq!(
                 (pages.refills, pages.hit_rate.to_bits()),
                 (bitmap.refills, bitmap.hit_rate.to_bits()),
-                "{label}: frontends must route requests identically"
+                "{label}: price lists must route requests identically"
             );
         }
         e.push(Row::new(
@@ -160,8 +161,8 @@ mod tests {
 
     #[test]
     fn page_frontend_wins_where_routing_is_invariant() {
-        // On interleave-invariant families the two frontends hit the
-        // backend identically, so the page path's cheaper hot path
+        // On interleave-invariant families the two price lists hit the
+        // backend identically, so the page list's cheaper hot path
         // must show up as a modeled-finish win (or a tie). The
         // producer-consumer family is exempt: its faster producer can
         // legitimately outrun the consumer's remote frees and pay

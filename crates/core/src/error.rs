@@ -60,6 +60,11 @@ impl Error for AllocError {}
 /// Errors returned by allocator initialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InitError {
+    /// The tasklet count is outside the DPU's 1..=24 hardware threads.
+    Tasklets {
+        /// The rejected tasklet count.
+        n: usize,
+    },
     /// A WRAM reservation (metadata buffer, bitmaps) did not fit.
     Wram(pim_sim::wram::WramOverflow),
     /// Pre-population exhausted the heap.
@@ -69,6 +74,9 @@ pub enum InitError {
 impl fmt::Display for InitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            InitError::Tasklets { n } => {
+                write!(f, "allocator init failed: tasklet count {n} outside 1..=24")
+            }
             InitError::Wram(e) => write!(f, "allocator init failed: {e}"),
             InitError::Alloc(e) => write!(f, "allocator init failed: {e}"),
         }
@@ -78,6 +86,7 @@ impl fmt::Display for InitError {
 impl Error for InitError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
+            InitError::Tasklets { .. } => None,
             InitError::Wram(e) => Some(e),
             InitError::Alloc(e) => Some(e),
         }

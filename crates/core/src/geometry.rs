@@ -207,21 +207,20 @@ impl SizeClassTable {
     }
 }
 
-/// Which allocation frontend serves size-class requests.
+/// Which price list the thread caches ([`crate::ThreadCache`]) charge.
+/// The structure, and so every address, error, and fragmentation
+/// count, is the same under both; only simulated cycles differ.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FrontendKind {
-    /// The legacy per-tasklet thread caches: a `Vec` of blocks per
-    /// (tasklet, class) pool, scanned block-by-block and word-by-word
-    /// on every malloc/free. Default — every figure committed before
-    /// the page path landed reproduces byte-identically on it.
+    /// The paper's bitmap scan: every alloc pays for each block and
+    /// bitmap word it examines in the MRU-ordered class pool, every
+    /// free for each block it searches to find the freed address.
+    /// Default.
     #[default]
     BitmapClasses,
-    /// The mimalloc-style page/queue fast path
-    /// ([`crate::page_queue::PageLocal`]): sharded per-(tasklet,
-    /// class) page queues with intrusive free lists and O(1)
-    /// frame-table free routing. Same addresses, errors, and frag
-    /// accounting as [`FrontendKind::BitmapClasses`] (differentially
-    /// property-tested), with constant-cost hot paths.
+    /// A mimalloc-style page queue: alloc and free cost a constant,
+    /// plus a small step per full block that a formerly-full block
+    /// passes on its way back into the available queue.
     PageLocal,
 }
 
@@ -270,7 +269,6 @@ pub struct PimMallocConfig {
     pub(crate) heap_base: u32,
     pub(crate) heap_size: u32,
     pub(crate) meta_base: u32,
-    pub(crate) backend_min_block: u32,
     pub(crate) size_classes: SizeClassTable,
     pub(crate) n_tasklets: usize,
     pub(crate) backend: BackendKind,
@@ -327,7 +325,7 @@ impl PimMallocConfig {
         self.tier
     }
 
-    /// The allocation frontend serving size-class requests.
+    /// The price list the thread caches charge.
     pub fn frontend(&self) -> FrontendKind {
         self.frontend
     }
@@ -350,7 +348,6 @@ impl AllocGeometry {
                 heap_base: 0x0200_0000,
                 heap_size: 32 << 20,
                 meta_base: 0x0100_0000,
-                backend_min_block: CACHE_BLOCK_BYTES,
                 size_classes: SizeClassTable::paper_default(),
                 n_tasklets,
                 backend: BackendKind::Coarse { buffer_bytes: 2048 },
@@ -449,25 +446,17 @@ impl AllocGeometry {
         self.with_tiering(TierPolicy::TwoTier)
     }
 
-    /// Selects the allocation frontend (default
+    /// Selects the thread caches' price list (default
     /// [`FrontendKind::BitmapClasses`]).
     pub fn with_frontend(mut self, frontend: FrontendKind) -> Self {
         self.cfg.frontend = frontend;
         self
     }
 
-    /// Routes size-class requests through the mimalloc-style
-    /// page/queue fast path — shorthand for
-    /// `with_frontend(FrontendKind::PageLocal)`.
+    /// Prices the thread caches as mimalloc-style page queues —
+    /// shorthand for `with_frontend(FrontendKind::PageLocal)`.
     pub fn page_local(self) -> Self {
         self.with_frontend(FrontendKind::PageLocal)
-    }
-
-    /// Routes size-class requests through the legacy bitmap-scan
-    /// thread caches (the default) — shorthand for
-    /// `with_frontend(FrontendKind::BitmapClasses)`.
-    pub fn bitmap_classes(self) -> Self {
-        self.with_frontend(FrontendKind::BitmapClasses)
     }
 
     /// Validates and returns the finished configuration.
@@ -629,7 +618,7 @@ mod tests {
         assert_eq!(
             AllocGeometry::sw(2)
                 .page_local()
-                .bitmap_classes()
+                .with_frontend(FrontendKind::BitmapClasses)
                 .build()
                 .frontend(),
             FrontendKind::BitmapClasses

@@ -27,18 +27,17 @@
 //! the owner's cache under the global backend lock — stays reachable
 //! via [`AllocGeometry::two_tier`].
 //!
-//! ## Frontends
+//! ## Frontend
 //!
-//! Size-class requests are served by one of two frontends (see
-//! [`FrontendKind`]): the legacy bitmap-scan thread caches (default),
-//! or the mimalloc-style [`PageLocal`] page/queue fast path
-//! ([`AllocGeometry::page_local`]) — sharded per-(tasklet, class)
-//! queues of fixed-size pages with intrusive free lists and O(1)
-//! frame-table free routing. Both produce byte-identical addresses,
-//! errors, and fragmentation accounting (differentially
-//! property-tested in `tests/page_differential.rs`); only the
-//! simulated cycle pricing differs, with the page path's hot paths at
-//! constant cost.
+//! Size-class requests are served by the per-tasklet [`ThreadCache`]s:
+//! 4 KB blocks with one free bitmap each, the paper's design. The
+//! structure is the same under either [`FrontendKind`]; the kind only
+//! picks the price list the cache charges. `BitmapClasses` (default)
+//! prices the paper's block-by-block, word-by-word scan;
+//! `PageLocal` ([`AllocGeometry::page_local`]) prices a mimalloc-style
+//! page queue, whose alloc and free cost a constant. Addresses, errors,
+//! and fragmentation accounting are identical by construction;
+//! `tests/frontend_charges.rs` pins the per-op charges of both lists.
 //!
 //! ## Error paths and quarantine
 //!
@@ -82,8 +81,6 @@ pub mod error;
 pub mod frag;
 pub mod geometry;
 pub mod metadata;
-pub mod page;
-pub mod page_queue;
 pub mod pim_malloc;
 pub mod region_map;
 pub mod span;
@@ -102,8 +99,6 @@ pub use geometry::{
     TierPolicy, SIZE_CLASS_ALIGN,
 };
 pub use metadata::{MetaStats, MetadataStore, NodeState};
-pub use page::Page;
-pub use page_queue::{PageLocal, PageQueue};
 pub use pim_malloc::{BackendKind, PimMalloc};
 pub use region_map::{FreeRoute, RegionMap};
 pub use span::{Span, SpanRegistry};

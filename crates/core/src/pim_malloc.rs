@@ -29,9 +29,8 @@ use crate::buddy::{BuddyAllocator, BuddyGeometry, MetadataBackend};
 use crate::central_free_list::CentralFreeList;
 use crate::error::{AllocError, InitError};
 use crate::frag::FragTracker;
-use crate::geometry::{FrontendKind, PimMallocConfig, SizeClassTable, TierPolicy};
+use crate::geometry::{PimMallocConfig, SizeClassTable, TierPolicy};
 use crate::metadata::{MetaStats, MetadataStore};
-use crate::page_queue::PageLocal;
 use crate::region_map::{FreeRoute, RegionMap};
 use crate::stats::{AllocStats, ServiceSite};
 use crate::thread_cache::{FreeOutcome, ThreadCache, CACHE_BLOCK_BYTES};
@@ -90,59 +89,11 @@ pub enum BackendKind {
     },
 }
 
-/// The allocation frontend actually instantiated: the legacy bitmap
-/// thread caches or the page/queue fast path, selected by
-/// [`FrontendKind`]. Both expose the same five operations with
-/// identical *semantics* (addresses, outcomes, double-free panics) —
-/// only the simulated cycle pricing differs, which is why the dispatch
-/// lives behind one enum instead of a trait object: every call site
-/// stays monomorphic and the differential tests can pin the pair.
-#[derive(Debug)]
-enum Frontend {
-    Bitmap(Vec<ThreadCache>),
-    Pages(PageLocal),
-}
-
-impl Frontend {
-    fn alloc(&mut self, ctx: &mut TaskletCtx<'_>, tid: usize, class_idx: usize) -> Option<u32> {
-        match self {
-            Frontend::Bitmap(caches) => caches[tid].alloc(ctx, class_idx),
-            Frontend::Pages(pages) => pages.alloc(ctx, tid, class_idx),
-        }
-    }
-
-    fn add_block(&mut self, ctx: &mut TaskletCtx<'_>, tid: usize, class_idx: usize, base: u32) {
-        match self {
-            Frontend::Bitmap(caches) => caches[tid].add_block(ctx, class_idx, base),
-            Frontend::Pages(pages) => pages.add_page(ctx, tid, class_idx, base),
-        }
-    }
-
-    fn free(
-        &mut self,
-        ctx: &mut TaskletCtx<'_>,
-        tid: usize,
-        class_idx: usize,
-        addr: u32,
-    ) -> FreeOutcome {
-        match self {
-            Frontend::Bitmap(caches) => caches[tid].free(ctx, class_idx, addr),
-            Frontend::Pages(pages) => pages.free(ctx, tid, class_idx, addr),
-        }
-    }
-
-    fn free_unpriced(&mut self, tid: usize, class_idx: usize, addr: u32) -> FreeOutcome {
-        match self {
-            Frontend::Bitmap(caches) => caches[tid].free_unpriced(class_idx, addr),
-            Frontend::Pages(pages) => pages.free_unpriced(tid, class_idx, addr),
-        }
-    }
-}
-
 /// The hierarchical PIM-malloc allocator for one DPU.
 #[derive(Debug)]
 pub struct PimMalloc {
-    frontend: Frontend,
+    /// One thread cache per tasklet, indexed by tasklet id.
+    caches: Vec<ThreadCache>,
     backend: BuddyAllocator,
     backend_mutex: MutexId,
     /// O(1) frame-table routing for `pim_free` (see [`RegionMap`]).
@@ -179,43 +130,28 @@ impl PimMalloc {
     ///
     /// # Errors
     ///
+    /// [`InitError::Tasklets`] if the tasklet count is outside 1..=24;
     /// [`InitError::Wram`] if the WRAM budget is exceeded;
     /// [`InitError::Alloc`] if pre-population exhausts the heap.
     ///
     /// # Panics
     ///
-    /// Panics on malformed configuration (non-power-of-two sizes,
-    /// empty/invalid size-class list, tasklet count outside 1..=24).
+    /// Panics on a heap the buddy backend cannot tile (see
+    /// [`BuddyGeometry::new`]).
     pub fn init(dpu: &mut DpuSim, config: PimMallocConfig) -> Result<Self, InitError> {
-        assert!(
-            config.n_tasklets >= 1 && config.n_tasklets <= 24,
-            "tasklet count {} outside 1..=24",
-            config.n_tasklets
-        );
-        assert_eq!(
-            config.backend_min_block, CACHE_BLOCK_BYTES,
-            "the frame table maps one backend block per frame, so the \
-             backend's minimum block must equal the thread-cache block"
-        );
-        let geometry =
-            BuddyGeometry::new(config.heap_base, config.heap_size, config.backend_min_block);
-        let frontend = match config.frontend {
-            FrontendKind::BitmapClasses => Frontend::Bitmap(
-                (0..config.n_tasklets)
-                    .map(|_| ThreadCache::new(&config.size_classes))
-                    .collect(),
-            ),
-            FrontendKind::PageLocal => Frontend::Pages(PageLocal::new(
-                &config.size_classes,
-                config.n_tasklets,
-                config.heap_base,
-                config.heap_size,
-            )),
-        };
+        if !(1..=24).contains(&config.n_tasklets) {
+            return Err(InitError::Tasklets {
+                n: config.n_tasklets,
+            });
+        }
+        // The frame table maps one backend block per frame, so the
+        // backend's minimum block is the thread-cache block.
+        let geometry = BuddyGeometry::new(config.heap_base, config.heap_size, CACHE_BLOCK_BYTES);
+        let caches: Vec<ThreadCache> = (0..config.n_tasklets)
+            .map(|_| ThreadCache::new(&config.size_classes, config.frontend))
+            .collect();
 
-        // WRAM budget: backend metadata buffer + per-tasklet free-slot
-        // metadata (bitmap words; the page path keeps the same layout,
-        // so both frontends reserve the same byte count).
+        // WRAM budget: backend metadata buffer + per-tasklet bitmaps.
         match config.backend {
             BackendKind::Coarse { buffer_bytes } => {
                 dpu.wram_mut()
@@ -237,17 +173,9 @@ impl PimMalloc {
                 dpu.wram_mut().reserve("line cache staging", line_bytes)?;
             }
         }
-        match &frontend {
-            Frontend::Bitmap(caches) => {
-                let bitmap_bytes: u32 = caches.iter().map(ThreadCache::bitmap_wram_bytes).sum();
-                dpu.wram_mut()
-                    .reserve("thread cache bitmaps", bitmap_bytes)?;
-            }
-            Frontend::Pages(pages) => {
-                dpu.wram_mut()
-                    .reserve("page free lists", pages.wram_bytes())?;
-            }
-        }
+        let bitmap_bytes: u32 = caches.iter().map(ThreadCache::bitmap_wram_bytes).sum();
+        dpu.wram_mut()
+            .reserve("thread cache bitmaps", bitmap_bytes)?;
 
         let store = match config.backend {
             BackendKind::Coarse { buffer_bytes } => {
@@ -274,7 +202,7 @@ impl PimMalloc {
             let mut ctx = dpu.ctx(0);
             backend.reset(&mut ctx);
             PimMalloc {
-                frontend,
+                caches,
                 backend,
                 backend_mutex,
                 region: RegionMap::new(config.heap_base, config.heap_size, CACHE_BLOCK_BYTES),
@@ -304,7 +232,7 @@ impl PimMalloc {
                         class_idx,
                         config.size_classes.class_bytes(class_idx),
                     );
-                    this.frontend.add_block(&mut ctx, tid, class_idx, base);
+                    this.caches[tid].add_block(&mut ctx, class_idx, base);
                 }
             }
         }
@@ -341,23 +269,9 @@ impl PimMalloc {
         &self.backend
     }
 
-    /// The legacy bitmap thread caches, indexed by tasklet id. Empty
-    /// when the instance runs the [`FrontendKind::PageLocal`] frontend
-    /// — use [`PimMalloc::page_frontend`] there.
+    /// The thread caches, indexed by tasklet id.
     pub fn caches(&self) -> &[ThreadCache] {
-        match &self.frontend {
-            Frontend::Bitmap(caches) => caches,
-            Frontend::Pages(_) => &[],
-        }
-    }
-
-    /// The page/queue frontend, if this instance runs
-    /// [`FrontendKind::PageLocal`].
-    pub fn page_frontend(&self) -> Option<&PageLocal> {
-        match &self.frontend {
-            Frontend::Bitmap(_) => None,
-            Frontend::Pages(pages) => Some(pages),
-        }
+        &self.caches
     }
 
     /// The shared size-class geometry.
@@ -481,7 +395,7 @@ impl PimAllocator for PimMalloc {
         let tid = ctx.tid();
         let (addr, site) = match self.classes.class_for(size) {
             Some(class_idx) => {
-                let (addr, site) = match self.frontend.alloc(ctx, tid, class_idx) {
+                let (addr, site) = match self.caches[tid].alloc(ctx, class_idx) {
                     // Case 1: frontend hit. If the sub-block was
                     // staged by a remote free, the hit also consumes
                     // the middle-tier entry (priced per batch).
@@ -493,10 +407,10 @@ impl PimAllocator for PimMalloc {
                         let class_bytes = self.classes.class_bytes(class_idx);
                         self.region
                             .note_cache_block(base, tid, class_idx, class_bytes);
-                        self.frontend.add_block(ctx, tid, class_idx, base);
-                        let addr = self
-                            .frontend
-                            .alloc(ctx, tid, class_idx)
+                        let cache = &mut self.caches[tid];
+                        cache.add_block(ctx, class_idx, base);
+                        let addr = cache
+                            .alloc(ctx, class_idx)
                             .expect("fresh block has free sub-blocks");
                         (addr, ServiceSite::FrontendRefill)
                     }
@@ -564,7 +478,7 @@ impl PimAllocator for PimMalloc {
                         // cost is a few WRAM instructions plus one
                         // MRAM write per flushed batch.
                         TierPolicy::ThreeTier => {
-                            let outcome = self.frontend.free_unpriced(tid, class_idx, addr);
+                            let outcome = self.caches[tid].free_unpriced(class_idx, addr);
                             ctx.instrs(TRANSFER_PUSH_INSTRS);
                             if !matches!(outcome, FreeOutcome::BlockReleased { .. }) {
                                 let effect = self.transfer.push(class_idx, addr);
@@ -593,14 +507,14 @@ impl PimAllocator for PimMalloc {
                         // cross-tasklet path the middle tier replaces).
                         TierPolicy::TwoTier => {
                             ctx.mutex_lock(self.backend_mutex);
-                            let outcome = self.frontend.free(ctx, tid, class_idx, addr);
+                            let outcome = self.caches[tid].free(ctx, class_idx, addr);
                             ctx.mutex_unlock(self.backend_mutex);
                             self.stats.frees_remote_global += 1;
                             outcome
                         }
                     }
                 } else {
-                    self.frontend.free(ctx, tid, class_idx, addr)
+                    self.caches[tid].free(ctx, class_idx, addr)
                 };
                 match outcome {
                     FreeOutcome::Cached => self.stats.record_free(false),
@@ -875,6 +789,17 @@ mod tests {
     }
 
     #[test]
+    fn tasklet_count_outside_the_dpu_is_a_typed_error() {
+        for n in [0, 25] {
+            let mut d = dpu(1);
+            assert!(matches!(
+                PimMalloc::init(&mut d, small_sw(n).build()),
+                Err(InitError::Tasklets { n: got }) if got == n
+            ));
+        }
+    }
+
+    #[test]
     fn wram_budget_is_enforced() {
         let mut d = dpu(1);
         let cfg = small_sw(1)
@@ -973,61 +898,10 @@ mod tests {
     }
 
     #[test]
-    fn page_frontend_reproduces_bitmap_addresses() {
-        // The real guarantee lives in tests/page_differential.rs; this
-        // is the smoke version: both frontends hand out the same
-        // addresses through hit, refill, free, and remote-free.
-        let mut d_bm = dpu(2);
-        let mut d_pg = dpu(2);
-        let mut bm = PimMalloc::init(&mut d_bm, small_sw(2).build()).unwrap();
-        let mut pg = PimMalloc::init(&mut d_pg, small_sw(2).page_local().build()).unwrap();
-        assert!(bm.page_frontend().is_none());
-        assert!(pg.page_frontend().is_some());
-        assert!(pg.caches().is_empty(), "page frontend has no thread caches");
-
-        let mut held = Vec::new();
-        for i in 0..24u32 {
-            let size = [16, 100, 700, 2048][i as usize % 4];
-            let a = {
-                let mut c = d_bm.ctx(0);
-                bm.pim_malloc(&mut c, size).unwrap()
-            };
-            let b = {
-                let mut c = d_pg.ctx(0);
-                pg.pim_malloc(&mut c, size).unwrap()
-            };
-            assert_eq!(a, b, "op {i}: same address from both frontends");
-            held.push(a);
-            if i % 3 == 2 {
-                // Free the oldest held pointer from the *other*
-                // tasklet: the remote path must reconcile identically.
-                let victim = held.remove(0);
-                let mut c = d_bm.ctx(1);
-                bm.pim_free(&mut c, victim).unwrap();
-                let mut c = d_pg.ctx(1);
-                pg.pim_free(&mut c, victim).unwrap();
-            }
-        }
-        for victim in held {
-            let mut c = d_bm.ctx(0);
-            bm.pim_free(&mut c, victim).unwrap();
-            let mut c = d_pg.ctx(0);
-            pg.pim_free(&mut c, victim).unwrap();
-        }
-        assert_eq!(bm.live_allocations(), 0);
-        assert_eq!(pg.live_allocations(), 0);
-        assert_eq!(
-            bm.frag().reserved_live(),
-            pg.frag().reserved_live(),
-            "block reserve/release parity"
-        );
-    }
-
-    #[test]
     fn page_frontend_hot_path_is_cheaper_than_bitmap() {
-        // The entire point of the tentpole: a page-path hit costs
-        // fewer simulated cycles than a bitmap-scan hit once pools
-        // hold a few blocks.
+        // Same structure, two price lists: a hit priced as a page
+        // queue pop costs fewer simulated cycles than the bitmap scan
+        // once pools hold a few blocks.
         let cost_of = |geo: AllocGeometry| {
             let mut d = dpu(1);
             let mut pm = PimMalloc::init(&mut d, geo.build()).unwrap();

@@ -7,12 +7,18 @@
 //! free, as in Figure 9(b) of the paper). Because the cache is private
 //! to its tasklet, no mutex is needed: small allocations are O(1) and
 //! contention-free.
+//!
+//! The cache is the only frontend structure; [`FrontendKind`] picks
+//! the price list its operations charge. The paper's bitmap scan pays
+//! for every block and word it examines. The page/queue list charges
+//! what mimalloc-style page queues would: a constant alloc and free,
+//! plus a small step for each full block passed when a full block gets
+//! a slot back and rejoins the queue of blocks with free slots.
 
 use pim_sim::TaskletCtx;
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::SizeClassTable;
-use crate::page::init_free_mask;
+use crate::geometry::{FrontendKind, SizeClassTable};
 
 /// The paper's default size classes: powers of two from 16 B to 2 KB.
 pub const DEFAULT_SIZE_CLASSES: [u32; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
@@ -30,6 +36,40 @@ const BLOCK_SCAN_INSTRS: u64 = 6;
 const WORD_SCAN_INSTRS: u64 = 8;
 /// Instructions to flip a bitmap bit and compute the sub-block address.
 const BIT_OP_INSTRS: u64 = 30;
+/// Page/queue price of an alloc attempt, hit or miss: queue-head load,
+/// two `trailing_zeros` (the DPU has a count-leading-zeros unit), bit
+/// clear, counter bump, address multiply-add, and the MRU relink.
+const QUEUE_ALLOC_INSTRS: u64 = 30;
+/// Page/queue price of a free: frame-table shift+load, slot divide,
+/// bit set, counter drop, and the full/empty checks.
+const QUEUE_FREE_INSTRS: u64 = 36;
+/// Page/queue price per full block a formerly-full block steps over
+/// to rejoin the available queue at its MRU-order position.
+const QUEUE_REQUEUE_STEP_INSTRS: u64 = 4;
+
+/// Marks the first `slots` positions free (bit = 1) and every padding
+/// bit beyond them busy (bit = 0).
+///
+/// No shift here can reach 64: deriving the tail as "slots remaining
+/// in the last word" (a count in `1..=64`) and computing
+/// `(1u64 << tail) - 1` overflows for slot counts on a word boundary
+/// (64-, 128-, 192-slot classes…) — a debug panic, or in release a
+/// wrapped shift that marks the whole tail word busy.
+fn init_free_mask(slots: u32, words: &mut [u64]) {
+    debug_assert!(
+        slots as usize <= words.len() * 64,
+        "{slots} slots exceed {} bitmap words",
+        words.len()
+    );
+    for (wi, word) in words.iter_mut().enumerate() {
+        let below = wi as u32 * 64;
+        *word = match slots.saturating_sub(below).min(64) {
+            0 => 0,
+            64 => u64::MAX,
+            in_word => (1u64 << in_word) - 1,
+        };
+    }
+}
 
 /// One 4 KB block subdivided into `class_bytes` sub-blocks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,10 +86,6 @@ impl CacheBlock {
         let slots = CACHE_BLOCK_BYTES / class_bytes;
         let words = (slots as usize).div_ceil(64);
         let mut bitmap = vec![0u64; words];
-        // Mark the first `slots` bits free and any padding busy. The
-        // shared helper is overflow-proof for slot counts that land
-        // exactly on a word boundary (see its doc comment — the old
-        // inline `(1u64 << tail) - 1` was one refactor away from UB).
         init_free_mask(slots, &mut bitmap);
         CacheBlock {
             base,
@@ -112,19 +148,22 @@ pub enum FreeOutcome {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThreadCache {
     pools: Vec<SizeClassPool>,
+    /// The price list every charged operation bills.
+    prices: FrontendKind,
 }
 
 impl ThreadCache {
     /// Creates an empty cache over the shared size-class geometry
     /// (class validation and `class_for` lookup live on
-    /// [`SizeClassTable`]).
-    pub fn new(size_classes: &SizeClassTable) -> Self {
+    /// [`SizeClassTable`]), charging the `prices` list.
+    pub fn new(size_classes: &SizeClassTable, prices: FrontendKind) -> Self {
         ThreadCache {
             pools: size_classes
                 .classes()
                 .iter()
                 .map(|&c| SizeClassPool::new(c))
                 .collect(),
+            prices,
         }
     }
 
@@ -142,45 +181,46 @@ impl ThreadCache {
             .sum()
     }
 
-    /// Attempts to allocate from the class pool `class_idx`.
+    /// Attempts to allocate from the class pool `class_idx`: the lowest
+    /// free sub-block of the most recently used block that has one.
     ///
     /// Returns the sub-block address, or `None` if every block in the
     /// pool is exhausted (the caller should fetch a block from the
     /// backend and retry).
     pub fn alloc(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize) -> Option<u32> {
-        ctx.instrs(REQUEST_INSTRS);
         let pool = &mut self.pools[class_idx];
-        for (bi, block) in pool.blocks.iter_mut().enumerate() {
-            ctx.instrs(BLOCK_SCAN_INSTRS);
-            if block.free_slots == 0 {
-                continue;
-            }
-            for (wi, word) in block.bitmap.iter_mut().enumerate() {
-                ctx.instrs(WORD_SCAN_INSTRS);
-                if *word != 0 {
-                    let bit = word.trailing_zeros();
-                    ctx.instrs(BIT_OP_INSTRS);
-                    *word &= !(1u64 << bit);
-                    block.free_slots -= 1;
-                    let slot = wi as u32 * 64 + bit;
-                    let addr = block.base + slot * pool.class_bytes;
-                    // Keep the most recently used block at the front so
-                    // the common case scans one block.
-                    if bi != 0 {
-                        let b = pool.blocks.remove(bi);
-                        pool.blocks.insert(0, b);
-                    }
-                    return Some(addr);
-                }
-            }
-            unreachable!("free_slots > 0 implies a set bit");
-        }
-        None
+        let hit = pool.blocks.iter().position(|b| b.free_slots > 0);
+        let blocks_scanned = hit.map_or(pool.blocks.len(), |bi| bi + 1) as u64;
+        let mut scan = REQUEST_INSTRS + BLOCK_SCAN_INSTRS * blocks_scanned;
+        let addr = hit.map(|bi| {
+            let block = &mut pool.blocks[bi];
+            let wi = block
+                .bitmap
+                .iter()
+                .position(|&w| w != 0)
+                .expect("free_slots > 0 implies a set bit");
+            scan += WORD_SCAN_INSTRS * (wi as u64 + 1) + BIT_OP_INSTRS;
+            let bit = block.bitmap[wi].trailing_zeros();
+            block.bitmap[wi] &= !(1u64 << bit);
+            block.free_slots -= 1;
+            let addr = block.base + (wi as u32 * 64 + bit) * pool.class_bytes;
+            // Keep the most recently used block at the front so the
+            // common case scans one block.
+            pool.blocks[..=bi].rotate_right(1);
+            addr
+        });
+        ctx.instrs(match self.prices {
+            FrontendKind::BitmapClasses => scan,
+            FrontendKind::PageLocal => QUEUE_ALLOC_INSTRS,
+        });
+        addr
     }
 
     /// Installs a fresh 4 KB block (from the backend) into a pool.
     pub fn add_block(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize, base: u32) {
-        ctx.instrs(BIT_OP_INSTRS + 4); // link block, init bitmap head
+        // Link the block and init its bitmap head; both price lists
+        // charge the same install.
+        ctx.instrs(BIT_OP_INSTRS + 4);
         let class = self.pools[class_idx].class_bytes;
         self.pools[class_idx]
             .blocks
@@ -201,8 +241,25 @@ impl ThreadCache {
     /// sub-block is already free (double free) — both are program bugs
     /// the shadow bookkeeping in [`crate::PimMalloc`] rules out.
     pub fn free(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize, addr: u32) -> FreeOutcome {
-        let (outcome, bi) = self.free_at(class_idx, addr);
-        ctx.instrs(REQUEST_INSTRS + BLOCK_SCAN_INSTRS * (bi as u64 + 1) + BIT_OP_INSTRS);
+        let (outcome, bi, was_full) = self.free_at(class_idx, addr);
+        ctx.instrs(match self.prices {
+            FrontendKind::BitmapClasses => {
+                REQUEST_INSTRS + BLOCK_SCAN_INSTRS * (bi as u64 + 1) + BIT_OP_INSTRS
+            }
+            FrontendKind::PageLocal => {
+                // A block that was full rejoins the available queue
+                // behind the unbroken run of full blocks ahead of it.
+                // (It stays cached: every class has at least two slots
+                // per block, so one free cannot empty a full block.)
+                let requeue_steps = if was_full {
+                    let ahead = &self.pools[class_idx].blocks[..bi];
+                    ahead.iter().rev().take_while(|b| b.free_slots == 0).count() as u64
+                } else {
+                    0
+                };
+                QUEUE_FREE_INSTRS + QUEUE_REQUEUE_STEP_INSTRS * requeue_steps
+            }
+        });
         outcome
     }
 
@@ -215,10 +272,10 @@ impl ThreadCache {
         self.free_at(class_idx, addr).0
     }
 
-    /// Shared mutation of both free variants; returns the outcome and
-    /// the index of the containing block (the charged variant's
-    /// scan-depth cost).
-    fn free_at(&mut self, class_idx: usize, addr: u32) -> (FreeOutcome, usize) {
+    /// Shared mutation of both free variants; returns the outcome, the
+    /// index of the containing block (the scan depth the bitmap price
+    /// list charges), and whether that block was full before the free.
+    fn free_at(&mut self, class_idx: usize, addr: u32) -> (FreeOutcome, usize, bool) {
         let pool = &mut self.pools[class_idx];
         let bi = pool
             .blocks
@@ -234,6 +291,7 @@ impl ThreadCache {
             "double free of {addr:#x} in class {}",
             pool.class_bytes
         );
+        let was_full = block.free_slots == 0;
         block.bitmap[wi] |= 1u64 << bit;
         block.free_slots += 1;
         let outcome = if block.free_slots == block.slots && pool.blocks.len() > 1 {
@@ -244,7 +302,7 @@ impl ThreadCache {
         } else {
             FreeOutcome::Cached
         };
-        (outcome, bi)
+        (outcome, bi, was_full)
     }
 }
 
@@ -258,7 +316,21 @@ mod tests {
     }
 
     fn cache() -> ThreadCache {
-        ThreadCache::new(&SizeClassTable::paper_default())
+        ThreadCache::new(&SizeClassTable::paper_default(), FrontendKind::default())
+    }
+
+    fn page_priced() -> ThreadCache {
+        ThreadCache::new(&SizeClassTable::paper_default(), FrontendKind::PageLocal)
+    }
+
+    /// Instructions `f` charges on `ctx`: its cycles over one instruction's.
+    fn instrs_charged(ctx: &mut TaskletCtx<'_>, f: impl FnOnce(&mut TaskletCtx<'_>)) -> u64 {
+        let t0 = ctx.now();
+        ctx.instrs(1);
+        let per_instr = (ctx.now() - t0).0;
+        let t0 = ctx.now();
+        f(ctx);
+        (ctx.now() - t0).0 / per_instr
     }
 
     #[test]
@@ -310,6 +382,40 @@ mod tests {
         let again = c.alloc(&mut ctx, 4).unwrap();
         assert_eq!(again, a, "freed slot is the first free bit again");
         let _ = b;
+    }
+
+    #[test]
+    fn freed_slots_return_lowest_first() {
+        let mut d = dpu();
+        let mut c = cache();
+        let mut ctx = d.ctx(0);
+        c.add_block(&mut ctx, 4, 0x8000); // 256 B: 16 slots
+        let addrs: Vec<u32> = (0..16).map(|_| c.alloc(&mut ctx, 4).unwrap()).collect();
+        let expect: Vec<u32> = (0..16).map(|i| 0x8000 + i * 256).collect();
+        assert_eq!(addrs, expect, "lowest slot first");
+        c.free(&mut ctx, 4, 0x8000 + 5 * 256);
+        c.free(&mut ctx, 4, 0x8000 + 2 * 256);
+        // The *lowest* freed slot comes back first, whatever order the
+        // frees arrived in.
+        assert_eq!(c.alloc(&mut ctx, 4), Some(0x8000 + 2 * 256));
+        assert_eq!(c.alloc(&mut ctx, 4), Some(0x8000 + 5 * 256));
+    }
+
+    #[test]
+    fn smallest_class_fills_every_bitmap_word() {
+        let table = SizeClassTable::new([crate::SIZE_CLASS_ALIGN]);
+        let mut c = ThreadCache::new(&table, FrontendKind::default());
+        let mut d = dpu();
+        let mut ctx = d.ctx(0);
+        c.add_block(&mut ctx, 0, 0); // 512 slots, 8 bitmap words
+        let mut seen = std::collections::HashSet::new();
+        while let Some(a) = c.alloc(&mut ctx, 0) {
+            assert!(seen.insert(a), "{a:#x} issued twice");
+        }
+        assert_eq!(
+            seen.len() as u32,
+            CACHE_BLOCK_BYTES / crate::SIZE_CLASS_ALIGN
+        );
     }
 
     #[test]
@@ -368,6 +474,63 @@ mod tests {
     }
 
     #[test]
+    fn constant_cost_alloc_and_free() {
+        // The page/queue price list is flat: no charge depends on how
+        // many blocks or words the scan examined.
+        let mut d = dpu();
+        let mut c = page_priced();
+        let mut ctx = d.ctx(0);
+        let miss = instrs_charged(&mut ctx, |ctx| assert!(c.alloc(ctx, 1).is_none()));
+        assert_eq!(miss, QUEUE_ALLOC_INSTRS, "a miss costs what a hit does");
+        c.add_block(&mut ctx, 1, 0x1000); // 32 B: 128 slots
+        c.add_block(&mut ctx, 1, 0x2000);
+        let mut held = Vec::new();
+        for i in 0..200 {
+            let hit = instrs_charged(&mut ctx, |ctx| held.push(c.alloc(ctx, 1).unwrap()));
+            assert_eq!(hit, QUEUE_ALLOC_INSTRS, "alloc {i}");
+        }
+        let free = instrs_charged(&mut ctx, |ctx| {
+            c.free(ctx, 1, held[0]);
+        });
+        assert_eq!(free, QUEUE_FREE_INSTRS);
+    }
+
+    #[test]
+    fn full_block_requeue_prices_the_full_run_ahead() {
+        let mut d = dpu();
+        let mut c = page_priced();
+        let mut ctx = d.ctx(0);
+        // 1 KB class, 4 slots per block. A and B fill up; C is the MRU
+        // block with one slot used, so MRU order is [C, B, A].
+        let mut fill = |c: &mut ThreadCache, base: u32, n: usize| {
+            c.add_block(&mut ctx, 6, base);
+            for _ in 0..n {
+                c.alloc(&mut ctx, 6).unwrap();
+            }
+        };
+        fill(&mut c, 0x1000, 4);
+        fill(&mut c, 0x2000, 4);
+        fill(&mut c, 0x3000, 1);
+        // Freeing into full A steps over the one full block ahead of
+        // it (B); C, not full, ends the run.
+        let requeue = instrs_charged(&mut ctx, |ctx| {
+            assert_eq!(c.free(ctx, 6, 0x1000), FreeOutcome::Cached);
+        });
+        assert_eq!(requeue, QUEUE_FREE_INSTRS + QUEUE_REQUEUE_STEP_INSTRS);
+        // A is no longer full, so the next free into it steps over
+        // nothing, though B is still full ahead of it.
+        let plain = instrs_charged(&mut ctx, |ctx| {
+            assert_eq!(c.free(ctx, 6, 0x1400), FreeOutcome::Cached);
+        });
+        assert_eq!(plain, QUEUE_FREE_INSTRS);
+        // The requeued block serves in MRU order: C fills first, then
+        // A's lowest freed slots; B stays full.
+        let order: Vec<u32> = (0..5).map(|_| c.alloc(&mut ctx, 6).unwrap()).collect();
+        assert_eq!(order, [0x3400, 0x3800, 0x3C00, 0x1000, 0x1400]);
+        assert_eq!(c.alloc(&mut ctx, 6), None);
+    }
+
+    #[test]
     fn exact_64_multiple_slot_counts_initialize_fully_free() {
         // Regression: classes whose slot count is an exact multiple of
         // 64 (64 B class → 64 slots, 32 B → 128, 16 B → 256) must
@@ -397,6 +560,38 @@ mod tests {
         }
     }
 
+    /// Regression for [`init_free_mask`]: slot counts that are an
+    /// exact multiple of 64 must leave the last word fully free, not
+    /// wrapped to all-busy. 64 slots = the 64 B class, 128 = the 32 B
+    /// class, 192 = a three-word block (reachable with
+    /// non-power-of-two class geometry).
+    #[test]
+    fn exact_word_multiples_keep_every_slot_free() {
+        for slots in [64u32, 128, 192] {
+            let words = (slots as usize).div_ceil(64);
+            let mut bitmap = vec![0u64; words];
+            init_free_mask(slots, &mut bitmap);
+            assert!(
+                bitmap.iter().all(|&w| w == u64::MAX),
+                "{slots} slots: every word must be all-free, got {bitmap:#x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn partial_tail_words_mask_padding_bits() {
+        for slots in [1u32, 2, 63, 65, 100, 130, 250] {
+            let words = (slots as usize).div_ceil(64);
+            let mut bitmap = vec![u64::MAX; words]; // stale garbage
+            init_free_mask(slots, &mut bitmap);
+            // Free bits are exactly the lowest `slots` positions.
+            for s in 0..(words * 64) as u32 {
+                let set = bitmap[(s / 64) as usize] & (1u64 << (s % 64)) != 0;
+                assert_eq!(set, s < slots, "slot {s} of {slots}");
+            }
+        }
+    }
+
     #[test]
     fn bitmap_wram_budget_is_small() {
         // §VI-E: thread-cache bitmap metadata is negligible. One block
@@ -407,22 +602,23 @@ mod tests {
 
     #[test]
     fn unpriced_free_mutates_identically_but_charges_nothing() {
-        let mut d = dpu();
-        let mut priced = cache();
-        let mut unpriced = priced.clone();
-        let mut ctx = d.ctx(0);
-        priced.add_block(&mut ctx, 4, 0x1000);
-        unpriced.add_block(&mut ctx, 4, 0x1000);
-        let a = priced.alloc(&mut ctx, 4).unwrap();
-        assert_eq!(unpriced.alloc(&mut ctx, 4), Some(a));
-        let before = ctx.now();
-        assert_eq!(unpriced.free_unpriced(4, a), FreeOutcome::Cached);
-        assert_eq!(ctx.now(), before, "unpriced free charges no cycles");
-        priced.free(&mut ctx, 4, a);
-        assert!(ctx.now() > before, "priced free does charge");
-        // Identical post-state: the freed slot is reissued first by
-        // both variants.
-        assert_eq!(priced.alloc(&mut ctx, 4), Some(a));
-        assert_eq!(unpriced.alloc(&mut ctx, 4), Some(a));
+        for mut priced in [cache(), page_priced()] {
+            let mut d = dpu();
+            let mut unpriced = priced.clone();
+            let mut ctx = d.ctx(0);
+            priced.add_block(&mut ctx, 4, 0x1000);
+            unpriced.add_block(&mut ctx, 4, 0x1000);
+            let a = priced.alloc(&mut ctx, 4).unwrap();
+            assert_eq!(unpriced.alloc(&mut ctx, 4), Some(a));
+            let before = ctx.now();
+            assert_eq!(unpriced.free_unpriced(4, a), FreeOutcome::Cached);
+            assert_eq!(ctx.now(), before, "unpriced free charges no cycles");
+            priced.free(&mut ctx, 4, a);
+            assert!(ctx.now() > before, "priced free does charge");
+            // Identical post-state: the freed slot is reissued first by
+            // both variants.
+            assert_eq!(priced.alloc(&mut ctx, 4), Some(a));
+            assert_eq!(unpriced.alloc(&mut ctx, 4), Some(a));
+        }
     }
 }

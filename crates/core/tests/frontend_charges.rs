@@ -1,0 +1,153 @@
+//! Recorded per-op charges of the allocation frontend, under both
+//! price lists ([`FrontendKind`]) and both free-path hierarchies
+//! ([`TierPolicy`]).
+//!
+//! Each case drives one seeded op stream through a [`PimMalloc`]:
+//! allocations that fill the 1 KB and 2 KB classes (4 and 2 sub-blocks
+//! per block, so blocks go full and un-full all the time), a few small
+//! requests and bypasses, and frees issued both by the owner and by
+//! another tasklet. Every op's simulated latency (its `ctx.now()`
+//! delta) is folded into an FNV-1a digest, stored next to the final
+//! `max_clock()` in `golden/frontend_charges.txt`. Any change to what
+//! an op charges, on either price list, shows up as a mismatch; rerun
+//! with `PIM_BLESS=1` to rewrite the file after a deliberate pricing
+//! change.
+
+use pim_malloc::{AllocGeometry, FrontendKind, PimAllocator, PimMalloc, TierPolicy};
+use pim_sim::{DpuConfig, DpuSim};
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/frontend_charges.txt"
+);
+const HEAP_SIZE: u32 = 4 << 20;
+const OPS: usize = 2_400;
+/// Live allocations a tasklet may hold before it must free one.
+const LIVE_CAP: usize = 32;
+
+/// SplitMix64: a fixed, dependency-free op-stream generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// FNV-1a over 64-bit words, little-endian.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+}
+
+/// A request size: mostly the two largest classes, plus small ones
+/// and bypasses.
+fn size(rng: &mut Rng) -> u32 {
+    match rng.below(10) {
+        0..=3 => 1025 + rng.below(1024) as u32,
+        4..=7 => 513 + rng.below(512) as u32,
+        8 => 16 + rng.below(497) as u32,
+        _ => 2049 + rng.below(6144) as u32,
+    }
+}
+
+/// Runs one case; returns `(ops charged, digest, max_clock)`.
+fn record(n_tasklets: usize, prices: FrontendKind, tier: TierPolicy) -> (usize, u64, u64) {
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
+    let geom = AllocGeometry::sw(n_tasklets)
+        .with_heap_size(HEAP_SIZE)
+        .with_frontend(prices)
+        .with_tiering(tier);
+    let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
+    // The stream depends only on the case's tasklet count, so both
+    // price lists and both tiers see the same requests.
+    let mut rng = Rng(0xA110_C000 + n_tasklets as u64);
+    let mut live: Vec<Vec<u32>> = vec![Vec::new(); n_tasklets];
+    let mut digest = Fnv::new();
+    let mut charged = 0;
+    while charged < OPS {
+        let tid = rng.below(n_tasklets as u64) as usize;
+        let kind = rng.below(8);
+        // Allocate, or free one live allocation of `owner`: the caller
+        // itself, or (for kinds 6 and 7) a random tasklet.
+        let owner = if kind >= 6 {
+            rng.below(n_tasklets as u64) as usize
+        } else {
+            tid
+        };
+        let alloc = kind < 4 && live[tid].len() < LIVE_CAP;
+        if !alloc && live[owner].is_empty() {
+            continue;
+        }
+        let mut ctx = dpu.ctx(tid);
+        let t0 = ctx.now();
+        if alloc {
+            if let Ok(addr) = pm.pim_malloc(&mut ctx, size(&mut rng)) {
+                live[tid].push(addr);
+            }
+        } else {
+            let victim = rng.below(live[owner].len() as u64) as usize;
+            let addr = live[owner].swap_remove(victim);
+            pm.pim_free(&mut ctx, addr).expect("victims are live");
+        }
+        digest.word((ctx.now() - t0).0);
+        charged += 1;
+    }
+    let max_clock = dpu.max_clock().0;
+    digest.word(max_clock);
+    (charged, digest.0, max_clock)
+}
+
+#[test]
+fn recorded_charges_match_golden() {
+    let mut lines = Vec::new();
+    for n_tasklets in [2, 4, 16] {
+        for tier in [TierPolicy::ThreeTier, TierPolicy::TwoTier] {
+            let mut digests = Vec::new();
+            for prices in [FrontendKind::BitmapClasses, FrontendKind::PageLocal] {
+                let (ops, digest, max_clock) = record(n_tasklets, prices, tier);
+                lines.push(format!(
+                    "tasklets={n_tasklets} prices={prices:?} tier={tier:?} ops={ops} \
+                     max_clock={max_clock} digest={digest:016x}"
+                ));
+                digests.push(digest);
+            }
+            assert_ne!(
+                digests[0], digests[1],
+                "{n_tasklets} tasklets, {tier:?}: the two price lists must charge differently"
+            );
+        }
+    }
+    let recorded = lines.join("\n") + "\n";
+    if std::env::var("PIM_BLESS").is_ok_and(|v| v == "1") {
+        std::fs::write(GOLDEN, &recorded).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN).expect("read golden");
+    let mismatched: Vec<&str> = recorded
+        .lines()
+        .filter(|line| !golden.lines().any(|g| g == *line))
+        .collect();
+    assert!(
+        golden == recorded,
+        "per-op charges differ from {GOLDEN} for {mismatched:#?}; \
+         rerun with PIM_BLESS=1 after a deliberate pricing change"
+    );
+}

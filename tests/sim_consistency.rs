@@ -174,8 +174,8 @@ fn trace_fleet_at_512_dpus_is_engine_invariant() {
 
 #[test]
 fn page_frontend_fleet_at_512_dpus_is_engine_invariant() {
-    // The PageLocal frontend's intrusive-list surgery and frame-table
-    // routing must be as engine-invariant as the bitmap frontend.
+    // The page-queue price list shifts every tasklet's clock, so it
+    // must be as engine-invariant as the default bitmap-scan prices.
     fleet_matches_direct_replay(|| {
         pim_malloc::AllocGeometry::sw(4)
             .with_heap_size(1 << 20)
