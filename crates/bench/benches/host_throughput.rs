@@ -9,12 +9,12 @@
 //!   the deterministic fraction of class-eligible requests served
 //!   without a backend refill.
 //! * `churn_xtask_1m_ops` — the same churn with every free issued by
-//!   the *next* tasklet, so every free is remote and flows through the
-//!   three-tier transfer cache.
+//!   the *next* tasklet, so every free is remote and takes the
+//!   three-tier batched remote-free path.
 //! * Tier speedup — the producer-consumer trace family replayed on
 //!   the default three-tier allocator vs the two-tier config, both
 //!   fully modeled (deterministic), reporting the finish-time speedup
-//!   the transfer cache buys over the global-lock remote-free path.
+//!   batched remote frees buy over the global-lock remote-free path.
 //! * `fig15_64dpu/{serial,parallel}` — a Figure 15-style 64-DPU
 //!   microbenchmark sweep executed with the serial `run_per_dpu` loop
 //!   vs the scoped-thread `run_per_dpu_parallel` engine.
@@ -52,7 +52,7 @@ const DSE_DPUS: usize = 256;
 /// of 64 live slots per tasklet (freeing the oldest once full), sizes
 /// cycling through every size class plus a bypass. With `cross_tasklet`
 /// every free is issued by the next tasklet, so it takes the allocator's
-/// remote-free path (the three-tier transfer cache by default).
+/// remote-free path (batched, three-tier, by default).
 /// Returns `(total mallocs, class-eligible hit rate)` — both
 /// deterministic, since the op stream is fixed.
 fn churn_with(cross_tasklet: bool) -> (u64, f64) {
@@ -88,7 +88,7 @@ fn churn_with(cross_tasklet: bool) -> (u64, f64) {
     if cross_tasklet {
         assert!(
             pm.alloc_stats().frees_remote_transfer > 0,
-            "cross-tasklet churn must exercise the transfer cache"
+            "cross-tasklet churn must exercise the batched remote-free path"
         );
     }
     (
@@ -200,8 +200,8 @@ fn emit_ci_report(_c: &mut Criterion) {
          ({mallocs} mallocs, hit rate {page_hit_rate:.4})"
     );
 
-    // Cross-tasklet churn: every free is remote, flowing through the
-    // transfer cache instead of the owner's local fast path.
+    // Cross-tasklet churn: every free is remote, priced in batches
+    // instead of on the owner's local fast path.
     let (churn_xtask_ops_per_sec, xtask_mallocs, _) = churn_best(churn_xtask);
     println!(
         "host_throughput/churn_xtask_1m_ops: {churn_xtask_ops_per_sec:.0} host ops/sec \

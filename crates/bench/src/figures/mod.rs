@@ -169,7 +169,7 @@ pub const CATALOG: [CatalogEntry; 23] = [
     },
     CatalogEntry {
         id: "tiers",
-        description: "free-path tiering: three-tier transfer cache vs two-tier global lock on producer-consumer",
+        description: "free-path tiering: three-tier batched remote frees vs two-tier global lock on producer-consumer",
         runner: |quick, seed| vec![tier_comparison(quick, seed.unwrap_or(TRACE_DEFAULT_SEED))],
     },
     CatalogEntry {

@@ -24,7 +24,7 @@ use crate::report::{Experiment, Row};
 
 /// The trace families the comparison sweeps: pure local churn (every
 /// request on the frontend fast path) and producer-consumer (remote
-/// frees refilling the owner's blocks through the transfer cache). The
+/// frees handing slots back to the owner's blocks). The
 /// third tuple field marks families whose routing is purely
 /// per-tasklet: for those, refill counts and hit rates must match
 /// across the price lists bit for bit, while cross-tasklet families

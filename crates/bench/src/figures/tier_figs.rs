@@ -2,10 +2,10 @@
 //!
 //! Replays the producer-consumer trace family — the one scenario whose
 //! `RemoteFree` edges exercise cross-tasklet deallocation — on the
-//! default three-tier allocator (thread cache → transfer cache →
-//! central free lists → buddy backend) and on the config-reachable
-//! two-tier design where every remote free serializes through the
-//! global backend lock. One row per (family variant, tier), plus a
+//! default three-tier allocator (remote frees priced in batches of
+//! eight from one remote mark per thread-cache slot) and on the
+//! config-reachable two-tier design where every remote free
+//! serializes through the global backend lock. One row per (family variant, tier), plus a
 //! speedup row per variant, all fully modeled and deterministic for a
 //! fixed seed.
 

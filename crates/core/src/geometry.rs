@@ -9,7 +9,7 @@
 //!
 //! * [`SizeClassTable`] is the single validated owner of the
 //!   size-class list. `class_for`/`class_bytes` live here; the thread
-//!   caches, the transfer cache, and the central free list all consume
+//!   caches and the allocator's per-class remote-free counters consume
 //!   one shared table instead of private slices.
 //! * [`AllocGeometry`] is a fluent builder: start from a paper preset
 //!   ([`AllocGeometry::sw`] / [`AllocGeometry::hw_sw`]), chain
@@ -22,7 +22,6 @@
 //! let cfg = AllocGeometry::sw(16)
 //!     .with_heap_size(1 << 20)
 //!     .with_size_classes(SizeClassTable::new([32, 64, 256, 1024]))
-//!     .with_transfer_batch(4)
 //!     .with_quarantine(8)
 //!     .build();
 //! assert_eq!(cfg.heap_size(), 1 << 20);
@@ -224,42 +223,19 @@ pub enum FrontendKind {
     PageLocal,
 }
 
-/// Which free-path hierarchy the allocator runs.
+/// How the allocator prices a cross-tasklet free. Both hierarchies
+/// return the same addresses; only simulated cycles differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TierPolicy {
     /// Thread caches over the buddy backend only. Cross-tasklet frees
-    /// mutate the owner's private cache under the global backend lock
-    /// — the pre-middle-tier design, kept reachable for differential
-    /// testing.
+    /// walk the owner's private cache under the global backend lock —
+    /// the design before batched remote frees, kept for comparison.
     TwoTier,
-    /// Thread caches, per-size-class transfer cache, and central free
-    /// list over the buddy backend. Cross-tasklet frees are staged in
-    /// the transfer cache in batches (one MRAM round-trip per
-    /// `transfer_batch` objects) instead of taking the global lock.
+    /// Cross-tasklet frees update the owner's bitmap unpriced, mark the
+    /// slot remote, and are charged in batches: a few instructions per
+    /// free and per reuse of a remote slot, plus one MRAM round-trip
+    /// per batch of eight. Default.
     ThreeTier,
-}
-
-/// Middle-tier configuration: policy plus the transfer-cache shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierConfig {
-    /// Two-tier (global-lock remote frees) or three-tier (default).
-    pub policy: TierPolicy,
-    /// Objects moved per simulated MRAM round-trip through the
-    /// transfer cache.
-    pub transfer_batch: u32,
-    /// Per-class transfer-cache capacity in objects; overflow demotes
-    /// the oldest batch to the central free list.
-    pub transfer_cap: u32,
-}
-
-impl Default for TierConfig {
-    fn default() -> Self {
-        TierConfig {
-            policy: TierPolicy::ThreeTier,
-            transfer_batch: 8,
-            transfer_cap: 64,
-        }
-    }
 }
 
 /// Immutable configuration of a [`crate::PimMalloc`] instance (one per
@@ -275,7 +251,7 @@ pub struct PimMallocConfig {
     pub(crate) prepopulate: bool,
     pub(crate) descent: DescentPolicy,
     pub(crate) quarantine_after: Option<u32>,
-    pub(crate) tier: TierConfig,
+    pub(crate) tier: TierPolicy,
     pub(crate) frontend: FrontendKind,
 }
 
@@ -320,8 +296,8 @@ impl PimMallocConfig {
         self.quarantine_after
     }
 
-    /// The middle-tier configuration.
-    pub fn tier(&self) -> TierConfig {
+    /// The free-path hierarchy.
+    pub fn tier(&self) -> TierPolicy {
         self.tier
     }
 
@@ -354,7 +330,7 @@ impl AllocGeometry {
                 prepopulate: true,
                 descent: DescentPolicy::FullMarks,
                 quarantine_after: None,
-                tier: TierConfig::default(),
+                tier: TierPolicy::ThreeTier,
                 frontend: FrontendKind::default(),
             },
         }
@@ -386,8 +362,8 @@ impl AllocGeometry {
         self
     }
 
-    /// Replaces the size-class table shared by the thread caches, the
-    /// transfer cache, and the central free list.
+    /// Replaces the size-class table shared by the thread caches and
+    /// the allocator's per-class remote-free counters.
     pub fn with_size_classes(mut self, table: SizeClassTable) -> Self {
         self.cfg.size_classes = table;
         self
@@ -419,29 +395,15 @@ impl AllocGeometry {
         self
     }
 
-    /// Objects per simulated MRAM round-trip through the transfer
-    /// cache (default 8).
-    pub fn with_transfer_batch(mut self, objects: u32) -> Self {
-        self.cfg.tier.transfer_batch = objects;
-        self
-    }
-
-    /// Per-class transfer-cache capacity in objects (default 64);
-    /// overflow demotes the oldest batch to the central free list.
-    pub fn with_cache_caps(mut self, transfer_cap: u32) -> Self {
-        self.cfg.tier.transfer_cap = transfer_cap;
-        self
-    }
-
     /// Selects the free-path hierarchy (default
     /// [`TierPolicy::ThreeTier`]).
     pub fn with_tiering(mut self, policy: TierPolicy) -> Self {
-        self.cfg.tier.policy = policy;
+        self.cfg.tier = policy;
         self
     }
 
     /// Shorthand for `with_tiering(TierPolicy::TwoTier)` — the
-    /// pre-middle-tier free path, kept for differential testing.
+    /// global-lock remote-free path, kept for comparison.
     pub fn two_tier(self) -> Self {
         self.with_tiering(TierPolicy::TwoTier)
     }
@@ -464,8 +426,7 @@ impl AllocGeometry {
     /// # Panics
     ///
     /// Panics on inconsistent geometry: zero or non-power-of-two heap
-    /// size, heap base not aligned to the cache block, a transfer
-    /// batch of zero, or a transfer cap smaller than one batch.
+    /// size, or a heap base not aligned to the cache block.
     pub fn build(self) -> PimMallocConfig {
         let cfg = self.cfg;
         assert!(
@@ -477,13 +438,6 @@ impl AllocGeometry {
             cfg.heap_base % CACHE_BLOCK_BYTES,
             0,
             "heap base must be cache-block aligned"
-        );
-        assert!(cfg.tier.transfer_batch >= 1, "transfer batch must be >= 1");
-        assert!(
-            cfg.tier.transfer_cap >= cfg.tier.transfer_batch,
-            "transfer cap ({}) must hold at least one batch ({})",
-            cfg.tier.transfer_cap,
-            cfg.tier.transfer_batch
         );
         cfg
     }
@@ -572,7 +526,7 @@ mod tests {
         assert_eq!(sw.size_classes().classes(), DEFAULT_SIZE_CLASSES);
         assert!(sw.prepopulate());
         assert!(matches!(sw.backend(), BackendKind::Coarse { .. }));
-        assert_eq!(sw.tier().policy, TierPolicy::ThreeTier);
+        assert_eq!(sw.tier(), TierPolicy::ThreeTier);
         let hw = AllocGeometry::hw_sw(16).build();
         assert!(matches!(hw.backend(), BackendKind::HwCache { .. }));
     }
@@ -584,8 +538,6 @@ mod tests {
             .with_heap_base(0x0040_0000)
             .with_meta_base(0x0030_0000)
             .with_size_classes(SizeClassTable::new([64, 512]))
-            .with_transfer_batch(4)
-            .with_cache_caps(16)
             .with_quarantine(3)
             .lazy()
             .build();
@@ -593,8 +545,6 @@ mod tests {
         assert_eq!(cfg.heap_base(), 0x0040_0000);
         assert_eq!(cfg.meta_base(), 0x0030_0000);
         assert_eq!(cfg.size_classes().classes(), [64, 512]);
-        assert_eq!(cfg.tier().transfer_batch, 4);
-        assert_eq!(cfg.tier().transfer_cap, 16);
         assert_eq!(cfg.quarantine_after(), Some(3));
         assert!(!cfg.prepopulate());
     }
@@ -602,7 +552,7 @@ mod tests {
     #[test]
     fn two_tier_is_config_reachable() {
         let cfg = AllocGeometry::sw(2).two_tier().build();
-        assert_eq!(cfg.tier().policy, TierPolicy::TwoTier);
+        assert_eq!(cfg.tier(), TierPolicy::TwoTier);
     }
 
     #[test]
@@ -623,15 +573,6 @@ mod tests {
                 .frontend(),
             FrontendKind::BitmapClasses
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "must hold at least one batch")]
-    fn cap_below_batch_rejected() {
-        AllocGeometry::sw(1)
-            .with_transfer_batch(16)
-            .with_cache_caps(8)
-            .build();
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!
 //! ## Three tiers
 //!
-//! By default [`PimMalloc`] runs three tiers: cross-tasklet frees are
-//! staged per size class in the [`TransferCache`] (one simulated MRAM
-//! round-trip per batch of pointers), overflow demotes to the
-//! span-accounted [`CentralFreeList`], and fully-free spans return to
-//! the buddy backend. The legacy two-tier hierarchy — remote frees walk
-//! the owner's cache under the global backend lock — stays reachable
-//! via [`AllocGeometry::two_tier`].
+//! By default [`PimMalloc`] prices cross-tasklet frees in batches: the
+//! free marks its slot remote in the owner's [`ThreadCache`], and two
+//! counters per size class charge one simulated MRAM round-trip per
+//! eight remote frees and per eight reuses of remote slots. The legacy
+//! two-tier hierarchy — remote frees walk the owner's cache under the
+//! global backend lock — stays reachable via
+//! [`AllocGeometry::two_tier`].
 //!
 //! ## Frontend
 //!
@@ -76,33 +76,27 @@
 
 pub mod api;
 pub mod buddy;
-pub mod central_free_list;
 pub mod error;
 pub mod frag;
 pub mod geometry;
 pub mod metadata;
 pub mod pim_malloc;
 pub mod region_map;
-pub mod span;
 pub mod stats;
 pub mod straw_man;
 pub mod thread_cache;
-pub mod transfer_cache;
 
 pub use api::PimAllocator;
 pub use buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy, MetadataBackend};
-pub use central_free_list::CentralFreeList;
 pub use error::{AllocError, InitError};
 pub use frag::FragTracker;
 pub use geometry::{
-    AllocGeometry, FrontendKind, GeometryError, PimMallocConfig, SizeClassTable, TierConfig,
-    TierPolicy, SIZE_CLASS_ALIGN,
+    AllocGeometry, FrontendKind, GeometryError, PimMallocConfig, SizeClassTable, TierPolicy,
+    SIZE_CLASS_ALIGN,
 };
 pub use metadata::{MetaStats, MetadataStore, NodeState};
 pub use pim_malloc::{BackendKind, PimMalloc};
 pub use region_map::{FreeRoute, RegionMap};
-pub use span::{Span, SpanRegistry};
 pub use stats::{AllocStats, ServiceSite};
 pub use straw_man::{StrawManAllocator, StrawManConfig};
-pub use thread_cache::{FreeOutcome, ThreadCache, CACHE_BLOCK_BYTES, DEFAULT_SIZE_CLASSES};
-pub use transfer_cache::{PushEffect, TransferCache};
+pub use thread_cache::{FreeOutcome, Slot, ThreadCache, CACHE_BLOCK_BYTES, DEFAULT_SIZE_CLASSES};

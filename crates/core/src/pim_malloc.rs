@@ -8,14 +8,15 @@
 //! lock-free from the calling tasklet's cache; larger requests bypass
 //! to the backend (Figure 10).
 //!
-//! Between the thread caches and the buddy heap sits the middle tier
-//! (default; see [`TierPolicy`]): cross-tasklet frees are staged in
-//! the per-size-class [`TransferCache`] — one simulated MRAM
-//! round-trip per batch of pointers instead of a global-lock walk of
-//! the owner's cache — and overflow demotes to the span-accounted
-//! [`CentralFreeList`], which follows the canonical bitmaps in
-//! returning fully-free spans to the buddy backend. Freed blocks flow
-//! `ThreadCache → TransferCache → CentralFreeList → buddy`.
+//! Cross-tasklet frees are priced in batches by default (see
+//! [`TierPolicy`]) instead of by a global-lock walk of the owner's
+//! cache. The free updates the owner's bitmap unpriced and marks the
+//! slot remote ([`ThreadCache::free_remote`]); the owner's
+//! [`ThreadCache::alloc`] that reuses the slot reports the mark. Two
+//! counters per size class turn these events into batch traffic: every
+//! eighth remote free writes one batch of pointers to MRAM, and every
+//! eighth reuse of a remote slot reads one back. A block whose bitmap
+//! drains returns to the buddy backend with its marks.
 //!
 //! The backend's metadata store selects between the paper's variants:
 //! a coarse software buffer (**PIM-malloc-SW**), the hardware buddy
@@ -26,7 +27,6 @@ use pim_sim::{BuddyCacheConfig, BuddyCacheStats, DpuSim, MutexId, TaskletCtx};
 
 use crate::api::PimAllocator;
 use crate::buddy::{BuddyAllocator, BuddyGeometry, MetadataBackend};
-use crate::central_free_list::CentralFreeList;
 use crate::error::{AllocError, InitError};
 use crate::frag::FragTracker;
 use crate::geometry::{PimMallocConfig, SizeClassTable, TierPolicy};
@@ -34,7 +34,6 @@ use crate::metadata::{MetaStats, MetadataStore};
 use crate::region_map::{FreeRoute, RegionMap};
 use crate::stats::{AllocStats, ServiceSite};
 use crate::thread_cache::{FreeOutcome, ThreadCache, CACHE_BLOCK_BYTES};
-use crate::transfer_cache::TransferCache;
 
 /// Fixed instructions of `pim_malloc` entry (argument checks, size
 /// classification).
@@ -45,18 +44,14 @@ const FREE_ENTRY_INSTRS: u64 = 20;
 /// Bytes of the per-block header `pim_free` reads to learn the owning
 /// route (thread-cache class vs backend level) — one 8 B DMA beat.
 const BLOCK_HEADER_BYTES: u32 = 8;
-/// Instructions to stage one remote-freed pointer in the transfer
-/// ring (bounds check, tail append, index bump).
+/// Instructions to stage one remote-freed pointer in a per-class
+/// batch (bounds check, tail append, index bump).
 const TRANSFER_PUSH_INSTRS: u64 = 12;
 /// Instructions to claim one staged pointer on the allocation side.
 const TRANSFER_POP_INSTRS: u64 = 10;
-/// Instructions to splice an overflowing batch out of the transfer
-/// ring and into the central free list's span accounting.
-const CENTRAL_DEMOTE_INSTRS: u64 = 40;
-/// Instructions to claim an object resident in the central free list
-/// (span lookup plus list unlink).
-const CENTRAL_TAKE_INSTRS: u64 = 25;
-/// Bytes per staged object pointer in a transfer batch.
+/// Staged pointers moved per simulated MRAM round-trip.
+const TRANSFER_BATCH: u32 = 8;
+/// Bytes per staged object pointer in a batch.
 const TRANSFER_SLOT_BYTES: u32 = 8;
 
 /// Which metadata store the backend buddy allocator runs on.
@@ -99,16 +94,15 @@ pub struct PimMalloc {
     /// O(1) frame-table routing for `pim_free` (see [`RegionMap`]).
     region: RegionMap,
     /// The shared size-class geometry (also baked into every cache's
-    /// pools and both middle-tier structures).
+    /// pools).
     classes: SizeClassTable,
     /// Free-path hierarchy: two-tier (global-lock remote frees) or
-    /// three-tier (transfer cache + central free list).
+    /// three-tier (batched remote frees).
     tier: TierPolicy,
-    /// Middle tier, stage 1: per-class batched staging of remote
-    /// frees.
-    transfer: TransferCache,
-    /// Middle tier, stage 2: span-accounted central circulation.
-    central: CentralFreeList,
+    /// Per class, remote frees staged since the last batch write.
+    staged: Vec<u32>,
+    /// Per class, remote slots reused since the last batch read.
+    claimed: Vec<u32>,
     stats: AllocStats,
     frag: FragTracker,
     init_end: pim_sim::Cycles,
@@ -207,9 +201,9 @@ impl PimMalloc {
                 backend_mutex,
                 region: RegionMap::new(config.heap_base, config.heap_size, CACHE_BLOCK_BYTES),
                 classes: config.size_classes.clone(),
-                tier: config.tier.policy,
-                transfer: TransferCache::new(&config.size_classes, config.tier),
-                central: CentralFreeList::new(&config.size_classes),
+                tier: config.tier,
+                staged: vec![0; config.size_classes.len()],
+                claimed: vec![0; config.size_classes.len()],
                 stats: AllocStats::default(),
                 frag: FragTracker::new(),
                 init_end: pim_sim::Cycles::ZERO,
@@ -284,16 +278,6 @@ impl PimMalloc {
         self.tier
     }
 
-    /// The middle tier's transfer cache (read-only).
-    pub fn transfer_cache(&self) -> &TransferCache {
-        &self.transfer
-    }
-
-    /// The middle tier's central free list (read-only).
-    pub fn central_free_list(&self) -> &CentralFreeList {
-        &self.central
-    }
-
     /// Tasklet-0 time when `init` finished (initialization cost).
     pub fn init_end(&self) -> pim_sim::Cycles {
         self.init_end
@@ -329,54 +313,28 @@ impl PimMalloc {
         result
     }
 
-    /// Classifies a thread-cache hit at `addr`: if the sub-block was
-    /// staged by a remote free, consume its middle-tier entry and
-    /// charge the batched claim cost. Plain hits (the only kind in
-    /// workloads without cross-tasklet frees) check the host-side
-    /// overlay only and charge nothing extra.
-    fn consume_staged(
-        &mut self,
-        ctx: &mut TaskletCtx<'_>,
-        class_idx: usize,
-        addr: u32,
-    ) -> ServiceSite {
-        if self.tier != TierPolicy::ThreeTier {
-            return ServiceSite::FrontendHit;
-        }
-        if let Some(batch_boundary) = self.transfer.take(class_idx, addr) {
-            ctx.instrs(TRANSFER_POP_INSTRS);
-            if batch_boundary {
-                // One MRAM read fetches the whole staged batch.
-                ctx.mram_read(addr, TRANSFER_SLOT_BYTES * self.transfer.batch());
-            }
-            ServiceSite::TransferHit
-        } else if self.central.take(class_idx, addr) {
-            ctx.instrs(CENTRAL_TAKE_INSTRS);
-            ctx.mram_read(addr, TRANSFER_SLOT_BYTES);
-            ServiceSite::CentralHit
-        } else {
-            ServiceSite::FrontendHit
-        }
-    }
-
-    /// Returns a drained cache block to the buddy backend, retiring
-    /// any middle-tier state that still pointed into it. The purge is
-    /// host-side bookkeeping (the canonical bitmap already proved the
-    /// block free); the buddy return itself is priced as usual.
+    /// Returns a drained cache block to the buddy backend.
     fn release_block(
         &mut self,
         ctx: &mut TaskletCtx<'_>,
         block_base: u32,
     ) -> Result<(), AllocError> {
-        self.transfer.purge_block(block_base);
-        if self.central.purge_block(block_base).is_some() {
-            self.stats.spans_returned += 1;
-        }
         self.region.release_cache_block(block_base);
         self.backend_free(ctx, block_base)?;
         self.frag.on_release(u64::from(CACHE_BLOCK_BYTES));
         Ok(())
     }
+}
+
+/// Counts one more pointer into a per-class batch; true (and the count
+/// restarts) when that completes a batch of [`TRANSFER_BATCH`].
+fn completes_batch(count: &mut u32) -> bool {
+    *count += 1;
+    let full = *count == TRANSFER_BATCH;
+    if full {
+        *count = 0;
+    }
+    full
 }
 
 impl PimAllocator for PimMalloc {
@@ -396,10 +354,18 @@ impl PimAllocator for PimMalloc {
         let (addr, site) = match self.classes.class_for(size) {
             Some(class_idx) => {
                 let (addr, site) = match self.caches[tid].alloc(ctx, class_idx) {
-                    // Case 1: frontend hit. If the sub-block was
-                    // staged by a remote free, the hit also consumes
-                    // the middle-tier entry (priced per batch).
-                    Some(addr) => (addr, self.consume_staged(ctx, class_idx, addr)),
+                    // Case 1: frontend hit. Reusing a remote-freed
+                    // slot also claims its staged pointer, priced per
+                    // batch.
+                    Some(slot) if slot.remote => {
+                        ctx.instrs(TRANSFER_POP_INSTRS);
+                        if completes_batch(&mut self.claimed[class_idx]) {
+                            // One MRAM read fetches the whole staged batch.
+                            ctx.mram_read(slot.addr, TRANSFER_SLOT_BYTES * TRANSFER_BATCH);
+                        }
+                        (slot.addr, ServiceSite::TransferHit)
+                    }
+                    Some(slot) => (slot.addr, ServiceSite::FrontendHit),
                     // Case 2: frontend miss — refill from the backend.
                     None => {
                         let base = self.backend_alloc(ctx, CACHE_BLOCK_BYTES)?;
@@ -409,10 +375,10 @@ impl PimAllocator for PimMalloc {
                             .note_cache_block(base, tid, class_idx, class_bytes);
                         let cache = &mut self.caches[tid];
                         cache.add_block(ctx, class_idx, base);
-                        let addr = cache
+                        let slot = cache
                             .alloc(ctx, class_idx)
                             .expect("fresh block has free sub-blocks");
-                        (addr, ServiceSite::FrontendRefill)
+                        (slot.addr, ServiceSite::FrontendRefill)
                     }
                 };
                 self.region.note_cache_alloc(addr, size);
@@ -472,39 +438,25 @@ impl PimAllocator for PimMalloc {
             } => {
                 let outcome = if tid != ctx.tid() {
                     match self.tier {
-                        // Three-tier: update the owner's canonical
-                        // bitmap host-side (unpriced) and stage the
-                        // pointer in the transfer ring; the simulated
-                        // cost is a few WRAM instructions plus one
-                        // MRAM write per flushed batch.
+                        // Three-tier: update the owner's bitmap host-side
+                        // (unpriced) and stage the pointer; the simulated
+                        // cost is a few WRAM instructions plus one MRAM
+                        // write per batch of staged pointers.
                         TierPolicy::ThreeTier => {
-                            let outcome = self.caches[tid].free_unpriced(class_idx, addr);
+                            let outcome = self.caches[tid].free_remote(class_idx, addr);
                             ctx.instrs(TRANSFER_PUSH_INSTRS);
-                            if !matches!(outcome, FreeOutcome::BlockReleased { .. }) {
-                                let effect = self.transfer.push(class_idx, addr);
-                                if effect.flushed {
-                                    ctx.mram_write(
-                                        addr,
-                                        TRANSFER_SLOT_BYTES * self.transfer.batch(),
-                                    );
-                                    self.stats.transfer_flushes += 1;
-                                }
-                                if !effect.demoted.is_empty() {
-                                    ctx.instrs(CENTRAL_DEMOTE_INSTRS);
-                                    ctx.mram_write(
-                                        effect.demoted[0],
-                                        TRANSFER_SLOT_BYTES * effect.demoted.len() as u32,
-                                    );
-                                    self.central.demote(class_idx, &effect.demoted);
-                                    self.stats.central_demotes += 1;
-                                }
+                            if outcome == FreeOutcome::Cached
+                                && completes_batch(&mut self.staged[class_idx])
+                            {
+                                ctx.mram_write(addr, TRANSFER_SLOT_BYTES * TRANSFER_BATCH);
+                                self.stats.transfer_flushes += 1;
                             }
                             self.stats.frees_remote_transfer += 1;
                             outcome
                         }
                         // Two-tier: walk the owner's private cache
                         // under the global backend lock (the legacy
-                        // cross-tasklet path the middle tier replaces).
+                        // cross-tasklet path batching replaces).
                         TierPolicy::TwoTier => {
                             ctx.mutex_lock(self.backend_mutex);
                             let outcome = self.caches[tid].free(ctx, class_idx, addr);
@@ -855,46 +807,116 @@ mod tests {
         }
         assert_eq!(pm.alloc_stats().frees_remote_transfer, 1);
         assert_eq!(pm.alloc_stats().frees_remote_global, 0);
-        assert_eq!(pm.transfer_cache().staged_total(), 1);
-        // The owner's next allocation of that class reclaims the
-        // staged address through the transfer cache.
+        // The owner's next allocation of that class reuses the
+        // remote-freed slot and claims its staged pointer.
         let mut ctx = d.ctx(0);
         let again = pm.pim_malloc(&mut ctx, 256).unwrap();
         assert_eq!(again, addr);
         assert_eq!(pm.alloc_stats().transfer_hits, 1);
-        assert_eq!(pm.transfer_cache().staged_total(), 0);
     }
 
     #[test]
-    fn transfer_overflow_demotes_to_the_central_free_list() {
-        let mut d = dpu(2);
-        let cfg = small_sw(2)
-            .with_transfer_batch(2)
-            .with_cache_caps(2)
-            .build();
-        let mut pm = PimMalloc::init(&mut d, cfg).unwrap();
-        let addrs: Vec<u32> = {
-            let mut ctx = d.ctx(0);
-            (0..3)
-                .map(|_| pm.pim_malloc(&mut ctx, 256).unwrap())
-                .collect()
-        };
-        {
+    fn unclaimed_remote_frees_are_not_capped() {
+        // 100 unclaimed remote frees in the 16 B class, past the 64 a
+        // per-class staging ring used to hold. Every reuse is a
+        // transfer hit, every 8th staged free wrote a batch, and the
+        // addresses are those of the global-lock path.
+        let run = |geo: AllocGeometry| {
+            let mut d = dpu(2);
+            let mut pm = PimMalloc::init(&mut d, geo.build()).unwrap();
+            let mut addrs: Vec<u32> = {
+                let mut ctx = d.ctx(0);
+                (0..100)
+                    .map(|_| pm.pim_malloc(&mut ctx, 16).unwrap())
+                    .collect()
+            };
             let mut ctx = d.ctx(1);
             for &a in &addrs {
                 pm.pim_free(&mut ctx, a).unwrap();
             }
-        }
-        // Cap 2: the third staged pointer overflowed the ring,
-        // demoting the oldest batch of 2 into central circulation.
-        assert_eq!(pm.alloc_stats().central_demotes, 1);
-        assert_eq!(pm.central_free_list().objects_total(), 2);
-        assert_eq!(pm.central_free_list().span_count(), 1);
-        // Reclaiming a demoted address is a central hit.
+            let mut ctx = d.ctx(0);
+            addrs.extend((0..100).map(|_| pm.pim_malloc(&mut ctx, 16).unwrap()));
+            (addrs, pm.alloc_stats().clone())
+        };
+        let (addrs, stats) = run(small_sw(2));
+        assert_eq!(stats.frees_remote_transfer, 100);
+        assert_eq!(stats.transfer_hits, 100);
+        assert_eq!(stats.transfer_flushes, 100 / 8);
+        assert_eq!(stats.frontend_hits, 100);
+        let (two_tier_addrs, _) = run(small_sw(2).two_tier());
+        assert_eq!(addrs, two_tier_addrs);
+    }
+
+    #[test]
+    fn every_eighth_staged_free_flushes() {
+        // Staged frees are counted per class: the free that completes a
+        // batch of 8 in its own class writes one 64 B batch to MRAM,
+        // however many frees other classes staged in between.
+        let mut d = dpu(2);
+        let mut pm = PimMalloc::init(&mut d, small_sw(2).build()).unwrap();
         let mut ctx = d.ctx(0);
-        let again = pm.pim_malloc(&mut ctx, 256).unwrap();
-        assert_eq!(again, addrs[0]);
-        assert_eq!(pm.alloc_stats().central_hits, 1);
+        let small: Vec<u32> = (0..16)
+            .map(|_| pm.pim_malloc(&mut ctx, 16).unwrap())
+            .collect();
+        let large: Vec<u32> = (0..8)
+            .map(|_| pm.pim_malloc(&mut ctx, 256).unwrap())
+            .collect();
+        let mut order = Vec::new();
+        for (i, &a) in small.iter().enumerate() {
+            order.push(a);
+            if i < 7 {
+                order.push(large[i]);
+            }
+        }
+        order.push(large[7]);
+        let mut flushed = Vec::new();
+        for a in order {
+            let before = d.traffic().bytes_written;
+            pm.pim_free(&mut d.ctx(1), a).unwrap();
+            match d.traffic().bytes_written - before {
+                0 => {}
+                64 => flushed.push(a),
+                other => panic!("free of {a:#x} wrote {other} B"),
+            }
+        }
+        assert_eq!(flushed, [small[7], small[15], large[7]]);
+        assert_eq!(pm.alloc_stats().frees_remote_transfer, 24);
+        assert_eq!(pm.alloc_stats().transfer_flushes, 3);
+    }
+
+    #[test]
+    fn remote_reuse_claims_once_and_reads_per_batch() {
+        // Each reuse of a remote-freed slot is one claim, counted per
+        // class: the 8th claim in a class reads one 64 B batch back
+        // from MRAM, and a claimed slot freed locally claims nothing.
+        fn malloc_reading(d: &mut DpuSim, pm: &mut PimMalloc, size: u32) -> (u32, u64) {
+            let before = d.traffic().bytes_read;
+            let addr = pm.pim_malloc(&mut d.ctx(0), size).unwrap();
+            (addr, d.traffic().bytes_read - before)
+        }
+        let mut d = dpu(2);
+        let mut pm = PimMalloc::init(&mut d, small_sw(2).build()).unwrap();
+        let mut ctx = d.ctx(0);
+        let small: Vec<u32> = (0..9)
+            .map(|_| pm.pim_malloc(&mut ctx, 16).unwrap())
+            .collect();
+        let large = pm.pim_malloc(&mut ctx, 256).unwrap();
+        let mut ctx = d.ctx(1);
+        for &a in small.iter().chain([&large]) {
+            pm.pim_free(&mut ctx, a).unwrap();
+        }
+        for &a in &small[..7] {
+            assert_eq!(malloc_reading(&mut d, &mut pm, 16), (a, 0));
+        }
+        // A claim in another class does not complete the 16 B batch.
+        assert_eq!(malloc_reading(&mut d, &mut pm, 256), (large, 0));
+        assert_eq!(malloc_reading(&mut d, &mut pm, 16), (small[7], 64));
+        assert_eq!(malloc_reading(&mut d, &mut pm, 16), (small[8], 0));
+        assert_eq!(pm.alloc_stats().transfer_hits, 10);
+        pm.pim_free(&mut d.ctx(0), small[0]).unwrap();
+        assert_eq!(malloc_reading(&mut d, &mut pm, 16), (small[0], 0));
+        assert_eq!(pm.alloc_stats().transfer_hits, 10, "already claimed");
+        assert_eq!(pm.alloc_stats().frontend_hits, 11);
     }
 
     #[test]
@@ -940,6 +962,10 @@ mod tests {
         pm.pim_free(&mut ctx, addr).unwrap();
         assert_eq!(pm.alloc_stats().frees_remote_global, 1);
         assert_eq!(pm.alloc_stats().frees_remote_transfer, 0);
-        assert_eq!(pm.transfer_cache().staged_total(), 0);
+        // The owner's reuse of the slot is a plain hit: nothing was
+        // staged.
+        let mut ctx = d.ctx(0);
+        assert_eq!(pm.pim_malloc(&mut ctx, 256), Ok(addr));
+        assert_eq!(pm.alloc_stats().transfer_hits, 0);
     }
 }

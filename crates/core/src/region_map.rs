@@ -231,11 +231,13 @@ impl RegionMap {
                 if !offset.is_multiple_of(frame.class_bytes) {
                     return Err(invalid);
                 }
+                // A class that does not divide the frame leaves a tail
+                // past the last slot.
                 let slot = (offset / frame.class_bytes) as usize;
-                if frame.requested[slot] == 0 {
-                    return Err(invalid);
-                }
-                let requested = std::mem::take(&mut frame.requested[slot]);
+                let requested = match frame.requested.get_mut(slot) {
+                    Some(r) if *r != 0 => std::mem::take(r),
+                    _ => return Err(invalid),
+                };
                 self.live -= 1;
                 Ok(FreeRoute::Cache {
                     tid: frame.tid as usize,
@@ -337,6 +339,22 @@ mod tests {
         m.note_cache_alloc(0x1000, 200);
         assert!(m.take_route(0x1000 + 3).is_err());
         assert!(m.take_route(0x1000).is_ok());
+    }
+
+    #[test]
+    fn frees_in_the_tail_past_the_last_slot_are_invalid() {
+        let mut m = map();
+        // 48 B does not divide 4 KB: 85 slots, then a 16 B tail whose
+        // first byte is still class-aligned.
+        m.note_cache_block(0x1000, 0, 0, 48);
+        m.note_cache_alloc(0x1000 + 84 * 48, 40);
+        let tail = 0x1000 + 85 * 48;
+        assert_eq!(
+            m.take_route(tail),
+            Err(AllocError::InvalidFree { addr: tail })
+        );
+        assert_eq!(m.live_allocations(), 1);
+        assert!(m.take_route(0x1000 + 84 * 48).is_ok());
     }
 
     #[test]

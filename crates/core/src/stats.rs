@@ -15,12 +15,9 @@ pub enum ServiceSite {
     /// The request exceeded the largest size class and went directly
     /// to the backend (thread-cache bypass).
     Bypass,
-    /// Served from the thread cache via a sub-block staged in the
-    /// transfer cache by a remote free (three-tier only).
+    /// Served from the thread cache by reusing a sub-block another
+    /// tasklet freed (three-tier only).
     TransferHit,
-    /// Served from the thread cache via a sub-block resident in the
-    /// central free list (three-tier only).
-    CentralHit,
 }
 
 impl ServiceSite {
@@ -43,21 +40,21 @@ pub struct AllocStats {
     pub frees_frontend: u64,
     /// `pim_free` calls that reached the backend.
     pub frees_backend: u64,
-    /// Thread-cache hits that claimed a transfer-cache-staged address.
+    /// Thread-cache hits that reused a remote-freed sub-block.
     pub transfer_hits: u64,
-    /// Thread-cache hits that claimed a central-free-list address.
+    /// Always 0: the central free list this counted is gone. Kept so
+    /// readers of the full counter set keep working.
     pub central_hits: u64,
-    /// Cross-tasklet frees staged in the transfer cache (three-tier).
+    /// Cross-tasklet frees priced in batches (three-tier).
     pub frees_remote_transfer: u64,
     /// Cross-tasklet frees that walked the owner's cache under the
     /// global backend lock (two-tier).
     pub frees_remote_global: u64,
-    /// Transfer-cache batches flushed (one MRAM write each).
+    /// Batches of remote frees written out (one MRAM write each).
     pub transfer_flushes: u64,
-    /// Batches demoted from the transfer cache to the central list.
+    /// Always 0, like [`AllocStats::central_hits`].
     pub central_demotes: u64,
-    /// Fully-free spans retired from the central list back to the
-    /// buddy backend.
+    /// Always 0, like [`AllocStats::central_hits`].
     pub spans_returned: u64,
     /// Total `pim_malloc` latency of frontend-hit requests.
     pub cycles_frontend: Cycles,
@@ -70,33 +67,28 @@ pub struct AllocStats {
 impl AllocStats {
     /// Total `pim_malloc` calls.
     pub fn total_mallocs(&self) -> u64 {
-        self.frontend_hits
-            + self.frontend_refills
-            + self.bypass
-            + self.transfer_hits
-            + self.central_hits
+        self.frontend_hits + self.frontend_refills + self.bypass + self.transfer_hits
     }
 
     /// Fraction of `pim_malloc` calls serviced at the frontend without
-    /// touching the backend (Figure 11(a)). Transfer- and central-hit
-    /// requests count: they are thread-cache hits whose sub-block
-    /// happened to be staged in the middle tier.
+    /// touching the backend (Figure 11(a)). Transfer hits count: they
+    /// are thread-cache hits whose sub-block another tasklet freed.
     pub fn frontend_service_fraction(&self) -> f64 {
         let total = self.total_mallocs();
         if total == 0 {
             return 0.0;
         }
-        (self.frontend_hits + self.transfer_hits + self.central_hits) as f64 / total as f64
+        (self.frontend_hits + self.transfer_hits) as f64 / total as f64
     }
 
     /// Fraction of *class-eligible* `pim_malloc` calls served without
-    /// a backend refill: hits (plain, transfer-staged, or
-    /// central-resident) over hits plus refills. Bypass requests are
-    /// excluded — they never had a page/cache to hit. This is the
-    /// `page_hit_rate` the bench report gates on: a healthy frontend
-    /// absorbs ≥ 90% of class-eligible traffic.
+    /// a backend refill: hits (plain or remote-freed) over hits plus
+    /// refills. Bypass requests are excluded — they never had a
+    /// page/cache to hit. This is the `page_hit_rate` the bench report
+    /// gates on: a healthy frontend absorbs ≥ 90% of class-eligible
+    /// traffic.
     pub fn class_hit_rate(&self) -> f64 {
-        let hits = self.frontend_hits + self.transfer_hits + self.central_hits;
+        let hits = self.frontend_hits + self.transfer_hits;
         let eligible = hits + self.frontend_refills;
         if eligible == 0 {
             return 0.0;
@@ -131,10 +123,6 @@ impl AllocStats {
             }
             ServiceSite::TransferHit => {
                 self.transfer_hits += 1;
-                self.cycles_frontend += latency;
-            }
-            ServiceSite::CentralHit => {
-                self.central_hits += 1;
                 self.cycles_frontend += latency;
             }
         }
@@ -189,7 +177,6 @@ mod tests {
         assert!(ServiceSite::FrontendRefill.touches_backend());
         assert!(ServiceSite::Bypass.touches_backend());
         assert!(!ServiceSite::TransferHit.touches_backend());
-        assert!(!ServiceSite::CentralHit.touches_backend());
     }
 
     #[test]
@@ -197,13 +184,11 @@ mod tests {
         let mut s = AllocStats::default();
         s.record_malloc(ServiceSite::FrontendHit, Cycles(10));
         s.record_malloc(ServiceSite::TransferHit, Cycles(20));
-        s.record_malloc(ServiceSite::CentralHit, Cycles(30));
         s.record_malloc(ServiceSite::Bypass, Cycles(400));
-        assert_eq!(s.total_mallocs(), 4);
+        assert_eq!(s.total_mallocs(), 3);
         assert_eq!(s.transfer_hits, 1);
-        assert_eq!(s.central_hits, 1);
-        assert!((s.frontend_service_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(s.cycles_frontend, Cycles(60));
+        assert!((s.frontend_service_fraction() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.cycles_frontend, Cycles(30));
     }
 
     #[test]
@@ -214,7 +199,7 @@ mod tests {
             s.record_malloc(ServiceSite::FrontendHit, Cycles(10));
         }
         s.record_malloc(ServiceSite::TransferHit, Cycles(20));
-        s.record_malloc(ServiceSite::CentralHit, Cycles(30));
+        s.record_malloc(ServiceSite::TransferHit, Cycles(30));
         s.record_malloc(ServiceSite::FrontendRefill, Cycles(500));
         // Bypass traffic must not dilute the rate.
         for _ in 0..10 {

@@ -14,6 +14,13 @@
 //! what mimalloc-style page queues would: a constant alloc and free,
 //! plus a small step for each full block passed when a full block gets
 //! a slot back and rejoins the queue of blocks with free slots.
+//!
+//! Each block also keeps a second bitmap of *remote* marks: a slot
+//! freed by another tasklet ([`ThreadCache::free_remote`]) is marked
+//! while it stays cached, and the [`ThreadCache::alloc`] that reuses it
+//! reports and clears the mark. [`crate::PimMalloc`] prices
+//! cross-tasklet frees from these marks; a released block takes its
+//! marks with it.
 
 use pim_sim::TaskletCtx;
 use serde::{Deserialize, Serialize};
@@ -77,6 +84,9 @@ struct CacheBlock {
     base: u32,
     /// Bitmap of sub-blocks, 1 = free.
     bitmap: Vec<u64>,
+    /// Bitmap of free sub-blocks last freed by another tasklet and not
+    /// yet reused, 1 = remote.
+    remote: Vec<u64>,
     free_slots: u32,
     slots: u32,
 }
@@ -90,6 +100,7 @@ impl CacheBlock {
         CacheBlock {
             base,
             bitmap,
+            remote: vec![0; words],
             free_slots: slots,
             slots,
         }
@@ -129,6 +140,16 @@ impl SizeClassPool {
     pub fn free_slots(&self) -> u32 {
         self.blocks.iter().map(|b| b.free_slots).sum()
     }
+}
+
+/// A sub-block handed out by [`ThreadCache::alloc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Address of the sub-block.
+    pub addr: u32,
+    /// Another tasklet freed it last ([`ThreadCache::free_remote`]);
+    /// this alloc cleared the mark.
+    pub remote: bool,
 }
 
 /// Outcome of [`ThreadCache::free`].
@@ -184,15 +205,15 @@ impl ThreadCache {
     /// Attempts to allocate from the class pool `class_idx`: the lowest
     /// free sub-block of the most recently used block that has one.
     ///
-    /// Returns the sub-block address, or `None` if every block in the
-    /// pool is exhausted (the caller should fetch a block from the
-    /// backend and retry).
-    pub fn alloc(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize) -> Option<u32> {
+    /// Returns the sub-block, or `None` if every block in the pool is
+    /// exhausted (the caller should fetch a block from the backend and
+    /// retry).
+    pub fn alloc(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize) -> Option<Slot> {
         let pool = &mut self.pools[class_idx];
         let hit = pool.blocks.iter().position(|b| b.free_slots > 0);
         let blocks_scanned = hit.map_or(pool.blocks.len(), |bi| bi + 1) as u64;
         let mut scan = REQUEST_INSTRS + BLOCK_SCAN_INSTRS * blocks_scanned;
-        let addr = hit.map(|bi| {
+        let slot = hit.map(|bi| {
             let block = &mut pool.blocks[bi];
             let wi = block
                 .bitmap
@@ -201,19 +222,22 @@ impl ThreadCache {
                 .expect("free_slots > 0 implies a set bit");
             scan += WORD_SCAN_INSTRS * (wi as u64 + 1) + BIT_OP_INSTRS;
             let bit = block.bitmap[wi].trailing_zeros();
-            block.bitmap[wi] &= !(1u64 << bit);
+            let mask = 1u64 << bit;
+            block.bitmap[wi] &= !mask;
             block.free_slots -= 1;
+            let remote = block.remote[wi] & mask != 0;
+            block.remote[wi] &= !mask;
             let addr = block.base + (wi as u32 * 64 + bit) * pool.class_bytes;
             // Keep the most recently used block at the front so the
             // common case scans one block.
             pool.blocks[..=bi].rotate_right(1);
-            addr
+            Slot { addr, remote }
         });
         ctx.instrs(match self.prices {
             FrontendKind::BitmapClasses => scan,
             FrontendKind::PageLocal => QUEUE_ALLOC_INSTRS,
         });
-        addr
+        slot
     }
 
     /// Installs a fresh 4 KB block (from the backend) into a pool.
@@ -241,7 +265,7 @@ impl ThreadCache {
     /// sub-block is already free (double free) — both are program bugs
     /// the shadow bookkeeping in [`crate::PimMalloc`] rules out.
     pub fn free(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize, addr: u32) -> FreeOutcome {
-        let (outcome, bi, was_full) = self.free_at(class_idx, addr);
+        let (outcome, bi, was_full) = self.free_at(class_idx, addr, false);
         ctx.instrs(match self.prices {
             FrontendKind::BitmapClasses => {
                 REQUEST_INSTRS + BLOCK_SCAN_INSTRS * (bi as u64 + 1) + BIT_OP_INSTRS
@@ -263,19 +287,20 @@ impl ThreadCache {
         outcome
     }
 
-    /// [`ThreadCache::free`] without charging the caller's tasklet:
-    /// the reconciliation step of a *remote* free routed through the
-    /// transfer cache, whose simulated cost is the batched MRAM
-    /// traffic priced by [`crate::PimMalloc`] — the freeing tasklet
-    /// never walks the owner's private structures.
-    pub fn free_unpriced(&mut self, class_idx: usize, addr: u32) -> FreeOutcome {
-        self.free_at(class_idx, addr).0
+    /// [`ThreadCache::free`] by another tasklet, without charging the
+    /// caller: [`crate::PimMalloc`] prices a three-tier remote free in
+    /// batches, and the freeing tasklet never walks the owner's private
+    /// structures. If the slot stays cached it is marked remote until
+    /// an [`ThreadCache::alloc`] reuses it.
+    pub fn free_remote(&mut self, class_idx: usize, addr: u32) -> FreeOutcome {
+        self.free_at(class_idx, addr, true).0
     }
 
-    /// Shared mutation of both free variants; returns the outcome, the
-    /// index of the containing block (the scan depth the bitmap price
-    /// list charges), and whether that block was full before the free.
-    fn free_at(&mut self, class_idx: usize, addr: u32) -> (FreeOutcome, usize, bool) {
+    /// Shared mutation of both free variants (`remote` marks the slot);
+    /// returns the outcome, the index of the containing block (the scan
+    /// depth the bitmap price list charges), and whether that block was
+    /// full before the free.
+    fn free_at(&mut self, class_idx: usize, addr: u32, remote: bool) -> (FreeOutcome, usize, bool) {
         let pool = &mut self.pools[class_idx];
         let bi = pool
             .blocks
@@ -293,6 +318,8 @@ impl ThreadCache {
         );
         let was_full = block.free_slots == 0;
         block.bitmap[wi] |= 1u64 << bit;
+        // A released block drops its marks with it.
+        block.remote[wi] |= u64::from(remote) << bit;
         block.free_slots += 1;
         let outcome = if block.free_slots == block.slots && pool.blocks.len() > 1 {
             let released = pool.blocks.remove(bi);
@@ -348,7 +375,7 @@ mod tests {
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 0, 0x1000); // 16 B class: 256 slots
         let mut addrs = Vec::new();
-        while let Some(a) = c.alloc(&mut ctx, 0) {
+        while let Some(a) = c.alloc(&mut ctx, 0).map(|s| s.addr) {
             addrs.push(a);
         }
         assert_eq!(addrs.len(), 256);
@@ -365,9 +392,9 @@ mod tests {
         let mut c = cache();
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 7, 0x8000);
-        assert_eq!(c.alloc(&mut ctx, 7), Some(0x8000));
-        assert_eq!(c.alloc(&mut ctx, 7), Some(0x8800));
-        assert_eq!(c.alloc(&mut ctx, 7), None);
+        assert_eq!(c.alloc(&mut ctx, 7).map(|s| s.addr), Some(0x8000));
+        assert_eq!(c.alloc(&mut ctx, 7).map(|s| s.addr), Some(0x8800));
+        assert!(c.alloc(&mut ctx, 7).is_none());
     }
 
     #[test]
@@ -376,10 +403,10 @@ mod tests {
         let mut c = cache();
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 4, 0x1000); // 256 B: 16 slots
-        let a = c.alloc(&mut ctx, 4).unwrap();
-        let b = c.alloc(&mut ctx, 4).unwrap();
+        let a = c.alloc(&mut ctx, 4).unwrap().addr;
+        let b = c.alloc(&mut ctx, 4).unwrap().addr;
         assert_eq!(c.free(&mut ctx, 4, a), FreeOutcome::Cached);
-        let again = c.alloc(&mut ctx, 4).unwrap();
+        let again = c.alloc(&mut ctx, 4).unwrap().addr;
         assert_eq!(again, a, "freed slot is the first free bit again");
         let _ = b;
     }
@@ -390,15 +417,17 @@ mod tests {
         let mut c = cache();
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 4, 0x8000); // 256 B: 16 slots
-        let addrs: Vec<u32> = (0..16).map(|_| c.alloc(&mut ctx, 4).unwrap()).collect();
+        let addrs: Vec<u32> = (0..16)
+            .map(|_| c.alloc(&mut ctx, 4).unwrap().addr)
+            .collect();
         let expect: Vec<u32> = (0..16).map(|i| 0x8000 + i * 256).collect();
         assert_eq!(addrs, expect, "lowest slot first");
         c.free(&mut ctx, 4, 0x8000 + 5 * 256);
         c.free(&mut ctx, 4, 0x8000 + 2 * 256);
         // The *lowest* freed slot comes back first, whatever order the
         // frees arrived in.
-        assert_eq!(c.alloc(&mut ctx, 4), Some(0x8000 + 2 * 256));
-        assert_eq!(c.alloc(&mut ctx, 4), Some(0x8000 + 5 * 256));
+        assert_eq!(c.alloc(&mut ctx, 4).map(|s| s.addr), Some(0x8000 + 2 * 256));
+        assert_eq!(c.alloc(&mut ctx, 4).map(|s| s.addr), Some(0x8000 + 5 * 256));
     }
 
     #[test]
@@ -409,7 +438,7 @@ mod tests {
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 0, 0); // 512 slots, 8 bitmap words
         let mut seen = std::collections::HashSet::new();
-        while let Some(a) = c.alloc(&mut ctx, 0) {
+        while let Some(a) = c.alloc(&mut ctx, 0).map(|s| s.addr) {
             assert!(seen.insert(a), "{a:#x} issued twice");
         }
         assert_eq!(
@@ -424,13 +453,13 @@ mod tests {
         let mut c = cache();
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 7, 0x8000);
-        let a = c.alloc(&mut ctx, 7).unwrap();
+        let a = c.alloc(&mut ctx, 7).unwrap().addr;
         // Last block in pool: kept even when fully free.
         assert_eq!(c.free(&mut ctx, 7, a), FreeOutcome::Cached);
         assert_eq!(c.pools()[7].block_count(), 1);
         // With a second block, a fully-free one is released.
         c.add_block(&mut ctx, 7, 0x9000);
-        let b = c.alloc(&mut ctx, 7).unwrap();
+        let b = c.alloc(&mut ctx, 7).unwrap().addr;
         assert_eq!(b, 0x9000, "MRU block serves first");
         match c.free(&mut ctx, 7, b) {
             FreeOutcome::BlockReleased { block_base } => assert_eq!(block_base, 0x9000),
@@ -446,7 +475,7 @@ mod tests {
         let mut c = cache();
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 0, 0x1000);
-        let a = c.alloc(&mut ctx, 0).unwrap();
+        let a = c.alloc(&mut ctx, 0).unwrap().addr;
         c.free(&mut ctx, 0, a);
         c.free(&mut ctx, 0, a);
     }
@@ -486,7 +515,7 @@ mod tests {
         c.add_block(&mut ctx, 1, 0x2000);
         let mut held = Vec::new();
         for i in 0..200 {
-            let hit = instrs_charged(&mut ctx, |ctx| held.push(c.alloc(ctx, 1).unwrap()));
+            let hit = instrs_charged(&mut ctx, |ctx| held.push(c.alloc(ctx, 1).unwrap().addr));
             assert_eq!(hit, QUEUE_ALLOC_INSTRS, "alloc {i}");
         }
         let free = instrs_charged(&mut ctx, |ctx| {
@@ -525,9 +554,9 @@ mod tests {
         assert_eq!(plain, QUEUE_FREE_INSTRS);
         // The requeued block serves in MRU order: C fills first, then
         // A's lowest freed slots; B stays full.
-        let order: Vec<u32> = (0..5).map(|_| c.alloc(&mut ctx, 6).unwrap()).collect();
+        let order: Vec<u32> = (0..5).map(|_| c.alloc(&mut ctx, 6).unwrap().addr).collect();
         assert_eq!(order, [0x3400, 0x3800, 0x3C00, 0x1000, 0x1400]);
-        assert_eq!(c.alloc(&mut ctx, 6), None);
+        assert!(c.alloc(&mut ctx, 6).is_none());
     }
 
     #[test]
@@ -551,12 +580,12 @@ mod tests {
             // And every one of them is allocatable, in address order.
             for i in 0..slots {
                 assert_eq!(
-                    c.alloc(&mut ctx, class_idx),
+                    c.alloc(&mut ctx, class_idx).map(|s| s.addr),
                     Some(0x1000 + i * class_bytes),
                     "slot {i} of the {class_bytes} B class"
                 );
             }
-            assert_eq!(c.alloc(&mut ctx, class_idx), None);
+            assert!(c.alloc(&mut ctx, class_idx).is_none());
         }
     }
 
@@ -608,17 +637,85 @@ mod tests {
             let mut ctx = d.ctx(0);
             priced.add_block(&mut ctx, 4, 0x1000);
             unpriced.add_block(&mut ctx, 4, 0x1000);
-            let a = priced.alloc(&mut ctx, 4).unwrap();
-            assert_eq!(unpriced.alloc(&mut ctx, 4), Some(a));
+            let a = priced.alloc(&mut ctx, 4).unwrap().addr;
+            assert_eq!(unpriced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
             let before = ctx.now();
-            assert_eq!(unpriced.free_unpriced(4, a), FreeOutcome::Cached);
-            assert_eq!(ctx.now(), before, "unpriced free charges no cycles");
+            assert_eq!(unpriced.free_remote(4, a), FreeOutcome::Cached);
+            assert_eq!(ctx.now(), before, "remote free charges no cycles");
             priced.free(&mut ctx, 4, a);
             assert!(ctx.now() > before, "priced free does charge");
             // Identical post-state: the freed slot is reissued first by
             // both variants.
-            assert_eq!(priced.alloc(&mut ctx, 4), Some(a));
-            assert_eq!(unpriced.alloc(&mut ctx, 4), Some(a));
+            assert_eq!(priced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
+            assert_eq!(unpriced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
         }
+    }
+
+    #[test]
+    fn remote_marks_last_until_reuse_or_release() {
+        let mut d = dpu();
+        let mut c = cache();
+        let mut ctx = d.ctx(0);
+        c.add_block(&mut ctx, 7, 0x8000); // 2 KB: 2 slots per block
+        c.add_block(&mut ctx, 7, 0x9000);
+        // MRU order serves 0x9000's slots a, b first, then 0x8000's x
+        // and its second slot: both blocks are full.
+        let [a, b, x, _] = [(); 4].map(|_| c.alloc(&mut ctx, 7).unwrap());
+        assert_eq!([a.addr, b.addr, x.addr], [0x9000, 0x9800, 0x8000]);
+        assert!(!a.remote && !x.remote, "fresh slots carry no mark");
+
+        // A local free never marks its slot.
+        c.free(&mut ctx, 7, a.addr);
+        assert_eq!(c.alloc(&mut ctx, 7), Some(a));
+
+        // A remote free marks the slot while it stays cached; the alloc
+        // that reuses it reports the mark exactly once.
+        assert_eq!(c.free_remote(7, x.addr), FreeOutcome::Cached);
+        let reused = c.alloc(&mut ctx, 7).unwrap();
+        assert_eq!(reused, Slot { remote: true, ..x });
+        c.free(&mut ctx, 7, reused.addr);
+        assert_eq!(c.alloc(&mut ctx, 7), Some(x), "the mark was cleared");
+
+        // A remote free that releases its block marks nothing, and a
+        // block reinstalled at the same base starts unmarked.
+        assert_eq!(c.free_remote(7, a.addr), FreeOutcome::Cached);
+        assert_eq!(
+            c.free_remote(7, b.addr),
+            FreeOutcome::BlockReleased { block_base: 0x9000 }
+        );
+        c.add_block(&mut ctx, 7, 0x9000);
+        assert_eq!(c.alloc(&mut ctx, 7), Some(a));
+        assert_eq!(c.alloc(&mut ctx, 7), Some(b));
+    }
+
+    #[test]
+    fn release_drops_only_the_released_blocks_marks() {
+        let mut d = dpu();
+        let mut c = cache();
+        let mut ctx = d.ctx(0);
+        c.add_block(&mut ctx, 7, 0x8000); // 2 KB: 2 slots per block
+        c.add_block(&mut ctx, 7, 0x9000);
+        c.add_block(&mut ctx, 0, 0xA000);
+        // Fills 0x9000 (MRU) then 0x8000.
+        for _ in 0..4 {
+            c.alloc(&mut ctx, 7).unwrap();
+        }
+        let small = c.alloc(&mut ctx, 0).unwrap().addr;
+        // Marks in both 2 KB blocks and in the 16 B block.
+        for (class_idx, addr) in [(7, 0x9000), (7, 0x8000), (0, small)] {
+            assert_eq!(c.free_remote(class_idx, addr), FreeOutcome::Cached);
+        }
+        // Draining 0x9000 releases it with its mark; the other blocks
+        // keep theirs.
+        assert_eq!(
+            c.free_remote(7, 0x9800),
+            FreeOutcome::BlockReleased { block_base: 0x9000 }
+        );
+        let marked = |addr| Some(Slot { addr, remote: true });
+        assert_eq!(c.alloc(&mut ctx, 7), marked(0x8000));
+        assert_eq!(c.alloc(&mut ctx, 0), marked(small));
+        c.add_block(&mut ctx, 7, 0x9000);
+        let reinstalled = c.alloc(&mut ctx, 7).unwrap();
+        assert_eq!((reinstalled.addr, reinstalled.remote), (0x9000, false));
     }
 }

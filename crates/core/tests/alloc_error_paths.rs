@@ -9,7 +9,10 @@
 
 use std::collections::BTreeSet;
 
-use pim_malloc::{AllocError, AllocGeometry, PimAllocator, PimMalloc, RegionMap};
+use pim_malloc::{
+    AllocError, AllocGeometry, PimAllocator, PimMalloc, RegionMap, SizeClassTable,
+    CACHE_BLOCK_BYTES,
+};
 use pim_sim::{DpuConfig, DpuSim};
 use proptest::prelude::*;
 
@@ -164,4 +167,36 @@ proptest! {
         ));
         prop_assert_eq!(pm.live_allocations(), 1);
     }
+}
+
+/// Classes that do not divide a cache block leave a tail past the last
+/// slot whose first byte is still class-aligned. A free there is
+/// rejected like any hostile free, and counts toward quarantine.
+#[test]
+fn frees_past_the_last_slot_of_a_non_dividing_class_are_invalid() {
+    let table = SizeClassTable::try_new([24, 48, 520, 2040]).expect("valid table");
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
+    let geom = AllocGeometry::sw(1)
+        .with_heap_size(HEAP_SIZE)
+        .with_size_classes(table.clone())
+        .with_quarantine(4);
+    let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
+    let mut ctx = dpu.ctx(0);
+    let mut tails = Vec::new();
+    for (&class, tail) in table.classes().iter().zip([4080, 4080, 3640, 4080]) {
+        let addr = pm.pim_malloc(&mut ctx, class).expect("alloc");
+        tails.push(addr - addr % CACHE_BLOCK_BYTES + tail);
+    }
+    for &addr in &tails {
+        let r = pm.pim_free(&mut ctx, addr);
+        assert_eq!(r, Err(AllocError::InvalidFree { addr }));
+    }
+    assert_eq!(pm.live_allocations(), 4);
+    // A fifth invalid free exceeds the budget and seals the allocator.
+    let r = pm.pim_free(&mut ctx, tails[0]);
+    assert!(matches!(
+        r,
+        Err(AllocError::Quarantined { invalid_frees: 5 })
+    ));
+    assert_eq!(pm.live_allocations(), 4);
 }

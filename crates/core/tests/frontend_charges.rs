@@ -6,12 +6,13 @@
 //! allocations that fill the 1 KB and 2 KB classes (4 and 2 sub-blocks
 //! per block, so blocks go full and un-full all the time), a few small
 //! requests and bypasses, and frees issued both by the owner and by
-//! another tasklet. Every op's simulated latency (its `ctx.now()`
-//! delta) is folded into an FNV-1a digest, stored next to the final
-//! `max_clock()` in `golden/frontend_charges.txt`. Any change to what
-//! an op charges, on either price list, shows up as a mismatch; rerun
-//! with `PIM_BLESS=1` to rewrite the file after a deliberate pricing
-//! change.
+//! another tasklet. A producer-consumer case adds a stream in which
+//! every free crosses tasklets, over all eight classes. Every op's
+//! simulated latency (its `ctx.now()` delta) is folded into an FNV-1a
+//! digest, stored next to the final `max_clock()` in
+//! `golden/frontend_charges.txt`. Any change to what an op charges, on
+//! either price list, shows up as a mismatch; rerun with `PIM_BLESS=1`
+//! to rewrite the file after a deliberate pricing change.
 
 use pim_malloc::{AllocGeometry, FrontendKind, PimAllocator, PimMalloc, TierPolicy};
 use pim_sim::{DpuConfig, DpuSim};
@@ -22,6 +23,7 @@ const GOLDEN: &str = concat!(
 );
 const HEAP_SIZE: u32 = 4 << 20;
 const OPS: usize = 2_400;
+const PC_OPS: usize = 5_000;
 /// Live allocations a tasklet may hold before it must free one.
 const LIVE_CAP: usize = 32;
 
@@ -68,38 +70,67 @@ fn size(rng: &mut Rng) -> u32 {
     }
 }
 
-/// Runs one case; returns `(ops charged, digest, max_clock)`.
-fn record(n_tasklets: usize, prices: FrontendKind, tier: TierPolicy) -> (usize, u64, u64) {
+/// A size in (class / 2, class] of a uniformly drawn paper class.
+fn class_size(rng: &mut Rng) -> u32 {
+    let class = 16u32 << rng.below(8);
+    class / 2 + 1 + rng.below(u64::from(class / 2)) as u32
+}
+
+/// Runs one case; returns `(ops charged, remote frees, digest,
+/// max_clock)`. With `pc`, the even tasklets allocate and each odd
+/// tasklet frees what its even partner allocated.
+fn record(
+    n_tasklets: usize,
+    prices: FrontendKind,
+    tier: TierPolicy,
+    pc: bool,
+) -> (usize, u64, u64, u64) {
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
     let geom = AllocGeometry::sw(n_tasklets)
         .with_heap_size(HEAP_SIZE)
         .with_frontend(prices)
         .with_tiering(tier);
     let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
-    // The stream depends only on the case's tasklet count, so both
-    // price lists and both tiers see the same requests.
-    let mut rng = Rng(0xA110_C000 + n_tasklets as u64);
+    // The stream depends only on the case's tasklet count and `pc`, so
+    // both price lists and both tiers see the same requests.
+    let mut rng = Rng(if pc {
+        0x50C0_FFEE
+    } else {
+        0xA110_C000 + n_tasklets as u64
+    });
     let mut live: Vec<Vec<u32>> = vec![Vec::new(); n_tasklets];
     let mut digest = Fnv::new();
     let mut charged = 0;
-    while charged < OPS {
-        let tid = rng.below(n_tasklets as u64) as usize;
-        let kind = rng.below(8);
-        // Allocate, or free one live allocation of `owner`: the caller
-        // itself, or (for kinds 6 and 7) a random tasklet.
-        let owner = if kind >= 6 {
-            rng.below(n_tasklets as u64) as usize
+    while charged < if pc { PC_OPS } else { OPS } {
+        // Allocate on `tid`, or free one live allocation of `owner`.
+        let (tid, owner, alloc) = if pc {
+            let producer = 2 * rng.below(n_tasklets as u64 / 2) as usize;
+            let alloc = rng.below(2) == 0 && live[producer].len() < LIVE_CAP;
+            (producer + usize::from(!alloc), producer, alloc)
         } else {
-            tid
+            // The owner is the caller itself, or (for kinds 6 and 7) a
+            // random tasklet.
+            let tid = rng.below(n_tasklets as u64) as usize;
+            let kind = rng.below(8);
+            let owner = if kind >= 6 {
+                rng.below(n_tasklets as u64) as usize
+            } else {
+                tid
+            };
+            (tid, owner, kind < 4 && live[tid].len() < LIVE_CAP)
         };
-        let alloc = kind < 4 && live[tid].len() < LIVE_CAP;
         if !alloc && live[owner].is_empty() {
             continue;
         }
         let mut ctx = dpu.ctx(tid);
         let t0 = ctx.now();
         if alloc {
-            if let Ok(addr) = pm.pim_malloc(&mut ctx, size(&mut rng)) {
+            let size = if pc {
+                class_size(&mut rng)
+            } else {
+                size(&mut rng)
+            };
+            if let Ok(addr) = pm.pim_malloc(&mut ctx, size) {
                 live[tid].push(addr);
             }
         } else {
@@ -110,9 +141,10 @@ fn record(n_tasklets: usize, prices: FrontendKind, tier: TierPolicy) -> (usize, 
         digest.word((ctx.now() - t0).0);
         charged += 1;
     }
+    let remote = pm.alloc_stats().frees_remote_transfer + pm.alloc_stats().frees_remote_global;
     let max_clock = dpu.max_clock().0;
     digest.word(max_clock);
-    (charged, digest.0, max_clock)
+    (charged, remote, digest.0, max_clock)
 }
 
 #[test]
@@ -122,7 +154,7 @@ fn recorded_charges_match_golden() {
         for tier in [TierPolicy::ThreeTier, TierPolicy::TwoTier] {
             let mut digests = Vec::new();
             for prices in [FrontendKind::BitmapClasses, FrontendKind::PageLocal] {
-                let (ops, digest, max_clock) = record(n_tasklets, prices, tier);
+                let (ops, _, digest, max_clock) = record(n_tasklets, prices, tier, false);
                 lines.push(format!(
                     "tasklets={n_tasklets} prices={prices:?} tier={tier:?} ops={ops} \
                      max_clock={max_clock} digest={digest:016x}"
@@ -135,6 +167,13 @@ fn recorded_charges_match_golden() {
             );
         }
     }
+    let (ops, remote, digest, max_clock) =
+        record(16, FrontendKind::BitmapClasses, TierPolicy::ThreeTier, true);
+    assert!(remote >= 2_000, "only {remote} remote frees");
+    lines.push(format!(
+        "producer-consumer tasklets=16 prices=BitmapClasses tier=ThreeTier ops={ops} \
+         remote_frees={remote} max_clock={max_clock} digest={digest:016x}"
+    ));
     let recorded = lines.join("\n") + "\n";
     if std::env::var("PIM_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(GOLDEN, &recorded).expect("write golden");

@@ -1,11 +1,10 @@
 //! Differential property coverage of the free-path hierarchy: the
-//! three-tier allocator (transfer cache + central free list) must be a
-//! pure *routing and pricing* overlay over the two-tier design. Under
-//! any interleaving of allocations, local frees, and cross-tasklet
-//! remote frees, both tiers must return identical addresses, identical
-//! errors, and identical fragmentation accounting — only the simulated
-//! cycle costs may differ, since that is the whole point of the middle
-//! tier.
+//! three-tier allocator (batched remote frees) must be a pure
+//! *pricing* overlay over the two-tier design. Under any interleaving
+//! of allocations, local frees, and cross-tasklet remote frees, both
+//! tiers must return identical addresses, identical errors, and
+//! identical fragmentation accounting — only the simulated cycle costs
+//! may differ, since that is the whole point of batching.
 
 use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc, TierPolicy};
 use pim_sim::{DpuConfig, DpuSim};
@@ -118,9 +117,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Addresses, errors, and fragmentation accounting are identical
-    /// across the two free-path hierarchies; remote frees route
-    /// through the transfer cache on three-tier and the global lock on
-    /// two-tier — never both.
+    /// across the two free-path hierarchies; remote frees are batched
+    /// on three-tier and take the global lock on two-tier — never
+    /// both.
     #[test]
     fn tiers_agree_on_everything_but_cycles(
         ops in proptest::collection::vec(op_strategy(4), 1..200)
@@ -137,8 +136,8 @@ proptest! {
         prop_assert_eq!(t_remote_transfer, s_remote_global);
     }
 
-    /// Same property at sixteen tasklets, where transfer rings see
-    /// traffic from many distinct freers.
+    /// Same property at sixteen tasklets, where each owner's remote
+    /// marks come from many distinct freers.
     #[test]
     fn tiers_agree_at_sixteen_tasklets(
         ops in proptest::collection::vec(op_strategy(16), 1..150)

@@ -1,11 +1,11 @@
 //! Producer-consumer replay through the tiered free paths: on the
 //! default three-tier allocator, the trace's `RemoteFree` edges must
-//! land in the transfer cache (batched MRAM pricing) and never take
+//! take the batched remote-free path (batched MRAM pricing) and never
 //! the legacy global-lock walk; on the config-reachable two-tier
 //! allocator the same edges must all take the global path. The
-//! three-tier replay must also finish no later — the middle tier
-//! exists to make cross-tasklet frees cheaper, and the modeled costs
-//! have to show it.
+//! three-tier replay must also finish no later — batching exists to
+//! make cross-tasklet frees cheaper, and the modeled costs have to
+//! show it.
 
 use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc, TierPolicy};
 use pim_sim::{Cycles, DpuConfig, DpuSim};
@@ -51,7 +51,7 @@ fn remote_frees_route_through_the_transfer_cache_by_default() {
     let (remote_transfer, remote_global, _) = run(TierPolicy::ThreeTier);
     assert!(
         remote_transfer > 0,
-        "producer-consumer trace must exercise the transfer cache"
+        "producer-consumer trace must exercise the batched remote-free path"
     );
     assert_eq!(
         remote_global, 0,

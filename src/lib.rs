@@ -14,8 +14,7 @@
 //!   [`parallel_indexed`], whose worker count `PIM_EXEC_WORKERS` sets.
 //! * The allocator core: [`PimMalloc`] behind the [`AllocGeometry`]
 //!   builder (size classes via [`SizeClassTable`], free-path hierarchy
-//!   via [`TierPolicy`]/[`TierConfig`]), plus the [`PimAllocator`]
-//!   object-safe trait.
+//!   via [`TierPolicy`]), plus the [`PimAllocator`] object-safe trait.
 //! * Profile-guided geometry: [`ProfileRecorder`] / [`AllocProfile`]
 //!   capture what a workload asks the allocator for, and
 //!   [`synthesize_table`] turns a profile into a custom
@@ -25,7 +24,7 @@
 
 pub use pim_malloc::{
     AllocGeometry, AllocStats, BackendKind, GeometryError, PimAllocator, PimMalloc,
-    PimMallocConfig, SizeClassTable, TierConfig, TierPolicy,
+    PimMallocConfig, SizeClassTable, TierPolicy,
 };
 pub use pim_profile::{
     synthesize_table, AllocProfile, ProfileRecorder, Synthesis, SynthesisObjective, SynthesisReport,
