@@ -4,15 +4,21 @@
 //! only need latency accounting, but workload experiments (dynamic graph
 //! update, KV-cache append) also store real data through the allocator,
 //! so [`Mram`] backs the address space with 64 KB pages materialized on
-//! first write. Reading unwritten memory returns zeroes, like DRAM after
-//! initialization.
-
-use std::collections::HashMap;
+//! first write. A table indexed by page number finds them (1,024 entries
+//! of 8 B for a 64 MB bank). Reading unwritten memory returns zeroes,
+//! like DRAM after initialization.
 
 /// Size of one lazily-allocated backing page.
 const PAGE_SHIFT: u32 = 16;
 /// Page size in bytes (64 KB).
 const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
+
+type Page = Box<[u8; PAGE_SIZE as usize]>;
+
+fn zeroed_page() -> Page {
+    let page = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+    page.try_into().expect("a page is PAGE_SIZE bytes")
+}
 
 /// A sparse model of one 64 MB MRAM bank.
 ///
@@ -30,7 +36,9 @@ const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
 #[derive(Debug, Clone)]
 pub struct Mram {
     size_bytes: u32,
-    pages: HashMap<u32, Box<[u8]>>,
+    /// Entry `p` backs bytes `p << PAGE_SHIFT ..`; the last page may
+    /// extend past a bank that is not a whole number of pages.
+    pages: Vec<Option<Page>>,
 }
 
 impl Mram {
@@ -43,7 +51,7 @@ impl Mram {
         assert!(size_bytes > 0, "MRAM size must be non-zero");
         Mram {
             size_bytes,
-            pages: HashMap::new(),
+            pages: vec![None; size_bytes.div_ceil(PAGE_SIZE) as usize],
         }
     }
 
@@ -56,7 +64,7 @@ impl Mram {
     ///
     /// Useful in tests to confirm the store stays sparse.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().flatten().count()
     }
 
     fn check_range(&self, addr: u32, len: usize) {
@@ -78,10 +86,10 @@ impl Mram {
         let mut copied = 0usize;
         while copied < buf.len() {
             let cur = addr + copied as u32;
-            let page = cur >> PAGE_SHIFT;
+            let page = (cur >> PAGE_SHIFT) as usize;
             let off = (cur & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - copied);
-            match self.pages.get(&page) {
+            match &self.pages[page] {
                 Some(p) => buf[copied..copied + chunk].copy_from_slice(&p[off..off + chunk]),
                 None => buf[copied..copied + chunk].fill(0),
             }
@@ -99,13 +107,10 @@ impl Mram {
         let mut copied = 0usize;
         while copied < data.len() {
             let cur = addr + copied as u32;
-            let page = cur >> PAGE_SHIFT;
+            let page = (cur >> PAGE_SHIFT) as usize;
             let off = (cur & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(data.len() - copied);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+            let p = self.pages[page].get_or_insert_with(zeroed_page);
             p[off..off + chunk].copy_from_slice(&data[copied..copied + chunk]);
             copied += chunk;
         }
@@ -138,19 +143,20 @@ impl Mram {
     /// Zeroes a byte range without materializing pages for it.
     pub fn clear(&mut self, addr: u32, len: u32) {
         self.check_range(addr, len as usize);
-        // Drop whole pages where possible, zero partial edges.
+        // Drop whole pages where possible, zero partial edges. A page
+        // ends at the end of the bank if that comes first.
         let mut cur = addr;
         let end = addr + len;
         while cur < end {
             let page = cur >> PAGE_SHIFT;
             let page_start = page << PAGE_SHIFT;
-            let page_end = page_start + PAGE_SIZE;
+            let page_end = self.size_bytes.min(page_start.saturating_add(PAGE_SIZE));
             if cur == page_start && end >= page_end {
-                self.pages.remove(&page);
+                self.pages[page as usize] = None;
                 cur = page_end;
             } else {
                 let stop = end.min(page_end);
-                if let Some(p) = self.pages.get_mut(&page) {
+                if let Some(p) = &mut self.pages[page as usize] {
                     let a = (cur - page_start) as usize;
                     let b = (stop - page_start) as usize;
                     p[a..b].fill(0);
@@ -165,6 +171,9 @@ impl Mram {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A bank that ends 36 KB into its second page.
+    const ODD_BANK: u32 = 100 << 10;
 
     #[test]
     fn unwritten_memory_reads_zero() {
@@ -239,9 +248,55 @@ mod tests {
         assert_eq!(buf, [0xaa; 32]);
     }
 
+    #[test]
+    fn partial_last_page_is_addressable_and_clears() {
+        let mut m = Mram::new(ODD_BANK);
+        m.write(ODD_BANK - 1, &[0x5a]);
+        let mut last = [0u8; 1];
+        m.read(ODD_BANK - 1, &mut last);
+        assert_eq!(last, [0x5a]);
+        assert_eq!(m.resident_pages(), 1);
+        m.write(PAGE_SIZE - 16, &[0xaa; 32]);
+        assert_eq!(m.resident_pages(), 2);
+        // From mid-page 0 to the end of the bank: the partial last
+        // page is dropped whole, page 0 keeps its head.
+        m.clear(PAGE_SIZE - 8, ODD_BANK - (PAGE_SIZE - 8));
+        assert_eq!(m.resident_pages(), 1);
+        let mut buf = [0u8; 32];
+        m.read(PAGE_SIZE - 16, &mut buf);
+        assert_eq!(buf[..8], [0xaa; 8]);
+        assert_eq!(buf[8..], [0u8; 24]);
+        m.read(ODD_BANK - 1, &mut last);
+        assert_eq!(last, [0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn write_one_byte_past_a_partial_last_page_panics() {
+        let mut m = Mram::new(ODD_BANK);
+        m.write(ODD_BANK, &[0]);
+    }
+
+    /// Writes `ops` and reads them back against a flat shadow array of
+    /// the bank: the last write to an address wins.
+    fn matches_flat_array(size: u32, ops: &[(u32, Vec<u8>)]) -> Result<(), TestCaseError> {
+        let mut m = Mram::new(size);
+        let mut shadow = vec![0u8; size as usize];
+        for (addr, data) in ops {
+            m.write(*addr, data);
+            shadow[*addr as usize..*addr as usize + data.len()].copy_from_slice(data);
+        }
+        for (addr, data) in ops {
+            let mut buf = vec![0u8; data.len()];
+            m.read(*addr, &mut buf);
+            prop_assert_eq!(&buf, &shadow[*addr as usize..*addr as usize + data.len()]);
+        }
+        Ok(())
+    }
+
     proptest! {
         /// Any sequence of writes followed by reads behaves like a flat
-        /// byte array: the last write to an address wins.
+        /// byte array.
         #[test]
         fn behaves_like_flat_array(
             ops in proptest::collection::vec(
@@ -249,17 +304,18 @@ mod tests {
                 1..40,
             )
         ) {
-            let mut m = Mram::new(1 << 18);
-            let mut shadow = vec![0u8; 1 << 18];
-            for (addr, data) in &ops {
-                m.write(*addr, data);
-                shadow[*addr as usize..*addr as usize + data.len()].copy_from_slice(data);
-            }
-            for (addr, data) in &ops {
-                let mut buf = vec![0u8; data.len()];
-                m.read(*addr, &mut buf);
-                prop_assert_eq!(&buf, &shadow[*addr as usize..*addr as usize + data.len()]);
-            }
+            matches_flat_array(1 << 18, &ops)?;
+        }
+
+        /// The same on a bank whose last page is partial.
+        #[test]
+        fn behaves_like_flat_array_with_a_partial_last_page(
+            ops in proptest::collection::vec(
+                (0u32..ODD_BANK - 64, proptest::collection::vec(any::<u8>(), 1..64)),
+                1..40,
+            )
+        ) {
+            matches_flat_array(ODD_BANK, &ops)?;
         }
     }
 }

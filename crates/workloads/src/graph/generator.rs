@@ -86,28 +86,18 @@ pub fn split_for_update(graph: Graph, new_fraction: f64, seed: u64) -> UpdateWor
         new_fraction > 0.0 && new_fraction < 1.0,
         "fraction must be in (0, 1)"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = graph.edges;
-    // Fisher–Yates prefix shuffle, then split.
-    for i in (1..edges.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        edges.swap(i, j);
-    }
-    let n_new = ((edges.len() as f64) * new_fraction).round() as usize;
-    let n_new = n_new.clamp(1, edges.len() - 1);
-    let new_edges = edges.split_off(edges.len() - n_new);
-    UpdateWorkload {
-        base: Graph {
-            n_nodes: graph.n_nodes,
-            edges,
-        },
-        new_edges,
-    }
+    let n_new = ((graph.edges.len() as f64) * new_fraction).round() as usize;
+    let n_new = n_new.clamp(1, graph.edges.len() - 1);
+    split_for_update_count(graph, n_new, seed)
 }
 
 /// Like [`split_for_update`], but samples exactly `n_new` edges as the
 /// new set (used when the experiment fixes the new-edge count while
 /// varying the pre-update size, as Figure 3(c) does).
+///
+/// Runs only the first `n_new` steps of a Fisher–Yates shuffle. Step
+/// `i` fixes position `i`, so the new set is the one a full shuffle
+/// draws, in the same order; only the base's order differs from it.
 ///
 /// # Panics
 ///
@@ -119,11 +109,12 @@ pub fn split_for_update_count(graph: Graph, n_new: usize, seed: u64) -> UpdateWo
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = graph.edges;
-    for i in (1..edges.len()).rev() {
+    let n_base = edges.len() - n_new;
+    for i in (n_base..edges.len()).rev() {
         let j = rng.gen_range(0..=i);
         edges.swap(i, j);
     }
-    let new_edges = edges.split_off(edges.len() - n_new);
+    let new_edges = edges.split_off(n_base);
     UpdateWorkload {
         base: Graph {
             n_nodes: graph.n_nodes,
@@ -202,12 +193,47 @@ mod tests {
     fn split_is_a_partition_of_the_original() {
         let g = generate_power_law(100, 600, 5);
         let mut original = g.edges.clone();
-        let w = split_for_update(g, 1.0 / 3.0, 11);
-        let mut recombined = w.base.edges.clone();
-        recombined.extend_from_slice(&w.new_edges);
         original.sort_unstable();
-        recombined.sort_unstable();
-        assert_eq!(original, recombined);
+        for w in [
+            split_for_update(g.clone(), 1.0 / 3.0, 11),
+            split_for_update_count(g, 123, 11),
+        ] {
+            let mut recombined = w.base.edges.clone();
+            recombined.extend_from_slice(&w.new_edges);
+            recombined.sort_unstable();
+            assert_eq!(original, recombined);
+        }
+    }
+
+    /// The whole Fisher–Yates shuffle that `split_for_update_count`
+    /// runs the first `n_new` steps of.
+    fn full_shuffle(mut edges: Vec<(u32, u32)>, seed: u64) -> Vec<(u32, u32)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..edges.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            edges.swap(i, j);
+        }
+        edges
+    }
+
+    #[test]
+    fn count_split_draws_the_tail_of_a_full_shuffle() {
+        for (len, n_new, seed) in [
+            (2, 1, 3),
+            (600, 1, 9),
+            (600, 123, 9),
+            (600, 599, 4),
+            (5000, 1667, 0x5eed),
+        ] {
+            let g = generate_power_law(100, len, seed);
+            let shuffled = full_shuffle(g.edges.clone(), seed ^ 1);
+            let w = split_for_update_count(g, n_new, seed ^ 1);
+            assert_eq!(
+                w.new_edges,
+                shuffled[len - n_new..],
+                "len {len} n_new {n_new}"
+            );
+        }
     }
 
     #[test]

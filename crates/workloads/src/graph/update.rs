@@ -4,10 +4,16 @@
 //! Edges are partitioned across DPUs by source node (`u % n_dpus`) and,
 //! within a DPU, across tasklets (`local_u % n_tasklets`), so all
 //! updates of one node stay on one tasklet — the standard UPMEM
-//! data-partitioning discipline. The pre-update graph is built first
-//! (untimed); the new edges are then inserted in a timed phase whose
-//! duration, cycle breakdown, allocation latencies and metadata
-//! traffic are reported.
+//! data-partitioning discipline. The host buckets each phase's edges
+//! into every DPU's per-tasklet streams in one pass, as a UPMEM host
+//! program splits its input before pushing each DPU its slice.
+//!
+//! Only the static CSR materializes the pre-update graph (an untimed
+//! bulk build), since its insert cost grows with it. The dynamic
+//! representations keep the pre-update graph in its static form and
+//! insert into an initially empty delta, so they never read it. The new
+//! edges are then inserted in a timed phase whose duration, cycle
+//! breakdown, allocation latencies and metadata traffic are reported.
 
 use pim_malloc::{MetadataStore, PimAllocator};
 use pim_sim::{
@@ -121,7 +127,8 @@ pub struct GraphUpdateResult {
     pub backend_latency_fraction: f64,
     /// Total `pim_malloc` calls across DPUs (build + update).
     pub total_mallocs: u64,
-    /// Fragmentation A/U at end of run (PIM-malloc only; 0 otherwise).
+    /// Fragmentation A/U at end of run, averaged over the DPUs that
+    /// received new edges (PIM-malloc only; 0 otherwise).
     pub frag_ratio: f64,
     /// Modeled host time to stage the new-edge streams into the DPUs'
     /// MRAM before the timed phase (one 8 B buffer entry per edge,
@@ -149,16 +156,15 @@ fn workload(cfg: &GraphUpdateConfig) -> UpdateWorkload {
     split_for_update_count(g, cfg.new_edges, cfg.ctx.seed ^ 0x5eed)
 }
 
-/// Per-DPU edge streams for one phase: `streams[tasklet] = [(local_u, v)]`.
-fn dpu_streams(edges: &[(u32, u32)], dpu: usize, cfg: &GraphUpdateConfig) -> Vec<Vec<(u32, u32)>> {
-    let mut streams = vec![Vec::new(); cfg.n_tasklets];
+/// Every DPU's edge streams for one phase, in one pass:
+/// `parts[dpu][tasklet] = [(local_u, v)]`, in input order.
+fn partition(edges: &[(u32, u32)], n_dpus: usize, n_tasklets: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
+    let mut parts = vec![vec![Vec::new(); n_tasklets]; n_dpus];
     for &(u, v) in edges {
-        let (d, t, local) = place(u, cfg.n_dpus, cfg.n_tasklets);
-        if d == dpu {
-            streams[t].push((local, v));
-        }
+        let (dpu, tasklet, local) = place(u, n_dpus, n_tasklets);
+        parts[dpu][tasklet].push((local, v));
     }
-    streams
+    parts
 }
 
 /// Inserts the streams in virtual-time order. `insert` performs one
@@ -269,7 +275,14 @@ fn run_graph_update_impl(
     cfg: &GraphUpdateConfig,
     record: bool,
 ) -> (GraphUpdateResult, Option<pim_trace::AllocTrace>) {
-    let w = workload(cfg);
+    // Only the static CSR reads the pre-update graph; the workload is
+    // dropped once both phases are bucketed.
+    let (new_parts, base_parts) = {
+        let w = workload(cfg);
+        let base = matches!(cfg.repr, GraphRepr::StaticCsr)
+            .then(|| partition(&w.base.edges, cfg.n_dpus, cfg.n_tasklets));
+        (partition(&w.new_edges, cfg.n_dpus, cfg.n_tasklets), base)
+    };
     let local_nodes = cfg.n_nodes.div_ceil(cfg.n_dpus as u32);
     let mhz = pim_sim::CostModel::default().clock_mhz;
 
@@ -277,14 +290,10 @@ fn run_graph_update_impl(
     // the DPU that owns its source node — a naturally non-uniform
     // per-DPU plan (power-law graphs skew edges across partitions).
     let staging = {
-        let mut edges_per_dpu = vec![0u64; cfg.n_dpus];
-        for &(u, _) in &w.new_edges {
-            let (dpu, _, _) = place(u, cfg.n_dpus, cfg.n_tasklets);
-            edges_per_dpu[dpu] += 1;
-        }
         let mut plan = TransferPlan::new(TransferDirection::HostToPim);
-        for (dpu, &edges) in edges_per_dpu.iter().enumerate() {
-            plan.push(dpu, edges * 8);
+        for (dpu, streams) in new_parts.iter().enumerate() {
+            let edges: usize = streams.iter().map(Vec::len).sum();
+            plan.push(dpu, edges as u64 * 8);
         }
         cfg.ctx.planner().estimate(&plan)
     };
@@ -307,15 +316,15 @@ fn run_graph_update_impl(
 
     let run_one_dpu = |dpu_idx: usize| -> DpuOutcome {
         let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(cfg.n_tasklets));
-        let base = dpu_streams(&w.base.edges, dpu_idx, cfg);
-        let new = dpu_streams(&w.new_edges, dpu_idx, cfg);
-        let new_count: usize = new.iter().map(Vec::len).sum();
-        assert!(new_count > 0, "every DPU must receive new edges");
+        // A DPU that owns no new edge runs an empty timed phase.
+        let new = &new_parts[dpu_idx];
+        let idle = new.iter().all(Vec::is_empty);
 
-        match cfg.repr {
-            GraphRepr::StaticCsr => {
+        match &base_parts {
+            Some(base) => {
                 // Bulk-build the CSR (untimed), then timed locked inserts.
-                let local_edges: Vec<(u32, u32)> = base.iter().flatten().copied().collect();
+                let local_edges: Vec<(u32, u32)> =
+                    base[dpu_idx].iter().flatten().copied().collect();
                 let mut csr = CsrGraph::build(local_nodes, &local_edges);
                 let mutex = dpu.alloc_mutex();
                 let t0 = dpu.max_clock();
@@ -323,7 +332,7 @@ fn run_graph_update_impl(
                     dpu.ctx(t).wait_until(t0);
                 }
                 let stats0 = dpu.total_stats();
-                run_phase(&mut dpu, &new, |dpu, tid, u, v| {
+                run_phase(&mut dpu, new, |dpu, tid, u, v| {
                     let mut ctx = dpu.ctx(tid);
                     ctx.mutex_lock(mutex);
                     csr.insert(&mut ctx, u, v);
@@ -345,17 +354,14 @@ fn run_graph_update_impl(
                     trace: None,
                 }
             }
-            GraphRepr::LinkedList | GraphRepr::VarArray => {
+            None => {
                 // The pre-update graph stays in its bulk-loaded static
                 // form (standard streaming-graph design: CSR base +
-                // dynamic delta); the *new* edges go into an initially
-                // empty dynamic structure, so each first touch of a
-                // node during the timed phase allocates — the
-                // allocation rate the paper's Figure 17 exhibits.
-                let _base_csr = {
-                    let local_edges: Vec<(u32, u32)> = base.iter().flatten().copied().collect();
-                    CsrGraph::build(local_nodes, &local_edges)
-                };
+                // dynamic delta), which the update never reads, so it
+                // is not built here. The *new* edges go into an
+                // initially empty dynamic structure, so each first
+                // touch of a node during the timed phase allocates —
+                // the allocation rate the paper's Figure 17 exhibits.
                 let built = cfg.allocator.build(&mut dpu, cfg.n_tasklets, cfg.heap_size);
                 // Only DPU 0's allocator is recorded — its timeline is
                 // the one the figures single out, and one DPU's stream
@@ -389,7 +395,7 @@ fn run_graph_update_impl(
                     dpu.ctx(t).wait_until(t0);
                 }
                 let stats0 = dpu.total_stats();
-                let (events, per_tasklet) = run_phase(&mut dpu, &new, |dpu, tid, u, v| {
+                let (events, per_tasklet) = run_phase(&mut dpu, new, |dpu, tid, u, v| {
                     do_insert(dpu, alloc.as_dyn_mut(), tid, u, v)
                 });
                 let s = alloc.as_dyn().alloc_stats();
@@ -416,10 +422,12 @@ fn run_graph_update_impl(
                     total_mallocs,
                     cycles_frontend,
                     cycles_backend,
+                    // An idle DPU requested nothing, so it has no A/U.
                     frag: alloc
                         .as_dyn()
                         .as_any()
                         .downcast_ref::<pim_malloc::PimMalloc>()
+                        .filter(|_| !idle)
                         .map(|pm| pm.frag().ratio()),
                     trace: alloc.into_trace(),
                 }
@@ -648,6 +656,59 @@ mod tests {
     fn recording_static_csr_is_rejected() {
         let cfg = small(GraphRepr::StaticCsr, AllocatorKind::Sw);
         let _ = run_graph_update_recorded(&cfg);
+    }
+
+    #[test]
+    fn dpus_without_new_edges_run_an_empty_phase() {
+        // 10 new edges over 16 DPUs leave at least 6 DPUs idle.
+        for repr in [
+            GraphRepr::StaticCsr,
+            GraphRepr::LinkedList,
+            GraphRepr::VarArray,
+        ] {
+            let r = run_graph_update(&GraphUpdateConfig {
+                repr,
+                n_dpus: 16,
+                n_nodes: 256,
+                base_edges: 400,
+                new_edges: 10,
+                ..GraphUpdateConfig::default()
+            });
+            assert!(r.frag_ratio.is_finite(), "{repr:?}: A/U {}", r.frag_ratio);
+            assert!(r.update_secs > 0.0, "{repr:?}");
+        }
+    }
+
+    /// The per-DPU scan the one-pass partition replaced: DPU `dpu`'s
+    /// streams, kept from a filter over every edge.
+    fn filtered_streams(
+        edges: &[(u32, u32)],
+        dpu: usize,
+        n_dpus: usize,
+        n_tasklets: usize,
+    ) -> Vec<Vec<(u32, u32)>> {
+        let mut streams = vec![Vec::new(); n_tasklets];
+        for &(u, v) in edges {
+            let (d, t, local) = place(u, n_dpus, n_tasklets);
+            if d == dpu {
+                streams[t].push((local, v));
+            }
+        }
+        streams
+    }
+
+    #[test]
+    fn one_pass_partition_matches_per_dpu_filter() {
+        let g = generate_power_law(5000, 30_000, 3);
+        let parts = partition(&g.edges, 7, 16);
+        assert_eq!(parts.len(), 7);
+        for (dpu, streams) in parts.iter().enumerate() {
+            assert_eq!(
+                streams,
+                &filtered_streams(&g.edges, dpu, 7, 16),
+                "DPU {dpu}"
+            );
+        }
     }
 
     #[test]
