@@ -217,16 +217,15 @@ pub fn run(id: &str, quick: bool, seed: Option<u64>) -> Vec<Experiment> {
 mod tests {
     use super::*;
 
-    /// Committed `repro all --quick --json` outputs, one `<id>.json` per
-    /// experiment.
+    /// Committed `repro all --json` outputs, one `<id>.json` per
+    /// experiment: quick mode at the top, full scale under `full/`.
     const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
 
-    /// Runs the whole quick catalogue and diffs every experiment's JSON
-    /// against its golden file byte for byte. `PIM_BLESS=1` rewrites the
-    /// goldens instead, so a deliberate output change shows up as a
-    /// reviewable diff under `tests/golden/`.
-    #[test]
-    fn every_listed_id_runs_in_quick_mode() {
+    /// Runs the whole catalogue at the `quick` scale and diffs every
+    /// experiment's JSON against its golden file in `dir` byte for
+    /// byte. `PIM_BLESS=1` rewrites the goldens instead, so a
+    /// deliberate output change shows up as a reviewable diff.
+    fn check_goldens(quick: bool, dir: &str) {
         let bless = std::env::var("PIM_BLESS").is_ok_and(|v| v == "1");
         let mut mismatched = Vec::new();
         for entry in &CATALOG {
@@ -235,13 +234,14 @@ mod tests {
                 "{} needs a description",
                 entry.id
             );
-            let out = run(entry.id, true, None);
+            let out = run(entry.id, quick, None);
             assert!(!out.is_empty(), "{} produced no experiments", entry.id);
             for e in out {
                 assert!(!e.rows.is_empty(), "{} produced an empty table", entry.id);
-                let path = std::path::Path::new(GOLDEN_DIR).join(format!("{}.json", e.id));
+                let path = std::path::Path::new(dir).join(format!("{}.json", e.id));
                 let json = e.to_json();
                 if bless {
+                    std::fs::create_dir_all(dir).expect("create golden dir");
                     std::fs::write(&path, &json).expect("write golden");
                 } else if std::fs::read_to_string(&path).ok().as_deref() != Some(json.as_str()) {
                     mismatched.push(e.id);
@@ -250,8 +250,24 @@ mod tests {
         }
         assert!(
             mismatched.is_empty(),
-            "quick outputs differ from tests/golden/ for {mismatched:?}; \
+            "outputs differ from {dir} for {mismatched:?}; \
              rerun with PIM_BLESS=1 to rewrite the goldens"
+        );
+    }
+
+    #[test]
+    fn every_listed_id_runs_in_quick_mode() {
+        check_goldens(true, GOLDEN_DIR);
+    }
+
+    /// The paper-scale sweeps: seconds in release, minutes in debug, so
+    /// CI runs this one with `--release -- --ignored`.
+    #[test]
+    #[ignore = "full scale; run in release with --ignored"]
+    fn every_listed_id_matches_full_scale_golden() {
+        check_goldens(
+            false,
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/full"),
         );
     }
 
