@@ -5,16 +5,12 @@
 //!   PIM-malloc-SW instance, exercising the thread caches and the O(1)
 //!   frame-table free routing on the host (the path that used to walk
 //!   a `BTreeMap` oracle). ns/iter ÷ 1e6 gives host nanoseconds per
-//!   allocator operation. The report also records `page_hit_rate`,
+//!   allocator operation. The report also records `class_hit_rate`,
 //!   the deterministic fraction of class-eligible requests served
 //!   without a backend refill.
 //! * `churn_xtask_1m_ops` — the same churn with every free issued by
 //!   the *next* tasklet, so every free is remote and takes the
-//!   three-tier batched remote-free path.
-//! * Tier speedup — the producer-consumer trace family replayed on
-//!   the default three-tier allocator vs the two-tier config, both
-//!   fully modeled (deterministic), reporting the finish-time speedup
-//!   batched remote frees buy over the global-lock remote-free path.
+//!   batched remote-free path.
 //! * `fig15_64dpu/{serial,parallel}` — a Figure 15-style 64-DPU
 //!   microbenchmark sweep executed with the serial `run_per_dpu` loop
 //!   vs the scoped-thread `run_per_dpu_parallel` engine.
@@ -24,11 +20,10 @@
 //!
 //! Before the timed groups run, one untimed pass measures everything
 //! and writes `BENCH_host_throughput.json` (ops/sec for both churn
-//! variants plus the serial-vs-parallel, batched-vs-unbatched, and
-//! three-tier-vs-two-tier speedups). CI uploads the file as an
-//! artifact and gates on all speedups staying ≥ 1.0 and the churn
-//! throughput staying above its floor, so a lost parallelism,
-//! batching, or tiering win fails the build
+//! variants plus the serial-vs-parallel and batched-vs-unbatched
+//! speedups). CI uploads the file as an artifact and gates on both
+//! speedups staying ≥ 1.0 and the churn throughput staying above its
+//! floor, so a lost parallelism or batching win fails the build
 //! instead of scrolling past in a log. The modeled fields are
 //! deterministic and must be byte-identical across `PIM_EXEC_WORKERS`
 //! settings; CI runs the report on two worker legs and diffs the JSON
@@ -38,9 +33,8 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_dse::{run_strategy, DseConfig, DseResult, Strategy};
-use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc, TierPolicy};
-use pim_sim::{Cycles, DpuConfig, DpuSim, HostBatching, PimSystem};
-use pim_trace::{replay, synthesize, SizeLaw, SynthConfig, TemporalShape};
+use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc};
+use pim_sim::{DpuConfig, DpuSim, HostBatching, PimSystem};
 use pim_workloads::driver::{drive, Request};
 use pim_workloads::AllocatorKind;
 
@@ -52,7 +46,7 @@ const DSE_DPUS: usize = 256;
 /// of 64 live slots per tasklet (freeing the oldest once full), sizes
 /// cycling through every size class plus a bypass. With `cross_tasklet`
 /// every free is issued by the next tasklet, so it takes the allocator's
-/// remote-free path (batched, three-tier, by default).
+/// batched remote-free path.
 /// Returns `(total mallocs, class-eligible hit rate)` — both
 /// deterministic, since the op stream is fixed.
 fn churn_with(cross_tasklet: bool) -> (u64, f64) {
@@ -103,36 +97,6 @@ fn churn() -> (u64, f64) {
 
 fn churn_xtask() -> (u64, f64) {
     churn_with(true)
-}
-
-/// Replays the producer-consumer trace family on one DPU under the
-/// given free-path hierarchy and returns the modeled finish time plus
-/// the remote-free count. Fully deterministic: fixed trace seed, fixed
-/// geometry, virtual-time replay.
-fn tier_pc_finish(policy: TierPolicy) -> (Cycles, u64) {
-    let trace = synthesize(&SynthConfig {
-        n_tasklets: 16,
-        mallocs_per_tasklet: 256,
-        live_window: 32,
-        size_law: SizeLaw::Fixed(512),
-        shape: TemporalShape::ProducerConsumer { compute: 500 },
-        heap_size: 32 << 20,
-        seed: 0xA110C,
-    });
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
-    let mut geom = AllocGeometry::sw(trace.n_tasklets).with_heap_size(trace.heap_size);
-    if policy == TierPolicy::TwoTier {
-        geom = geom.two_tier();
-    }
-    let mut alloc: Box<dyn PimAllocator> =
-        Box::new(PimMalloc::init(&mut dpu, geom.build()).expect("init"));
-    let result = replay(&mut dpu, alloc.as_mut(), &trace);
-    let pm = alloc
-        .as_any()
-        .downcast_ref::<PimMalloc>()
-        .expect("PimMalloc");
-    let remote = pm.alloc_stats().frees_remote_transfer + pm.alloc_stats().frees_remote_global;
-    (result.finish, remote)
 }
 
 /// One DPU's share of a Figure 15-style cell: 16 tasklets × 32
@@ -194,10 +158,10 @@ fn emit_ci_report(_c: &mut Criterion) {
         }
         (CHURN_OPS as f64 / best, mallocs, hit_rate)
     };
-    let (churn_ops_per_sec, mallocs, page_hit_rate) = churn_best(churn);
+    let (churn_ops_per_sec, mallocs, class_hit_rate) = churn_best(churn);
     println!(
         "host_throughput/churn_1m_ops: {churn_ops_per_sec:.0} host ops/sec \
-         ({mallocs} mallocs, hit rate {page_hit_rate:.4})"
+         ({mallocs} mallocs, hit rate {class_hit_rate:.4})"
     );
 
     // Cross-tasklet churn: every free is remote, priced in batches
@@ -206,22 +170,6 @@ fn emit_ci_report(_c: &mut Criterion) {
     println!(
         "host_throughput/churn_xtask_1m_ops: {churn_xtask_ops_per_sec:.0} host ops/sec \
          ({xtask_mallocs} mallocs, all frees remote)"
-    );
-
-    // Producer-consumer tier comparison (modeled, deterministic): the
-    // default three-tier allocator vs the two-tier config on the same
-    // remote-free-heavy trace.
-    let (three_finish, three_remote) = tier_pc_finish(TierPolicy::ThreeTier);
-    let (two_finish, two_remote) = tier_pc_finish(TierPolicy::TwoTier);
-    assert_eq!(
-        three_remote, two_remote,
-        "both tiers must see the same remote frees"
-    );
-    let tier_pc_speedup = two_finish.0 as f64 / three_finish.0 as f64;
-    println!(
-        "host_throughput/tier_pc: three-tier finish {} cycles, two-tier {} cycles, \
-         speedup {tier_pc_speedup:.3}x over {three_remote} remote frees",
-        three_finish.0, two_finish.0
     );
 
     // Serial vs parallel wall clock for the 64-DPU figure run.
@@ -286,13 +234,9 @@ fn emit_ci_report(_c: &mut Criterion) {
          \"bench\": \"host_throughput\",\n  \
          \"churn_ops_per_sec\": {churn_ops_per_sec:.1},\n  \
          \"churn_mallocs\": {mallocs},\n  \
-         \"page_hit_rate\": {page_hit_rate:.6},\n  \
+         \"class_hit_rate\": {class_hit_rate:.6},\n  \
          \"churn_xtask_ops_per_sec\": {churn_xtask_ops_per_sec:.1},\n  \
          \"churn_xtask_mallocs\": {xtask_mallocs},\n  \
-         \"tier_pc_three_tier_finish_cycles\": {},\n  \
-         \"tier_pc_two_tier_finish_cycles\": {},\n  \
-         \"tier_pc_remote_frees\": {three_remote},\n  \
-         \"tier_pc_speedup\": {tier_pc_speedup:.4},\n  \
          \"fig15_serial_secs\": {serial_secs:.6},\n  \
          \"fig15_parallel_secs\": {parallel_secs:.6},\n  \
          \"parallel_speedup\": {parallel_speedup:.4},\n  \
@@ -301,8 +245,6 @@ fn emit_ci_report(_c: &mut Criterion) {
          \"dse256_per_dpu_calls\": {},\n  \
          \"dse256_sharded_calls\": {},\n  \
          \"batched_speedup\": {batched_speedup:.4}\n}}\n",
-        three_finish.0,
-        two_finish.0,
         per_dpu.transfer_secs,
         sharded.transfer_secs,
         per_dpu.transfer_calls,

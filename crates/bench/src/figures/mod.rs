@@ -15,9 +15,7 @@ mod graph_figs;
 mod llm_figs;
 mod micro_figs;
 mod overhead_figs;
-mod page_figs;
 mod serve_figs;
-mod tier_figs;
 mod trace_figs;
 mod tune_figs;
 
@@ -29,9 +27,7 @@ pub use graph_figs::{fig11, fig17, fig3c};
 pub use llm_figs::{fig18, fig4b};
 pub use micro_figs::{ablation_descent, ablation_swlru, fig15, fig16, fig7, fig8};
 pub use overhead_figs::{hw_overhead, metadata_overhead, table3};
-pub use page_figs::page_frontend;
 pub use serve_figs::serve_frontend;
-pub use tier_figs::tier_comparison;
 pub use trace_figs::{scenario_families, trace_artifact_files, trace_replay, TRACE_DEFAULT_SEED};
 pub use tune_figs::{geometry_tune, tune_families, Measured, TunedFamily};
 
@@ -61,7 +57,7 @@ pub struct CatalogEntry {
 
 /// Every experiment, in paper order (extensions last). `repro list`
 /// prints this catalogue; [`run`] dispatches through it.
-pub const CATALOG: [CatalogEntry; 23] = [
+pub const CATALOG: [CatalogEntry; 21] = [
     CatalogEntry {
         id: "fig3c",
         description: "graph-update slowdown vs pre-update graph size, static vs dynamic",
@@ -166,16 +162,6 @@ pub const CATALOG: [CatalogEntry; 23] = [
         id: "chaos",
         description: "resilience: self-healing serving under a fault plan + allocator fault injection",
         runner: |quick, seed| vec![chaos_resilience(quick, seed.unwrap_or(CHAOS_DEFAULT_SEED))],
-    },
-    CatalogEntry {
-        id: "tiers",
-        description: "free-path tiering: three-tier batched remote frees vs two-tier global lock on producer-consumer",
-        runner: |quick, seed| vec![tier_comparison(quick, seed.unwrap_or(TRACE_DEFAULT_SEED))],
-    },
-    CatalogEntry {
-        id: "pages",
-        description: "page/queue frontend vs legacy bitmap scan: finish, latency, hit rate",
-        runner: |quick, seed| vec![page_frontend(quick, seed.unwrap_or(TRACE_DEFAULT_SEED))],
     },
     CatalogEntry {
         id: "tune",
@@ -289,7 +275,7 @@ mod tests {
             assert!(is_known(id));
         }
         // The extension experiments landed across PRs stay listed.
-        for required in ["trace", "serve", "chaos", "tiers", "tune", "pages"] {
+        for required in ["trace", "serve", "chaos", "tune"] {
             assert!(is_known(required), "{required} missing from CATALOG");
         }
     }

@@ -68,11 +68,9 @@ pub fn metadata_overhead() -> Experiment {
     );
     let straw = BuddyGeometry::new(0, 32 << 20, 32);
     let backend = BuddyGeometry::new(0, 32 << 20, 4096);
-    let bitmaps_per_cache = pim_malloc::ThreadCache::new(
-        &pim_malloc::SizeClassTable::paper_default(),
-        pim_malloc::FrontendKind::default(),
-    )
-    .bitmap_wram_bytes();
+    let bitmaps_per_cache =
+        pim_malloc::ThreadCache::new(&pim_malloc::SizeClassTable::paper_default())
+            .bitmap_wram_bytes();
     e.push(Row::new(
         "straw-man (20-level tree)",
         vec![("KB", f64::from(straw.metadata_bytes()) / 1024.0)],

@@ -206,38 +206,6 @@ impl SizeClassTable {
     }
 }
 
-/// Which price list the thread caches ([`crate::ThreadCache`]) charge.
-/// The structure, and so every address, error, and fragmentation
-/// count, is the same under both; only simulated cycles differ.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrontendKind {
-    /// The paper's bitmap scan: every alloc pays for each block and
-    /// bitmap word it examines in the MRU-ordered class pool, every
-    /// free for each block it searches to find the freed address.
-    /// Default.
-    #[default]
-    BitmapClasses,
-    /// A mimalloc-style page queue: alloc and free cost a constant,
-    /// plus a small step per full block that a formerly-full block
-    /// passes on its way back into the available queue.
-    PageLocal,
-}
-
-/// How the allocator prices a cross-tasklet free. Both hierarchies
-/// return the same addresses; only simulated cycles differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TierPolicy {
-    /// Thread caches over the buddy backend only. Cross-tasklet frees
-    /// walk the owner's private cache under the global backend lock —
-    /// the design before batched remote frees, kept for comparison.
-    TwoTier,
-    /// Cross-tasklet frees update the owner's bitmap unpriced, mark the
-    /// slot remote, and are charged in batches: a few instructions per
-    /// free and per reuse of a remote slot, plus one MRAM round-trip
-    /// per batch of eight. Default.
-    ThreeTier,
-}
-
 /// Immutable configuration of a [`crate::PimMalloc`] instance (one per
 /// DPU). Built by [`AllocGeometry`]; read through getters.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,8 +219,6 @@ pub struct PimMallocConfig {
     pub(crate) prepopulate: bool,
     pub(crate) descent: DescentPolicy,
     pub(crate) quarantine_after: Option<u32>,
-    pub(crate) tier: TierPolicy,
-    pub(crate) frontend: FrontendKind,
 }
 
 impl PimMallocConfig {
@@ -295,16 +261,6 @@ impl PimMallocConfig {
     pub fn quarantine_after(&self) -> Option<u32> {
         self.quarantine_after
     }
-
-    /// The free-path hierarchy.
-    pub fn tier(&self) -> TierPolicy {
-        self.tier
-    }
-
-    /// The price list the thread caches charge.
-    pub fn frontend(&self) -> FrontendKind {
-        self.frontend
-    }
 }
 
 /// Fluent builder for [`PimMallocConfig`]: preset entry points,
@@ -316,8 +272,7 @@ pub struct AllocGeometry {
 
 impl AllocGeometry {
     /// The paper's PIM-malloc-SW preset for `n_tasklets`: 32 MB heap,
-    /// coarse 2 KB software metadata window, eager pre-population,
-    /// three-tier free path.
+    /// coarse 2 KB software metadata window, eager pre-population.
     pub fn sw(n_tasklets: usize) -> Self {
         AllocGeometry {
             cfg: PimMallocConfig {
@@ -330,8 +285,6 @@ impl AllocGeometry {
                 prepopulate: true,
                 descent: DescentPolicy::FullMarks,
                 quarantine_after: None,
-                tier: TierPolicy::ThreeTier,
-                frontend: FrontendKind::default(),
             },
         }
     }
@@ -393,32 +346,6 @@ impl AllocGeometry {
     pub fn with_quarantine(mut self, n: u32) -> Self {
         self.cfg.quarantine_after = Some(n);
         self
-    }
-
-    /// Selects the free-path hierarchy (default
-    /// [`TierPolicy::ThreeTier`]).
-    pub fn with_tiering(mut self, policy: TierPolicy) -> Self {
-        self.cfg.tier = policy;
-        self
-    }
-
-    /// Shorthand for `with_tiering(TierPolicy::TwoTier)` — the
-    /// global-lock remote-free path, kept for comparison.
-    pub fn two_tier(self) -> Self {
-        self.with_tiering(TierPolicy::TwoTier)
-    }
-
-    /// Selects the thread caches' price list (default
-    /// [`FrontendKind::BitmapClasses`]).
-    pub fn with_frontend(mut self, frontend: FrontendKind) -> Self {
-        self.cfg.frontend = frontend;
-        self
-    }
-
-    /// Prices the thread caches as mimalloc-style page queues —
-    /// shorthand for `with_frontend(FrontendKind::PageLocal)`.
-    pub fn page_local(self) -> Self {
-        self.with_frontend(FrontendKind::PageLocal)
     }
 
     /// Validates and returns the finished configuration.
@@ -526,7 +453,6 @@ mod tests {
         assert_eq!(sw.size_classes().classes(), DEFAULT_SIZE_CLASSES);
         assert!(sw.prepopulate());
         assert!(matches!(sw.backend(), BackendKind::Coarse { .. }));
-        assert_eq!(sw.tier(), TierPolicy::ThreeTier);
         let hw = AllocGeometry::hw_sw(16).build();
         assert!(matches!(hw.backend(), BackendKind::HwCache { .. }));
     }
@@ -547,32 +473,6 @@ mod tests {
         assert_eq!(cfg.size_classes().classes(), [64, 512]);
         assert_eq!(cfg.quarantine_after(), Some(3));
         assert!(!cfg.prepopulate());
-    }
-
-    #[test]
-    fn two_tier_is_config_reachable() {
-        let cfg = AllocGeometry::sw(2).two_tier().build();
-        assert_eq!(cfg.tier(), TierPolicy::TwoTier);
-    }
-
-    #[test]
-    fn frontend_defaults_to_bitmap_and_toggles_both_ways() {
-        assert_eq!(
-            AllocGeometry::sw(2).build().frontend(),
-            FrontendKind::BitmapClasses
-        );
-        assert_eq!(
-            AllocGeometry::sw(2).page_local().build().frontend(),
-            FrontendKind::PageLocal
-        );
-        assert_eq!(
-            AllocGeometry::sw(2)
-                .page_local()
-                .with_frontend(FrontendKind::BitmapClasses)
-                .build()
-                .frontend(),
-            FrontendKind::BitmapClasses
-        );
     }
 
     #[test]

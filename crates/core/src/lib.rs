@@ -17,27 +17,16 @@
 //!   metadata served by a per-core hardware buddy cache (a 16-entry
 //!   CAM with LRU replacement and 1-cycle access).
 //!
-//! ## Three tiers
-//!
-//! By default [`PimMalloc`] prices cross-tasklet frees in batches: the
-//! free marks its slot remote in the owner's [`ThreadCache`], and two
-//! counters per size class charge one simulated MRAM round-trip per
-//! eight remote frees and per eight reuses of remote slots. The legacy
-//! two-tier hierarchy — remote frees walk the owner's cache under the
-//! global backend lock — stays reachable via
-//! [`AllocGeometry::two_tier`].
-//!
-//! ## Frontend
+//! ## Frontend and remote frees
 //!
 //! Size-class requests are served by the per-tasklet [`ThreadCache`]s:
-//! 4 KB blocks with one free bitmap each, the paper's design. The
-//! structure is the same under either [`FrontendKind`]; the kind only
-//! picks the price list the cache charges. `BitmapClasses` (default)
-//! prices the paper's block-by-block, word-by-word scan;
-//! `PageLocal` ([`AllocGeometry::page_local`]) prices a mimalloc-style
-//! page queue, whose alloc and free cost a constant. Addresses, errors,
-//! and fragmentation accounting are identical by construction;
-//! `tests/frontend_charges.rs` pins the per-op charges of both lists.
+//! 4 KB blocks with one free bitmap each, the paper's design, priced
+//! by the block-by-block, word-by-word scan. A cross-tasklet free
+//! marks its slot remote in the owner's cache, and two counters per
+//! size class charge one simulated MRAM round-trip per eight remote
+//! frees and per eight reuses of remote slots. No remote free takes
+//! the global backend lock. `tests/frontend_charges.rs` pins every
+//! op's charge against recorded digests.
 //!
 //! ## Error paths and quarantine
 //!
@@ -91,8 +80,7 @@ pub use buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy, MetadataBackend};
 pub use error::{AllocError, InitError};
 pub use frag::FragTracker;
 pub use geometry::{
-    AllocGeometry, FrontendKind, GeometryError, PimMallocConfig, SizeClassTable, TierPolicy,
-    SIZE_CLASS_ALIGN,
+    AllocGeometry, GeometryError, PimMallocConfig, SizeClassTable, SIZE_CLASS_ALIGN,
 };
 pub use metadata::{MetaStats, MetadataStore, NodeState};
 pub use pim_malloc::{BackendKind, PimMalloc};

@@ -1,5 +1,4 @@
-//! PIM-malloc: the hierarchical allocator (§IV of the paper), grown
-//! to three tiers.
+//! PIM-malloc: the hierarchical allocator (§IV of the paper).
 //!
 //! [`PimMalloc`] combines per-tasklet [`ThreadCache`] frontends with a
 //! mutex-protected backend [`BuddyAllocator`] whose tree is truncated
@@ -8,15 +7,14 @@
 //! lock-free from the calling tasklet's cache; larger requests bypass
 //! to the backend (Figure 10).
 //!
-//! Cross-tasklet frees are priced in batches by default (see
-//! [`TierPolicy`]) instead of by a global-lock walk of the owner's
-//! cache. The free updates the owner's bitmap unpriced and marks the
-//! slot remote ([`ThreadCache::free_remote`]); the owner's
-//! [`ThreadCache::alloc`] that reuses the slot reports the mark. Two
-//! counters per size class turn these events into batch traffic: every
-//! eighth remote free writes one batch of pointers to MRAM, and every
-//! eighth reuse of a remote slot reads one back. A block whose bitmap
-//! drains returns to the buddy backend with its marks.
+//! Cross-tasklet frees are priced in batches. The free updates the
+//! owner's bitmap unpriced and marks the slot remote
+//! ([`ThreadCache::free_remote`]); the owner's [`ThreadCache::alloc`]
+//! that reuses the slot reports the mark. Two counters per size class
+//! turn these events into batch traffic: every eighth remote free
+//! writes one batch of pointers to MRAM, and every eighth reuse of a
+//! remote slot reads one back. A block whose bitmap drains returns to
+//! the buddy backend with its marks.
 //!
 //! The backend's metadata store selects between the paper's variants:
 //! a coarse software buffer (**PIM-malloc-SW**), the hardware buddy
@@ -29,7 +27,7 @@ use crate::api::PimAllocator;
 use crate::buddy::{BuddyAllocator, BuddyGeometry, MetadataBackend};
 use crate::error::{AllocError, InitError};
 use crate::frag::FragTracker;
-use crate::geometry::{PimMallocConfig, SizeClassTable, TierPolicy};
+use crate::geometry::{PimMallocConfig, SizeClassTable};
 use crate::metadata::{MetaStats, MetadataStore};
 use crate::region_map::{FreeRoute, RegionMap};
 use crate::stats::{AllocStats, ServiceSite};
@@ -96,9 +94,6 @@ pub struct PimMalloc {
     /// The shared size-class geometry (also baked into every cache's
     /// pools).
     classes: SizeClassTable,
-    /// Free-path hierarchy: two-tier (global-lock remote frees) or
-    /// three-tier (batched remote frees).
-    tier: TierPolicy,
     /// Per class, remote frees staged since the last batch write.
     staged: Vec<u32>,
     /// Per class, remote slots reused since the last batch read.
@@ -142,7 +137,7 @@ impl PimMalloc {
         // backend's minimum block is the thread-cache block.
         let geometry = BuddyGeometry::new(config.heap_base, config.heap_size, CACHE_BLOCK_BYTES);
         let caches: Vec<ThreadCache> = (0..config.n_tasklets)
-            .map(|_| ThreadCache::new(&config.size_classes, config.frontend))
+            .map(|_| ThreadCache::new(&config.size_classes))
             .collect();
 
         // WRAM budget: backend metadata buffer + per-tasklet bitmaps.
@@ -201,7 +196,6 @@ impl PimMalloc {
                 backend_mutex,
                 region: RegionMap::new(config.heap_base, config.heap_size, CACHE_BLOCK_BYTES),
                 classes: config.size_classes.clone(),
-                tier: config.tier,
                 staged: vec![0; config.size_classes.len()],
                 claimed: vec![0; config.size_classes.len()],
                 stats: AllocStats::default(),
@@ -271,11 +265,6 @@ impl PimMalloc {
     /// The shared size-class geometry.
     pub fn size_classes(&self) -> &SizeClassTable {
         &self.classes
-    }
-
-    /// The free-path hierarchy this instance runs.
-    pub fn tier(&self) -> TierPolicy {
-        self.tier
     }
 
     /// Tasklet-0 time when `init` finished (initialization cost).
@@ -437,34 +426,20 @@ impl PimAllocator for PimMalloc {
                 requested,
             } => {
                 let outcome = if tid != ctx.tid() {
-                    match self.tier {
-                        // Three-tier: update the owner's bitmap host-side
-                        // (unpriced) and stage the pointer; the simulated
-                        // cost is a few WRAM instructions plus one MRAM
-                        // write per batch of staged pointers.
-                        TierPolicy::ThreeTier => {
-                            let outcome = self.caches[tid].free_remote(class_idx, addr);
-                            ctx.instrs(TRANSFER_PUSH_INSTRS);
-                            if outcome == FreeOutcome::Cached
-                                && completes_batch(&mut self.staged[class_idx])
-                            {
-                                ctx.mram_write(addr, TRANSFER_SLOT_BYTES * TRANSFER_BATCH);
-                                self.stats.transfer_flushes += 1;
-                            }
-                            self.stats.frees_remote_transfer += 1;
-                            outcome
-                        }
-                        // Two-tier: walk the owner's private cache
-                        // under the global backend lock (the legacy
-                        // cross-tasklet path batching replaces).
-                        TierPolicy::TwoTier => {
-                            ctx.mutex_lock(self.backend_mutex);
-                            let outcome = self.caches[tid].free(ctx, class_idx, addr);
-                            ctx.mutex_unlock(self.backend_mutex);
-                            self.stats.frees_remote_global += 1;
-                            outcome
-                        }
+                    // Update the owner's bitmap host-side (unpriced) and
+                    // stage the pointer; the simulated cost is a few WRAM
+                    // instructions plus one MRAM write per batch of
+                    // staged pointers.
+                    let outcome = self.caches[tid].free_remote(class_idx, addr);
+                    ctx.instrs(TRANSFER_PUSH_INSTRS);
+                    if outcome == FreeOutcome::Cached
+                        && completes_batch(&mut self.staged[class_idx])
+                    {
+                        ctx.mram_write(addr, TRANSFER_SLOT_BYTES * TRANSFER_BATCH);
+                        self.stats.transfer_flushes += 1;
                     }
+                    self.stats.frees_remote_transfer += 1;
+                    outcome
                 } else {
                     self.caches[tid].free(ctx, class_idx, addr)
                 };
@@ -806,7 +781,6 @@ mod tests {
             pm.pim_free(&mut ctx, addr).unwrap();
         }
         assert_eq!(pm.alloc_stats().frees_remote_transfer, 1);
-        assert_eq!(pm.alloc_stats().frees_remote_global, 0);
         // The owner's next allocation of that class reuses the
         // remote-freed slot and claims its staged pointer.
         let mut ctx = d.ctx(0);
@@ -820,17 +794,17 @@ mod tests {
         // 100 unclaimed remote frees in the 16 B class, past the 64 a
         // per-class staging ring used to hold. Every reuse is a
         // transfer hit, every 8th staged free wrote a batch, and the
-        // addresses are those of the global-lock path.
-        let run = |geo: AllocGeometry| {
+        // addresses are those of the same frees issued by the owner.
+        let run = |freer: usize| {
             let mut d = dpu(2);
-            let mut pm = PimMalloc::init(&mut d, geo.build()).unwrap();
+            let mut pm = PimMalloc::init(&mut d, small_sw(2).build()).unwrap();
             let mut addrs: Vec<u32> = {
                 let mut ctx = d.ctx(0);
                 (0..100)
                     .map(|_| pm.pim_malloc(&mut ctx, 16).unwrap())
                     .collect()
             };
-            let mut ctx = d.ctx(1);
+            let mut ctx = d.ctx(freer);
             for &a in &addrs {
                 pm.pim_free(&mut ctx, a).unwrap();
             }
@@ -838,13 +812,14 @@ mod tests {
             addrs.extend((0..100).map(|_| pm.pim_malloc(&mut ctx, 16).unwrap()));
             (addrs, pm.alloc_stats().clone())
         };
-        let (addrs, stats) = run(small_sw(2));
+        let (addrs, stats) = run(1);
         assert_eq!(stats.frees_remote_transfer, 100);
         assert_eq!(stats.transfer_hits, 100);
         assert_eq!(stats.transfer_flushes, 100 / 8);
         assert_eq!(stats.frontend_hits, 100);
-        let (two_tier_addrs, _) = run(small_sw(2).two_tier());
-        assert_eq!(addrs, two_tier_addrs);
+        let (owner_addrs, owner_stats) = run(0);
+        assert_eq!(owner_stats.frees_remote_transfer, 0);
+        assert_eq!(addrs, owner_addrs);
     }
 
     #[test]
@@ -917,55 +892,5 @@ mod tests {
         assert_eq!(malloc_reading(&mut d, &mut pm, 16), (small[0], 0));
         assert_eq!(pm.alloc_stats().transfer_hits, 10, "already claimed");
         assert_eq!(pm.alloc_stats().frontend_hits, 11);
-    }
-
-    #[test]
-    fn page_frontend_hot_path_is_cheaper_than_bitmap() {
-        // Same structure, two price lists: a hit priced as a page
-        // queue pop costs fewer simulated cycles than the bitmap scan
-        // once pools hold a few blocks.
-        let cost_of = |geo: AllocGeometry| {
-            let mut d = dpu(1);
-            let mut pm = PimMalloc::init(&mut d, geo.build()).unwrap();
-            let mut ctx = d.ctx(0);
-            // Deepen the pool so the legacy path has blocks to scan.
-            let held: Vec<u32> = (0..96)
-                .map(|_| pm.pim_malloc(&mut ctx, 64).unwrap())
-                .collect();
-            let t0 = ctx.now();
-            let a = pm.pim_malloc(&mut ctx, 64).unwrap();
-            let alloc_cost = (ctx.now() - t0).0;
-            let t0 = ctx.now();
-            pm.pim_free(&mut ctx, a).unwrap();
-            let free_cost = (ctx.now() - t0).0;
-            drop(held);
-            (alloc_cost, free_cost)
-        };
-        let (bm_alloc, bm_free) = cost_of(small_sw(1));
-        let (pg_alloc, pg_free) = cost_of(small_sw(1).page_local());
-        assert!(
-            pg_alloc <= bm_alloc && pg_free < bm_free,
-            "page path must not cost more: alloc {pg_alloc} vs {bm_alloc}, \
-             free {pg_free} vs {bm_free}"
-        );
-    }
-
-    #[test]
-    fn two_tier_remote_frees_take_the_global_lock_path() {
-        let mut d = dpu(2);
-        let mut pm = PimMalloc::init(&mut d, small_sw(2).two_tier().build()).unwrap();
-        let addr = {
-            let mut ctx = d.ctx(0);
-            pm.pim_malloc(&mut ctx, 256).unwrap()
-        };
-        let mut ctx = d.ctx(1);
-        pm.pim_free(&mut ctx, addr).unwrap();
-        assert_eq!(pm.alloc_stats().frees_remote_global, 1);
-        assert_eq!(pm.alloc_stats().frees_remote_transfer, 0);
-        // The owner's reuse of the slot is a plain hit: nothing was
-        // staged.
-        let mut ctx = d.ctx(0);
-        assert_eq!(pm.pim_malloc(&mut ctx, 256), Ok(addr));
-        assert_eq!(pm.alloc_stats().transfer_hits, 0);
     }
 }

@@ -16,7 +16,7 @@ pub enum ServiceSite {
     /// to the backend (thread-cache bypass).
     Bypass,
     /// Served from the thread cache by reusing a sub-block another
-    /// tasklet freed (three-tier only).
+    /// tasklet freed.
     TransferHit,
 }
 
@@ -45,10 +45,10 @@ pub struct AllocStats {
     /// Always 0: the central free list this counted is gone. Kept so
     /// readers of the full counter set keep working.
     pub central_hits: u64,
-    /// Cross-tasklet frees priced in batches (three-tier).
+    /// Cross-tasklet frees, each priced in batches.
     pub frees_remote_transfer: u64,
-    /// Cross-tasklet frees that walked the owner's cache under the
-    /// global backend lock (two-tier).
+    /// Always 0, like [`AllocStats::central_hits`]: no remote free
+    /// takes the global backend lock.
     pub frees_remote_global: u64,
     /// Batches of remote frees written out (one MRAM write each).
     pub transfer_flushes: u64,
@@ -84,9 +84,9 @@ impl AllocStats {
     /// Fraction of *class-eligible* `pim_malloc` calls served without
     /// a backend refill: hits (plain or remote-freed) over hits plus
     /// refills. Bypass requests are excluded — they never had a
-    /// page/cache to hit. This is the `page_hit_rate` the bench report
-    /// gates on: a healthy frontend absorbs ≥ 90% of class-eligible
-    /// traffic.
+    /// cached block to hit. This is the `class_hit_rate` the bench
+    /// report gates on: a healthy frontend absorbs ≥ 90% of
+    /// class-eligible traffic.
     pub fn class_hit_rate(&self) -> f64 {
         let hits = self.frontend_hits + self.transfer_hits;
         let eligible = hits + self.frontend_refills;

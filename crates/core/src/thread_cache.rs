@@ -8,12 +8,9 @@
 //! to its tasklet, no mutex is needed: small allocations are O(1) and
 //! contention-free.
 //!
-//! The cache is the only frontend structure; [`FrontendKind`] picks
-//! the price list its operations charge. The paper's bitmap scan pays
-//! for every block and word it examines. The page/queue list charges
-//! what mimalloc-style page queues would: a constant alloc and free,
-//! plus a small step for each full block passed when a full block gets
-//! a slot back and rejoins the queue of blocks with free slots.
+//! Every alloc pays for each block and bitmap word its scan examines,
+//! and every free for each block it searches to find the freed
+//! address.
 //!
 //! Each block also keeps a second bitmap of *remote* marks: a slot
 //! freed by another tasklet ([`ThreadCache::free_remote`]) is marked
@@ -25,7 +22,7 @@
 use pim_sim::TaskletCtx;
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{FrontendKind, SizeClassTable};
+use crate::geometry::SizeClassTable;
 
 /// The paper's default size classes: powers of two from 16 B to 2 KB.
 pub const DEFAULT_SIZE_CLASSES: [u32; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
@@ -43,16 +40,6 @@ const BLOCK_SCAN_INSTRS: u64 = 6;
 const WORD_SCAN_INSTRS: u64 = 8;
 /// Instructions to flip a bitmap bit and compute the sub-block address.
 const BIT_OP_INSTRS: u64 = 30;
-/// Page/queue price of an alloc attempt, hit or miss: queue-head load,
-/// two `trailing_zeros` (the DPU has a count-leading-zeros unit), bit
-/// clear, counter bump, address multiply-add, and the MRU relink.
-const QUEUE_ALLOC_INSTRS: u64 = 30;
-/// Page/queue price of a free: frame-table shift+load, slot divide,
-/// bit set, counter drop, and the full/empty checks.
-const QUEUE_FREE_INSTRS: u64 = 36;
-/// Page/queue price per full block a formerly-full block steps over
-/// to rejoin the available queue at its MRU-order position.
-const QUEUE_REQUEUE_STEP_INSTRS: u64 = 4;
 
 /// Marks the first `slots` positions free (bit = 1) and every padding
 /// bit beyond them busy (bit = 0).
@@ -169,22 +156,19 @@ pub enum FreeOutcome {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThreadCache {
     pools: Vec<SizeClassPool>,
-    /// The price list every charged operation bills.
-    prices: FrontendKind,
 }
 
 impl ThreadCache {
     /// Creates an empty cache over the shared size-class geometry
     /// (class validation and `class_for` lookup live on
-    /// [`SizeClassTable`]), charging the `prices` list.
-    pub fn new(size_classes: &SizeClassTable, prices: FrontendKind) -> Self {
+    /// [`SizeClassTable`]).
+    pub fn new(size_classes: &SizeClassTable) -> Self {
         ThreadCache {
             pools: size_classes
                 .classes()
                 .iter()
                 .map(|&c| SizeClassPool::new(c))
                 .collect(),
-            prices,
         }
     }
 
@@ -233,17 +217,13 @@ impl ThreadCache {
             pool.blocks[..=bi].rotate_right(1);
             Slot { addr, remote }
         });
-        ctx.instrs(match self.prices {
-            FrontendKind::BitmapClasses => scan,
-            FrontendKind::PageLocal => QUEUE_ALLOC_INSTRS,
-        });
+        ctx.instrs(scan);
         slot
     }
 
     /// Installs a fresh 4 KB block (from the backend) into a pool.
     pub fn add_block(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize, base: u32) {
-        // Link the block and init its bitmap head; both price lists
-        // charge the same install.
+        // Link the block and init its bitmap head.
         ctx.instrs(BIT_OP_INSTRS + 4);
         let class = self.pools[class_idx].class_bytes;
         self.pools[class_idx]
@@ -265,31 +245,14 @@ impl ThreadCache {
     /// sub-block is already free (double free) — both are program bugs
     /// the shadow bookkeeping in [`crate::PimMalloc`] rules out.
     pub fn free(&mut self, ctx: &mut TaskletCtx<'_>, class_idx: usize, addr: u32) -> FreeOutcome {
-        let (outcome, bi, was_full) = self.free_at(class_idx, addr, false);
-        ctx.instrs(match self.prices {
-            FrontendKind::BitmapClasses => {
-                REQUEST_INSTRS + BLOCK_SCAN_INSTRS * (bi as u64 + 1) + BIT_OP_INSTRS
-            }
-            FrontendKind::PageLocal => {
-                // A block that was full rejoins the available queue
-                // behind the unbroken run of full blocks ahead of it.
-                // (It stays cached: every class has at least two slots
-                // per block, so one free cannot empty a full block.)
-                let requeue_steps = if was_full {
-                    let ahead = &self.pools[class_idx].blocks[..bi];
-                    ahead.iter().rev().take_while(|b| b.free_slots == 0).count() as u64
-                } else {
-                    0
-                };
-                QUEUE_FREE_INSTRS + QUEUE_REQUEUE_STEP_INSTRS * requeue_steps
-            }
-        });
+        let (outcome, bi) = self.free_at(class_idx, addr, false);
+        ctx.instrs(REQUEST_INSTRS + BLOCK_SCAN_INSTRS * (bi as u64 + 1) + BIT_OP_INSTRS);
         outcome
     }
 
     /// [`ThreadCache::free`] by another tasklet, without charging the
-    /// caller: [`crate::PimMalloc`] prices a three-tier remote free in
-    /// batches, and the freeing tasklet never walks the owner's private
+    /// caller: [`crate::PimMalloc`] prices a remote free in batches,
+    /// and the freeing tasklet never walks the owner's private
     /// structures. If the slot stays cached it is marked remote until
     /// an [`ThreadCache::alloc`] reuses it.
     pub fn free_remote(&mut self, class_idx: usize, addr: u32) -> FreeOutcome {
@@ -297,10 +260,9 @@ impl ThreadCache {
     }
 
     /// Shared mutation of both free variants (`remote` marks the slot);
-    /// returns the outcome, the index of the containing block (the scan
-    /// depth the bitmap price list charges), and whether that block was
-    /// full before the free.
-    fn free_at(&mut self, class_idx: usize, addr: u32, remote: bool) -> (FreeOutcome, usize, bool) {
+    /// returns the outcome and the index of the containing block (the
+    /// scan depth a local free pays for).
+    fn free_at(&mut self, class_idx: usize, addr: u32, remote: bool) -> (FreeOutcome, usize) {
         let pool = &mut self.pools[class_idx];
         let bi = pool
             .blocks
@@ -316,7 +278,6 @@ impl ThreadCache {
             "double free of {addr:#x} in class {}",
             pool.class_bytes
         );
-        let was_full = block.free_slots == 0;
         block.bitmap[wi] |= 1u64 << bit;
         // A released block drops its marks with it.
         block.remote[wi] |= u64::from(remote) << bit;
@@ -329,7 +290,7 @@ impl ThreadCache {
         } else {
             FreeOutcome::Cached
         };
-        (outcome, bi, was_full)
+        (outcome, bi)
     }
 }
 
@@ -343,21 +304,7 @@ mod tests {
     }
 
     fn cache() -> ThreadCache {
-        ThreadCache::new(&SizeClassTable::paper_default(), FrontendKind::default())
-    }
-
-    fn page_priced() -> ThreadCache {
-        ThreadCache::new(&SizeClassTable::paper_default(), FrontendKind::PageLocal)
-    }
-
-    /// Instructions `f` charges on `ctx`: its cycles over one instruction's.
-    fn instrs_charged(ctx: &mut TaskletCtx<'_>, f: impl FnOnce(&mut TaskletCtx<'_>)) -> u64 {
-        let t0 = ctx.now();
-        ctx.instrs(1);
-        let per_instr = (ctx.now() - t0).0;
-        let t0 = ctx.now();
-        f(ctx);
-        (ctx.now() - t0).0 / per_instr
+        ThreadCache::new(&SizeClassTable::paper_default())
     }
 
     #[test]
@@ -433,7 +380,7 @@ mod tests {
     #[test]
     fn smallest_class_fills_every_bitmap_word() {
         let table = SizeClassTable::new([crate::SIZE_CLASS_ALIGN]);
-        let mut c = ThreadCache::new(&table, FrontendKind::default());
+        let mut c = ThreadCache::new(&table);
         let mut d = dpu();
         let mut ctx = d.ctx(0);
         c.add_block(&mut ctx, 0, 0); // 512 slots, 8 bitmap words
@@ -500,63 +447,6 @@ mod tests {
             last = (ctx.now() - t).0;
         }
         assert!(last <= first * 3, "hit cost drifted: {first} -> {last}");
-    }
-
-    #[test]
-    fn constant_cost_alloc_and_free() {
-        // The page/queue price list is flat: no charge depends on how
-        // many blocks or words the scan examined.
-        let mut d = dpu();
-        let mut c = page_priced();
-        let mut ctx = d.ctx(0);
-        let miss = instrs_charged(&mut ctx, |ctx| assert!(c.alloc(ctx, 1).is_none()));
-        assert_eq!(miss, QUEUE_ALLOC_INSTRS, "a miss costs what a hit does");
-        c.add_block(&mut ctx, 1, 0x1000); // 32 B: 128 slots
-        c.add_block(&mut ctx, 1, 0x2000);
-        let mut held = Vec::new();
-        for i in 0..200 {
-            let hit = instrs_charged(&mut ctx, |ctx| held.push(c.alloc(ctx, 1).unwrap().addr));
-            assert_eq!(hit, QUEUE_ALLOC_INSTRS, "alloc {i}");
-        }
-        let free = instrs_charged(&mut ctx, |ctx| {
-            c.free(ctx, 1, held[0]);
-        });
-        assert_eq!(free, QUEUE_FREE_INSTRS);
-    }
-
-    #[test]
-    fn full_block_requeue_prices_the_full_run_ahead() {
-        let mut d = dpu();
-        let mut c = page_priced();
-        let mut ctx = d.ctx(0);
-        // 1 KB class, 4 slots per block. A and B fill up; C is the MRU
-        // block with one slot used, so MRU order is [C, B, A].
-        let mut fill = |c: &mut ThreadCache, base: u32, n: usize| {
-            c.add_block(&mut ctx, 6, base);
-            for _ in 0..n {
-                c.alloc(&mut ctx, 6).unwrap();
-            }
-        };
-        fill(&mut c, 0x1000, 4);
-        fill(&mut c, 0x2000, 4);
-        fill(&mut c, 0x3000, 1);
-        // Freeing into full A steps over the one full block ahead of
-        // it (B); C, not full, ends the run.
-        let requeue = instrs_charged(&mut ctx, |ctx| {
-            assert_eq!(c.free(ctx, 6, 0x1000), FreeOutcome::Cached);
-        });
-        assert_eq!(requeue, QUEUE_FREE_INSTRS + QUEUE_REQUEUE_STEP_INSTRS);
-        // A is no longer full, so the next free into it steps over
-        // nothing, though B is still full ahead of it.
-        let plain = instrs_charged(&mut ctx, |ctx| {
-            assert_eq!(c.free(ctx, 6, 0x1400), FreeOutcome::Cached);
-        });
-        assert_eq!(plain, QUEUE_FREE_INSTRS);
-        // The requeued block serves in MRU order: C fills first, then
-        // A's lowest freed slots; B stays full.
-        let order: Vec<u32> = (0..5).map(|_| c.alloc(&mut ctx, 6).unwrap().addr).collect();
-        assert_eq!(order, [0x3400, 0x3800, 0x3C00, 0x1000, 0x1400]);
-        assert!(c.alloc(&mut ctx, 6).is_none());
     }
 
     #[test]
@@ -631,24 +521,23 @@ mod tests {
 
     #[test]
     fn unpriced_free_mutates_identically_but_charges_nothing() {
-        for mut priced in [cache(), page_priced()] {
-            let mut d = dpu();
-            let mut unpriced = priced.clone();
-            let mut ctx = d.ctx(0);
-            priced.add_block(&mut ctx, 4, 0x1000);
-            unpriced.add_block(&mut ctx, 4, 0x1000);
-            let a = priced.alloc(&mut ctx, 4).unwrap().addr;
-            assert_eq!(unpriced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
-            let before = ctx.now();
-            assert_eq!(unpriced.free_remote(4, a), FreeOutcome::Cached);
-            assert_eq!(ctx.now(), before, "remote free charges no cycles");
-            priced.free(&mut ctx, 4, a);
-            assert!(ctx.now() > before, "priced free does charge");
-            // Identical post-state: the freed slot is reissued first by
-            // both variants.
-            assert_eq!(priced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
-            assert_eq!(unpriced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
-        }
+        let mut d = dpu();
+        let mut priced = cache();
+        let mut unpriced = priced.clone();
+        let mut ctx = d.ctx(0);
+        priced.add_block(&mut ctx, 4, 0x1000);
+        unpriced.add_block(&mut ctx, 4, 0x1000);
+        let a = priced.alloc(&mut ctx, 4).unwrap().addr;
+        assert_eq!(unpriced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
+        let before = ctx.now();
+        assert_eq!(unpriced.free_remote(4, a), FreeOutcome::Cached);
+        assert_eq!(ctx.now(), before, "remote free charges no cycles");
+        priced.free(&mut ctx, 4, a);
+        assert!(ctx.now() > before, "priced free does charge");
+        // Identical post-state: the freed slot is reissued first by
+        // both variants.
+        assert_eq!(priced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
+        assert_eq!(unpriced.alloc(&mut ctx, 4).map(|s| s.addr), Some(a));
     }
 
     #[test]

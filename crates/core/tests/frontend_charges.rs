@@ -1,6 +1,5 @@
-//! Recorded per-op charges of the allocation frontend, under both
-//! price lists ([`FrontendKind`]) and both free-path hierarchies
-//! ([`TierPolicy`]).
+//! Recorded per-op charges of the allocation frontend and the
+//! remote-free path.
 //!
 //! Each case drives one seeded op stream through a [`PimMalloc`]:
 //! allocations that fill the 1 KB and 2 KB classes (4 and 2 sub-blocks
@@ -10,11 +9,11 @@
 //! every free crosses tasklets, over all eight classes. Every op's
 //! simulated latency (its `ctx.now()` delta) is folded into an FNV-1a
 //! digest, stored next to the final `max_clock()` in
-//! `golden/frontend_charges.txt`. Any change to what an op charges, on
-//! either price list, shows up as a mismatch; rerun with `PIM_BLESS=1`
-//! to rewrite the file after a deliberate pricing change.
+//! `golden/frontend_charges.txt`. Any change to what an op charges
+//! shows up as a mismatch; rerun with `PIM_BLESS=1` to rewrite the
+//! file after a deliberate pricing change.
 
-use pim_malloc::{AllocGeometry, FrontendKind, PimAllocator, PimMalloc, TierPolicy};
+use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc};
 use pim_sim::{DpuConfig, DpuSim};
 
 const GOLDEN: &str = concat!(
@@ -79,20 +78,11 @@ fn class_size(rng: &mut Rng) -> u32 {
 /// Runs one case; returns `(ops charged, remote frees, digest,
 /// max_clock)`. With `pc`, the even tasklets allocate and each odd
 /// tasklet frees what its even partner allocated.
-fn record(
-    n_tasklets: usize,
-    prices: FrontendKind,
-    tier: TierPolicy,
-    pc: bool,
-) -> (usize, u64, u64, u64) {
+fn record(n_tasklets: usize, pc: bool) -> (usize, u64, u64, u64) {
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
-    let geom = AllocGeometry::sw(n_tasklets)
-        .with_heap_size(HEAP_SIZE)
-        .with_frontend(prices)
-        .with_tiering(tier);
+    let geom = AllocGeometry::sw(n_tasklets).with_heap_size(HEAP_SIZE);
     let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
-    // The stream depends only on the case's tasklet count and `pc`, so
-    // both price lists and both tiers see the same requests.
+    // The stream depends only on the case's tasklet count and `pc`.
     let mut rng = Rng(if pc {
         0x50C0_FFEE
     } else {
@@ -141,7 +131,7 @@ fn record(
         digest.word((ctx.now() - t0).0);
         charged += 1;
     }
-    let remote = pm.alloc_stats().frees_remote_transfer + pm.alloc_stats().frees_remote_global;
+    let remote = pm.alloc_stats().frees_remote_transfer;
     let max_clock = dpu.max_clock().0;
     digest.word(max_clock);
     (charged, remote, digest.0, max_clock)
@@ -149,26 +139,18 @@ fn record(
 
 #[test]
 fn recorded_charges_match_golden() {
+    // `prices=BitmapClasses tier=ThreeTier` names the allocator's one
+    // configuration by the labels older goldens used, so recorded lines
+    // stay comparable across versions.
     let mut lines = Vec::new();
     for n_tasklets in [2, 4, 16] {
-        for tier in [TierPolicy::ThreeTier, TierPolicy::TwoTier] {
-            let mut digests = Vec::new();
-            for prices in [FrontendKind::BitmapClasses, FrontendKind::PageLocal] {
-                let (ops, _, digest, max_clock) = record(n_tasklets, prices, tier, false);
-                lines.push(format!(
-                    "tasklets={n_tasklets} prices={prices:?} tier={tier:?} ops={ops} \
-                     max_clock={max_clock} digest={digest:016x}"
-                ));
-                digests.push(digest);
-            }
-            assert_ne!(
-                digests[0], digests[1],
-                "{n_tasklets} tasklets, {tier:?}: the two price lists must charge differently"
-            );
-        }
+        let (ops, _, digest, max_clock) = record(n_tasklets, false);
+        lines.push(format!(
+            "tasklets={n_tasklets} prices=BitmapClasses tier=ThreeTier ops={ops} \
+             max_clock={max_clock} digest={digest:016x}"
+        ));
     }
-    let (ops, remote, digest, max_clock) =
-        record(16, FrontendKind::BitmapClasses, TierPolicy::ThreeTier, true);
+    let (ops, remote, digest, max_clock) = record(16, true);
     assert!(remote >= 2_000, "only {remote} remote frees");
     lines.push(format!(
         "producer-consumer tasklets=16 prices=BitmapClasses tier=ThreeTier ops={ops} \

@@ -1,12 +1,13 @@
-//! Differential property coverage of the free-path hierarchy: the
-//! three-tier allocator (batched remote frees) must be a pure
-//! *pricing* overlay over the two-tier design. Under any interleaving
-//! of allocations, local frees, and cross-tasklet remote frees, both
-//! tiers must return identical addresses, identical errors, and
-//! identical fragmentation accounting — only the simulated cycle costs
-//! may differ, since that is the whole point of batching.
+//! Differential property coverage of the remote-free path: a free
+//! issued by another tasklet must be a pure *pricing* overlay over the
+//! same free issued by the owner. Under any interleaving of
+//! allocations, local frees, and cross-tasklet remote frees, a run
+//! must return the same addresses, errors, and fragmentation
+//! accounting as the reference run that issues every remote free from
+//! its owner — only the simulated cycle costs may differ, since
+//! batched pricing is all a remote free changes.
 
-use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc, TierPolicy};
+use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc};
 use pim_sim::{DpuConfig, DpuSim};
 use proptest::prelude::*;
 
@@ -19,7 +20,8 @@ enum Op {
     /// `tid` frees one of its own live allocations.
     LocalFree { tid: usize, victim: usize },
     /// `tid` frees one of `owner`'s live allocations (a remote free
-    /// whenever `owner != tid` — the path the tiers disagree on).
+    /// whenever `owner != tid`; the reference run issues it from
+    /// `owner`).
     RemoteFree {
         tid: usize,
         owner: usize,
@@ -37,7 +39,8 @@ fn op_strategy(n_tasklets: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Everything a trial observes that must be tier-invariant.
+/// Everything a trial observes that must not depend on which tasklet
+/// issued a free.
 #[derive(Debug, PartialEq)]
 struct Observed {
     /// Per-op outcome: allocated address, freed address, or the error.
@@ -48,27 +51,28 @@ struct Observed {
     backend_free_bytes: u64,
 }
 
-fn run(policy: TierPolicy, n_tasklets: usize, ops: &[Op]) -> (Observed, u64, u64) {
+/// Runs `ops`; with `owner_frees` every `RemoteFree` is issued by its
+/// owner instead of `tid`. Returns what the run observed, the
+/// allocator's remote-free count, and how many frees of cached
+/// (class-sized) blocks crossed tasklets.
+fn run(owner_frees: bool, n_tasklets: usize, ops: &[Op]) -> (Observed, u64, u64) {
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
-    let mut geom = AllocGeometry::sw(n_tasklets).with_heap_size(HEAP_SIZE);
-    if policy == TierPolicy::TwoTier {
-        geom = geom.two_tier();
-    }
+    let geom = AllocGeometry::sw(n_tasklets).with_heap_size(HEAP_SIZE);
     let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
-    assert_eq!(pm.tier(), policy);
 
-    // addr lists per owning tasklet, appended in allocation order, so
-    // victim indices resolve identically across both runs as long as
-    // the returned addresses match (which is the property under test).
-    let mut live: Vec<Vec<u32>> = vec![Vec::new(); n_tasklets];
+    // (addr, size) lists per owning tasklet, appended in allocation
+    // order, so victim indices resolve identically across both runs as
+    // long as the returned addresses match (the property under test).
+    let mut live: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_tasklets];
     let mut outcomes = Vec::with_capacity(ops.len());
+    let mut crossed = 0;
     for op in ops {
         match *op {
             Op::Alloc { tid, size } => {
                 let mut ctx = dpu.ctx(tid);
                 match pm.pim_malloc(&mut ctx, size) {
                     Ok(addr) => {
-                        live[tid].push(addr);
+                        live[tid].push((addr, size));
                         outcomes.push(Ok(addr));
                     }
                     Err(e) => outcomes.push(Err(e.to_string())),
@@ -79,7 +83,7 @@ fn run(policy: TierPolicy, n_tasklets: usize, ops: &[Op]) -> (Observed, u64, u64
                     continue;
                 }
                 let idx = victim % live[tid].len();
-                let addr = live[tid].swap_remove(idx);
+                let (addr, _) = live[tid].swap_remove(idx);
                 let mut ctx = dpu.ctx(tid);
                 match pm.pim_free(&mut ctx, addr) {
                     Ok(()) => outcomes.push(Ok(addr)),
@@ -91,8 +95,11 @@ fn run(policy: TierPolicy, n_tasklets: usize, ops: &[Op]) -> (Observed, u64, u64
                     continue;
                 }
                 let idx = victim % live[owner].len();
-                let addr = live[owner].swap_remove(idx);
-                let mut ctx = dpu.ctx(tid);
+                let (addr, size) = live[owner].swap_remove(idx);
+                let freer = if owner_frees { owner } else { tid };
+                let cached = pm.size_classes().class_for(size).is_some();
+                crossed += u64::from(freer != owner && cached);
+                let mut ctx = dpu.ctx(freer);
                 match pm.pim_free(&mut ctx, addr) {
                     Ok(()) => outcomes.push(Ok(addr)),
                     Err(e) => outcomes.push(Err(e.to_string())),
@@ -100,8 +107,7 @@ fn run(policy: TierPolicy, n_tasklets: usize, ops: &[Op]) -> (Observed, u64, u64
             }
         }
     }
-    let remote_transfer = pm.alloc_stats().frees_remote_transfer;
-    let remote_global = pm.alloc_stats().frees_remote_global;
+    let remote = pm.alloc_stats().frees_remote_transfer;
     let observed = Observed {
         outcomes,
         live_allocations: pm.live_allocations(),
@@ -110,55 +116,46 @@ fn run(policy: TierPolicy, n_tasklets: usize, ops: &[Op]) -> (Observed, u64, u64
         backend_free_bytes: pm.backend().free_bytes(),
     };
     pm.backend().check_invariants();
-    (observed, remote_transfer, remote_global)
+    (observed, remote, crossed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Addresses, errors, and fragmentation accounting are identical
-    /// across the two free-path hierarchies; remote frees are batched
-    /// on three-tier and take the global lock on two-tier — never
-    /// both.
+    /// Addresses, errors, and fragmentation accounting match the
+    /// owner-issued reference run; every free that crossed tasklets
+    /// took the batched remote path, and the reference run had none.
     #[test]
-    fn tiers_agree_on_everything_but_cycles(
+    fn remote_frees_change_nothing_but_cycles(
         ops in proptest::collection::vec(op_strategy(4), 1..200)
     ) {
-        let (three, t_remote_transfer, t_remote_global) =
-            run(TierPolicy::ThreeTier, 4, &ops);
-        let (two, s_remote_transfer, s_remote_global) =
-            run(TierPolicy::TwoTier, 4, &ops);
-        prop_assert_eq!(&three, &two);
-        // Routing counters are exclusive per tier...
-        prop_assert_eq!(t_remote_global, 0);
-        prop_assert_eq!(s_remote_transfer, 0);
-        // ...and agree on how many remote frees the run contained.
-        prop_assert_eq!(t_remote_transfer, s_remote_global);
+        let (remote, remote_frees, crossed) = run(false, 4, &ops);
+        let (owner, owner_remote_frees, _) = run(true, 4, &ops);
+        prop_assert_eq!(&remote, &owner);
+        prop_assert_eq!(remote_frees, crossed);
+        prop_assert_eq!(owner_remote_frees, 0);
     }
 
     /// Same property at sixteen tasklets, where each owner's remote
     /// marks come from many distinct freers.
     #[test]
-    fn tiers_agree_at_sixteen_tasklets(
+    fn remote_frees_agree_at_sixteen_tasklets(
         ops in proptest::collection::vec(op_strategy(16), 1..150)
     ) {
-        let (three, ..) = run(TierPolicy::ThreeTier, 16, &ops);
-        let (two, ..) = run(TierPolicy::TwoTier, 16, &ops);
-        prop_assert_eq!(&three, &two);
+        let (remote, ..) = run(false, 16, &ops);
+        let (owner, ..) = run(true, 16, &ops);
+        prop_assert_eq!(&remote, &owner);
     }
 }
 
 /// A deterministic drain: heavy cross-tasklet churn, then free
-/// everything — both tiers must end with an empty heap and matching
-/// backend capacity.
+/// everything — the run must end with an empty heap and the backend
+/// capacity of the same frees issued by their owners.
 #[test]
-fn full_drain_matches_across_tiers() {
-    let run_drain = |policy: TierPolicy| -> (Vec<u32>, u64) {
+fn full_drain_matches_owner_frees() {
+    let run_drain = |owner_frees: bool| -> (Vec<u32>, u64) {
         let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(4));
-        let mut geom = AllocGeometry::sw(4).with_heap_size(HEAP_SIZE);
-        if policy == TierPolicy::TwoTier {
-            geom = geom.two_tier();
-        }
+        let geom = AllocGeometry::sw(4).with_heap_size(HEAP_SIZE);
         let mut pm = PimMalloc::init(&mut dpu, geom.build()).expect("init");
         let mut addrs = Vec::new();
         for round in 0..4usize {
@@ -169,10 +166,13 @@ fn full_drain_matches_across_tiers() {
                     addrs.push(pm.pim_malloc(&mut ctx, size).unwrap());
                 }
             }
-            // Each tasklet frees the previous tasklet's allocations.
+            // Each tasklet frees the previous tasklet's allocations
+            // (or, in the reference run, the owner frees its own).
             let drained = std::mem::take(&mut addrs);
             for (i, addr) in drained.iter().enumerate() {
-                let mut ctx = dpu.ctx((i / 32 + 1) % 4);
+                let owner = i / 32;
+                let freer = if owner_frees { owner } else { (owner + 1) % 4 };
+                let mut ctx = dpu.ctx(freer);
                 pm.pim_free(&mut ctx, *addr).unwrap();
             }
         }
@@ -181,8 +181,8 @@ fn full_drain_matches_across_tiers() {
         pm.backend().check_invariants();
         (addrs, pm.backend().free_bytes())
     };
-    let (a3, free3) = run_drain(TierPolicy::ThreeTier);
-    let (a2, free2) = run_drain(TierPolicy::TwoTier);
-    assert_eq!(a3, a2);
-    assert_eq!(free3, free2);
+    let (remote, remote_free) = run_drain(false);
+    let (owner, owner_free) = run_drain(true);
+    assert_eq!(remote, owner);
+    assert_eq!(remote_free, owner_free);
 }

@@ -26,6 +26,12 @@ const TRACE_KIND: &str = "alloc-trace";
 /// 1..=24).
 const MAX_TASKLETS: usize = 24;
 
+/// Smallest heap a trace may name: one 4 KB thread-cache block.
+const MIN_HEAP_SIZE: u32 = pim_malloc::CACHE_BLOCK_BYTES;
+/// Largest heap a trace may name: the allocator presets' heap region,
+/// which starts 32 MB into the 64 MB bank.
+const MAX_HEAP_SIZE: u32 = 32 << 20;
+
 /// One event in a tasklet's stream.
 ///
 /// `slot` names an allocation within a tasklet's slot table so later
@@ -149,7 +155,9 @@ impl AllocTrace {
     }
 
     /// Checks structural invariants: stream count matches
-    /// `n_tasklets`, which a DPU supports (1..=24), sizes are non-zero,
+    /// `n_tasklets`, which a DPU supports (1..=24), the heap is a power
+    /// of two in 4 KB..=32 MB (the buddy backend tiles nothing else),
+    /// sizes are non-zero,
     /// every cross-tasklet free edge points at a real tasklet, and
     /// every slot index is below its owning stream's op count (a slot
     /// names one of the owner's mallocs, so a larger index can never
@@ -170,6 +178,14 @@ impl AllocTrace {
             return schema_err(format!(
                 "{} tasklets outside 1..={MAX_TASKLETS}",
                 self.n_tasklets
+            ));
+        }
+        if !self.heap_size.is_power_of_two()
+            || !(MIN_HEAP_SIZE..=MAX_HEAP_SIZE).contains(&self.heap_size)
+        {
+            return schema_err(format!(
+                "heap size {} is not a power of two in {MIN_HEAP_SIZE}..={MAX_HEAP_SIZE}",
+                self.heap_size
             ));
         }
         for (tid, stream) in self.streams.iter().enumerate() {
@@ -434,6 +450,22 @@ mod tests {
         assert!(AllocTrace::new("t", 1 << 20, MAX_TASKLETS)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_heaps_the_allocator_cannot_tile() {
+        for heap in [0, 3, 2 << 10, 64 << 20] {
+            let t = AllocTrace::new("t", heap, 2);
+            assert!(
+                matches!(t.validate(), Err(TraceError::Schema(m)) if m.contains("heap size")),
+                "{heap}"
+            );
+            let json = t.to_json();
+            assert!(AllocTrace::from_json(&json).is_err(), "{heap}");
+        }
+        for heap in [4 << 10, 32 << 20] {
+            assert!(AllocTrace::new("t", heap, 2).validate().is_ok(), "{heap}");
+        }
     }
 
     #[test]

@@ -342,6 +342,8 @@ mod tests {
         assert_eq!(r.malloc_latencies.len(), 1);
         // Consumer finished after the producer's compute span.
         assert!(d.clock(1) > Cycles(10_000));
+        // The edge took the allocator's batched remote-free path.
+        assert_eq!(a.alloc_stats().frees_remote_transfer, 1);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   seeded [`FaultPlan`] fault schedule. Multi-DPU sweeps fan out over
 //!   [`parallel_indexed`], whose worker count `PIM_EXEC_WORKERS` sets.
 //! * The allocator core: [`PimMalloc`] behind the [`AllocGeometry`]
-//!   builder (size classes via [`SizeClassTable`], free-path hierarchy
-//!   via [`TierPolicy`]), plus the [`PimAllocator`] object-safe trait.
+//!   builder (size classes via [`SizeClassTable`]), plus the
+//!   [`PimAllocator`] object-safe trait.
 //! * Profile-guided geometry: [`ProfileRecorder`] / [`AllocProfile`]
 //!   capture what a workload asks the allocator for, and
 //!   [`synthesize_table`] turns a profile into a custom
@@ -24,7 +24,7 @@
 
 pub use pim_malloc::{
     AllocGeometry, AllocStats, BackendKind, GeometryError, PimAllocator, PimMalloc,
-    PimMallocConfig, SizeClassTable, TierPolicy,
+    PimMallocConfig, SizeClassTable,
 };
 pub use pim_profile::{
     synthesize_table, AllocProfile, ProfileRecorder, Synthesis, SynthesisObjective, SynthesisReport,

@@ -135,7 +135,8 @@ fn llm_serving_at_512_dpus_is_engine_invariant() {
 /// Replays one synthesized trace over 512 share-nothing DPUs with
 /// `replay_fleet` and checks every DPU against a direct single-DPU
 /// `replay` of the same trace (the fleet is SPMD: all replicas match).
-fn fleet_matches_direct_replay(geometry: impl Fn() -> pim_malloc::AllocGeometry + Sync) {
+#[test]
+fn trace_fleet_at_512_dpus_is_engine_invariant() {
     use pim_trace::{
         replay, replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape,
     };
@@ -149,7 +150,10 @@ fn fleet_matches_direct_replay(geometry: impl Fn() -> pim_malloc::AllocGeometry 
         ..SynthConfig::default()
     });
     let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> {
-        Box::new(pim_malloc::PimMalloc::init(dpu, geometry().build()).expect("init"))
+        let cfg = pim_malloc::AllocGeometry::sw(4)
+            .with_heap_size(1 << 20)
+            .build();
+        Box::new(pim_malloc::PimMalloc::init(dpu, cfg).expect("init"))
     };
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(4));
     let mut alloc = build(&mut dpu);
@@ -165,22 +169,6 @@ fn fleet_matches_direct_replay(geometry: impl Fn() -> pim_malloc::AllocGeometry 
         assert_eq!(r.oom_count, direct.oom_count);
     }
     assert_eq!(fleet.kernel_finish, direct.finish);
-}
-
-#[test]
-fn trace_fleet_at_512_dpus_is_engine_invariant() {
-    fleet_matches_direct_replay(|| pim_malloc::AllocGeometry::sw(4).with_heap_size(1 << 20));
-}
-
-#[test]
-fn page_frontend_fleet_at_512_dpus_is_engine_invariant() {
-    // The page-queue price list shifts every tasklet's clock, so it
-    // must be as engine-invariant as the default bitmap-scan prices.
-    fleet_matches_direct_replay(|| {
-        pim_malloc::AllocGeometry::sw(4)
-            .with_heap_size(1 << 20)
-            .page_local()
-    });
 }
 
 #[test]
