@@ -255,6 +255,12 @@ mod tests {
                 f.name,
                 f.churn_ratio()
             );
+            assert!(
+                f.wram_ratio() <= 1.0,
+                "{}: bitmap WRAM grew (ratio {})",
+                f.name,
+                f.wram_ratio()
+            );
             assert_eq!(f.paper.oom + f.tuned.oom, 0, "{}: replay hit OOM", f.name);
         }
     }

@@ -84,9 +84,9 @@ impl AllocStats {
     /// Fraction of *class-eligible* `pim_malloc` calls served without
     /// a backend refill: hits (plain or remote-freed) over hits plus
     /// refills. Bypass requests are excluded — they never had a
-    /// cached block to hit. This is the `class_hit_rate` the bench
-    /// report gates on: a healthy frontend absorbs ≥ 90% of
-    /// class-eligible traffic.
+    /// cached block to hit. `churn_keeps_class_requests_on_the_frontend`
+    /// (`tests/frontend_charges.rs`) gates on it: a healthy frontend
+    /// absorbs ≥ 90% of class-eligible traffic.
     pub fn class_hit_rate(&self) -> f64 {
         let hits = self.frontend_hits + self.transfer_hits;
         let eligible = hits + self.frontend_refills;

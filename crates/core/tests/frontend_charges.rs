@@ -12,8 +12,13 @@
 //! `golden/frontend_charges.txt`. Any change to what an op charges
 //! shows up as a mismatch; rerun with `PIM_BLESS=1` to rewrite the
 //! file after a deliberate pricing change.
+//!
+//! A 1M-op churn checks the frontend's hit rate on a fixed stream,
+//! with frees issued by the owner and by another tasklet.
 
-use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc};
+use std::collections::VecDeque;
+
+use pim_malloc::{AllocGeometry, AllocStats, PimAllocator, PimMalloc};
 use pim_sim::{DpuConfig, DpuSim};
 
 const GOLDEN: &str = concat!(
@@ -171,4 +176,58 @@ fn recorded_charges_match_golden() {
         "per-op charges differ from {GOLDEN} for {mismatched:#?}; \
          rerun with PIM_BLESS=1 after a deliberate pricing change"
     );
+}
+
+/// Runs 1,000,000 ops on 16 SW tasklets. Each tasklet mallocs through
+/// a 64-slot FIFO window, freeing its oldest allocation once the
+/// window is full; sizes cycle through the classes plus a bypass. With
+/// `cross_tasklet`, the next tasklet issues every free.
+fn churn(cross_tasklet: bool) -> AllocStats {
+    const CHURN_OPS: usize = 1_000_000;
+    const WINDOW: usize = 64;
+    let n_tasklets = 16;
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
+    let mut pm = PimMalloc::init(&mut dpu, AllocGeometry::sw(n_tasklets).build()).expect("init");
+    let sizes = [16u32, 48, 100, 256, 700, 1500, 2048, 4096];
+    let mut windows: Vec<VecDeque<u32>> = vec![VecDeque::new(); n_tasklets];
+    let mut ops = 0;
+    let mut i = 0;
+    while ops < CHURN_OPS {
+        let tid = i % n_tasklets;
+        if windows[tid].len() >= WINDOW {
+            let victim = windows[tid].pop_front().expect("window is full");
+            let freer = if cross_tasklet {
+                (tid + 1) % n_tasklets
+            } else {
+                tid
+            };
+            pm.pim_free(&mut dpu.ctx(freer), victim)
+                .expect("window frees are live");
+            ops += 1;
+        }
+        let addr = pm
+            .pim_malloc(&mut dpu.ctx(tid), sizes[i % sizes.len()])
+            .expect("heap outlives window");
+        windows[tid].push_back(addr);
+        ops += 1;
+        i += 1;
+    }
+    pm.alloc_stats().clone()
+}
+
+#[test]
+fn churn_keeps_class_requests_on_the_frontend() {
+    for cross_tasklet in [false, true] {
+        let stats = churn(cross_tasklet);
+        assert!(
+            stats.class_hit_rate() >= 0.9,
+            "cross_tasklet={cross_tasklet}: class hit rate {}",
+            stats.class_hit_rate()
+        );
+        assert_eq!(
+            stats.frees_remote_transfer > 0,
+            cross_tasklet,
+            "only cross-tasklet frees take the remote path"
+        );
+    }
 }
