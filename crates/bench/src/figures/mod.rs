@@ -29,7 +29,7 @@ pub use micro_figs::{ablation_descent, ablation_swlru, fig15, fig16, fig7, fig8}
 pub use overhead_figs::{hw_overhead, metadata_overhead, table3};
 pub use serve_figs::serve_frontend;
 pub use trace_figs::{scenario_families, trace_artifact_files, trace_replay, TRACE_DEFAULT_SEED};
-pub use tune_figs::{geometry_tune, tune_families, Measured, TunedFamily};
+pub use tune_figs::geometry_tune;
 
 use crate::report::Experiment;
 

@@ -87,8 +87,7 @@ fn recorder_matches_pure(trace: &AllocTrace, pure: &AllocProfile) -> bool {
         && live.remote_frees == pure.remote_frees
 }
 
-/// Per-family synthesis outcome the experiment (and the CI bench)
-/// reports.
+/// Per-family synthesis outcome the experiment reports.
 pub struct TunedFamily {
     /// Scenario name (`fixed64/steady`, …).
     pub name: String,
