@@ -28,8 +28,8 @@ use pim_malloc::{AllocError, AllocGeometry, PimAllocator, PimMalloc};
 use pim_serving::{estimated_capacity_rps, serve, ArrivalProcess, ServeConfig, ServeReport};
 use pim_sim::{parallel_indexed, DpuConfig, DpuSim, FaultPlan};
 use pim_workloads::requests::standard_mix;
-use pim_workloads::AllocatorKind;
 
+use crate::figures::serve_figs::{build, scaled};
 use crate::report::{Experiment, Row};
 
 /// Fraction of calibrated capacity the chaos comparison offers.
@@ -38,28 +38,6 @@ const CHAOS_LOAD: f64 = 0.6;
 const QUARANTINE_BUDGET: u32 = 16;
 /// Allocator ops driven through the corrupted-free storm.
 const STORM_OPS: u64 = 1024;
-
-fn build(dpu: &mut DpuSim, tasklets: usize, heap: u32) -> Box<dyn PimAllocator> {
-    AllocatorKind::Sw.build(dpu, tasklets, heap)
-}
-
-fn scaled(quick: bool, seed: u64) -> ServeConfig {
-    let ctx = pim_sim::SimContext::default().with_seed(seed);
-    if quick {
-        ServeConfig {
-            n_dpus: 64,
-            n_requests: 4_000,
-            ctx,
-            ..ServeConfig::default()
-        }
-    } else {
-        // The paper-scale fleet: 2560 DPUs × 10^6 requests.
-        ServeConfig {
-            ctx,
-            ..ServeConfig::default()
-        }
-    }
-}
 
 fn serve_row(label: &str, r: &ServeReport) -> Row {
     Row::new(
@@ -246,10 +224,6 @@ mod tests {
         assert!(deg.value("healthy frac").unwrap() < 1.0, "chaos must bite");
         let heal = e.row("self-healing").unwrap();
         assert!(heal.value("doa dpus").unwrap() > 0.0);
-        // Drop accounting closes: chaos drops = queue drops + fault
-        // drops, already folded into goodput; the row only surfaces
-        // fault-attributed ones.
-        assert!(heal.value("fault drops").unwrap() >= 0.0);
     }
 
     #[test]

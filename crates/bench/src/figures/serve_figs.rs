@@ -27,11 +27,15 @@ use crate::report::{Experiment, Row};
 /// Fraction of calibrated capacity the arrival-shape rows offer.
 const SHAPE_LOAD: f64 = 0.6;
 
-fn build(dpu: &mut DpuSim, tasklets: usize, heap: u32) -> Box<dyn PimAllocator> {
+/// The fleet's allocator: PIM-malloc-SW on every DPU. The `chaos`
+/// experiment serves the same fleet.
+pub(super) fn build(dpu: &mut DpuSim, tasklets: usize, heap: u32) -> Box<dyn PimAllocator> {
     AllocatorKind::Sw.build(dpu, tasklets, heap)
 }
 
-fn scaled(quick: bool, seed: u64) -> ServeConfig {
+/// The fleet: 64 DPUs and 4,000 requests in quick mode, else the
+/// paper-scale default.
+pub(super) fn scaled(quick: bool, seed: u64) -> ServeConfig {
     let ctx = pim_sim::SimContext::default().with_seed(seed);
     if quick {
         ServeConfig {
