@@ -32,6 +32,9 @@ pub const PROFILE_SCHEMA_VERSION: u64 = 1;
 /// JSON artifacts.
 const PROFILE_KIND: &str = "alloc-profile";
 
+/// Most tasklets a DPU runs (`PimMalloc::init` accepts 1..=24).
+const MAX_TASKLETS: u64 = 24;
+
 /// Log2 lifetime buckets kept by [`LifetimeStats`] (bucket `i` holds
 /// lifetimes in `[2^i, 2^(i+1))`; bucket 0 also holds zero).
 pub const LIFETIME_BUCKETS: usize = 48;
@@ -301,7 +304,8 @@ impl AllocProfile {
     /// # Errors
     ///
     /// [`ProfileError::Version`] on a version mismatch,
-    /// [`ProfileError::Schema`] on structural problems.
+    /// [`ProfileError::Schema`] on structural problems and on a
+    /// tasklet count outside the DPU's 1..=24.
     pub fn from_json_value(v: &Value) -> Result<Self, ProfileError> {
         let version = v
             .get("schema_version")
@@ -323,10 +327,15 @@ impl AllocProfile {
             .and_then(Value::as_str)
             .ok_or(ProfileError::Schema("missing name".to_owned()))?
             .to_owned();
-        let n_tasklets =
-            v.get("n_tasklets")
-                .and_then(Value::as_u64)
-                .ok_or(ProfileError::Schema("missing n_tasklets".to_owned()))? as usize;
+        let n_tasklets = v
+            .get("n_tasklets")
+            .and_then(Value::as_u64)
+            .ok_or(ProfileError::Schema("missing n_tasklets".to_owned()))?;
+        if !(1..=MAX_TASKLETS).contains(&n_tasklets) {
+            return Err(ProfileError::Schema(format!(
+                "{n_tasklets} tasklets outside 1..={MAX_TASKLETS}"
+            )));
+        }
         let int = |key: &str| -> Result<u64, ProfileError> {
             v.get(key)
                 .and_then(Value::as_u64)
@@ -395,7 +404,7 @@ impl AllocProfile {
         };
         let profile = AllocProfile {
             name,
-            n_tasklets,
+            n_tasklets: n_tasklets as usize,
             histogram,
             lifetimes,
             mallocs: int("mallocs")?,
@@ -669,6 +678,23 @@ mod tests {
             AllocProfile::from_json(&wrong_kind),
             Err(ProfileError::Schema(_))
         ));
+    }
+
+    #[test]
+    fn tasklet_counts_outside_a_dpu_are_rejected() {
+        let mut p = AllocProfile::from_trace(&sample_trace());
+        for n in [0, MAX_TASKLETS + 1, u64::MAX] {
+            p.n_tasklets = n as usize;
+            assert!(
+                matches!(AllocProfile::from_json(&p.to_json()),
+                         Err(ProfileError::Schema(m)) if m.contains("1..=24")),
+                "{n} tasklets parsed"
+            );
+        }
+        for n in [1, MAX_TASKLETS] {
+            p.n_tasklets = n as usize;
+            assert_eq!(AllocProfile::from_json(&p.to_json()).unwrap(), p);
+        }
     }
 
     #[test]
