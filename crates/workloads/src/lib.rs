@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod alloc_kind;
 pub mod driver;
