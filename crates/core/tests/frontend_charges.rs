@@ -180,7 +180,7 @@ fn recorded_charges_match_golden() {
 
 /// Runs 1,000,000 ops on 16 SW tasklets. Each tasklet mallocs through
 /// a 64-slot FIFO window, freeing its oldest allocation once the
-/// window is full; sizes cycle through the classes plus a bypass. With
+/// window is full; sizes cycle from 16 B to a 4 KB bypass. With
 /// `cross_tasklet`, the next tasklet issues every free.
 fn churn(cross_tasklet: bool) -> AllocStats {
     const CHURN_OPS: usize = 1_000_000;
