@@ -75,7 +75,11 @@ impl fmt::Display for InitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InitError::Tasklets { n } => {
-                write!(f, "allocator init failed: tasklet count {n} outside 1..=24")
+                write!(
+                    f,
+                    "allocator init failed: tasklet count {n} outside 1..={}",
+                    pim_sim::MAX_TASKLETS
+                )
             }
             InitError::Wram(e) => write!(f, "allocator init failed: {e}"),
             InitError::Alloc(e) => write!(f, "allocator init failed: {e}"),

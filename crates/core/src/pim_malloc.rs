@@ -21,7 +21,7 @@
 //! cache (**PIM-malloc-HW/SW**), or the fine-grained software LRU
 //! ablation.
 
-use pim_sim::{BuddyCacheConfig, BuddyCacheStats, DpuSim, MutexId, TaskletCtx};
+use pim_sim::{BuddyCacheConfig, BuddyCacheStats, DpuSim, MutexId, TaskletCtx, MAX_TASKLETS};
 
 use crate::api::PimAllocator;
 use crate::buddy::{BuddyAllocator, BuddyGeometry, MetadataBackend};
@@ -128,7 +128,7 @@ impl PimMalloc {
     /// Panics on a heap the buddy backend cannot tile (see
     /// [`BuddyGeometry::new`]).
     pub fn init(dpu: &mut DpuSim, config: PimMallocConfig) -> Result<Self, InitError> {
-        if !(1..=24).contains(&config.n_tasklets) {
+        if !(1..=MAX_TASKLETS).contains(&config.n_tasklets) {
             return Err(InitError::Tasklets {
                 n: config.n_tasklets,
             });

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pim_malloc::SizeClassTable;
+use pim_sim::MAX_TASKLETS;
 use pim_trace::{AllocTrace, TraceOp};
 use serde_json::Value;
 
@@ -31,9 +32,6 @@ pub const PROFILE_SCHEMA_VERSION: u64 = 1;
 /// The serialized `kind` tag distinguishing profile files from other
 /// JSON artifacts.
 const PROFILE_KIND: &str = "alloc-profile";
-
-/// Most tasklets a DPU runs (`PimMalloc::init` accepts 1..=24).
-const MAX_TASKLETS: u64 = 24;
 
 /// Log2 lifetime buckets kept by [`LifetimeStats`] (bucket `i` holds
 /// lifetimes in `[2^i, 2^(i+1))`; bucket 0 also holds zero).
@@ -331,7 +329,7 @@ impl AllocProfile {
             .get("n_tasklets")
             .and_then(Value::as_u64)
             .ok_or(ProfileError::Schema("missing n_tasklets".to_owned()))?;
-        if !(1..=MAX_TASKLETS).contains(&n_tasklets) {
+        if !(1..=MAX_TASKLETS as u64).contains(&n_tasklets) {
             return Err(ProfileError::Schema(format!(
                 "{n_tasklets} tasklets outside 1..={MAX_TASKLETS}"
             )));
@@ -683,7 +681,7 @@ mod tests {
     #[test]
     fn tasklet_counts_outside_a_dpu_are_rejected() {
         let mut p = AllocProfile::from_trace(&sample_trace());
-        for n in [0, MAX_TASKLETS + 1, u64::MAX] {
+        for n in [0, MAX_TASKLETS as u64 + 1, u64::MAX] {
             p.n_tasklets = n as usize;
             assert!(
                 matches!(AllocProfile::from_json(&p.to_json()),
@@ -692,7 +690,7 @@ mod tests {
             );
         }
         for n in [1, MAX_TASKLETS] {
-            p.n_tasklets = n as usize;
+            p.n_tasklets = n;
             assert_eq!(AllocProfile::from_json(&p.to_json()).unwrap(), p);
         }
     }

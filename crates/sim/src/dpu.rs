@@ -4,8 +4,8 @@
 //! A [`DpuSim`] represents one DPU (one DRAM bank's worth of compute).
 //! Code "runs" on it by obtaining a [`TaskletCtx`] for a tasklet id and
 //! charging costs through it. Workload drivers interleave tasklets by
-//! always executing the next request of the tasklet returned by
-//! [`DpuSim::next_tasklet`] (the one with the smallest logical clock),
+//! always executing the next request of the tasklet with the smallest
+//! logical clock, picked by a [`VirtualTimeQueue`](crate::VirtualTimeQueue),
 //! which keeps mutex hand-offs and DMA queueing causally ordered.
 
 use crate::cost::{CostModel, Cycles};
@@ -14,6 +14,9 @@ use crate::stats::{DramTraffic, TaskletStats};
 use crate::trace::{TraceEvent, TraceRecorder};
 use crate::wram::Wram;
 
+/// Most tasklets a DPU launches: UPMEM hardware runs 1..=24.
+pub const MAX_TASKLETS: usize = 24;
+
 /// Identifier of a DPU-local mutex allocated via [`DpuSim::alloc_mutex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MutexId(usize);
@@ -21,7 +24,7 @@ pub struct MutexId(usize);
 /// Configuration of one simulated DPU.
 #[derive(Debug, Clone)]
 pub struct DpuConfig {
-    /// Number of tasklets launched (1..=24 on UPMEM hardware).
+    /// Number of tasklets launched (1..=[`MAX_TASKLETS`]).
     pub n_tasklets: usize,
     /// Cycle cost model.
     pub cost: CostModel,
@@ -35,8 +38,8 @@ impl DpuConfig {
     /// Returns the config with a different tasklet count.
     pub fn with_tasklets(mut self, n: usize) -> Self {
         assert!(
-            (1..=24).contains(&n),
-            "UPMEM DPUs support 1..=24 tasklets, got {n}"
+            (1..=MAX_TASKLETS).contains(&n),
+            "UPMEM DPUs support 1..={MAX_TASKLETS} tasklets, got {n}"
         );
         self.n_tasklets = n;
         self

@@ -15,7 +15,7 @@
 //! thread) owns a logical clock in DPU cycles, and shared resources
 //! (mutexes, the DMA engine) are timelines that grant access at
 //! `max(request_time, free_at)`. Workload drivers execute the request of
-//! the tasklet with the smallest clock first (see [`DpuSim::next_tasklet`]),
+//! the tasklet with the smallest clock first (see [`VirtualTimeQueue`]),
 //! which keeps cross-tasklet interactions causally ordered.
 //!
 //! Compute is charged in *instructions*; a tasklet retires one
@@ -68,7 +68,7 @@ pub use buddy_cache::{BuddyCache, BuddyCacheConfig, BuddyCacheStats, Eviction, L
 pub use cam_overhead::{CamOverhead, CamOverheadModel};
 pub use context::SimContext;
 pub use cost::{CostModel, Cycles};
-pub use dpu::{DpuConfig, DpuSim, MutexId, TaskletCtx};
+pub use dpu::{DpuConfig, DpuSim, MutexId, TaskletCtx, MAX_TASKLETS};
 pub use exec::parallel_indexed;
 pub use fault::{FaultPlan, ShardFault};
 pub use host::{HostConfig, HostSim, TransferDirection, TransferModel};

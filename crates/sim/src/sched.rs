@@ -5,64 +5,89 @@
 //! smallest logical clock — so mutex hand-offs and DMA queueing between
 //! tasklets stay causally consistent. [`VirtualTimeQueue`] is that
 //! scheduler; it lives in the simulator crate because both
-//! `pim-workloads` (the request driver) and `pim-trace` (the trace
-//! replayer) drive [`DpuSim`]s through it.
+//! `pim-workloads` (the graph update phases) and `pim-trace` (the trace
+//! replayer, which the request driver delegates to) drive [`DpuSim`]s
+//! through it.
+//!
+//! The trace replayer pops once per allocator call or remote-free
+//! retry: it applies each run of `Compute` ops at the end of the op
+//! before it, so a tasklet may come back to the queue past several
+//! computes. Its retry, which reads the owner's clock, sees the owner
+//! as an engine that pops once per op would: there a compute of
+//! tasklet `o` starting at clock `c` has run before tasklet `t`'s op
+//! at clock `c_t` exactly when `(c, o) < (c_t, t)`, the order this
+//! queue pops in.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::cost::Cycles;
-use crate::dpu::DpuSim;
+use crate::dpu::{DpuSim, MAX_TASKLETS};
 
 /// A virtual-time scheduler over per-tasklet logical clocks.
 ///
-/// Replaces the per-request `(0..n).min_by_key(clock)` linear scan with
-/// a min-heap keyed on `(clock, tasklet id)`: selection is O(log n)
-/// per request instead of O(n). Ties break on the smaller tasklet id,
-/// exactly like the scan's first-minimum rule, so request interleavings
-/// — and therefore every latency-ordering result — are byte-identical
-/// to the scan's.
+/// The queue is a bitmask of queued tasklet ids. [`pop`](Self::pop)
+/// scans the queued tasklets' live clocks on the DPU and returns the
+/// smallest, breaking ties on the smaller id — the
+/// `(0..n).min_by_key(clock)` rule, so request interleavings are
+/// byte-identical to that scan's. A DPU runs at most [`MAX_TASKLETS`]
+/// (24) tasklets, so the scan reads at most 24 clocks, which costs
+/// less than a heap's pop and push; and since no key is stored, none
+/// can go stale when a clock moves while its tasklet is queued.
 ///
 /// Usage: `pop` the next tasklet, execute one of its requests (which
 /// advances only that tasklet's clock), then `push` it back while it
 /// has requests left.
 #[derive(Debug)]
 pub struct VirtualTimeQueue {
-    heap: BinaryHeap<Reverse<(Cycles, usize)>>,
+    /// Bit `t` is set while tasklet `t` is queued.
+    queued: u32,
 }
 
 impl VirtualTimeQueue {
-    /// Creates a queue holding `tasklets`, each keyed at its current
-    /// clock on `dpu`.
-    pub fn new(dpu: &DpuSim, tasklets: impl IntoIterator<Item = usize>) -> Self {
-        VirtualTimeQueue {
-            heap: tasklets
-                .into_iter()
-                .map(|t| Reverse((dpu.clock(t), t)))
-                .collect(),
+    /// Creates a queue holding `tasklets`.
+    ///
+    /// # Panics
+    ///
+    /// As [`push`](Self::push), for any id in `tasklets`.
+    pub fn new(tasklets: impl IntoIterator<Item = usize>) -> Self {
+        let mut queue = VirtualTimeQueue { queued: 0 };
+        for tid in tasklets {
+            queue.push(tid);
         }
+        queue
     }
 
     /// Removes and returns the queued tasklet with the smallest clock
-    /// (smallest id on ties), or `None` when the queue is empty.
-    ///
-    /// Entries whose clock advanced since they were queued are lazily
-    /// re-keyed at their current clock rather than trusted stale.
+    /// on `dpu` (smallest id on ties), or `None` when the queue is
+    /// empty.
     pub fn pop(&mut self, dpu: &DpuSim) -> Option<usize> {
-        while let Some(Reverse((queued_at, tid))) = self.heap.pop() {
-            let now = dpu.clock(tid);
-            if now == queued_at {
-                return Some(tid);
+        let mut rest = self.queued;
+        let mut best: Option<(Cycles, usize)> = None;
+        while rest != 0 {
+            let tid = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let clock = dpu.clock(tid);
+            if best.is_none_or(|(min, _)| clock < min) {
+                best = Some((clock, tid));
             }
-            self.heap.push(Reverse((now, tid)));
         }
-        None
+        let (_, tid) = best?;
+        self.queued &= !(1 << tid);
+        Some(tid)
     }
 
-    /// Re-queues `tid` at its current clock (call after executing one
-    /// of its requests, while it has more).
-    pub fn push(&mut self, dpu: &DpuSim, tid: usize) {
-        self.heap.push(Reverse((dpu.clock(tid), tid)));
+    /// Queues `tid` (call after executing one of its requests, while it
+    /// has more).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is not below [`MAX_TASKLETS`].
+    pub fn push(&mut self, tid: usize) {
+        assert!(
+            tid < MAX_TASKLETS,
+            "tasklet {tid} outside the DPU's 0..{MAX_TASKLETS}"
+        );
+        self.queued |= 1 << tid;
     }
 }
 
@@ -172,7 +197,7 @@ mod tests {
 
     #[test]
     fn queue_selection_is_identical_to_linear_scan() {
-        // The heap scheduler must replicate the old
+        // The scheduler must replicate the old
         // `(0..n).min_by_key(clock)` selection exactly, including
         // smallest-id tie-breaking, so latency orderings stay
         // byte-identical.
@@ -183,13 +208,13 @@ mod tests {
             let mut remaining = [3usize, 1, 4, 2, 3, 0];
             let mut order = Vec::new();
             if use_queue {
-                let mut q = VirtualTimeQueue::new(&dpu, (0..6).filter(|&t| remaining[t] > 0));
+                let mut q = VirtualTimeQueue::new((0..6).filter(|&t| remaining[t] > 0));
                 while let Some(tid) = q.pop(&dpu) {
                     order.push(tid);
                     dpu.ctx(tid).instrs((tid as u64 % 3) + 1);
                     remaining[tid] -= 1;
                     if remaining[tid] > 0 {
-                        q.push(&dpu, tid);
+                        q.push(tid);
                     }
                 }
             } else {
@@ -210,8 +235,14 @@ mod tests {
     #[test]
     fn empty_queue_pops_none() {
         let dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
-        let mut q = VirtualTimeQueue::new(&dpu, std::iter::empty());
+        let mut q = VirtualTimeQueue::new(std::iter::empty());
         assert!(q.pop(&dpu).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "tasklet 24 outside the DPU's 0..24")]
+    fn ids_past_a_dpu_are_rejected() {
+        VirtualTimeQueue::new([0, MAX_TASKLETS - 1, MAX_TASKLETS]);
     }
 
     #[test]

@@ -124,6 +124,13 @@ impl LatencyRecorder {
         Self::default()
     }
 
+    /// Creates an empty recorder with room for `n` samples.
+    pub fn with_capacity(n: usize) -> Self {
+        LatencyRecorder {
+            samples: Vec::with_capacity(n),
+        }
+    }
+
     /// Appends one latency sample.
     pub fn record(&mut self, latency: Cycles) {
         self.samples.push(latency);

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use pim_sim::MAX_TASKLETS;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -22,15 +23,16 @@ pub const TRACE_SCHEMA_VERSION: u64 = 1;
 /// JSON artifacts.
 const TRACE_KIND: &str = "alloc-trace";
 
-/// Most tasklets a DPU runs (`DpuConfig::with_tasklets` accepts
-/// 1..=24).
-const MAX_TASKLETS: usize = 24;
-
 /// Smallest heap a trace may name: one 4 KB thread-cache block.
 const MIN_HEAP_SIZE: u32 = pim_malloc::CACHE_BLOCK_BYTES;
 /// Largest heap a trace may name: the allocator presets' heap region,
 /// which starts 32 MB into the 64 MB bank.
 const MAX_HEAP_SIZE: u32 = 32 << 20;
+/// Most `Compute` cycles one stream may hold in total: 2^48 cycles,
+/// about 9 days at 350 MHz, far above any synthesized or recorded
+/// trace. The replayer adds a whole run of `Compute` ops to a clock in
+/// one step, so this keeps every clock far from `u64` overflow.
+const MAX_STREAM_COMPUTE_CYCLES: u64 = 1 << 48;
 
 /// One event in a tasklet's stream.
 ///
@@ -158,10 +160,10 @@ impl AllocTrace {
     /// `n_tasklets`, which a DPU supports (1..=24), the heap is a power
     /// of two in 4 KB..=32 MB (the buddy backend tiles nothing else),
     /// sizes are non-zero,
-    /// every cross-tasklet free edge points at a real tasklet, and
+    /// every cross-tasklet free edge points at a real tasklet,
     /// every slot index is below its owning stream's op count (a slot
     /// names one of the owner's mallocs, so a larger index can never
-    /// be filled).
+    /// be filled), and no stream's `Compute` cycles sum past 2^48.
     ///
     /// # Errors
     ///
@@ -189,6 +191,7 @@ impl AllocTrace {
             ));
         }
         for (tid, stream) in self.streams.iter().enumerate() {
+            let mut compute = 0u64;
             for op in stream {
                 let (owner, slot) = match *op {
                     TraceOp::Malloc { size: 0, .. } => {
@@ -201,7 +204,15 @@ impl AllocTrace {
                     }
                     TraceOp::Malloc { slot, .. } | TraceOp::Free { slot } => (tid, slot),
                     TraceOp::RemoteFree { tasklet, slot } => (tasklet as usize, slot),
-                    TraceOp::Compute { .. } => continue,
+                    TraceOp::Compute { cycles } => {
+                        compute = compute.saturating_add(cycles);
+                        if compute > MAX_STREAM_COMPUTE_CYCLES {
+                            return schema_err(format!(
+                                "tasklet {tid} computes more than {MAX_STREAM_COMPUTE_CYCLES} cycles"
+                            ));
+                        }
+                        continue;
+                    }
                 };
                 let ops = self.streams[owner].len();
                 if slot as usize >= ops {
@@ -495,6 +506,31 @@ mod tests {
             slot: 3,
         });
         assert!(t.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_compute_that_overflows_the_clock() {
+        let trace = |ops: &str| {
+            format!(
+                r#"{{"schema_version":{TRACE_SCHEMA_VERSION},"kind":"{TRACE_KIND}","name":"t","n_tasklets":1,"heap_size":1048576,"streams":[[{ops}]]}}"#
+            )
+        };
+        let max = r#"["c",18446744073709551615]"#;
+        let i64_max = r#"["c",9223372036854775807]"#;
+        for ops in [max.to_owned(), [i64_max; 3].join(",")] {
+            assert!(
+                matches!(
+                    AllocTrace::from_json(&trace(&ops)),
+                    Err(TraceError::Schema(m)) if m.contains("computes more than")
+                ),
+                "{ops}"
+            );
+        }
+        let bound = MAX_STREAM_COMPUTE_CYCLES;
+        let at_bound = format!(r#"["c",{}],["m",8,0],["c",1]"#, bound - 1);
+        assert!(AllocTrace::from_json(&trace(&at_bound)).is_ok());
+        let past_bound = format!(r#"["c",{bound}],["c",1]"#);
+        assert!(AllocTrace::from_json(&trace(&past_bound)).is_err());
     }
 
     #[test]

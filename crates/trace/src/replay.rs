@@ -9,6 +9,19 @@
 //! host first distributes the trace bytes under a [`HostBatching`]
 //! policy, then every DPU replays it as a share-nothing simulation on
 //! the parallel engine.
+//!
+//! The engine pops its [`VirtualTimeQueue`] once per allocator call or
+//! remote-free retry. A `Compute` op moves only its own tasklet's clock
+//! and idle time, so each run of them is applied at the end of the op
+//! before it (a stream's leading run before the queue is built), and
+//! the tasklet is re-queued at its post-run clock. Every allocator call
+//! keeps its `(clock, tasklet)` key, so calls run in the order an
+//! engine that pops once per op gives them. The remote-free retry is
+//! the one reader of another tasklet's state, and it sees the owner as
+//! that op-at-a-time engine showed it: there, a `Compute` of tasklet
+//! `o` starting at clock `c` has run before tasklet `t`'s op at clock
+//! `c_t` exactly when `(c, o) < (c_t, t)`. The retry walks the owner's
+//! last folded run under that rule (see `FoldedRun`).
 
 use pim_malloc::{AllocError, PimAllocator};
 use pim_sim::{
@@ -41,6 +54,68 @@ pub struct ReplayResult {
     pub dropped_frees: u64,
     /// Virtual time when the last tasklet finished.
     pub finish: Cycles,
+}
+
+/// A tasklet's last run of `Compute` ops, already applied to its
+/// clock, and how far into it the op-at-a-time engine would be as of
+/// the last retry that read it.
+///
+/// Popped `(clock, tasklet)` keys never decrease, so a compute that had
+/// run before one retry had run before every later one: `seen` only
+/// moves forward, and a run of k computes costs O(k) over all the
+/// retries that read it.
+#[derive(Debug, Clone, Copy)]
+struct FoldedRun {
+    /// Index of the run's first compute not known to have run.
+    seen: usize,
+    /// One past the run's last op.
+    end: usize,
+    /// The tasklet's clock before op `seen`.
+    clock: Cycles,
+}
+
+impl FoldedRun {
+    /// A run of no ops at stream index `at`, tasklet clock `clock`.
+    fn empty(at: usize, clock: Cycles) -> Self {
+        FoldedRun {
+            seen: at,
+            end: at,
+            clock,
+        }
+    }
+
+    /// Applies the run of `Compute` ops at `*next` in `tid`'s stream
+    /// in one clock step and moves `*next` past it.
+    fn apply(dpu: &mut DpuSim, tid: usize, stream: &[TraceOp], next: &mut usize) -> Self {
+        let (start, clock) = (*next, dpu.clock(tid));
+        let mut cycles = 0;
+        while let Some(&TraceOp::Compute { cycles: c }) = stream.get(*next) {
+            cycles += c;
+            *next += 1;
+        }
+        if cycles > 0 {
+            let mut ctx = dpu.ctx(tid);
+            let t = ctx.now() + Cycles(cycles);
+            ctx.wait_until(t);
+        }
+        FoldedRun {
+            seen: start,
+            end: *next,
+            clock,
+        }
+    }
+
+    /// Tasklet `owner`'s clock, and whether it has ops left, as the
+    /// op-at-a-time engine showed them to the op popped at `key`.
+    fn view(&mut self, stream: &[TraceOp], owner: usize, key: (Cycles, usize)) -> (Cycles, bool) {
+        while self.seen < self.end && (self.clock, owner) < key {
+            if let TraceOp::Compute { cycles } = stream[self.seen] {
+                self.clock += Cycles(cycles);
+            }
+            self.seen += 1;
+        }
+        (self.clock, self.seen < stream.len())
+    }
 }
 
 /// Replays `trace` against `alloc` on `dpu`.
@@ -98,27 +173,37 @@ pub fn replay_streams(
         .collect();
     // Remote edges may name slots beyond any local Malloc/Free in the
     // owner's stream; grow owner tables up front so indexing is safe.
+    // The same pass counts the mallocs the recorders will hold.
+    let mut mallocs = 0;
     for stream in streams {
         for op in stream {
-            if let TraceOp::RemoteFree { tasklet, slot } = *op {
-                let table = &mut slots[tasklet as usize];
-                if table.len() <= slot as usize {
-                    table.resize(slot as usize + 1, None);
+            match *op {
+                TraceOp::Malloc { .. } => mallocs += 1,
+                TraceOp::RemoteFree { tasklet, slot } => {
+                    let table = &mut slots[tasklet as usize];
+                    if table.len() <= slot as usize {
+                        table.resize(slot as usize + 1, None);
+                    }
                 }
+                TraceOp::Free { .. } | TraceOp::Compute { .. } => {}
             }
         }
     }
     let mut result = ReplayResult {
-        malloc_latencies: LatencyRecorder::new(),
-        timeline: Vec::new(),
+        malloc_latencies: LatencyRecorder::with_capacity(mallocs),
+        timeline: Vec::with_capacity(mallocs),
         per_tasklet_malloc: vec![Cycles::ZERO; n],
         oom_count: 0,
         dropped_frees: 0,
         finish: Cycles::ZERO,
     };
 
+    // Each stream's leading run of computes applies before the first pop.
+    let mut runs: Vec<FoldedRun> = (0..n)
+        .map(|t| FoldedRun::apply(dpu, t, &streams[t], &mut next_op[t]))
+        .collect();
     // Always advance the unfinished tasklet with the smallest clock.
-    let mut queue = VirtualTimeQueue::new(dpu, (0..n).filter(|&t| !streams[t].is_empty()));
+    let mut queue = VirtualTimeQueue::new((0..n).filter(|&t| next_op[t] < streams[t].len()));
     while let Some(tid) = queue.pop(dpu) {
         let op = streams[tid][next_op[tid]];
         let mut advanced = true;
@@ -163,15 +248,21 @@ pub fn replay_streams(
                             .expect("replayer frees live slots");
                     }
                     None => {
-                        let owner_pending = owner != tid && next_op[owner] < streams[owner].len();
+                        let now = dpu.clock(tid);
+                        let (owner_clock, owner_pending) = if owner == tid {
+                            (now, false)
+                        } else {
+                            runs[owner].view(&streams[owner], owner, (now, tid))
+                        };
                         if owner_pending && retries[tid] < REMOTE_FREE_RETRY_LIMIT {
                             // Producer hasn't filled the slot yet: spin
                             // past its clock and retry this op. The
                             // queue pops smallest-clock first, so the
                             // producer runs before we come back.
                             retries[tid] += 1;
-                            let wake = dpu.clock(owner).max(dpu.clock(tid)) + Cycles(1);
+                            let wake = owner_clock.max(now) + Cycles(1);
                             dpu.ctx(tid).wait_until(wake);
+                            runs[tid] = FoldedRun::empty(next_op[tid], wake);
                             advanced = false;
                         } else {
                             result.dropped_frees += 1;
@@ -179,18 +270,15 @@ pub fn replay_streams(
                     }
                 }
             }
-            TraceOp::Compute { cycles } => {
-                let mut ctx = dpu.ctx(tid);
-                let t = ctx.now() + Cycles(cycles);
-                ctx.wait_until(t);
-            }
+            TraceOp::Compute { .. } => unreachable!("compute runs are folded into the op before"),
         }
         if advanced {
             retries[tid] = 0;
             next_op[tid] += 1;
+            runs[tid] = FoldedRun::apply(dpu, tid, &streams[tid], &mut next_op[tid]);
         }
         if next_op[tid] < streams[tid].len() {
-            queue.push(dpu, tid);
+            queue.push(tid);
         }
     }
     result.finish = dpu.max_clock();

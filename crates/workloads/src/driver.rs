@@ -20,8 +20,6 @@ use pim_malloc::PimAllocator;
 use pim_sim::{Cycles, DpuSim, LatencyRecorder};
 use pim_trace::{AllocTrace, TraceOp};
 
-pub use pim_sim::VirtualTimeQueue;
-
 /// One allocator request in a tasklet's stream.
 ///
 /// `slot` names an allocation within the tasklet's private slot table

@@ -18,7 +18,7 @@
 use pim_malloc::{MetadataStore, PimAllocator};
 use pim_sim::{
     parallel_indexed, Cycles, DpuConfig, DpuSim, SimContext, TaskletStats, TransferDirection,
-    TransferPlan,
+    TransferPlan, VirtualTimeQueue,
 };
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +26,6 @@ use super::csr::CsrGraph;
 use super::generator::{generate_power_law, split_for_update_count, UpdateWorkload};
 use super::linked::LinkedListGraph;
 use super::vararray::VarArrayGraph;
-use crate::driver::VirtualTimeQueue;
 use crate::AllocatorKind;
 
 /// Graph representation under test.
@@ -183,7 +182,7 @@ where
     let mut next = vec![0usize; n];
     let mut events = Vec::new();
     let mut per_tasklet = vec![Cycles::ZERO; n];
-    let mut queue = VirtualTimeQueue::new(dpu, (0..n).filter(|&t| !streams[t].is_empty()));
+    let mut queue = VirtualTimeQueue::new((0..n).filter(|&t| !streams[t].is_empty()));
     while let Some(tid) = queue.pop(dpu) {
         let (u, v) = streams[tid][next[tid]];
         next[tid] += 1;
@@ -192,7 +191,7 @@ where
             per_tasklet[tid] += latency;
         }
         if next[tid] < streams[tid].len() {
-            queue.push(dpu, tid);
+            queue.push(tid);
         }
     }
     (events, per_tasklet)
