@@ -9,16 +9,30 @@
 //!    admitted requests to a *healthy* DPU; if that DPU already holds
 //!    `queue_cap` requests in flight, the request is *dropped*
 //!    (bounded-queue admission control), otherwise it is staged into
-//!    the current dispatch window.
+//!    the current dispatch window. The arrival stream is sorted, so
+//!    arrivals enter the queue through its in-order lane
+//!    ([`EventQueue::push_in_order`]) and never touch its heap, which
+//!    holds only flushes, completions and kills.
 //! 2. **Dispatch** — every `window_us` the staged requests flush as
-//!    one host→PIM push: the window's per-DPU payload bytes form a
-//!    [`TransferPlan`] priced by the shared [`SimContext::planner`],
-//!    and every request in the window becomes runnable once the push
-//!    lands.
+//!    one host→PIM push: the payload bytes of the DPUs the window
+//!    ships to form a [`TransferPlan`], in ascending DPU order, priced
+//!    by the shared [`SimContext::planner`], and every request in the
+//!    window becomes runnable once the push lands. A flush does no
+//!    work for DPUs that received nothing in its window.
 //! 3. **Service** — each DPU serves its queue FIFO; a request's
 //!    service time is its class's replay-calibrated fragment time
 //!    (see [`RequestClass::service_ns`]). Completion events feed the
 //!    queue-depth timeline.
+//!
+//! The loop ends once every request has completed or dropped; events
+//! still pending then (a later kill, a ghost completion) settle
+//! nothing and do not count toward the makespan.
+//!
+//! A request whose projected completion exceeds
+//! [`RetryPolicy::timeout_ns`] after its arrival is re-routed to
+//! another DPU instead of waiting out a hopeless queue. The timeout
+//! is off by default; once set it applies with or without a fault
+//! plan.
 //!
 //! ## Self-healing under faults
 //!
@@ -35,9 +49,6 @@
 //! * **Mid-run kills** — when a DPU dies, its staged and in-service
 //!   requests are *re-dispatched* to healthy DPUs; requests whose
 //!   retry budget is exhausted become fault-attributed drops.
-//! * **Per-request timeout** — a request whose projected completion
-//!   exceeds [`RetryPolicy::timeout_ns`] after queueing is re-routed
-//!   to another DPU instead of waiting out a hopeless queue.
 //!
 //! Every fault decision is a pure function of the plan and a stable
 //! identity (DPU index, flush ordinal), and the loop itself is
@@ -60,10 +71,11 @@ use crate::request::{assign_classes, BuildAllocator, RequestClass};
 /// arrival-time substream.
 const CLASS_STREAM_SALT: u64 = 0xC1A5_5E5E_D000_0001;
 
-/// Retry/timeout policy of the self-healing frontend, in simulated
-/// time. The default leaves the timeout disabled and allows three
-/// retries with 50 µs exponential backoff — retry handling only
-/// activates when the fault plan actually produces failures.
+/// Retry/timeout policy of the frontend, in simulated time. The
+/// default leaves the timeout disabled and allows three retries with
+/// 50 µs exponential backoff. Retries are spent by failed transfer
+/// shards and mid-run kills, which need a fault plan, and by the
+/// timeout, which fires with or without one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// A request whose projected completion lies more than this many
@@ -106,7 +118,9 @@ pub struct ServeConfig {
     /// Maximum points retained in the queue-depth timeline (sampled
     /// at dispatch boundaries, then evenly thinned).
     pub timeline_points: usize,
-    /// Retry/timeout policy under faults (inert on a healthy fleet).
+    /// Retry/timeout policy. A finite timeout re-routes requests on
+    /// any fleet; the retry budget and backoff otherwise serve only
+    /// the fault plan's failures.
     pub retry: RetryPolicy,
     /// Shared execution context: `seed` drives arrivals and class
     /// composition, `transfer`/`batching` price dispatch windows, and
@@ -227,7 +241,8 @@ pub struct ServeReport {
     pub push_secs: f64,
     /// Transfer calls the dispatch schedule issued.
     pub push_calls: u64,
-    /// Simulated seconds from first arrival to last completion.
+    /// Simulated seconds from time 0 (not the first arrival) to the
+    /// event that settled the last request: its completion or drop.
     pub makespan_secs: f64,
     /// Degraded-capacity accounting under the fault plan.
     pub faults: FaultSummary,
@@ -413,7 +428,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let faults_on = faults.enabled();
 
     let mut ev: EventQueue<Ev> = EventQueue::new();
-    ev.push(arrivals[0], Ev::Arrive(0));
+    ev.push_in_order(arrivals[0], Ev::Arrive(0));
     let mut next_arrival = 1usize;
 
     let alive: Vec<bool> = (0..cfg.n_dpus)
@@ -462,8 +477,17 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let mut flush_ordinal = 0u64;
     let mut last_event_ns = 0u64;
     let mut window_bytes = vec![0u64; cfg.n_dpus];
+    // DPUs whose `window_bytes` slot is non-zero, in first-touch order.
+    let mut window_dpus: Vec<usize> = Vec::new();
+    let n_requests = cfg.n_requests as u64;
 
-    while let Some((now, event)) = ev.pop() {
+    // Stop once every request has completed or dropped: a kill or a
+    // ghost completion after that settles nothing and must not
+    // stretch the makespan.
+    while completed + st.summary.drops_queue_full + st.summary.fault_drops() < n_requests {
+        let Some((now, event)) = ev.pop() else {
+            break;
+        };
         last_event_ns = last_event_ns.max(now);
         match event {
             Ev::Arrive(idx) => {
@@ -493,7 +517,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                     }
                 }
                 if next_arrival < arrivals.len() {
-                    ev.push(arrivals[next_arrival], Ev::Arrive(next_arrival as u32));
+                    ev.push_in_order(arrivals[next_arrival], Ev::Arrive(next_arrival as u32));
                     next_arrival += 1;
                 }
             }
@@ -507,14 +531,19 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                     st.staged.drain(..).partition(|r| r.not_before <= now);
                 st.staged = deferred;
                 for r in &ready {
-                    window_bytes[r.dpu as usize] += classes[r.class as usize].payload_bytes;
-                }
-                let mut plan = TransferPlan::new(TransferDirection::HostToPim);
-                for (dpu, bytes) in window_bytes.iter_mut().enumerate() {
-                    if *bytes > 0 {
-                        plan.push(dpu, *bytes);
-                        *bytes = 0;
+                    let bytes = classes[r.class as usize].payload_bytes;
+                    let slot = &mut window_bytes[r.dpu as usize];
+                    if *slot == 0 && bytes > 0 {
+                        window_dpus.push(r.dpu as usize);
                     }
+                    *slot += bytes;
+                }
+                // Ascending DPU order: the per-DPU price sums in plan
+                // order, so any other order could change its bits.
+                window_dpus.sort_unstable();
+                let mut plan = TransferPlan::new(TransferDirection::HostToPim);
+                for dpu in window_dpus.drain(..) {
+                    plan.push(dpu, std::mem::take(&mut window_bytes[dpu]));
                 }
                 let f = if faults.xfer_enabled() {
                     planner.estimate_with_faults(&plan, &faults, nonce)
@@ -947,8 +976,8 @@ mod tests {
                 timeout_ns: 20 * svc,
                 ..RetryPolicy::default()
             },
-            // The timeout path only engages under a fault plan; use a
-            // negligible-but-enabled one so the fault machinery is on.
+            // A negligible-but-enabled plan, so the fault machinery
+            // (per-DPU job tracking) is on as well.
             ctx: base.ctx.with_faults(FaultPlan {
                 seed: 1,
                 dead_frac: 1e-9,
@@ -961,6 +990,16 @@ mod tests {
         // Timed-out requests either re-route (and complete) or drop.
         assert_eq!(r.admitted + r.dropped, cfg.n_requests as u64);
         assert!(r.latency.max.0 <= 20 * svc + 2 * svc + 1_000_000);
+        // The timeout is not a fault path: it fires on a healthy fleet
+        // with no fault plan at all.
+        let healthy = ServeConfig {
+            ctx: base.ctx,
+            ..cfg
+        };
+        assert!(!healthy.ctx.faults.enabled());
+        let h = serve(&healthy, &[small_class()], &sw_build);
+        assert!(h.faults.timeouts > 0, "the timeout needs no fault plan");
+        assert_eq!(h.admitted + h.dropped, healthy.n_requests as u64);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! at clock `c_t` exactly when `(c, o) < (c_t, t)`, the order this
 //! queue pops in.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cost::Cycles;
 use crate::dpu::{DpuSim, MAX_TASKLETS};
@@ -96,15 +96,23 @@ impl VirtualTimeQueue {
 /// insertion order (FIFO), so two runs that push the same events pop
 /// them in the same order regardless of heap internals.
 ///
+/// Events arrive by two paths that share one insertion counter:
+/// [`push`](Self::push) takes any time and goes through a binary heap;
+/// [`push_in_order`](Self::push_in_order) takes nondecreasing times
+/// and goes through a FIFO lane that costs O(1) per event. `pop`
+/// compares the lane's front with the heap's top by `(time, insertion
+/// order)`, so the pop order is the one `push` alone would give.
+///
 /// [`VirtualTimeQueue`] schedules *tasklets by their clocks*; this
-/// queue schedules *arbitrary payloads at explicit times* — arrivals,
-/// dispatches, and completions in the serving frontend's event loop.
+/// queue schedules *arbitrary payloads at explicit times* — arrivals
+/// (in the lane), dispatches, and completions in the serving
+/// frontend's event loop.
 ///
 /// ```
 /// use pim_sim::EventQueue;
 /// let mut q = EventQueue::new();
 /// q.push(20, "late");
-/// q.push(10, "early");
+/// q.push_in_order(10, "early");
 /// q.push(10, "early-tie");
 /// assert_eq!(q.pop(), Some((10, "early")));
 /// assert_eq!(q.pop(), Some((10, "early-tie")));
@@ -114,6 +122,10 @@ impl VirtualTimeQueue {
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Event<T>>,
+    /// Events from `push_in_order`, ascending by `(at, seq)`.
+    lane: VecDeque<Event<T>>,
+    /// Time of the latest `push_in_order`.
+    lane_last: u64,
     seq: u64,
 }
 
@@ -151,36 +163,75 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_last: 0,
             seq: 0,
         }
     }
 
-    /// Schedules `payload` at virtual time `at`.
-    pub fn push(&mut self, at: u64, payload: T) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` at virtual time `at`.
+    pub fn push(&mut self, at: u64, payload: T) {
+        let seq = self.next_seq();
         self.heap.push(Event { at, seq, payload });
+    }
+
+    /// Schedules `payload` at virtual time `at` through the FIFO lane:
+    /// the same pop order as [`push`](Self::push), without the heap's
+    /// sift, for a stream of events whose times never decrease (such
+    /// as a sorted arrival stream).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the time of the previous
+    /// `push_in_order`.
+    pub fn push_in_order(&mut self, at: u64, payload: T) {
+        assert!(
+            at >= self.lane_last,
+            "push_in_order at {at} after one at {}",
+            self.lane_last
+        );
+        self.lane_last = at;
+        let seq = self.next_seq();
+        self.lane.push_back(Event { at, seq, payload });
     }
 
     /// Removes and returns the earliest event as `(time, payload)`;
     /// equal times pop in insertion order.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => (l.at, l.seq) < (h.at, h.seq),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        let event = if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        event.map(|e| (e.at, e.payload))
     }
 
     /// The earliest scheduled time, if any event is pending.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.at)
+        let lane = self.lane.front().map(|e| e.at);
+        let heap = self.heap.peek().map(|e| e.at);
+        lane.into_iter().chain(heap).min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -261,6 +312,16 @@ mod tests {
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "push_in_order at 4 after one at 5")]
+    fn push_in_order_rejects_an_earlier_time() {
+        let mut q = EventQueue::new();
+        q.push_in_order(5, 'a');
+        assert_eq!(q.pop(), Some((5, 'a')));
+        // The lane is empty, but 4 still precedes the last lane push.
+        q.push_in_order(4, 'b');
     }
 
     #[test]

@@ -177,8 +177,7 @@ impl LatencyRecorder {
         }
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        sorted[nearest_rank_index(q, sorted.len())]
     }
 
     /// Merges another recorder's samples into this one.
@@ -187,29 +186,45 @@ impl LatencyRecorder {
     }
 
     /// The SLO percentile summary (p50/p95/p99/p99.9 plus mean, max,
-    /// and count) over the recorded samples, sorting once instead of
-    /// once per percentile query.
+    /// and count) over the recorded samples. Each value is the one
+    /// [`percentile`](Self::percentile) gives, found by selection on
+    /// one copy of the samples instead of a full sort: the ranks are
+    /// ascending, and a selection leaves nothing larger before its
+    /// index, so each next one searches only the rest.
     pub fn summary(&self) -> LatencySummary {
         if self.samples.is_empty() {
             return LatencySummary::default();
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let at = |q: f64| {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[rank - 1]
+        let mut v = self.samples.clone();
+        let n = v.len();
+        let sum: u128 = v.iter().map(|c| u128::from(c.0)).sum();
+        let mut from = 0;
+        let mut select = |idx: usize| {
+            let (_, &mut value, _) = v[from..].select_nth_unstable(idx - from);
+            from = idx;
+            value
         };
-        let sum: u128 = sorted.iter().map(|c| u128::from(c.0)).sum();
+        let p50 = select(nearest_rank_index(0.50, n));
+        let p95 = select(nearest_rank_index(0.95, n));
+        let p99 = select(nearest_rank_index(0.99, n));
+        let p999 = select(nearest_rank_index(0.999, n));
+        let max = select(n - 1);
         LatencySummary {
-            count: sorted.len() as u64,
-            mean: Cycles((sum / sorted.len() as u128) as u64),
-            p50: at(0.50),
-            p95: at(0.95),
-            p99: at(0.99),
-            p999: at(0.999),
-            max: *sorted.last().expect("non-empty"),
+            count: n as u64,
+            mean: Cycles((sum / n as u128) as u64),
+            p50,
+            p95,
+            p99,
+            p999,
+            max,
         }
     }
+}
+
+/// Index of the nearest-rank `q`-quantile in `n > 0` sorted samples:
+/// rank ⌈q·n⌉ clamped to `1..=n`, minus one.
+fn nearest_rank_index(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 
 /// The SLO tail-latency summary of one [`LatencyRecorder`]: the

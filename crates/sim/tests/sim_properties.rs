@@ -2,8 +2,8 @@
 //! cost model must satisfy under arbitrary operation sequences.
 
 use pim_sim::{
-    Cycles, DpuConfig, DpuSim, HostBatching, ShardedXfer, TransferDirection, TransferModel,
-    TransferPlan,
+    Cycles, DpuConfig, DpuSim, EventQueue, HostBatching, ShardedXfer, TransferDirection,
+    TransferModel, TransferPlan,
 };
 use proptest::prelude::*;
 
@@ -24,6 +24,48 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Lock),
         Just(Op::Unlock),
     ]
+}
+
+/// One step against an [`EventQueue`]. Times are relative to the
+/// in-order lane's latest time, so heap and lane events often tie.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// `push` at the lane's time plus this, minus 2 (floored at 0).
+    Push(u64),
+    /// `push_in_order` at the lane's time plus this.
+    PushInOrder(u64),
+    Pop,
+}
+
+fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        2 => (0u64..5).prop_map(QueueOp::Push),
+        2 => (0u64..2).prop_map(QueueOp::PushInOrder),
+        3 => Just(QueueOp::Pop),
+    ]
+}
+
+/// The summary's checks: ordering, bounds, and agreement with the
+/// sort-based [`LatencyRecorder::percentile`](pim_sim::LatencyRecorder::percentile).
+fn check_summary(samples: &[u64]) -> Result<(), TestCaseError> {
+    let mut r = pim_sim::LatencyRecorder::new();
+    for &s in samples {
+        r.record(Cycles(s));
+    }
+    let s = r.summary();
+    prop_assert_eq!(s.count, samples.len() as u64);
+    prop_assert!(s.p50 <= s.p95);
+    prop_assert!(s.p95 <= s.p99);
+    prop_assert!(s.p99 <= s.p999);
+    prop_assert!(s.p999 <= s.max);
+    prop_assert_eq!(s.max, Cycles(*samples.iter().max().expect("non-empty")));
+    let min = Cycles(*samples.iter().min().expect("non-empty"));
+    prop_assert!(s.mean >= min && s.mean <= s.max);
+    prop_assert_eq!(s.p50, r.percentile(0.50));
+    prop_assert_eq!(s.p95, r.percentile(0.95));
+    prop_assert_eq!(s.p99, r.percentile(0.99));
+    prop_assert_eq!(s.p999, r.percentile(0.999));
+    Ok(())
 }
 
 proptest! {
@@ -166,28 +208,50 @@ proptest! {
     /// SLO percentile ordering: for any sample set,
     /// p50 ≤ p95 ≤ p99 ≤ p99.9 ≤ max, the mean sits within [min, max],
     /// and the summary agrees with the recorder's own percentile
-    /// queries.
+    /// queries. The second set draws from `0..8`, so values repeat and
+    /// ranks coincide.
     #[test]
     fn latency_summary_percentiles_are_ordered(
         samples in proptest::collection::vec(0u64..u64::MAX / 2, 1..512),
+        repeats in proptest::collection::vec(0u64..8, 1..512),
     ) {
-        let mut r = pim_sim::LatencyRecorder::new();
-        for &s in &samples {
-            r.record(Cycles(s));
+        check_summary(&samples)?;
+        check_summary(&repeats)?;
+    }
+
+    /// The in-order lane is invisible: random interleavings of `push`,
+    /// `push_in_order` and `pop` pop the same `(time, payload)`
+    /// sequence, with the same `len` and `peek_time` after every
+    /// step, as the same events pushed with `push` alone.
+    #[test]
+    fn event_queue_lane_matches_a_heap_only_queue(
+        ops in proptest::collection::vec(queue_op_strategy(), 1..200),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = EventQueue::new();
+        let mut lane_at = 0u64;
+        for (id, op) in ops.into_iter().enumerate() {
+            match op {
+                QueueOp::Push(offset) => {
+                    let at = (lane_at + offset).saturating_sub(2);
+                    q.push(at, id);
+                    reference.push(at, id);
+                }
+                QueueOp::PushInOrder(step) => {
+                    lane_at += step;
+                    q.push_in_order(lane_at, id);
+                    reference.push(lane_at, id);
+                }
+                QueueOp::Pop => prop_assert_eq!(q.pop(), reference.pop()),
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.peek_time(), reference.peek_time());
         }
-        let s = r.summary();
-        prop_assert_eq!(s.count, samples.len() as u64);
-        prop_assert!(s.p50 <= s.p95);
-        prop_assert!(s.p95 <= s.p99);
-        prop_assert!(s.p99 <= s.p999);
-        prop_assert!(s.p999 <= s.max);
-        prop_assert_eq!(s.max, Cycles(*samples.iter().max().unwrap()));
-        let min = Cycles(*samples.iter().min().unwrap());
-        prop_assert!(s.mean >= min && s.mean <= s.max);
-        prop_assert_eq!(s.p50, r.percentile(0.50));
-        prop_assert_eq!(s.p95, r.percentile(0.95));
-        prop_assert_eq!(s.p99, r.percentile(0.99));
-        prop_assert_eq!(s.p999, r.percentile(0.999));
+        while !reference.is_empty() {
+            prop_assert_eq!(q.pop(), reference.pop());
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.pop(), None);
     }
 }
 

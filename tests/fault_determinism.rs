@@ -7,7 +7,7 @@
 //! context.
 
 use pim_malloc::PimAllocator;
-use pim_serving::{serve, ArrivalProcess, ServeConfig, ServeReport};
+use pim_serving::{estimated_capacity_rps, serve, ArrivalProcess, ServeConfig, ServeReport};
 use pim_sim::{DpuSim, FaultPlan, SimContext, TransferDirection, TransferPlan};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
@@ -89,6 +89,35 @@ fn fault_accounting_closes_under_chaos() {
         1 + r.faults.killed_dpus,
         "one timeline point at t=0 plus one per kill"
     );
+}
+
+#[test]
+fn kills_after_the_last_request_change_nothing() {
+    // 200 requests at half capacity all finish within ~72 ms, while a
+    // quarter of the fleet dies over a 10 s horizon. Kills that land
+    // after the stream has drained have nothing left to disturb, so
+    // the report must equal the fault-free one, makespan included.
+    let classes = standard_mix();
+    let rps = 0.5 * estimated_capacity_rps(&classes, &build, 16);
+    let clean = ServeConfig {
+        n_dpus: 16,
+        n_requests: 200,
+        arrival: ArrivalProcess::Poisson { rps },
+        ctx: SimContext::default().with_seed(1),
+        ..ServeConfig::default()
+    };
+    let late_kills = ServeConfig {
+        ctx: clean.ctx.with_faults(FaultPlan {
+            seed: 3,
+            kill_frac: 0.25,
+            kill_horizon_ns: 10_000_000_000,
+            ..FaultPlan::none()
+        }),
+        ..clean
+    };
+    let reference = serve(&clean, &classes, &build);
+    assert!(reference.makespan_secs < 0.1, "{}", reference.makespan_secs);
+    assert_eq!(serve(&late_kills, &classes, &build), reference);
 }
 
 #[test]
