@@ -32,7 +32,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::buddy::DescentPolicy;
 use crate::pim_malloc::BackendKind;
 use crate::thread_cache::{CACHE_BLOCK_BYTES, DEFAULT_SIZE_CLASSES};
 
@@ -217,7 +216,6 @@ pub struct PimMallocConfig {
     pub(crate) n_tasklets: usize,
     pub(crate) backend: BackendKind,
     pub(crate) prepopulate: bool,
-    pub(crate) descent: DescentPolicy,
     pub(crate) quarantine_after: Option<u32>,
 }
 
@@ -283,7 +281,6 @@ impl AllocGeometry {
                 n_tasklets,
                 backend: BackendKind::Coarse { buffer_bytes: 2048 },
                 prepopulate: true,
-                descent: DescentPolicy::FullMarks,
                 quarantine_after: None,
             },
         }
@@ -297,21 +294,9 @@ impl AllocGeometry {
         })
     }
 
-    /// Overrides the heap base address.
-    pub fn with_heap_base(mut self, addr: u32) -> Self {
-        self.cfg.heap_base = addr;
-        self
-    }
-
     /// Overrides the heap size.
     pub fn with_heap_size(mut self, bytes: u32) -> Self {
         self.cfg.heap_size = bytes;
-        self
-    }
-
-    /// Overrides the backend metadata base address.
-    pub fn with_meta_base(mut self, addr: u32) -> Self {
-        self.cfg.meta_base = addr;
         self
     }
 
@@ -325,12 +310,6 @@ impl AllocGeometry {
     /// Selects the backend metadata store.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.cfg.backend = backend;
-        self
-    }
-
-    /// Overrides the backend descent policy (ablation hook).
-    pub fn with_descent(mut self, descent: DescentPolicy) -> Self {
-        self.cfg.descent = descent;
         self
     }
 
@@ -352,19 +331,13 @@ impl AllocGeometry {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent geometry: zero or non-power-of-two heap
-    /// size, or a heap base not aligned to the cache block.
+    /// Panics on a zero or non-power-of-two heap size.
     pub fn build(self) -> PimMallocConfig {
         let cfg = self.cfg;
         assert!(
             cfg.heap_size.is_power_of_two(),
             "heap size {} not a power of two",
             cfg.heap_size
-        );
-        assert_eq!(
-            cfg.heap_base % CACHE_BLOCK_BYTES,
-            0,
-            "heap base must be cache-block aligned"
         );
         cfg
     }
@@ -461,15 +434,11 @@ mod tests {
     fn builder_overrides_compose() {
         let cfg = AllocGeometry::sw(4)
             .with_heap_size(1 << 20)
-            .with_heap_base(0x0040_0000)
-            .with_meta_base(0x0030_0000)
             .with_size_classes(SizeClassTable::new([64, 512]))
             .with_quarantine(3)
             .lazy()
             .build();
         assert_eq!(cfg.heap_size(), 1 << 20);
-        assert_eq!(cfg.heap_base(), 0x0040_0000);
-        assert_eq!(cfg.meta_base(), 0x0030_0000);
         assert_eq!(cfg.size_classes().classes(), [64, 512]);
         assert_eq!(cfg.quarantine_after(), Some(3));
         assert!(!cfg.prepopulate());

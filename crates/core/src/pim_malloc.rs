@@ -184,7 +184,7 @@ impl PimMalloc {
                 MetadataBackend::line_cache(&geometry, config.meta_base, capacity_bytes, line_bytes)
             }
         };
-        let mut backend = BuddyAllocator::new(geometry, store).with_policy(config.descent);
+        let mut backend = BuddyAllocator::new(geometry, store);
         let backend_mutex = dpu.alloc_mutex();
 
         let mut this = {

@@ -225,7 +225,7 @@ impl AllocProfile {
     /// The trace's streams are walked in a deterministic round-robin
     /// (op `r` of tasklet 0, op `r` of tasklet 1, …); each processed
     /// op advances a global *tick* that stands in for time. Lifetimes
-    /// and the timeline are measured in ticks. Driver semantics match
+    /// and the timeline are measured in ticks. Slot semantics match
     /// the replayer: allocating into an occupied slot frees the
     /// shadowed allocation first, local frees of empty slots are
     /// no-ops, and a remote free that arrives before its allocation
@@ -468,8 +468,8 @@ impl TraceWalk {
         self.tick += 1;
         match op {
             TraceOp::Malloc { size, slot } => {
-                // Driver semantics: slot reuse frees the shadowed
-                // allocation first.
+                // As in replay, slot reuse frees the shadowed
+                // allocation.
                 self.free_slot(tid, slot, false);
                 self.p.histogram.record(size);
                 self.p.mallocs += 1;

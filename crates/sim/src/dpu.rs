@@ -11,7 +11,6 @@
 use crate::cost::{CostModel, Cycles};
 use crate::mram::Mram;
 use crate::stats::{DramTraffic, TaskletStats};
-use crate::trace::{TraceEvent, TraceRecorder};
 use crate::wram::Wram;
 
 /// Most tasklets a DPU launches: UPMEM hardware runs 1..=24.
@@ -90,15 +89,14 @@ pub struct DpuSim {
     /// accounting is linear in the count (fixed issue interval per
     /// DPU), so adjacent `instrs` calls accumulate here and settle in
     /// one step at the next observation point — any DMA, mutex, wait,
-    /// trace record, or the creation of the next context. The clock
-    /// and stats accessors compensate for a still-pending batch, which
-    /// makes the batching unobservable: every readable value equals
-    /// what eager per-call accounting would produce.
+    /// or the creation of the next context. The clock and stats
+    /// accessors compensate for a still-pending batch, which makes the
+    /// batching unobservable: every readable value equals what eager
+    /// per-call accounting would produce.
     pending_instrs: u64,
     /// Tasklet owing `pending_instrs` (meaningful only when nonzero).
     pending_tid: usize,
     traffic: DramTraffic,
-    trace: Option<TraceRecorder>,
     mram: Mram,
     wram: Wram,
 }
@@ -119,18 +117,7 @@ impl DpuSim {
             pending_instrs: 0,
             pending_tid: 0,
             traffic: DramTraffic::default(),
-            trace: None,
         }
-    }
-
-    /// Turns on per-tasklet event tracing (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(TraceRecorder::new());
-    }
-
-    /// The event trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref()
     }
 
     /// The configuration this DPU was built with.
@@ -307,49 +294,13 @@ impl TaskletCtx<'_> {
     ///
     /// `n × pipeline_depth` cycles are accounted as *run*; any extra
     /// spacing from issue-slot sharing (when more tasklets than pipeline
-    /// stages are active) is accounted as *idle (etc)*.
+    /// stages are active) is accounted as *idle (etc)*. Accounting is
+    /// linear in `n`, so adjacent charges accumulate and settle
+    /// together (byte-identical; see `DpuSim::pending_instrs`).
     #[inline]
     pub fn instrs(&mut self, n: u64) {
-        if self.dpu.trace.is_none() {
-            // Lazy batch: accounting is linear in `n`, so adjacent
-            // charges accumulate and settle together (byte-identical;
-            // see `DpuSim::pending_instrs`). Tracing needs one event
-            // per charge, so it takes the eager path below.
-            self.dpu.pending_tid = self.tid;
-            self.dpu.pending_instrs += n;
-            return;
-        }
-        let cost = &self.dpu.config.cost;
-        let interval = cost.issue_interval(self.dpu.config.n_tasklets);
-        let run = n * cost.pipeline_depth;
-        let share = n * interval - run;
-        let s = &mut self.dpu.stats[self.tid];
-        s.run += Cycles(run);
-        s.idle_etc += Cycles(share);
-        s.instrs += n;
-        self.dpu.clocks[self.tid] += Cycles(n * interval);
-        if let Some(trace) = &mut self.dpu.trace {
-            trace.record(
-                self.tid,
-                self.dpu.clocks[self.tid],
-                TraceEvent::Instrs { count: n },
-            );
-        }
-    }
-
-    /// Charges `n` instructions of *busy-wait* compute (spin loops).
-    ///
-    /// Identical timing to [`TaskletCtx::instrs`], but the time is
-    /// classified as busy-wait. Used by higher-level primitives; mutex
-    /// waits already account this automatically.
-    pub fn spin_instrs(&mut self, n: u64) {
-        self.dpu.settle_instrs();
-        let cost = &self.dpu.config.cost;
-        let interval = cost.issue_interval(self.dpu.config.n_tasklets);
-        let s = &mut self.dpu.stats[self.tid];
-        s.busy_wait += Cycles(n * interval);
-        s.instrs += n;
-        self.dpu.clocks[self.tid] += Cycles(n * interval);
+        self.dpu.pending_tid = self.tid;
+        self.dpu.pending_instrs += n;
     }
 
     /// Blocks the tasklet until absolute time `t` (no-op if in the
@@ -385,17 +336,6 @@ impl TaskletCtx<'_> {
         let s = &mut self.dpu.stats[self.tid];
         s.idle_mem += Cycles(backlog) + latency;
         self.dpu.clocks[self.tid] = end;
-        if let Some(trace) = &mut self.dpu.trace {
-            trace.record(
-                self.tid,
-                end,
-                TraceEvent::Dma {
-                    bytes,
-                    queued: Cycles(backlog),
-                    is_read,
-                },
-            );
-        }
         self.dpu.traffic.transfers += 1;
         if is_read {
             self.dpu.traffic.bytes_read += u64::from(bytes);
@@ -455,10 +395,6 @@ impl TaskletCtx<'_> {
         }
         state.locked_by = Some(self.tid);
         self.dpu.clocks[self.tid] = grant;
-        let waited = grant - now;
-        if let Some(trace) = &mut self.dpu.trace {
-            trace.record(self.tid, grant, TraceEvent::MutexAcquired { waited });
-        }
     }
 
     /// Releases a mutex previously acquired by this tasklet.
@@ -479,9 +415,6 @@ impl TaskletCtx<'_> {
         );
         state.locked_by = None;
         state.free_at = now;
-        if let Some(trace) = &mut self.dpu.trace {
-            trace.record(self.tid, now, TraceEvent::MutexReleased);
-        }
     }
 }
 
@@ -614,14 +547,6 @@ mod tests {
         // Waiting for the past is a no-op.
         d.ctx(0).wait_until(Cycles(100));
         assert_eq!(d.clock(0), Cycles(500));
-    }
-
-    #[test]
-    fn spin_instrs_classify_as_busy_wait() {
-        let mut d = dpu(1);
-        d.ctx(0).spin_instrs(10);
-        assert_eq!(d.tasklet_stats(0).busy_wait, Cycles(110));
-        assert_eq!(d.tasklet_stats(0).run, Cycles::ZERO);
     }
 
     #[test]

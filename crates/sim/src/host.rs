@@ -51,32 +51,6 @@ pub struct TransferModel {
 }
 
 impl TransferModel {
-    /// Seconds to move `bytes_per_dpu` bytes to or from each of
-    /// `n_dpus` DPUs in one batched transfer call.
-    ///
-    /// DPUs fill ranks in order; a rank's DPUs serialize on its data
-    /// path while ranks proceed in parallel, all capped by the shared
-    /// memory channel. The time is therefore the larger of the fullest
-    /// rank's serial time and the channel-limited aggregate time.
-    ///
-    /// ```
-    /// use pim_sim::TransferModel;
-    /// let t = TransferModel::default();
-    /// let one = t.transfer_secs(1, 4096);
-    /// let many = t.transfer_secs(512, 4096);
-    /// assert!(many > one * 10.0, "distinct per-DPU data scales with DPU count");
-    /// ```
-    pub fn transfer_secs(&self, n_dpus: usize, bytes_per_dpu: u64) -> f64 {
-        if n_dpus == 0 || bytes_per_dpu == 0 {
-            return 0.0;
-        }
-        let fullest_rank_dpus = n_dpus.min(self.dpus_per_rank) as u64;
-        let rank_secs = (fullest_rank_dpus * bytes_per_dpu) as f64 / (self.rank_bw_gbps * 1e9);
-        let total_bytes = n_dpus as u64 * bytes_per_dpu;
-        let channel_secs = total_bytes as f64 / (self.channel_bw_gbps * 1e9);
-        self.base_us_per_call * 1e-6 + rank_secs.max(channel_secs)
-    }
-
     /// Seconds for a [`TransferPlan`] issued as **one call per DPU
     /// buffer**: each non-empty buffer pays the fixed per-call
     /// overhead, calls issue serially in the host thread, and only one
@@ -252,26 +226,6 @@ impl HostSim {
         elapsed
     }
 
-    /// Issues one batched transfer of `bytes_per_dpu` to/from each of
-    /// `n_dpus` DPUs. Returns elapsed seconds.
-    ///
-    /// Legacy single-call accounting (the whole set in one ideal
-    /// batched call); new call sites should describe their traffic as
-    /// a [`crate::TransferPlan`] and use [`HostSim::transfer_plan`],
-    /// which schedules it under a [`crate::HostBatching`] policy.
-    pub fn transfer(
-        &mut self,
-        _direction: TransferDirection,
-        n_dpus: usize,
-        bytes_per_dpu: u64,
-    ) -> f64 {
-        let elapsed = self.transfer_model.transfer_secs(n_dpus, bytes_per_dpu);
-        self.transfer_secs += elapsed;
-        self.bytes_moved += n_dpus as u64 * bytes_per_dpu;
-        self.transfer_calls += 1;
-        elapsed
-    }
-
     /// Executes a [`crate::TransferPlan`] under `policy`, accumulating
     /// the modeled seconds, bytes, and the *actual* number of transfer
     /// calls the chosen schedule issues (one per non-empty buffer for
@@ -332,39 +286,6 @@ impl Default for HostSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transfer_time_scales_with_total_bytes_beyond_channel_cap() {
-        let t = TransferModel::default();
-        // 512 DPUs = 8 ranks, well past the channel cap, so doubling the
-        // DPU count roughly doubles the time.
-        let a = t.transfer_secs(256, 1 << 20);
-        let b = t.transfer_secs(512, 1 << 20);
-        assert!(b / a > 1.8 && b / a < 2.2, "ratio was {}", b / a);
-    }
-
-    #[test]
-    fn single_rank_uses_rank_bandwidth() {
-        let t = TransferModel::default();
-        let secs = t.transfer_secs(1, 800_000_000);
-        // 0.8 GB at 0.8 GB/s ≈ 1 s.
-        assert!((secs - 1.0).abs() < 0.01, "secs = {secs}");
-    }
-
-    #[test]
-    fn zero_transfer_is_free() {
-        let t = TransferModel::default();
-        assert_eq!(t.transfer_secs(0, 100), 0.0);
-        assert_eq!(t.transfer_secs(10, 0), 0.0);
-    }
-
-    #[test]
-    fn base_overhead_dominates_tiny_transfers() {
-        let t = TransferModel::default();
-        let secs = t.transfer_secs(1, 8);
-        assert!(secs >= t.base_us_per_call * 1e-6);
-        assert!(secs < t.base_us_per_call * 1e-6 * 1.5);
-    }
 
     #[test]
     fn parallel_for_spawn_cost_is_serial() {
@@ -429,9 +350,11 @@ mod tests {
 
     #[test]
     fn accounting_accumulates_and_resets() {
+        use crate::xfer::{HostBatching, TransferPlan};
         let mut h = HostSim::default();
         h.parallel_for(4, 100, 0.5);
-        h.transfer(TransferDirection::HostToPim, 4, 1024);
+        let plan = TransferPlan::uniform(TransferDirection::HostToPim, 4, 1024);
+        h.transfer_plan(&plan, HostBatching::Sharded);
         assert!(h.compute_secs() > 0.0);
         assert!(h.transfer_secs() > 0.0);
         assert_eq!(h.bytes_moved(), 4096);

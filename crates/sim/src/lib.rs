@@ -54,13 +54,10 @@ pub mod dpu;
 pub mod exec;
 pub mod fault;
 pub mod host;
-pub mod iram;
 pub mod mram;
 pub mod runtime;
 pub mod sched;
 pub mod stats;
-pub mod system;
-pub mod trace;
 pub mod wram;
 pub mod xfer;
 
@@ -72,12 +69,9 @@ pub use dpu::{DpuConfig, DpuSim, MutexId, TaskletCtx, MAX_TASKLETS};
 pub use exec::parallel_indexed;
 pub use fault::{FaultPlan, ShardFault};
 pub use host::{HostConfig, HostSim, TransferDirection, TransferModel};
-pub use iram::Iram;
 pub use mram::Mram;
 pub use runtime::DpuSet;
 pub use sched::{EventQueue, VirtualTimeQueue};
 pub use stats::{DramTraffic, LatencyRecorder, LatencySummary, TaskletStats};
-pub use system::PimSystem;
-pub use trace::{TraceEntry, TraceEvent, TraceRecorder};
 pub use wram::Wram;
 pub use xfer::{FaultyXferEstimate, HostBatching, ShardedXfer, TransferPlan, XferEstimate};

@@ -6,7 +6,7 @@
 //! tasklets stay causally consistent. [`VirtualTimeQueue`] is that
 //! scheduler; it lives in the simulator crate because both
 //! `pim-workloads` (the graph update phases) and `pim-trace` (the trace
-//! replayer, which the request driver delegates to) drive [`DpuSim`]s
+//! replayer, which the microbenchmark runs on) drive [`DpuSim`]s
 //! through it.
 //!
 //! The trace replayer pops once per allocator call or remote-free

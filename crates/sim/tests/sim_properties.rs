@@ -120,17 +120,25 @@ proptest! {
         prop_assert_eq!(traffic.bytes_written, expect_written);
     }
 
-    /// Host↔PIM transfer time is monotone in both DPU count and bytes.
+    /// Host↔PIM transfer time is monotone in both DPU count and bytes:
+    /// under either policy, the planner's price for a uniform plan
+    /// never falls as the DPU count or the bytes per DPU grow.
     #[test]
     fn transfer_model_monotone(
         d1 in 1usize..1024, d2 in 1usize..1024,
         b1 in 1u64..(1 << 24), b2 in 1u64..(1 << 24),
     ) {
-        let t = TransferModel::default();
         let (dl, dh) = (d1.min(d2), d1.max(d2));
         let (bl, bh) = (b1.min(b2), b1.max(b2));
-        prop_assert!(t.transfer_secs(dh, bl) >= t.transfer_secs(dl, bl));
-        prop_assert!(t.transfer_secs(dl, bh) >= t.transfer_secs(dl, bl));
+        for policy in [HostBatching::PerDpu, HostBatching::Sharded] {
+            let planner = ShardedXfer::new(TransferModel::default(), policy);
+            let secs = |dpus, bytes| {
+                let plan = TransferPlan::uniform(TransferDirection::HostToPim, dpus, bytes);
+                planner.estimate(&plan).secs
+            };
+            prop_assert!(secs(dh, bl) >= secs(dl, bl), "{policy:?}: more DPUs cost less");
+            prop_assert!(secs(dl, bh) >= secs(dl, bl), "{policy:?}: more bytes cost less");
+        }
     }
 
     /// Instruction retirement obeys the pipeline model exactly:

@@ -37,13 +37,12 @@ const MAX_STREAM_COMPUTE_CYCLES: u64 = 1 << 48;
 /// One event in a tasklet's stream.
 ///
 /// `slot` names an allocation within a tasklet's slot table so later
-/// events can free it without knowing addresses up front — the same
-/// indirection the workloads driver uses.
+/// events can free it without knowing addresses up front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceOp {
     /// Allocate `size` bytes and remember the address in this
     /// tasklet's `slot`. Allocating into an occupied slot frees the
-    /// shadowed address first (driver semantics).
+    /// shadowed address once the new one is allocated.
     Malloc {
         /// Request size in bytes.
         size: u32,
@@ -159,8 +158,9 @@ impl AllocTrace {
     /// Checks structural invariants: stream count matches
     /// `n_tasklets`, which a DPU supports (1..=24), the heap is a power
     /// of two in 4 KB..=32 MB (the buddy backend tiles nothing else),
-    /// sizes are non-zero,
-    /// every cross-tasklet free edge points at a real tasklet,
+    /// malloc sizes are non-zero and at most the heap (the allocators
+    /// reject any other size as invalid, which replay cannot count as
+    /// OOM), every cross-tasklet free edge points at a real tasklet,
     /// every slot index is below its owning stream's op count (a slot
     /// names one of the owner's mallocs, so a larger index can never
     /// be filled), and no stream's `Compute` cycles sum past 2^48.
@@ -196,6 +196,12 @@ impl AllocTrace {
                 let (owner, slot) = match *op {
                     TraceOp::Malloc { size: 0, .. } => {
                         return schema_err(format!("tasklet {tid} allocates 0 bytes"));
+                    }
+                    TraceOp::Malloc { size, .. } if size > self.heap_size => {
+                        return schema_err(format!(
+                            "tasklet {tid} allocates {size} bytes from a {} B heap",
+                            self.heap_size
+                        ));
                     }
                     TraceOp::RemoteFree { tasklet, .. } if tasklet as usize >= self.n_tasklets => {
                         return schema_err(format!(
@@ -477,6 +483,33 @@ mod tests {
         for heap in [4 << 10, 32 << 20] {
             assert!(AllocTrace::new("t", heap, 2).validate().is_ok(), "{heap}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_mallocs_larger_than_the_heap() {
+        let heap = 1 << 20;
+        let one_malloc = |size| {
+            let mut t = AllocTrace::new("t", heap, 1);
+            t.streams[0].push(TraceOp::Malloc { size, slot: 0 });
+            t
+        };
+        let too_big = one_malloc(heap + 1);
+        assert!(
+            matches!(too_big.validate(), Err(TraceError::Schema(m)) if m.contains("allocates")),
+            "a malloc past the heap must not validate"
+        );
+        assert!(AllocTrace::from_json(&too_big.to_json()).is_err());
+        // Exactly the heap is a legal request: the eager thread caches
+        // have already split the root, so it replays as one OOM.
+        let whole = one_malloc(heap);
+        assert_eq!(AllocTrace::from_json(&whole.to_json()), Ok(whole.clone()));
+        let mut dpu = pim_sim::DpuSim::new(pim_sim::DpuConfig::default().with_tasklets(1));
+        let cfg = pim_malloc::AllocGeometry::sw(1)
+            .with_heap_size(heap)
+            .build();
+        let mut alloc = pim_malloc::PimMalloc::init(&mut dpu, cfg).expect("init");
+        let r = crate::replay(&mut dpu, &mut alloc, &whole);
+        assert_eq!((r.oom_count, r.malloc_latencies.len()), (1, 0));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   with temporal shapes (steady / bursty / phase-shift / ramp /
 //!   producer–consumer).
 //! * [`replay`] — the deterministic virtual-time replay engine
-//!   ([`replay()`]) the workloads driver itself delegates to, plus
-//!   [`replay_fleet`] for multi-DPU replay on the parallel engine with
-//!   host-batched trace distribution.
+//!   ([`replay()`], and [`replay_streams`] that the microbenchmark
+//!   runs on), plus [`replay_fleet`] for multi-DPU replay on the
+//!   parallel engine with host-batched trace distribution.
 //!
 //! Capture once, replay everywhere: the same trace file drives every
 //! [`PimAllocator`](pim_malloc::PimAllocator) design and both

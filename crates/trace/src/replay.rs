@@ -1,10 +1,9 @@
 //! Deterministic trace replay.
 //!
-//! [`replay`] drives one DPU's allocator with an [`AllocTrace`] under
-//! the same virtual-time discipline as the workloads driver — in fact
-//! the driver *is* this engine (it converts its request streams to
-//! trace ops and delegates), so a trace recorded from a driver
-//! workload replays to byte-identical latency results by construction.
+//! [`replay`] drives one DPU's allocator with an [`AllocTrace`] in
+//! virtual-time order. The microbenchmark runs its request streams
+//! through [`replay_streams`] too, so the trace of a microbenchmark
+//! run replays to byte-identical latency results by construction.
 //! [`replay_fleet`] scales one trace across a multi-DPU system: the
 //! host first distributes the trace bytes under a [`HostBatching`]
 //! policy, then every DPU replays it as a share-nothing simulation on
@@ -120,13 +119,14 @@ impl FoldedRun {
 
 /// Replays `trace` against `alloc` on `dpu`.
 ///
-/// Semantics per op: `Malloc` allocates and (driver-style) frees any
-/// address shadowed in its slot; `Free` frees the tasklet's own slot
+/// Semantics per op: `Malloc` allocates and then frees any address
+/// shadowed in its slot; `Free` frees the tasklet's own slot
 /// (no-op if empty); `RemoteFree` frees another tasklet's slot,
 /// waiting (bounded) until the producer has filled it; `Compute`
 /// advances the tasklet's clock. Out-of-memory is counted and the
 /// stream continues; other allocator errors panic, since the replayer
-/// only frees slots it has filled.
+/// only frees slots it has filled and a valid trace only asks for
+/// sizes in 1..=heap (see [`AllocTrace::validate`]).
 ///
 /// # Panics
 ///
@@ -137,8 +137,7 @@ pub fn replay(dpu: &mut DpuSim, alloc: &mut dyn PimAllocator, trace: &AllocTrace
 }
 
 /// [`replay`] over raw per-tasklet streams (no surrounding
-/// [`AllocTrace`] header) — the entry point the workloads driver
-/// delegates to.
+/// [`AllocTrace`] header), as the microbenchmark builds them.
 ///
 /// # Panics
 ///
@@ -380,7 +379,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_malloc::{AllocGeometry, PimMalloc};
+    use pim_malloc::{AllocGeometry, PimMalloc, StrawManAllocator, StrawManConfig};
 
     fn dpu(tasklets: usize) -> DpuSim {
         DpuSim::new(DpuConfig::default().with_tasklets(tasklets))
@@ -484,6 +483,58 @@ mod tests {
         // 100 allocations through one slot never exhaust a 1 MB heap.
         assert_eq!(r.oom_count, 0);
         assert_eq!(r.malloc_latencies.len(), 100);
+    }
+
+    #[test]
+    fn oom_is_counted_not_fatal() {
+        let mut t = AllocTrace::new("oom", 1 << 20, 1);
+        t.streams[0] = (0..40)
+            .map(|slot| TraceOp::Malloc {
+                size: 64 << 10,
+                slot,
+            })
+            .collect();
+        let mut d = dpu(1);
+        let mut a = sw_alloc(&mut d, 1, 1 << 20);
+        let r = replay(&mut d, a.as_mut(), &t);
+        assert!(r.oom_count > 0, "1 MB heap cannot hold 40 × 64 KB");
+        assert_eq!(r.malloc_latencies.len() as u64 + r.oom_count, 40);
+    }
+
+    #[test]
+    fn free_of_empty_slot_is_noop() {
+        let mut t = AllocTrace::new("empty", 1 << 20, 1);
+        t.streams[0] = vec![TraceOp::Free { slot: 0 }];
+        let mut d = dpu(1);
+        let mut a = sw_alloc(&mut d, 1, 1 << 20);
+        let before = d.max_clock();
+        let r = replay(&mut d, a.as_mut(), &t);
+        assert_eq!(r.malloc_latencies.len(), 0);
+        assert_eq!(r.finish, before, "nothing ran");
+    }
+
+    #[test]
+    fn contention_inflates_multi_tasklet_latency() {
+        // The same per-tasklet stream takes longer per malloc under
+        // 16-way contention on the straw-man's single mutex.
+        let mean_latency = |tasklets: usize| {
+            let mut t = AllocTrace::new("contend", 1 << 20, tasklets);
+            for stream in &mut t.streams {
+                *stream = vec![TraceOp::Malloc { size: 32, slot: 0 }; 16];
+            }
+            let mut d = dpu(tasklets);
+            let cfg = StrawManConfig {
+                heap_size: 1 << 20,
+                ..StrawManConfig::default()
+            };
+            let mut a = StrawManAllocator::init(&mut d, cfg).expect("init");
+            replay(&mut d, &mut a, &t).malloc_latencies.mean()
+        };
+        let (solo, contended) = (mean_latency(1), mean_latency(16));
+        assert!(
+            contended.0 > 2 * solo.0,
+            "contended mean {contended} vs solo mean {solo}"
+        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   replay vs every DPU of a `replay_fleet` on the parallel engine,
 //!   yields byte-identical latency timelines.
 //! * **Replay robustness** — arbitrary (even nonsensical) traces
-//!   replay without panicking: bad frees drop, OOM counts, the run
-//!   terminates.
+//!   replay without panicking once they validate: bad frees drop, OOM
+//!   counts, the run terminates. A malloc larger than the heap must
+//!   not validate, since no allocator can count it as OOM.
 
 use pim_malloc::PimAllocator;
 use pim_sim::{DpuConfig, DpuSim};
@@ -20,14 +21,19 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 const N_TASKLETS: usize = 4;
+const HEAP_SIZE: u32 = 1 << 20;
 
+/// Arbitrary ops. A malloc larger than the heap is drawn rarely, so
+/// about one trace in five holds one and the rest still validate.
 fn op_strategy() -> impl Strategy<Value = TraceOp> {
     prop_oneof![
-        4 => (1u32..16384, 0u32..24).prop_map(|(size, slot)| TraceOp::Malloc { size, slot }),
-        2 => (0u32..24).prop_map(|slot| TraceOp::Free { slot }),
-        1 => (0u32..N_TASKLETS as u32, 0u32..24)
+        160 => (1u32..16384, 0u32..24).prop_map(|(size, slot)| TraceOp::Malloc { size, slot }),
+        1 => (HEAP_SIZE + 1..=u32::MAX, 0u32..24)
+            .prop_map(|(size, slot)| TraceOp::Malloc { size, slot }),
+        80 => (0u32..24).prop_map(|slot| TraceOp::Free { slot }),
+        40 => (0u32..N_TASKLETS as u32, 0u32..24)
             .prop_map(|(tasklet, slot)| TraceOp::RemoteFree { tasklet, slot }),
-        2 => (0u64..100_000).prop_map(|cycles| TraceOp::Compute { cycles }),
+        80 => (0u64..100_000).prop_map(|cycles| TraceOp::Compute { cycles }),
     ]
 }
 
@@ -49,7 +55,7 @@ fn trace_strategy() -> impl Strategy<Value = AllocTrace> {
         AllocTrace {
             name: "prop".to_owned(),
             n_tasklets: N_TASKLETS,
-            heap_size: 1 << 20,
+            heap_size: HEAP_SIZE,
             streams,
         }
     })
@@ -57,7 +63,7 @@ fn trace_strategy() -> impl Strategy<Value = AllocTrace> {
 
 fn sw_build(dpu: &mut DpuSim) -> Box<dyn PimAllocator> {
     let cfg = pim_malloc::AllocGeometry::sw(N_TASKLETS)
-        .with_heap_size(1 << 20)
+        .with_heap_size(HEAP_SIZE)
         .build();
     Box::new(pim_malloc::PimMalloc::init(dpu, cfg).expect("init"))
 }
@@ -102,7 +108,7 @@ proptest! {
             mallocs_per_tasklet: 48,
             size_law: SizeLaw::Zipf { min: 16, max: 2048, exponent: 1.0 },
             shape: TemporalShape::Bursty { burst: 8, gap: 4000 },
-            heap_size: 1 << 20,
+            heap_size: HEAP_SIZE,
             seed,
             ..SynthConfig::default()
         };

@@ -15,8 +15,8 @@
 //!   throughput and TPOT percentiles.
 //!
 //! All workloads are generic over the allocator via
-//! [`AllocatorKind`], mirroring how the paper swaps the straw-man,
-//! PIM-malloc-SW and PIM-malloc-HW/SW under identical drivers.
+//! [`AllocatorKind`], mirroring how the paper runs the straw-man,
+//! PIM-malloc-SW and PIM-malloc-HW/SW on the same request streams.
 //!
 //! [`requests`] additionally packages each family's allocation shape
 //! as a `pim_serving` request class, so the open-loop serving frontend
@@ -27,7 +27,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod alloc_kind;
-pub mod driver;
 pub mod graph;
 pub mod llm;
 pub mod micro;

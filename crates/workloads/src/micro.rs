@@ -1,7 +1,8 @@
 //! The standalone allocation microbenchmark (§V, "Microbenchmark").
 //!
 //! N tasklets each issue a series of `pim_malloc` calls of a fixed
-//! size (optionally paired with frees), and the driver reports average
+//! size (optionally paired with frees) as [`TraceOp`] streams, which
+//! [`replay_streams`] runs in virtual-time order. A run reports average
 //! latency, the full latency timeline, the Figure 8(b)-style cycle
 //! breakdown, metadata traffic, and buddy-cache statistics. This is
 //! the workload behind Figures 7, 8, 15 and 16.
@@ -10,9 +11,9 @@ use pim_malloc::{MetaStats, MetadataStore, PimAllocator, StrawManAllocator, Stra
 use pim_sim::{
     BuddyCacheConfig, BuddyCacheStats, Cycles, DpuConfig, DpuSim, LatencyRecorder, TaskletStats,
 };
+use pim_trace::{replay_streams, AllocTrace, TraceOp};
 use serde::{Deserialize, Serialize};
 
-use crate::driver::{drive, Request};
 use crate::AllocatorKind;
 
 /// Request pattern of the microbenchmark.
@@ -74,37 +75,39 @@ pub struct MicroResult {
     pub finish_us: f64,
 }
 
-fn streams(cfg: &MicroConfig) -> Vec<Vec<Request>> {
-    (0..cfg.n_tasklets)
-        .map(|_| {
-            let mut s = Vec::new();
-            for i in 0..cfg.allocs_per_tasklet {
-                match cfg.pattern {
-                    Pattern::AllocOnly => s.push(Request::Malloc {
-                        size: cfg.alloc_size,
-                        slot: i,
-                    }),
-                    Pattern::AllocFreePairs => {
-                        s.push(Request::Malloc {
-                            size: cfg.alloc_size,
-                            slot: 0,
-                        });
-                        s.push(Request::Free { slot: 0 });
-                    }
-                }
+/// One tasklet's stream: `n` mallocs of `size` bytes, each into its
+/// own slot (`AllocOnly`) or freed right after it (`AllocFreePairs`).
+fn stream(pattern: Pattern, size: u32, n: usize) -> Vec<TraceOp> {
+    let mut s = Vec::with_capacity(2 * n);
+    for slot in 0..n as u32 {
+        match pattern {
+            Pattern::AllocOnly => s.push(TraceOp::Malloc { size, slot }),
+            Pattern::AllocFreePairs => {
+                s.push(TraceOp::Malloc { size, slot: 0 });
+                s.push(TraceOp::Free { slot: 0 });
             }
-            s
-        })
-        .collect()
+        }
+    }
+    s
 }
 
-fn finish_result(
+fn streams(cfg: &MicroConfig) -> Vec<Vec<TraceOp>> {
+    let s = stream(cfg.pattern, cfg.alloc_size, cfg.allocs_per_tasklet);
+    vec![s; cfg.n_tasklets]
+}
+
+/// Replays `streams` on a fresh DPU against the allocator `build`
+/// makes there.
+fn run(
     kind: AllocatorKind,
-    dpu: &DpuSim,
-    meta: MetaStats,
-    buddy_cache: Option<BuddyCacheStats>,
-    r: crate::driver::DriveResult,
+    cfg: &MicroConfig,
+    streams: &[Vec<TraceOp>],
+    build: impl FnOnce(&mut DpuSim) -> Box<dyn PimAllocator>,
 ) -> MicroResult {
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(cfg.n_tasklets));
+    let mut alloc = build(&mut dpu);
+    let r = replay_streams(&mut dpu, alloc.as_mut(), streams);
+    let (meta, buddy_cache) = allocator_meta(alloc.as_ref());
     let mhz = dpu.config().cost.clock_mhz;
     MicroResult {
         kind,
@@ -124,44 +127,38 @@ fn finish_result(
 
 /// Runs the microbenchmark on the given allocator design.
 pub fn run_micro(kind: AllocatorKind, cfg: &MicroConfig) -> MicroResult {
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(cfg.n_tasklets));
-    let mut alloc = kind.build(&mut dpu, cfg.n_tasklets, cfg.heap_size);
-    let r = drive(&mut dpu, alloc.as_mut(), &streams(cfg));
-    let (meta, bc) = allocator_meta(alloc.as_ref());
-    finish_result(kind, &dpu, meta, bc, r)
+    run(kind, cfg, &streams(cfg), |dpu| {
+        kind.build(dpu, cfg.n_tasklets, cfg.heap_size)
+    })
 }
 
-/// [`run_micro`], additionally capturing the run as an
-/// [`pim_trace::AllocTrace`]. Replaying the trace against a fresh
-/// allocator of the same kind reproduces the run's latency timeline
-/// byte for byte (the driver executes through the replay engine).
-pub fn run_micro_recorded(
-    kind: AllocatorKind,
-    cfg: &MicroConfig,
-) -> (MicroResult, pim_trace::AllocTrace) {
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(cfg.n_tasklets));
-    let mut alloc = kind.build(&mut dpu, cfg.n_tasklets, cfg.heap_size);
-    let name = format!(
-        "micro/{}",
-        match cfg.pattern {
-            Pattern::AllocOnly => "alloc-only",
-            Pattern::AllocFreePairs => "alloc-free-pairs",
-        }
-    );
-    let (r, trace) =
-        crate::driver::drive_recorded(&mut dpu, alloc.as_mut(), &streams(cfg), name, cfg.heap_size);
-    let (meta, bc) = allocator_meta(alloc.as_ref());
-    (finish_result(kind, &dpu, meta, bc, r), trace)
+/// [`run_micro`], additionally returning its streams as an
+/// [`AllocTrace`]. Replaying the trace against a fresh allocator of
+/// the same kind reproduces the run's latency timeline byte for byte:
+/// the run is that replay.
+pub fn run_micro_recorded(kind: AllocatorKind, cfg: &MicroConfig) -> (MicroResult, AllocTrace) {
+    let pattern = match cfg.pattern {
+        Pattern::AllocOnly => "alloc-only",
+        Pattern::AllocFreePairs => "alloc-free-pairs",
+    };
+    let trace = AllocTrace {
+        name: format!("micro/{pattern}"),
+        n_tasklets: cfg.n_tasklets,
+        heap_size: cfg.heap_size,
+        streams: streams(cfg),
+    };
+    let r = run(kind, cfg, &trace.streams, |dpu| {
+        kind.build(dpu, cfg.n_tasklets, cfg.heap_size)
+    });
+    (r, trace)
 }
 
 /// Runs the microbenchmark on PIM-malloc-HW/SW with a specific buddy
 /// cache size (Figure 16's sensitivity sweep).
 pub fn run_micro_with_cache(cfg: &MicroConfig, cache: BuddyCacheConfig) -> MicroResult {
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(cfg.n_tasklets));
-    let mut alloc = AllocatorKind::hw_sw_with_cache(&mut dpu, cfg.n_tasklets, cfg.heap_size, cache);
-    let r = drive(&mut dpu, alloc.as_mut(), &streams(cfg));
-    let (meta, bc) = allocator_meta(alloc.as_ref());
-    finish_result(AllocatorKind::HwSw, &dpu, meta, bc, r)
+    run(AllocatorKind::HwSw, cfg, &streams(cfg), |dpu| {
+        AllocatorKind::hw_sw_with_cache(dpu, cfg.n_tasklets, cfg.heap_size, cache)
+    })
 }
 
 /// Extracts metadata/buddy-cache statistics from a boxed allocator.
@@ -199,15 +196,8 @@ pub fn run_straw_man_grid_point(heap_size: u32, alloc_size: u32, pairs: usize) -
         ..StrawManConfig::default()
     };
     let mut alloc = StrawManAllocator::init(&mut dpu, cfg).expect("straw-man init");
-    let mut stream = Vec::with_capacity(pairs * 2);
-    for _ in 0..pairs {
-        stream.push(Request::Malloc {
-            size: alloc_size,
-            slot: 0,
-        });
-        stream.push(Request::Free { slot: 0 });
-    }
-    let r = drive(&mut dpu, &mut alloc, &[stream]);
+    let pairs = stream(Pattern::AllocFreePairs, alloc_size, pairs);
+    let r = replay_streams(&mut dpu, &mut alloc, &[pairs]);
     assert_eq!(r.oom_count, 0, "grid point must fit its heap");
     r.malloc_latencies
         .mean()
