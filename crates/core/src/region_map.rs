@@ -19,7 +19,7 @@
 //! The map is *host-side* state standing in for the on-DPU block
 //! header; it charges no simulated cycles itself. The simulated cost of
 //! the lookup is charged by the caller (one MRAM header read in
-//! [`crate::PimMalloc::pim_free`]).
+//! `PimMalloc`'s [`crate::PimAllocator::pim_free`]).
 
 use crate::error::AllocError;
 

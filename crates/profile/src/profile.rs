@@ -41,6 +41,13 @@ pub const LIFETIME_BUCKETS: usize = 48;
 /// downsampled with a deterministic stride.
 pub const TIMELINE_SAMPLES: usize = 64;
 
+/// Most bytes a parsed histogram may request in total: 2^48, the bound
+/// the trace format puts on a stream's `Compute` cycles. Every count is
+/// at least 1 and every size class at most 2 KB, so every sum the
+/// histogram getters and the synthesizer take over a histogram within
+/// it fits in `u64`.
+const MAX_REQUESTED_BYTES: u64 = 1 << 48;
+
 /// Exact per-request-size histogram: how many times each distinct size
 /// was requested. Ordered by size (BTreeMap), so iteration — and every
 /// derived artifact — is deterministic.
@@ -302,8 +309,9 @@ impl AllocProfile {
     /// # Errors
     ///
     /// [`ProfileError::Version`] on a version mismatch,
-    /// [`ProfileError::Schema`] on structural problems and on a
-    /// tasklet count outside the DPU's 1..=24.
+    /// [`ProfileError::Schema`] on structural problems, on a tasklet
+    /// count outside the DPU's 1..=24 and on a histogram that requests
+    /// more than 2^48 bytes in total.
     pub fn from_json_value(v: &Value) -> Result<Self, ProfileError> {
         let version = v
             .get("schema_version")
@@ -360,6 +368,7 @@ impl AllocProfile {
                 .collect()
         };
         let mut histogram = SizeHistogram::new();
+        let mut requested = 0u64;
         for (size, count) in pairs("histogram")? {
             let size = u32::try_from(size)
                 .map_err(|_| ProfileError::Schema("histogram size overflows u32".to_owned()))?;
@@ -368,6 +377,13 @@ impl AllocProfile {
                     "histogram entries must be non-zero".to_owned(),
                 ));
             }
+            requested = u64::from(size)
+                .checked_mul(count)
+                .and_then(|bytes| requested.checked_add(bytes))
+                .filter(|&total| total <= MAX_REQUESTED_BYTES)
+                .ok_or(ProfileError::Schema(
+                    "histogram requests more than 2^48 bytes".to_owned(),
+                ))?;
             histogram.counts.insert(size, count);
         }
         let lt = v
@@ -693,6 +709,39 @@ mod tests {
             p.n_tasklets = n;
             assert_eq!(AllocProfile::from_json(&p.to_json()).unwrap(), p);
         }
+    }
+
+    #[test]
+    fn histograms_whose_bytes_overflow_are_rejected() {
+        let mut p = AllocProfile::from_trace(&sample_trace());
+        let with_histogram = |p: &mut AllocProfile, counts: &[(u32, u64)]| {
+            p.histogram.counts = counts.iter().copied().collect();
+            AllocProfile::from_json(&p.to_json())
+        };
+        for counts in [
+            &[
+                (16, 1_000_000_000_000_000_000),
+                (48, 1_000_000_000_000_000_000),
+            ][..],
+            &[(16, u64::MAX)],
+            &[(1, 1), (16, 1 << 43), (2048, 1 << 36)],
+        ] {
+            assert!(
+                matches!(with_histogram(&mut p, counts),
+                         Err(ProfileError::Schema(m)) if m.contains("2^48")),
+                "{counts:?} parsed"
+            );
+        }
+        // 2^47 bytes of 16 B requests and 2^47 of 2 KB ones.
+        let at_bound = with_histogram(&mut p, &[(16, 1 << 43), (2048, 1 << 36)]).unwrap();
+        assert_eq!(
+            at_bound.histogram.total_requested_bytes(),
+            MAX_REQUESTED_BYTES
+        );
+        assert_eq!(at_bound.histogram.total_requests(), (1 << 43) + (1 << 36));
+        let synthesis = crate::synthesize_table(&at_bound, &crate::SynthesisObjective::default())
+            .expect("both sizes are cacheable");
+        assert_eq!(synthesis.report.bypass_requests, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct TransferModel {
 }
 
 impl TransferModel {
-    /// Seconds for a [`TransferPlan`] issued as **one call per DPU
+    /// Seconds for a [`TransferPlan`](crate::TransferPlan) issued as **one call per DPU
     /// buffer**: each non-empty buffer pays the fixed per-call
     /// overhead, calls issue serially in the host thread, and only one
     /// rank data path is ever active (so the shared channel never
@@ -72,7 +72,7 @@ impl TransferModel {
         self.rank_loads(plan).len()
     }
 
-    /// Seconds for a [`TransferPlan`] issued as **one batched call per
+    /// Seconds for a [`TransferPlan`](crate::TransferPlan) issued as **one batched call per
     /// occupied rank** (`dpu_push_xfer` style): the fixed per-call
     /// overhead is paid once per shard (serially, in the dispatching
     /// host thread), the rank data paths then proceed in parallel

@@ -9,14 +9,16 @@
 //! replayer, which the microbenchmark runs on) drive [`DpuSim`]s
 //! through it.
 //!
-//! The trace replayer pops once per allocator call or remote-free
-//! retry: it applies each run of `Compute` ops at the end of the op
-//! before it, so a tasklet may come back to the queue past several
-//! computes. Its retry, which reads the owner's clock, sees the owner
-//! as an engine that pops once per op would: there a compute of
-//! tasklet `o` starting at clock `c` has run before tasklet `t`'s op
-//! at clock `c_t` exactly when `(c, o) < (c_t, t)`, the order this
-//! queue pops in.
+//! The trace replayer pops once per allocator call. It applies each
+//! run of `Compute` ops at the end of the op before it, and the
+//! remote-free retries a tasklet would take before the owner's next
+//! pop too, unless another stream's retries read that tasklet's clock.
+//! So a tasklet may come back to the queue past several computes and
+//! retries. A retry, which reads the owner's clock, sees the owner as
+//! an engine that pops once per op would: there a compute of tasklet
+//! `o` starting at clock `c` has run before tasklet `t`'s op at clock
+//! `c_t` exactly when `(c, o) < (c_t, t)`, the order this queue pops
+//! in.
 
 use std::collections::{BinaryHeap, VecDeque};
 

@@ -3,7 +3,7 @@
 //! The fourth pillar next to `pim-malloc` (core), `pim-sim`, and
 //! `pim-workloads`: workload scenarios as **data** instead of code.
 //!
-//! * [`format`] — the canonical [`AllocTrace`]: versioned, JSON
+//! * [`format`](mod@format) — the canonical [`AllocTrace`]: versioned, JSON
 //!   round-trippable per-tasklet event streams of
 //!   `Malloc`/`Free`/`Compute`, plus cross-tasklet `RemoteFree` edges
 //!   for producer–consumer patterns.
@@ -15,7 +15,7 @@
 //!   configs, crossing size laws (fixed / uniform / zipf / lognormal)
 //!   with temporal shapes (steady / bursty / phase-shift / ramp /
 //!   producer–consumer).
-//! * [`replay`] — the deterministic virtual-time replay engine
+//! * [`replay`](mod@replay) — the deterministic virtual-time replay engine
 //!   ([`replay()`], and [`replay_streams`] that the microbenchmark
 //!   runs on), plus [`replay_fleet`] for multi-DPU replay on the
 //!   parallel engine with host-batched trace distribution.

@@ -5,22 +5,35 @@
 //! through [`replay_streams`] too, so the trace of a microbenchmark
 //! run replays to byte-identical latency results by construction.
 //! [`replay_fleet`] scales one trace across a multi-DPU system: the
-//! host first distributes the trace bytes under a [`HostBatching`]
-//! policy, then every DPU replays it as a share-nothing simulation on
-//! the parallel engine.
+//! host first distributes the trace bytes under a
+//! [`HostBatching`](pim_sim::HostBatching) policy, then every DPU
+//! replays it as a share-nothing simulation on the parallel engine.
 //!
-//! The engine pops its [`VirtualTimeQueue`] once per allocator call or
-//! remote-free retry. A `Compute` op moves only its own tasklet's clock
-//! and idle time, so each run of them is applied at the end of the op
-//! before it (a stream's leading run before the queue is built), and
-//! the tasklet is re-queued at its post-run clock. Every allocator call
-//! keeps its `(clock, tasklet)` key, so calls run in the order an
-//! engine that pops once per op gives them. The remote-free retry is
-//! the one reader of another tasklet's state, and it sees the owner as
-//! that op-at-a-time engine showed it: there, a `Compute` of tasklet
-//! `o` starting at clock `c` has run before tasklet `t`'s op at clock
-//! `c_t` exactly when `(c, o) < (c_t, t)`. The retry walks the owner's
-//! last folded run under that rule (see `FoldedRun`).
+//! The engine pops its [`VirtualTimeQueue`] once per allocator call.
+//! A `Compute` op moves only its own tasklet's clock and idle time, so
+//! each run of them is applied at the end of the op before it (a
+//! stream's leading run before the queue is built), and the tasklet is
+//! re-queued at its post-run clock. Every allocator call keeps its
+//! `(clock, tasklet)` key, so calls run in the order an engine that
+//! pops once per op gives them. The remote-free retry is the one
+//! reader of another tasklet's state, and it sees the owner as that
+//! op-at-a-time engine showed it: there, a `Compute` of tasklet `o`
+//! starting at clock `c` has run before tasklet `t`'s op at clock `c_t`
+//! exactly when `(c, o) < (c_t, t)`. The retry walks the owner's last
+//! folded run under that rule (see `FoldedRun`).
+//!
+//! A retry only moves the waiting tasklet's clock, and what it reads,
+//! the owner's folded run and the empty slot, cannot change until the
+//! owner is popped. So the retries a tasklet would take before its
+//! owner's next pop are taken in one go, at the end of the op before
+//! the remote free or at the pop that finds the slot empty (see
+//! `FoldedRun::wait`). Those taken past the current pop view a copy of
+//! the owner's run, so a tasklet popped in between still sees the
+//! owner as the op-at-a-time engine showed it. Only an *unwatched*
+//! tasklet folds its retries: one whose slots no other stream
+//! remote-frees. A watched tasklet's clock is read by those streams'
+//! retries, which must not see it past retries the op-at-a-time engine
+//! had not yet taken, so it still retries once per pop.
 
 use pim_malloc::{AllocError, PimAllocator};
 use pim_sim::{
@@ -33,7 +46,9 @@ use crate::format::{AllocTrace, TraceOp};
 /// How many times a [`TraceOp::RemoteFree`] re-waits for its producer
 /// before the edge is dropped as unsatisfiable (producer OOM'd or the
 /// trace is malformed). Each retry strictly advances the consumer's
-/// clock past the producer's, so replay always terminates.
+/// clock past the producer's, so replay always terminates. The budget
+/// counts every retry of one op, whether taken at a pop or folded into
+/// the op before.
 const REMOTE_FREE_RETRY_LIMIT: u32 = 1000;
 
 /// Outcome of replaying one trace on one DPU.
@@ -49,7 +64,8 @@ pub struct ReplayResult {
     /// `Malloc` events that failed with out-of-memory.
     pub oom_count: u64,
     /// Cross-tasklet free edges dropped because the producer never
-    /// filled the slot (see [`REMOTE_FREE_RETRY_LIMIT`]).
+    /// filled the slot: it finished first, or the consumer's 1,000
+    /// retries ran out.
     pub dropped_frees: u64,
     /// Virtual time when the last tasklet finished.
     pub finish: Cycles,
@@ -57,12 +73,15 @@ pub struct ReplayResult {
 
 /// A tasklet's last run of `Compute` ops, already applied to its
 /// clock, and how far into it the op-at-a-time engine would be as of
-/// the last retry that read it.
+/// the last popped key that read it.
 ///
 /// Popped `(clock, tasklet)` keys never decrease, so a compute that had
-/// run before one retry had run before every later one: `seen` only
-/// moves forward, and a run of k computes costs O(k) over all the
-/// retries that read it.
+/// run before one popped key had run before every later one: the
+/// engine's copy moves `seen` only forward, and a run of k computes
+/// costs O(k) over all the pops that read it. A retry folded ahead of
+/// its pop reads the run at a key past the current pop, so it views a
+/// copy: moving the engine's copy there would show a tasklet popped
+/// later at a smaller key computes that had not run before it.
 #[derive(Debug, Clone, Copy)]
 struct FoldedRun {
     /// Index of the run's first compute not known to have run.
@@ -105,7 +124,7 @@ impl FoldedRun {
     }
 
     /// Tasklet `owner`'s clock, and whether it has ops left, as the
-    /// op-at-a-time engine showed them to the op popped at `key`.
+    /// op-at-a-time engine showed them to the op at `key`.
     fn view(&mut self, stream: &[TraceOp], owner: usize, key: (Cycles, usize)) -> (Cycles, bool) {
         while self.seen < self.end && (self.clock, owner) < key {
             if let TraceOp::Compute { cycles } = stream[self.seen] {
@@ -114,6 +133,65 @@ impl FoldedRun {
             self.seen += 1;
         }
         (self.clock, self.seen < stream.len())
+    }
+
+    /// Takes tasklet `tid`'s retries of a remote free of an empty slot
+    /// of `owner`, whose last folded run this is a copy of, from `tid`'s
+    /// clock on; returns whether it took one.
+    ///
+    /// A retry at key `(at, tid)` views the owner at that key and waits
+    /// until one cycle past the owner's clock. It is taken only while
+    /// that key is below the owner's queue key: until the owner is
+    /// popped, neither its run nor the slot can change, so the retry
+    /// reads what the op-at-a-time engine's retry at that key read.
+    /// None is taken once the owner has no ops left or `retries` is
+    /// spent; the pop at `tid`'s clock then drops the edge. With `fold`
+    /// unset it takes at most one, as a pop of the op-at-a-time engine
+    /// does.
+    fn wait(
+        mut self,
+        dpu: &mut DpuSim,
+        stream: &[TraceOp],
+        owner: usize,
+        tid: usize,
+        retries: &mut u32,
+        fold: bool,
+    ) -> bool {
+        let mut waited = false;
+        while fold || !waited {
+            let key = (dpu.clock(tid), tid);
+            if key >= (dpu.clock(owner), owner) {
+                break;
+            }
+            let (owner_clock, owner_pending) = self.view(stream, owner, key);
+            if !owner_pending || *retries >= REMOTE_FREE_RETRY_LIMIT {
+                break;
+            }
+            *retries += 1;
+            dpu.ctx(tid).wait_until(owner_clock.max(key.0) + Cycles(1));
+            waited = true;
+        }
+        waited
+    }
+}
+
+/// Folds into the op before it the retries of tasklet `tid`'s next op
+/// when that op is a remote free of a slot still empty. Only for an
+/// unwatched `tid` (see the module docs).
+fn wait_ahead(
+    dpu: &mut DpuSim,
+    tid: usize,
+    streams: &[Vec<TraceOp>],
+    next_op: &[usize],
+    slots: &[Vec<Option<u32>>],
+    runs: &[FoldedRun],
+    retries: &mut [u32],
+) {
+    if let Some(&TraceOp::RemoteFree { tasklet, slot }) = streams[tid].get(next_op[tid]) {
+        let owner = tasklet as usize;
+        if slots[owner][slot as usize].is_none() {
+            runs[owner].wait(dpu, &streams[owner], owner, tid, &mut retries[tid], true);
+        }
     }
 }
 
@@ -172,13 +250,16 @@ pub fn replay_streams(
         .collect();
     // Remote edges may name slots beyond any local Malloc/Free in the
     // owner's stream; grow owner tables up front so indexing is safe.
-    // The same pass counts the mallocs the recorders will hold.
+    // The same pass counts the mallocs the recorders will hold and
+    // marks the tasklets whose clock another stream's retries read.
     let mut mallocs = 0;
-    for stream in streams {
+    let mut watched = vec![false; n];
+    for (tid, stream) in streams.iter().enumerate() {
         for op in stream {
             match *op {
                 TraceOp::Malloc { .. } => mallocs += 1,
                 TraceOp::RemoteFree { tasklet, slot } => {
+                    watched[tasklet as usize] |= tasklet as usize != tid;
                     let table = &mut slots[tasklet as usize];
                     if table.len() <= slot as usize {
                         table.resize(slot as usize + 1, None);
@@ -201,6 +282,9 @@ pub fn replay_streams(
     let mut runs: Vec<FoldedRun> = (0..n)
         .map(|t| FoldedRun::apply(dpu, t, &streams[t], &mut next_op[t]))
         .collect();
+    for tid in (0..n).filter(|&t| !watched[t]) {
+        wait_ahead(dpu, tid, streams, &next_op, &slots, &runs, &mut retries);
+    }
     // Always advance the unfinished tasklet with the smallest clock.
     let mut queue = VirtualTimeQueue::new((0..n).filter(|&t| next_op[t] < streams[t].len()));
     while let Some(tid) = queue.pop(dpu) {
@@ -247,21 +331,16 @@ pub fn replay_streams(
                             .expect("replayer frees live slots");
                     }
                     None => {
-                        let now = dpu.clock(tid);
-                        let (owner_clock, owner_pending) = if owner == tid {
-                            (now, false)
-                        } else {
-                            runs[owner].view(&streams[owner], owner, (now, tid))
-                        };
-                        if owner_pending && retries[tid] < REMOTE_FREE_RETRY_LIMIT {
-                            // Producer hasn't filled the slot yet: spin
-                            // past its clock and retry this op. The
-                            // queue pops smallest-clock first, so the
-                            // producer runs before we come back.
-                            retries[tid] += 1;
-                            let wake = owner_clock.max(now) + Cycles(1);
-                            dpu.ctx(tid).wait_until(wake);
-                            runs[tid] = FoldedRun::empty(next_op[tid], wake);
+                        // Producer hasn't filled the slot yet: spin
+                        // past its clock and retry this op. The queue
+                        // pops smallest-clock first, so the producer
+                        // runs before we come back. Only the popped
+                        // key moves the engine's copy of the owner's
+                        // run; `wait` views a copy.
+                        let (stream, fold) = (&streams[owner], !watched[tid]);
+                        runs[owner].view(stream, owner, (dpu.clock(tid), tid));
+                        if runs[owner].wait(dpu, stream, owner, tid, &mut retries[tid], fold) {
+                            runs[tid] = FoldedRun::empty(next_op[tid], dpu.clock(tid));
                             advanced = false;
                         } else {
                             result.dropped_frees += 1;
@@ -275,6 +354,9 @@ pub fn replay_streams(
             retries[tid] = 0;
             next_op[tid] += 1;
             runs[tid] = FoldedRun::apply(dpu, tid, &streams[tid], &mut next_op[tid]);
+            if !watched[tid] {
+                wait_ahead(dpu, tid, streams, &next_op, &slots, &runs, &mut retries);
+            }
         }
         if next_op[tid] < streams[tid].len() {
             queue.push(tid);

@@ -1,16 +1,18 @@
 //! Differential tests of the replay engine against an op-at-a-time
 //! reference.
 //!
-//! `replay` applies each run of `Compute` ops at the end of the op
-//! before it and pops its queue once per allocator call or retry. The
-//! reference below is the engine that folding replaced: pick the
-//! unfinished tasklet with the smallest `(clock, id)`, run exactly one
-//! of its ops (a `Compute` included), repeat. Everything a replay can
-//! observe must match: the latency timeline, per-tasklet malloc time,
-//! OOM and dropped-free counts, every tasklet's clock and time
-//! classes, DRAM traffic and the allocator's counters. The remote-free
-//! retry is the case that needs care, since it reads the owner's clock
-//! while the owner's computes may already be folded.
+//! `replay` applies each run of `Compute` ops, and of remote-free
+//! retries, at the end of the op before it and pops its queue once per
+//! allocator call. The reference below is the engine that folding
+//! replaced: pick the unfinished tasklet with the smallest
+//! `(clock, id)`, run exactly one of its ops or retries (a `Compute`
+//! included), repeat. Everything a replay can observe must match: the
+//! latency timeline, per-tasklet malloc time, OOM and dropped-free
+//! counts, every tasklet's clock and time classes, DRAM traffic and
+//! the allocator's counters. The remote-free retry is the case that
+//! needs care, since it reads the owner's clock while the owner's
+//! computes may already be folded, and its own retries may be folded
+//! ahead of the pops that would take them.
 
 use pim_malloc::{AllocError, AllocGeometry, AllocStats, PimAllocator, PimMalloc};
 use pim_sim::{Cycles, DpuConfig, DpuSim, DramTraffic, TaskletStats};
@@ -197,27 +199,71 @@ fn op_strategy() -> impl Strategy<Value = TraceOp> {
     ]
 }
 
-/// Traces whose slots are folded below their owner's op count, as in
-/// `trace_properties.rs`, so remote frees name slots the owner fills.
-fn trace_strategy() -> impl Strategy<Value = AllocTrace> {
-    vec(vec(op_strategy(), 0..40), N_TASKLETS..=N_TASKLETS).prop_map(|mut streams| {
-        let ops: Vec<u32> = streams.iter().map(|s| s.len().max(1) as u32).collect();
-        for (tid, stream) in streams.iter_mut().enumerate() {
-            for op in stream {
-                match op {
-                    TraceOp::Malloc { slot, .. } | TraceOp::Free { slot } => *slot %= ops[tid],
-                    TraceOp::RemoteFree { tasklet, slot } => *slot %= ops[*tasklet as usize],
-                    TraceOp::Compute { .. } => {}
-                }
+/// `op_strategy`'s computes.
+fn compute_strategy() -> impl Strategy<Value = TraceOp> {
+    prop_oneof![
+        1 => Just(TraceOp::Compute { cycles: 0 }),
+        2 => (1u64..64).prop_map(|cycles| TraceOp::Compute { cycles }),
+        2 => (0u64..100_000).prop_map(|cycles| TraceOp::Compute { cycles }),
+    ]
+}
+
+/// A producer's ops: `op_strategy`'s mix without remote frees.
+fn producer_op_strategy() -> impl Strategy<Value = TraceOp> {
+    prop_oneof![
+        4 => (1u32..16384, 0u32..24).prop_map(|(size, slot)| TraceOp::Malloc { size, slot }),
+        2 => (0u32..24).prop_map(|slot| TraceOp::Free { slot }),
+        5 => compute_strategy(),
+    ]
+}
+
+/// A consumer's ops: computes and remote frees of the two producers'
+/// slots.
+fn consumer_op_strategy() -> impl Strategy<Value = TraceOp> {
+    prop_oneof![
+        3 => (0u32..2, 0u32..24)
+            .prop_map(|(tasklet, slot)| TraceOp::RemoteFree { tasklet, slot }),
+        5 => compute_strategy(),
+    ]
+}
+
+/// A trace of `streams` with slots folded below their owner's op
+/// count, as in `trace_properties.rs`, so remote frees name slots the
+/// owner fills.
+fn trace(mut streams: Vec<Vec<TraceOp>>) -> AllocTrace {
+    let ops: Vec<u32> = streams.iter().map(|s| s.len().max(1) as u32).collect();
+    for (tid, stream) in streams.iter_mut().enumerate() {
+        for op in stream {
+            match op {
+                TraceOp::Malloc { slot, .. } | TraceOp::Free { slot } => *slot %= ops[tid],
+                TraceOp::RemoteFree { tasklet, slot } => *slot %= ops[*tasklet as usize],
+                TraceOp::Compute { .. } => {}
             }
         }
-        AllocTrace {
-            name: "reference".to_owned(),
-            n_tasklets: N_TASKLETS,
-            heap_size: HEAP_SIZE,
-            streams,
-        }
-    })
+    }
+    AllocTrace {
+        name: "reference".to_owned(),
+        n_tasklets: N_TASKLETS,
+        heap_size: HEAP_SIZE,
+        streams,
+    }
+}
+
+/// Traces in which any tasklet may remote-free any tasklet's slots,
+/// so nearly every tasklet's clock is read by another's retries.
+fn trace_strategy() -> impl Strategy<Value = AllocTrace> {
+    vec(vec(op_strategy(), 0..40), N_TASKLETS..=N_TASKLETS).prop_map(trace)
+}
+
+/// Producer-consumer traces: tasklets 0 and 1 malloc, free and
+/// compute; tasklets 2 and 3 remote-free their slots. No stream
+/// remote-frees from a consumer, so the consumers fold their retries.
+fn pc_trace_strategy() -> impl Strategy<Value = AllocTrace> {
+    (
+        vec(vec(producer_op_strategy(), 0..40), 2..=2),
+        vec(vec(consumer_op_strategy(), 0..40), 2..=2),
+    )
+        .prop_map(|(producers, consumers)| trace([producers, consumers].concat()))
 }
 
 proptest! {
@@ -225,6 +271,11 @@ proptest! {
 
     #[test]
     fn folded_replay_matches_the_op_at_a_time_engine(trace in trace_strategy()) {
+        prop_assert_eq!(observe(&trace, false), observe(&trace, true));
+    }
+
+    #[test]
+    fn pc_replay_matches_the_op_at_a_time_engine(trace in pc_trace_strategy()) {
         prop_assert_eq!(observe(&trace, false), observe(&trace, true));
     }
 }
