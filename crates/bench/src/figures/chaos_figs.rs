@@ -16,9 +16,9 @@
 //!   plan's corrupted-free stream: every hostile free comes back as an
 //!   `Err`, and past the budget the allocator seals itself instead of
 //!   trusting poisoned metadata.
-//! * **Heap-exhaustion pressure** — an allocator whose heap the plan
-//!   shrinks by [`FaultPlan::oom_pressure_frac`]: exhaustion surfaces
-//!   as graceful `OutOfMemory` errors, never a panic.
+//! * **Heap-exhaustion pressure** — an allocator whose heap is shrunk
+//!   by [`OOM_PRESSURE_FRAC`]: exhaustion surfaces as graceful
+//!   `OutOfMemory` errors, never a panic.
 //!
 //! Both serve runs are seeded and single-threaded, and every fault
 //! draw is a pure function of the plan — the experiment is
@@ -38,6 +38,8 @@ const CHAOS_LOAD: f64 = 0.6;
 const QUARANTINE_BUDGET: u32 = 16;
 /// Allocator ops driven through the corrupted-free storm.
 const STORM_OPS: u64 = 1024;
+/// Fraction of the heap stolen before the exhaustion run.
+const OOM_PRESSURE_FRAC: f64 = 0.5;
 
 fn serve_row(label: &str, r: &ServeReport) -> Row {
     Row::new(
@@ -96,12 +98,12 @@ fn corrupted_free_storm(plan: &FaultPlan) -> (u64, u64, bool, u64) {
     (fired, caught, pm.is_quarantined(), live.len() as u64)
 }
 
-/// Heap-exhaustion pressure: the plan steals `oom_pressure_frac` of
-/// the heap up front; allocation then runs to exhaustion. Returns
+/// Heap-exhaustion pressure: [`OOM_PRESSURE_FRAC`] of the heap is
+/// stolen up front; allocation then runs to exhaustion. Returns
 /// (successful allocations, graceful OOM errors observed).
-fn oom_pressure_run(pressure_frac: f64) -> (u64, u64) {
+fn oom_pressure_run() -> (u64, u64) {
     let full: u32 = 1 << 18;
-    let usable = ((full as f64) * (1.0 - pressure_frac)).max(4096.0) as u32;
+    let usable = ((full as f64) * (1.0 - OOM_PRESSURE_FRAC)).max(4096.0) as u32;
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
     let cfg = AllocGeometry::sw(1).with_heap_size(usable).build();
     let mut pm = PimMalloc::init(&mut dpu, cfg).expect("init");
@@ -137,7 +139,7 @@ pub fn chaos_resilience(quick: bool, seed: u64) -> Experiment {
     let cfgs = [
         base.with_arrival(arrival),
         ServeConfig {
-            ctx: base.ctx.with_faults(plan),
+            faults: plan,
             ..base.with_arrival(arrival)
         },
     ];
@@ -193,15 +195,11 @@ pub fn chaos_resilience(quick: bool, seed: u64) -> Experiment {
             ("live preserved", live as f64),
         ],
     ));
-    let pressure = FaultPlan {
-        oom_pressure_frac: 0.5,
-        ..plan
-    };
-    let (ok, oom) = oom_pressure_run(pressure.oom_pressure_frac);
+    let (ok, oom) = oom_pressure_run();
     e.push(Row::new(
         "alloc-oom-pressure",
         vec![
-            ("pressure frac", pressure.oom_pressure_frac),
+            ("pressure frac", OOM_PRESSURE_FRAC),
             ("allocs ok", ok as f64),
             ("graceful oom", oom as f64),
         ],

@@ -20,10 +20,9 @@ pub struct DseConfig {
     pub straw_man: StrawManConfig,
     /// Host CPU model (Xeon Gold 5222-like: 8 hardware threads).
     pub host: HostConfig,
-    /// Shared execution context: `ctx.transfer` prices host↔PIM
-    /// traffic, `ctx.batching` schedules it (per-DPU calls vs per-rank
-    /// shards — what separates a naive host loop from a batched
-    /// `dpu_push_xfer` data path).
+    /// Shared execution context: `ctx.batching` schedules host↔PIM
+    /// traffic (per-DPU calls vs per-rank shards — what separates a
+    /// naive host loop from a batched `dpu_push_xfer` data path).
     pub ctx: SimContext,
     /// Fixed cost of one `pimLaunch` kernel dispatch, microseconds.
     pub launch_us: f64,
@@ -147,7 +146,7 @@ fn host_miss_fraction(config: &DseConfig) -> f64 {
 /// once and the PIM cores run the entire batch locally, issuing no
 /// host↔PIM traffic at all.
 pub fn run_strategy(strategy: Strategy, config: &DseConfig) -> DseResult {
-    let mut host = HostSim::new(config.host, config.ctx.transfer);
+    let mut host = HostSim::new(config.host);
     let rounds = config.allocs_per_dpu;
     let meta_bytes = u64::from(
         pim_malloc::BuddyGeometry::new(

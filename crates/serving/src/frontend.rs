@@ -36,7 +36,7 @@
 //!
 //! ## Self-healing under faults
 //!
-//! With a [`pim_sim::FaultPlan`] in `cfg.ctx.faults`, the frontend
+//! With a [`FaultPlan`] in [`ServeConfig::faults`], the frontend
 //! survives an unhealthy fleet instead of assuming 100% capacity:
 //!
 //! * **Health-aware routing** — dead-on-arrival DPUs never receive
@@ -60,8 +60,8 @@
 //! and drop attribution.
 
 use pim_sim::{
-    Cycles, EventQueue, FaultyXferEstimate, LatencyRecorder, LatencySummary, SimContext,
-    TransferDirection, TransferPlan,
+    Cycles, EventQueue, FaultPlan, LatencyRecorder, LatencySummary, SimContext, TransferDirection,
+    TransferPlan,
 };
 
 use crate::arrival::ArrivalProcess;
@@ -123,9 +123,11 @@ pub struct ServeConfig {
     /// the fault plan's failures.
     pub retry: RetryPolicy,
     /// Shared execution context: `seed` drives arrivals and class
-    /// composition, `transfer`/`batching` price dispatch windows, and
-    /// `faults` schedules fleet/transfer faults.
+    /// composition, and `batching` schedules dispatch windows.
     pub ctx: SimContext,
+    /// Seeded fleet and transfer fault schedule;
+    /// [`FaultPlan::none`] (the default) takes none of the fault paths.
+    pub faults: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -141,6 +143,7 @@ impl Default for ServeConfig {
             timeline_points: 256,
             retry: RetryPolicy::default(),
             ctx: SimContext::default(),
+            faults: FaultPlan::none(),
         }
     }
 }
@@ -184,7 +187,7 @@ pub struct FaultSummary {
     /// Requests dropped at admission because no healthy DPU remained.
     pub drops_no_healthy: u64,
     /// Admitted requests dropped after exhausting their retry budget
-    /// (or finding no healthy DPU with queue room to retry on).
+    /// (or finding no other healthy DPU with queue room to retry on).
     pub drops_retry_exhausted: u64,
 }
 
@@ -362,9 +365,10 @@ struct Loop<'a> {
 }
 
 impl Loop<'_> {
-    /// Picks a healthy DPU with queue room for a re-dispatched
-    /// request, rotating deterministically; `None` drops the request.
-    fn redispatch_target(&mut self) -> Option<u32> {
+    /// Picks a healthy DPU other than `from` with queue room for a
+    /// re-dispatched request, rotating deterministically; `None` drops
+    /// the request.
+    fn redispatch_target(&mut self, from: u32) -> Option<u32> {
         if self.healthy.is_empty() {
             return None;
         }
@@ -373,7 +377,7 @@ impl Loop<'_> {
         self.redispatch_rr = self.redispatch_rr.wrapping_add(1);
         for off in 0..n {
             let dpu = self.healthy[(start + off) % n];
-            if u64::from(self.in_flight[dpu as usize]) < self.cfg.queue_cap as u64 {
+            if dpu != from && u64::from(self.in_flight[dpu as usize]) < self.cfg.queue_cap as u64 {
                 return Some(dpu);
             }
         }
@@ -424,7 +428,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let class_of = assign_classes(classes, cfg.ctx.seed ^ CLASS_STREAM_SALT, cfg.n_requests);
     let window_ns = (cfg.window_us * 1_000).max(1);
     let planner = cfg.ctx.planner();
-    let faults = cfg.ctx.faults;
+    let faults = cfg.faults;
     let faults_on = faults.enabled();
 
     let mut ev: EventQueue<Ev> = EventQueue::new();
@@ -545,11 +549,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                 for dpu in window_dpus.drain(..) {
                     plan.push(dpu, std::mem::take(&mut window_bytes[dpu]));
                 }
-                let f = if faults.xfer_enabled() {
-                    planner.estimate_with_faults(&plan, &faults, nonce)
-                } else {
-                    FaultyXferEstimate::clean(planner.estimate(&plan))
-                };
+                let f = planner.estimate_with_faults(&plan, &faults, nonce);
                 push_secs += f.est.secs;
                 push_calls += f.est.calls;
                 st.summary.xfer_failed_shards += f.failed_shards;
@@ -582,7 +582,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                         let retries = r.retries + 1;
                         if retries > cfg.retry.max_retries {
                             st.drop_admitted(r.dpu);
-                        } else if let Some(target) = st.redispatch_target() {
+                        } else if let Some(target) = st.redispatch_target(r.dpu) {
                             st.summary.retries += 1;
                             st.in_flight[dpu] -= 1;
                             st.in_flight[target as usize] += 1;
@@ -674,7 +674,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                     });
                 }
                 for r in stranded {
-                    match st.redispatch_target() {
+                    match st.redispatch_target(dpu) {
                         Some(target) => {
                             st.summary.redispatched += 1;
                             st.in_flight[d] -= 1;
@@ -742,7 +742,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
 mod tests {
     use super::*;
     use pim_malloc::PimAllocator;
-    use pim_sim::{DpuSim, FaultPlan};
+    use pim_sim::DpuSim;
     use pim_trace::{synthesize, SizeLaw, SynthConfig, TemporalShape};
 
     fn sw_build(dpu: &mut DpuSim, tasklets: usize, heap: u32) -> Box<dyn PimAllocator> {
@@ -886,10 +886,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let base = at_load(0.4);
-        let cfg = ServeConfig {
-            ctx: base.ctx.with_faults(faults),
-            ..base
-        };
+        let cfg = ServeConfig { faults, ..base };
         let r = serve(&cfg, &[small_class()], &sw_build);
         let dead = (0..16).filter(|&d| faults.dead_on_arrival(d)).count() as u64;
         assert!(dead > 0, "0.3 dead_frac on 16 DPUs should hit some");
@@ -915,10 +912,7 @@ mod tests {
             kill_horizon_ns: horizon.max(1),
             ..FaultPlan::none()
         };
-        let cfg = ServeConfig {
-            ctx: base.ctx.with_faults(faults),
-            ..base
-        };
+        let cfg = ServeConfig { faults, ..base };
         let r = serve(&cfg, &[small_class()], &sw_build);
         assert!(r.faults.killed_dpus > 0, "0.4 kill_frac must land kills");
         assert_eq!(
@@ -950,10 +944,7 @@ mod tests {
             straggle_factor: 3.0,
             ..FaultPlan::none()
         };
-        let cfg = ServeConfig {
-            ctx: base.ctx.with_faults(faults),
-            ..base
-        };
+        let cfg = ServeConfig { faults, ..base };
         let clean = serve(&base, &[small_class()], &sw_build);
         let r = serve(&cfg, &[small_class()], &sw_build);
         assert!(r.faults.xfer_failed_shards > 0);
@@ -978,11 +969,11 @@ mod tests {
             },
             // A negligible-but-enabled plan, so the fault machinery
             // (per-DPU job tracking) is on as well.
-            ctx: base.ctx.with_faults(FaultPlan {
+            faults: FaultPlan {
                 seed: 1,
                 dead_frac: 1e-9,
                 ..FaultPlan::none()
-            }),
+            },
             ..base
         };
         let r = serve(&cfg, &[small_class()], &sw_build);
@@ -993,13 +984,34 @@ mod tests {
         // The timeout is not a fault path: it fires on a healthy fleet
         // with no fault plan at all.
         let healthy = ServeConfig {
-            ctx: base.ctx,
+            faults: base.faults,
             ..cfg
         };
-        assert!(!healthy.ctx.faults.enabled());
+        assert!(!healthy.faults.enabled());
         let h = serve(&healthy, &[small_class()], &sw_build);
         assert!(h.faults.timeouts > 0, "the timeout needs no fault plan");
         assert_eq!(h.admitted + h.dropped, healthy.n_requests as u64);
+    }
+
+    #[test]
+    fn timeouts_never_reroute_to_the_same_dpu() {
+        // A one-DPU fleet has no other DPU to re-route to, so every
+        // timed-out request drops instead of retrying where it timed
+        // out.
+        let cap = crate::sweep::estimated_capacity_rps(&[small_class()], &sw_build, 1);
+        let svc = small_class().service_ns(&sw_build);
+        let cfg = ServeConfig {
+            n_dpus: 1,
+            retry: RetryPolicy {
+                timeout_ns: 20 * svc,
+                ..RetryPolicy::default()
+            },
+            ..quick_cfg(3.0 * cap)
+        };
+        let f = serve(&cfg, &[small_class()], &sw_build).faults;
+        assert!(f.timeouts > 0, "3x load must breach a 20-svc SLO");
+        assert_eq!(f.retries, 0, "no reroute may target the same DPU");
+        assert_eq!(f.drops_retry_exhausted, f.timeouts);
     }
 
     #[test]
@@ -1010,10 +1022,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let base = at_load(0.5);
-        let cfg = ServeConfig {
-            ctx: base.ctx.with_faults(faults),
-            ..base
-        };
+        let cfg = ServeConfig { faults, ..base };
         let r = serve(&cfg, &[small_class()], &sw_build);
         assert_eq!(r.admitted, 0);
         assert_eq!(r.dropped, cfg.n_requests as u64);

@@ -22,8 +22,9 @@
 //!
 //! Everything is seeded and single-threaded per run: reports are
 //! byte-identical across `PIM_EXEC_WORKERS` settings — including runs
-//! under a [`pim_sim::FaultPlan`], whose fault draws are pure functions
-//! of the plan and stable identities. With faults scheduled the frontend
+//! under a [`pim_sim::FaultPlan`] (set in [`ServeConfig::faults`]),
+//! whose fault draws are pure functions of the plan and stable
+//! identities. With faults scheduled the frontend
 //! *self-heals*: health-aware routing skips dead DPUs, failed transfer
 //! shards retry with bounded exponential backoff, and requests
 //! stranded on a DPU that dies mid-run are re-dispatched; the

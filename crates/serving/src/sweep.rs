@@ -8,11 +8,11 @@
 //! [`pim_sim::parallel_indexed`]; results merge in index order, so the
 //! report is byte-identical for any worker count.
 //!
-//! Sweeping a config whose context carries a [`pim_sim::FaultPlan`]
-//! measures the *degraded* fleet: fault-attributed drops count
-//! against the knee exactly like admission drops (both live in
-//! [`ServeReport::drop_frac`]), so the knee under faults is the
-//! honest capacity of the surviving DPUs.
+//! Sweeping a config whose [`ServeConfig::faults`] holds a
+//! [`pim_sim::FaultPlan`] measures the *degraded* fleet:
+//! fault-attributed drops count against the knee exactly like
+//! admission drops (both live in [`ServeReport::drop_frac`]), so the
+//! knee under faults is the honest capacity of the surviving DPUs.
 
 use pim_sim::parallel_indexed;
 

@@ -1,10 +1,13 @@
-//! The shared execution context: one bundle of the knobs every
-//! multi-DPU engine in the workspace needs — transfer pricing, host
-//! batching policy, the workload seed, and the fault schedule.
+//! The shared execution context: the two knobs every multi-DPU engine
+//! in the workspace reads — the host batching policy and the workload
+//! seed.
 //!
-//! `ServingConfig`, `GraphUpdateConfig`, `DseConfig`, and `FleetConfig`
-//! each embed one `ctx: SimContext` instead of their own copy of the
-//! field cluster, so the knobs and their defaults live in one place.
+//! `ServeConfig`, `FleetConfig`, `GraphUpdateConfig`, the LLM
+//! `ServingConfig` and `DseConfig` each embed one `ctx: SimContext`
+//! instead of their own copy of the field pair, so the knobs and their
+//! defaults live in one place. Transfers are priced by
+//! [`TransferModel::default`]; the fault plan, which only the serving
+//! loop reads, lives in `ServeConfig::faults`.
 //!
 //! ```
 //! use pim_sim::{HostBatching, SimContext};
@@ -18,40 +21,30 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fault::FaultPlan;
 use crate::host::TransferModel;
 use crate::xfer::{HostBatching, ShardedXfer};
 
 /// The execution context shared by every multi-DPU engine: how
-/// host↔PIM traffic is priced ([`TransferModel`]) and scheduled
-/// ([`HostBatching`]), which seed drives the workload's stochastic
-/// choices, and which faults the fleet suffers.
+/// host↔PIM traffic is scheduled ([`HostBatching`]) and which seed
+/// drives the workload's stochastic choices.
 ///
 /// All fields are plain data (`Copy`), so configs embed the context by
 /// value and struct-update syntax keeps working:
 /// `GraphUpdateConfig { ctx: SimContext { seed: 7, ..Default::default() }, .. }`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimContext {
-    /// Bandwidth/latency model of the host↔PIM data path.
-    pub transfer: TransferModel,
     /// How the host schedules a transfer plan's per-DPU buffers.
     pub batching: HostBatching,
     /// Seed for the workload's stochastic generators.
     pub seed: u64,
-    /// Seeded fault schedule for the fleet; [`FaultPlan::none`] (the
-    /// default) disables the fault paths entirely.
-    pub faults: FaultPlan,
 }
 
 impl Default for SimContext {
-    /// Production defaults: the default transfer model, rank-sharded
-    /// batching, seed 42, and no faults.
+    /// Production defaults: rank-sharded batching and seed 42.
     fn default() -> Self {
         SimContext {
-            transfer: TransferModel::default(),
             batching: HostBatching::default(),
             seed: 42,
-            faults: FaultPlan::none(),
         }
     }
 }
@@ -67,16 +60,10 @@ impl SimContext {
         SimContext { batching, ..self }
     }
 
-    /// This context with a fault schedule (chaos ergonomics).
-    pub fn with_faults(self, faults: FaultPlan) -> Self {
-        SimContext { faults, ..self }
-    }
-
-    /// A transfer planner over this context's model and batching
-    /// policy — the `ShardedXfer::new(cfg.transfer, cfg.batching)`
-    /// call every engine used to spell out.
+    /// A transfer planner over the default transfer model and this
+    /// context's batching policy.
     pub fn planner(&self) -> ShardedXfer {
-        ShardedXfer::new(self.transfer, self.batching)
+        ShardedXfer::new(TransferModel::default(), self.batching)
     }
 }
 
@@ -87,32 +74,26 @@ mod tests {
     #[test]
     fn default_matches_component_defaults() {
         let ctx = SimContext::default();
-        assert_eq!(ctx.transfer, TransferModel::default());
         assert_eq!(ctx.batching, HostBatching::Sharded);
         assert_eq!(ctx.seed, 42);
-        assert_eq!(ctx.faults, FaultPlan::none());
-        assert!(!ctx.faults.enabled());
     }
 
     #[test]
     fn with_helpers_change_one_field() {
         let base = SimContext::default();
         assert_eq!(base.with_seed(5).seed, 5);
+        assert_eq!(base.with_seed(5).batching, base.batching);
         assert_eq!(
             base.with_batching(HostBatching::PerDpu).batching,
             HostBatching::PerDpu
         );
-        assert_eq!(base.with_seed(5).transfer, base.transfer);
-        let chaotic = base.with_faults(FaultPlan::chaos(3));
-        assert_eq!(chaotic.faults, FaultPlan::chaos(3));
-        assert_eq!(chaotic.seed, base.seed, "faults leave the workload seed");
     }
 
     #[test]
     fn planner_uses_context_policy() {
         let ctx = SimContext::default().with_batching(HostBatching::PerDpu);
         assert_eq!(ctx.planner().policy(), HostBatching::PerDpu);
-        assert_eq!(ctx.planner().model(), ctx.transfer);
+        assert_eq!(ctx.planner().model(), TransferModel::default());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Real PIM deployments do not ship perfect hardware: the PrIM
 //! benchmarking effort reports UPMEM systems with faulty or disabled
 //! DPUs straight from the factory (e.g. 2,524 usable of 2,560), ranks
-//! that drop transfers, and long-tail stragglers. Every engine in this
-//! workspace used to assume 100% healthy capacity; [`FaultPlan`] is the
-//! first-class fault model that lets them stop.
+//! that drop transfers, and long-tail stragglers. [`FaultPlan`] is the
+//! fault model the serving loop (`pim_serving::serve`, through
+//! `ServeConfig::faults`) and the `chaos` experiment run under.
 //!
 //! The plan is *declarative and stateless*: a handful of plain scalars
 //! (probabilities, a seed, a horizon) from which every fault decision
@@ -18,9 +18,10 @@
 //!    traces for any worker count, which is the workspace's standing
 //!    contract.
 //! 2. **Zero-cost opt-out.** [`FaultPlan::none`] (the default) has
-//!    every probability at zero; engines check [`FaultPlan::enabled`]
-//!    once and skip the fault paths entirely, so fault-free runs stay
-//!    byte-identical to a build without the subsystem.
+//!    every probability at zero; the serving loop checks
+//!    [`FaultPlan::enabled`] once and skips the fault paths entirely,
+//!    so fault-free runs stay byte-identical to a build without the
+//!    subsystem.
 //!
 //! Fault classes modeled:
 //!
@@ -35,11 +36,9 @@
 //!   a [`crate::TransferPlan`] fails outright (its payload never
 //!   lands) or straggles by [`FaultPlan::straggle_factor`]× its data
 //!   time, priced through [`crate::ShardedXfer::estimate_with_faults`].
-//! * **Allocator faults** ([`FaultPlan::corrupt_free_prob`],
-//!   [`FaultPlan::oom_pressure_frac`]) — corrupted-free attempts that
-//!   the allocator's frame-table validation must catch and quarantine
-//!   (never panic), and heap-exhaustion pressure that forces the
-//!   out-of-memory paths to be exercised.
+//! * **Allocator faults** ([`FaultPlan::corrupt_free_prob`]) —
+//!   corrupted-free attempts that the allocator's frame-table
+//!   validation must catch and quarantine (never panic).
 //!
 //! ```
 //! use pim_sim::FaultPlan;
@@ -96,8 +95,8 @@ pub enum ShardFault {
     Straggle,
 }
 
-/// A declarative, seeded fault schedule — plain `Copy` data, so it
-/// rides inside [`crate::SimContext`] like every other knob.
+/// A declarative, seeded fault schedule — plain `Copy` data, carried
+/// by value in `ServeConfig::faults`.
 ///
 /// All probabilities are in `[0, 1]`; [`FaultPlan::none`] (the
 /// `Default`) disables everything.
@@ -122,10 +121,6 @@ pub struct FaultPlan {
     /// Probability per opportunity that a corrupted free is injected
     /// against the allocator (caught by frame-table validation).
     pub corrupt_free_prob: f64,
-    /// Fraction of the heap pre-stolen to apply exhaustion pressure
-    /// (exercises the out-of-memory paths instead of assuming an
-    /// infinite heap).
-    pub oom_pressure_frac: f64,
 }
 
 impl FaultPlan {
@@ -141,7 +136,6 @@ impl FaultPlan {
             xfer_straggle_prob: 0.0,
             straggle_factor: 0.0,
             corrupt_free_prob: 0.0,
-            oom_pressure_frac: 0.0,
         }
     }
 
@@ -161,23 +155,16 @@ impl FaultPlan {
             xfer_straggle_prob: 0.02,
             straggle_factor: 4.0,
             corrupt_free_prob: 0.05,
-            oom_pressure_frac: 0.0,
         }
     }
 
-    /// This plan with a different fault seed.
-    pub fn with_seed(self, seed: u64) -> Self {
-        FaultPlan { seed, ..self }
-    }
-
-    /// True if any fault class can fire. Engines use this as the
-    /// single opt-out check guarding their fault paths.
+    /// True if any fault class can fire. The serving loop uses this
+    /// as the single opt-out check guarding its fault paths.
     pub fn enabled(&self) -> bool {
         self.dead_frac > 0.0
             || (self.kill_frac > 0.0 && self.kill_horizon_ns > 0)
             || self.xfer_enabled()
             || self.corrupt_free_prob > 0.0
-            || self.oom_pressure_frac > 0.0
     }
 
     /// True if transfer-shard faults can fire.
@@ -214,22 +201,6 @@ impl FaultPlan {
         } else {
             None
         }
-    }
-
-    /// True if `dpu` is healthy at simulated time `now_ns`.
-    pub fn healthy_at(&self, dpu: usize, now_ns: u64) -> bool {
-        if self.dead_on_arrival(dpu) {
-            return false;
-        }
-        match self.kill_time_ns(dpu) {
-            Some(at) => now_ns < at,
-            None => true,
-        }
-    }
-
-    /// Number of DPUs in `0..n_dpus` that are healthy at time 0.
-    pub fn initial_healthy(&self, n_dpus: usize) -> usize {
-        (0..n_dpus).filter(|&d| !self.dead_on_arrival(d)).count()
     }
 
     /// Outcome of rank shard `shard` of the transfer identified by
@@ -286,13 +257,11 @@ mod tests {
         for d in 0..512 {
             assert!(!p.dead_on_arrival(d));
             assert_eq!(p.kill_time_ns(d), None);
-            assert!(p.healthy_at(d, u64::MAX));
         }
         for n in 0..256 {
             assert_eq!(p.shard_fault(n, n), ShardFault::None);
             assert_eq!(p.corrupt_free_addr(n), None);
         }
-        assert_eq!(p.initial_healthy(512), 512);
     }
 
     #[test]
@@ -352,10 +321,6 @@ mod tests {
             if let Some(at) = p.kill_time_ns(d) {
                 saw_kill = true;
                 assert!(at < 1_000_000);
-                assert!(p.healthy_at(d, at.saturating_sub(1)));
-                assert!(!p.healthy_at(d, at));
-            } else {
-                assert!(p.healthy_at(d, u64::MAX));
             }
         }
         assert!(saw_kill, "half the fleet draws a kill");
@@ -372,7 +337,6 @@ mod tests {
         for d in 0..512 {
             if p.dead_on_arrival(d) {
                 assert_eq!(p.kill_time_ns(d), None);
-                assert!(!p.healthy_at(d, 0));
             }
         }
     }
@@ -420,14 +384,5 @@ mod tests {
         let p = FaultPlan::chaos(9);
         assert!(p.enabled());
         assert!(p.xfer_enabled());
-        let reseeded = p.with_seed(10);
-        assert_eq!(reseeded.seed, 10);
-        assert_eq!(
-            FaultPlan {
-                seed: 9,
-                ..reseeded
-            },
-            p
-        );
     }
 }

@@ -164,7 +164,6 @@ impl Default for HostConfig {
 #[derive(Debug, Clone)]
 pub struct HostSim {
     config: HostConfig,
-    transfer_model: TransferModel,
     compute_secs: f64,
     transfer_secs: f64,
     bytes_moved: u64,
@@ -172,11 +171,11 @@ pub struct HostSim {
 }
 
 impl HostSim {
-    /// Creates a host with the given CPU and transfer models.
-    pub fn new(config: HostConfig, transfer_model: TransferModel) -> Self {
+    /// Creates a host with the given CPU model; transfers are priced by
+    /// [`TransferModel::default`].
+    pub fn new(config: HostConfig) -> Self {
         HostSim {
             config,
-            transfer_model,
             compute_secs: 0.0,
             transfer_secs: 0.0,
             bytes_moved: 0,
@@ -187,11 +186,6 @@ impl HostSim {
     /// The host CPU configuration.
     pub fn config(&self) -> HostConfig {
         self.config
-    }
-
-    /// The transfer model in use.
-    pub fn transfer_model(&self) -> TransferModel {
-        self.transfer_model
     }
 
     /// Runs a parallel-for of `n_workers` independent tasks, each
@@ -236,7 +230,8 @@ impl HostSim {
         plan: &crate::xfer::TransferPlan,
         policy: crate::xfer::HostBatching,
     ) -> crate::xfer::XferEstimate {
-        let estimate = crate::xfer::ShardedXfer::new(self.transfer_model, policy).estimate(plan);
+        let estimate =
+            crate::xfer::ShardedXfer::new(TransferModel::default(), policy).estimate(plan);
         self.transfer_secs += estimate.secs;
         self.bytes_moved += estimate.bytes;
         self.transfer_calls += estimate.calls;
@@ -279,7 +274,7 @@ impl HostSim {
 
 impl Default for HostSim {
     fn default() -> Self {
-        HostSim::new(HostConfig::default(), TransferModel::default())
+        HostSim::new(HostConfig::default())
     }
 }
 
@@ -302,7 +297,7 @@ mod tests {
             thread_spawn_us: 0.0,
             ..HostConfig::default()
         };
-        let mut h = HostSim::new(cfg, TransferModel::default());
+        let mut h = HostSim::new(cfg);
         let t8 = h.parallel_for(8, 1_000_000, 1.0);
         h.reset();
         let t16 = h.parallel_for(16, 1_000_000, 1.0);
@@ -316,7 +311,7 @@ mod tests {
             thread_spawn_us: 0.0,
             ..HostConfig::default()
         };
-        let mut h = HostSim::new(cfg, TransferModel::default());
+        let mut h = HostSim::new(cfg);
         let hot = h.parallel_for(1, 1_000_000, 0.0);
         h.reset();
         let cold = h.parallel_for(1, 1_000_000, 1.0);

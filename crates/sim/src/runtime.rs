@@ -18,11 +18,9 @@
 //! assert!(set.elapsed_secs() > 0.0);
 //! ```
 
-use crate::context::SimContext;
 use crate::cost::Cycles;
 use crate::dpu::{DpuConfig, DpuSim};
-use crate::fault::FaultPlan;
-use crate::host::{HostConfig, HostSim, TransferDirection, TransferModel};
+use crate::host::{HostConfig, HostSim, TransferDirection};
 use crate::xfer::{HostBatching, TransferPlan};
 
 /// Fixed host-side overhead of one kernel launch, microseconds
@@ -36,16 +34,14 @@ const LAUNCH_US: f64 = 60.0;
 pub struct DpuSet {
     dpus: Vec<DpuSim>,
     host: HostSim,
-    batching: HostBatching,
-    faults: FaultPlan,
     elapsed_secs: f64,
     launches: u64,
 }
 
 impl DpuSet {
     /// Allocates `n` DPUs with identical configuration (`dpu_alloc`).
-    /// Transfers default to rank-sharded batching
-    /// ([`HostBatching::Sharded`]) — UPMEM's `dpu_push_xfer` path.
+    /// Transfers use rank-sharded batching ([`HostBatching::Sharded`])
+    /// — UPMEM's `dpu_push_xfer` path.
     ///
     /// # Panics
     ///
@@ -54,56 +50,10 @@ impl DpuSet {
         assert!(n > 0, "a DPU set needs at least one DPU");
         DpuSet {
             dpus: (0..n).map(|_| DpuSim::new(config.clone())).collect(),
-            host: HostSim::new(HostConfig::default(), TransferModel::default()),
-            batching: HostBatching::Sharded,
-            faults: FaultPlan::none(),
+            host: HostSim::new(HostConfig::default()),
             elapsed_secs: 0.0,
             launches: 0,
         }
-    }
-
-    /// Adopts a [`SimContext`]'s transfer model, batching policy, and
-    /// fault schedule for subsequent pushes, pulls, and launches. With
-    /// a fault plan set, dead DPUs are excluded from transfer plans
-    /// and kernel launches ([`DpuSet::healthy`]).
-    ///
-    /// ```
-    /// use pim_sim::{DpuConfig, DpuSet, HostBatching, SimContext};
-    /// let ctx = SimContext::default().with_batching(HostBatching::PerDpu);
-    /// let set = DpuSet::allocate(4, DpuConfig::default()).with_ctx(&ctx);
-    /// assert_eq!(set.batching(), HostBatching::PerDpu);
-    /// ```
-    pub fn with_ctx(mut self, ctx: &SimContext) -> Self {
-        self.batching = ctx.batching;
-        self.host = HostSim::new(HostConfig::default(), ctx.transfer);
-        self.faults = ctx.faults;
-        self
-    }
-
-    /// The transfer scheduling policy in use.
-    pub fn batching(&self) -> HostBatching {
-        self.batching
-    }
-
-    /// The set's elapsed host clock in simulated nanoseconds — the
-    /// timeline against which mid-run kills are evaluated.
-    fn now_ns(&self) -> u64 {
-        (self.elapsed_secs * 1e9) as u64
-    }
-
-    /// True if DPU `idx` is healthy right now under the set's fault
-    /// plan (not dead on arrival, not yet killed). Always true without
-    /// a fault plan.
-    pub fn healthy(&self, idx: usize) -> bool {
-        self.faults.healthy_at(idx, self.now_ns())
-    }
-
-    /// Number of currently healthy DPUs.
-    pub fn healthy_count(&self) -> usize {
-        let now = self.now_ns();
-        (0..self.dpus.len())
-            .filter(|&d| self.faults.healthy_at(d, now))
-            .count()
     }
 
     /// Number of DPUs in the set.
@@ -127,64 +77,35 @@ impl DpuSet {
     }
 
     /// `pimMemcpy(HOST2PIM)`: writes `bytes_per_dpu` to every DPU's
-    /// MRAM through `writer`, scheduled under the set's
-    /// [`HostBatching`] policy (per-rank shards by default).
-    /// Dead DPUs are excluded: their buffers never enter the plan and
-    /// `writer` is not called for them.
+    /// MRAM through `writer`, in per-rank shards.
     pub fn push(&mut self, bytes_per_dpu: u64, mut writer: impl FnMut(usize, &mut crate::Mram)) {
-        let plan = self.uniform_plan(TransferDirection::HostToPim, bytes_per_dpu);
-        self.elapsed_secs += self.host.transfer_plan(&plan, self.batching).secs;
-        let now = self.now_ns();
+        self.transfer(TransferDirection::HostToPim, bytes_per_dpu);
         for (idx, dpu) in self.dpus.iter_mut().enumerate() {
-            if self.faults.healthy_at(idx, now) {
-                writer(idx, dpu.mram_mut());
-            }
+            writer(idx, dpu.mram_mut());
         }
     }
 
     /// `pimMemcpy(PIM2HOST)`: reads `bytes_per_dpu` from every DPU's
-    /// MRAM through `reader`, scheduled under the set's
-    /// [`HostBatching`] policy (per-rank shards by default).
-    /// Dead DPUs are excluded: their buffers never enter the plan and
-    /// `reader` is not called for them.
+    /// MRAM through `reader`, in per-rank shards.
     pub fn pull(&mut self, bytes_per_dpu: u64, mut reader: impl FnMut(usize, &crate::Mram)) {
-        let plan = self.uniform_plan(TransferDirection::PimToHost, bytes_per_dpu);
-        self.elapsed_secs += self.host.transfer_plan(&plan, self.batching).secs;
-        let now = self.now_ns();
+        self.transfer(TransferDirection::PimToHost, bytes_per_dpu);
         for (idx, dpu) in self.dpus.iter().enumerate() {
-            if self.faults.healthy_at(idx, now) {
-                reader(idx, dpu.mram());
-            }
+            reader(idx, dpu.mram());
         }
     }
 
-    /// A uniform plan over the currently healthy DPUs (all of them
-    /// without a fault plan — byte-identical to the fault-free path).
-    fn uniform_plan(&self, direction: TransferDirection, bytes_per_dpu: u64) -> TransferPlan {
-        if !self.faults.enabled() {
-            return TransferPlan::uniform(direction, self.dpus.len(), bytes_per_dpu);
-        }
-        let now = self.now_ns();
-        let mut plan = TransferPlan::new(direction);
-        for idx in 0..self.dpus.len() {
-            if self.faults.healthy_at(idx, now) {
-                plan.push(idx, bytes_per_dpu);
-            }
-        }
-        plan
+    /// Prices `bytes_per_dpu` to or from every DPU on the host clock.
+    fn transfer(&mut self, direction: TransferDirection, bytes_per_dpu: u64) {
+        let plan = TransferPlan::uniform(direction, self.dpus.len(), bytes_per_dpu);
+        self.elapsed_secs += self.host.transfer_plan(&plan, HostBatching::Sharded).secs;
     }
 
-    /// `pimLaunch`: runs `kernel` on every healthy DPU (SPMD) and waits
-    /// for the slowest one. The host clock advances by the launch
-    /// overhead plus the slowest DPU's virtual-time delta. Dead DPUs
-    /// never boot, so the kernel is not invoked on them.
+    /// `pimLaunch`: runs `kernel` on every DPU (SPMD) and waits for the
+    /// slowest one. The host clock advances by the launch overhead
+    /// plus the slowest DPU's virtual-time delta.
     pub fn launch(&mut self, mut kernel: impl FnMut(usize, &mut DpuSim)) {
         let mut slowest = Cycles::ZERO;
-        let now = self.now_ns();
         for (idx, dpu) in self.dpus.iter_mut().enumerate() {
-            if !self.faults.healthy_at(idx, now) {
-                continue;
-            }
             let before = dpu.max_clock();
             kernel(idx, dpu);
             slowest = slowest.max(dpu.max_clock() - before);
@@ -252,71 +173,6 @@ mod tests {
         let mut large = DpuSet::allocate(512, DpuConfig::default());
         large.push(1 << 20, |_, _| {});
         assert!(large.elapsed_secs() > small.elapsed_secs() * 10.0);
-    }
-
-    #[test]
-    fn per_dpu_scheduling_pays_more_call_overhead() {
-        let mut sharded = DpuSet::allocate(256, DpuConfig::default());
-        sharded.push(8, |_, _| {});
-        let ctx = SimContext::default().with_batching(HostBatching::PerDpu);
-        let mut naive = DpuSet::allocate(256, DpuConfig::default()).with_ctx(&ctx);
-        naive.push(8, |_, _| {});
-        assert!(
-            naive.elapsed_secs() > 10.0 * sharded.elapsed_secs(),
-            "256 per-DPU base overheads vs 4 rank shards: {} vs {}",
-            naive.elapsed_secs(),
-            sharded.elapsed_secs()
-        );
-        assert_eq!(sharded.batching(), HostBatching::Sharded);
-    }
-
-    #[test]
-    fn faulty_fleet_skips_dead_dpus() {
-        let faults = FaultPlan {
-            seed: 5,
-            dead_frac: 0.25,
-            ..FaultPlan::none()
-        };
-        let ctx = SimContext::default().with_faults(faults);
-        let n = 64;
-        let mut set = DpuSet::allocate(n, DpuConfig::default().with_tasklets(1)).with_ctx(&ctx);
-        let dead: Vec<usize> = (0..n).filter(|&d| faults.dead_on_arrival(d)).collect();
-        assert!(!dead.is_empty() && dead.len() < n);
-        assert_eq!(set.healthy_count(), n - dead.len());
-
-        let mut pushed = vec![false; n];
-        set.push(8, |idx, mram| {
-            pushed[idx] = true;
-            mram.write_u64(0, 1);
-        });
-        let mut launched = vec![false; n];
-        set.launch(|idx, dpu| {
-            launched[idx] = true;
-            let mut c = dpu.ctx(0);
-            c.instrs(10);
-        });
-        let mut pulled = vec![false; n];
-        set.pull(8, |idx, _| pulled[idx] = true);
-        for d in 0..n {
-            let alive = !faults.dead_on_arrival(d);
-            assert_eq!(pushed[d], alive, "push visited dead DPU {d}");
-            assert_eq!(launched[d], alive, "launch booted dead DPU {d}");
-            assert_eq!(pulled[d], alive, "pull visited dead DPU {d}");
-        }
-        // Dead buffers left the transfer plan: fewer bytes moved.
-        assert_eq!(set.bytes_moved(), 2 * 8 * (n - dead.len()) as u64);
-    }
-
-    #[test]
-    fn fault_free_ctx_is_byte_identical_to_default() {
-        let ctx = SimContext::default();
-        let mut plain = DpuSet::allocate(16, DpuConfig::default());
-        let mut faultless = DpuSet::allocate(16, DpuConfig::default()).with_ctx(&ctx);
-        plain.push(128, |_, _| {});
-        faultless.push(128, |_, _| {});
-        assert_eq!(plain.elapsed_secs(), faultless.elapsed_secs());
-        assert_eq!(plain.bytes_moved(), faultless.bytes_moved());
-        assert_eq!(faultless.healthy_count(), 16);
     }
 
     #[test]

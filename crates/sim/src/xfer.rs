@@ -175,7 +175,7 @@ pub struct FaultyXferEstimate {
 
 impl FaultyXferEstimate {
     /// A fault-free wrapper around a plain estimate.
-    pub fn clean(est: XferEstimate) -> Self {
+    fn clean(est: XferEstimate) -> Self {
         FaultyXferEstimate {
             est,
             failed_dpus: Vec::new(),
@@ -277,9 +277,8 @@ impl ShardedXfer {
     /// only learns a shard failed after issuing it — but their DPUs'
     /// payloads never land (`failed_dpus`). Straggling shards inflate
     /// the plan by `straggle_factor`× the slowest straggler's rank
-    /// data time. With faults disabled this is exactly
-    /// [`ShardedXfer::estimate`] wrapped in
-    /// [`FaultyXferEstimate::clean`].
+    /// data time. With transfer faults off this is exactly
+    /// [`ShardedXfer::estimate`], with no shard failed or straggled.
     pub fn estimate_with_faults(
         &self,
         plan: &TransferPlan,

@@ -373,7 +373,7 @@ pub struct FleetConfig {
     /// DPUs replaying the trace (each runs the whole trace, SPMD).
     pub n_dpus: usize,
     /// Shared execution context: `ctx.batching` schedules the
-    /// trace-distribution push and `ctx.transfer` prices it.
+    /// trace-distribution push.
     pub ctx: SimContext,
 }
 

@@ -70,8 +70,7 @@ pub struct GraphUpdateConfig {
     /// Per-DPU heap size for the dynamic representations.
     pub heap_size: u32,
     /// Shared execution context: `ctx.seed` drives the workload RNG and
-    /// `ctx.transfer`/`ctx.batching` price and schedule the
-    /// edge-staging push.
+    /// `ctx.batching` schedules the edge-staging push.
     pub ctx: SimContext,
 }
 

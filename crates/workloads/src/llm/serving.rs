@@ -43,8 +43,8 @@ pub struct ServingConfig {
     pub mram_bw_bytes_per_s: f64,
     /// Host-side prefill time per admitted request, seconds.
     pub prefill_secs: f64,
-    /// Shared execution context: `ctx.transfer`/`ctx.batching` price
-    /// and schedule the per-step KV push.
+    /// Shared execution context: `ctx.batching` schedules the
+    /// per-step KV push.
     pub ctx: SimContext,
 }
 

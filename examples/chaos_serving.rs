@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example chaos_serving`
 
-use pim_malloc_repro::{serve, ArrivalProcess, FaultPlan, RequestClass, ServeConfig, SimContext};
+use pim_malloc_repro::{serve, ArrivalProcess, FaultPlan, RequestClass, ServeConfig};
 use pim_trace::{synthesize, SizeLaw, SynthConfig, TemporalShape};
 
 fn main() {
@@ -41,7 +41,6 @@ fn main() {
         // ~60% of this fleet's calibrated capacity: the fault-free
         // leg serves cleanly, so the chaos leg's damage is visible.
         arrival: ArrivalProcess::Poisson { rps: 13_000.0 },
-        ctx: SimContext::default(),
         ..ServeConfig::default()
     };
 
@@ -49,7 +48,7 @@ fn main() {
     let clean = serve(&base, &classes, &build);
     let chaotic = serve(
         &ServeConfig {
-            ctx: base.ctx.with_faults(FaultPlan::chaos(7)),
+            faults: FaultPlan::chaos(7),
             ..base
         },
         &classes,

@@ -3,15 +3,16 @@
 //! The facade re-exports the workspace's primary entry points so
 //! downstream consumers can depend on one crate:
 //!
-//! * [`SimContext`] — the unified execution context (transfer model,
-//!   host batching, seed, fault plan) every simulation config embeds.
+//! * [`SimContext`] — the execution context (host batching and seed)
+//!   every multi-DPU simulation config embeds.
 //! * The serving frontend: [`serve`] / [`saturation_sweep`] with
 //!   [`ServeConfig`], [`ArrivalProcess`], [`RequestClass`] and their
 //!   reports — including the self-healing knobs ([`RetryPolicy`]) and
 //!   the degraded-capacity report section ([`FaultSummary`]).
-//! * The execution knobs those APIs take: [`HostBatching`] and the
-//!   seeded [`FaultPlan`] fault schedule. Multi-DPU sweeps fan out over
-//!   [`parallel_indexed`], whose worker count `PIM_EXEC_WORKERS` sets.
+//! * The execution knobs those APIs take: [`HostBatching`], and the
+//!   seeded [`FaultPlan`] fault schedule that [`ServeConfig::faults`]
+//!   carries. Multi-DPU sweeps fan out over [`parallel_indexed`],
+//!   whose worker count `PIM_EXEC_WORKERS` sets.
 //! * The allocator core: [`PimMalloc`] behind the [`AllocGeometry`]
 //!   builder (size classes via [`SizeClassTable`]), plus the
 //!   [`PimAllocator`] object-safe trait.

@@ -2,9 +2,9 @@
 //! must produce *byte-identical* serving reports run after run (and,
 //! via the CI matrix, for every `PIM_EXEC_WORKERS` setting) — fault
 //! draws are pure functions of the plan, never of scheduling. A
-//! different fault seed must produce a different fault trace, and a
-//! disabled plan must leave reports byte-identical to a default
-//! context.
+//! different fault seed must produce a different fault trace, and
+//! kills that land after the stream drains must leave the report
+//! byte-identical to a fault-free run.
 
 use pim_malloc::PimAllocator;
 use pim_serving::{estimated_capacity_rps, serve, ArrivalProcess, ServeConfig, ServeReport};
@@ -21,7 +21,7 @@ fn base(faults: FaultPlan) -> ServeConfig {
         n_dpus: 128,
         n_requests: 10_000,
         arrival: ArrivalProcess::Poisson { rps: 250_000.0 },
-        ctx: SimContext::default().with_faults(faults),
+        faults,
         ..ServeConfig::default()
     }
 }
@@ -52,22 +52,6 @@ fn fault_seed_changes_the_fault_trace() {
         (b.faults.doa_dpus, b.faults.healthy_final, b.latency.p99),
         "different fault seeds must reshape the run"
     );
-}
-
-#[test]
-fn disabled_faults_match_a_default_context() {
-    // FaultPlan::none() must take zero fault paths: the report equals
-    // one produced by a context that never heard of faults.
-    let with_none = serve(&base(FaultPlan::none()), &standard_mix(), &build);
-    let cfg = ServeConfig {
-        ctx: SimContext::default(),
-        ..base(FaultPlan::none())
-    };
-    let vanilla = serve(&cfg, &standard_mix(), &build);
-    assert_eq!(with_none, vanilla);
-    let f = &with_none.faults;
-    assert_eq!(f.doa_dpus + f.killed_dpus + f.retries + f.redispatched, 0);
-    assert_eq!(f.fault_drops(), 0);
 }
 
 #[test]
@@ -107,12 +91,12 @@ fn kills_after_the_last_request_change_nothing() {
         ..ServeConfig::default()
     };
     let late_kills = ServeConfig {
-        ctx: clean.ctx.with_faults(FaultPlan {
+        faults: FaultPlan {
             seed: 3,
             kill_frac: 0.25,
             kill_horizon_ns: 10_000_000_000,
             ..FaultPlan::none()
-        }),
+        },
         ..clean
     };
     let reference = serve(&clean, &classes, &build);
@@ -125,21 +109,21 @@ fn transfer_faults_are_nonce_deterministic() {
     // The sharded transfer model prices the same plan identically for
     // the same (fault plan, nonce) and differently across nonces that
     // actually change a draw.
-    let ctx = SimContext::default().with_faults(FaultPlan {
+    let faults = FaultPlan {
         seed: 9,
         xfer_fail_prob: 0.3,
         ..FaultPlan::none()
-    });
-    let planner = ctx.planner();
+    };
+    let planner = SimContext::default().planner();
     let mut plan = TransferPlan::new(TransferDirection::HostToPim);
     for dpu in 0..256 {
         plan.push(dpu, 4096);
     }
-    let a = planner.estimate_with_faults(&plan, &ctx.faults, 0);
-    let b = planner.estimate_with_faults(&plan, &ctx.faults, 0);
+    let a = planner.estimate_with_faults(&plan, &faults, 0);
+    let b = planner.estimate_with_faults(&plan, &faults, 0);
     assert_eq!(a, b, "same nonce, same faults");
     let faulted = (0..64u64)
-        .map(|nonce| planner.estimate_with_faults(&plan, &ctx.faults, nonce))
+        .map(|nonce| planner.estimate_with_faults(&plan, &faults, nonce))
         .filter(|f| f.failed_shards > 0)
         .count();
     assert!(faulted > 0, "a 30% shard-fail prob must fire somewhere");
