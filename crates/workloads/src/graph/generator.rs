@@ -32,10 +32,49 @@ impl Graph {
     }
 }
 
+/// Iterations [`generate_power_law`] draws ahead of committing them.
+const BLOCK: usize = 128;
+
+/// The destination one iteration drew.
+#[derive(Clone, Copy)]
+enum Dst {
+    /// Copy the destination of the edge at this index.
+    Copy(usize),
+    /// This node.
+    Node(u32),
+}
+
 /// Generates a preferential-attachment graph: `n_edges` edges over
 /// `n_nodes` nodes where destination endpoints are drawn from existing
 /// edges with high probability, producing a power-law-like in-degree
 /// distribution (the gowalla shape).
+///
+/// Each iteration draws a source node, then with p = 0.85 copies the
+/// destination of a uniformly drawn existing edge (probability ∝
+/// in-degree), else draws a uniform destination, and keeps the edge
+/// unless it is a self-loop. Iterating one at a time, each copy is a
+/// cache miss into an edge list far larger than the cache, and so much
+/// draw arithmetic sits between two copies that the CPU keeps only a
+/// few misses in flight. Each copy's range is also the list's length,
+/// which depends on whether the edge before was a self-loop. So
+/// iterations run in fixed-size blocks, on a clone of the RNG:
+///
+/// 1. Draw the block assuming every earlier iteration in it is kept:
+///    iteration `k` copies from `0..len + k`, where `len` is the
+///    list's length at the block's start. Keep the RNG's state after
+///    each iteration.
+/// 2. Gather every copy below `len` (an edge committed before the
+///    block). These loads are independent and back to back, so the
+///    CPU overlaps their misses.
+/// 3. Commit in order; a copy at or past `len` reads an edge this
+///    block just pushed. At the first self-loop, the iterations after
+///    it drew from a range one too long, so drop them and resume from
+///    the RNG state after the self-loop.
+///
+/// Every committed iteration drew from the true length with the RNG in
+/// the state the one-at-a-time loop would have had, so the output is
+/// that loop's, edge for edge. The argument uses nothing about the RNG
+/// but that a clone replays its stream.
 ///
 /// Deterministic for a given `seed`.
 ///
@@ -48,18 +87,43 @@ pub fn generate_power_law(n_nodes: u32, n_edges: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n_edges);
     edges.push((0, 1));
+    let mut draws: Vec<(u32, Dst)> = Vec::with_capacity(BLOCK);
+    let mut after: Vec<StdRng> = Vec::with_capacity(BLOCK);
     while edges.len() < n_edges {
-        let src = rng.gen_range(0..n_nodes);
-        // Preferential attachment: with p=0.85 copy the destination of
-        // an existing edge (probability ∝ in-degree), else uniform.
-        let dst = if rng.gen_bool(0.85) {
-            edges[rng.gen_range(0..edges.len())].1
-        } else {
-            rng.gen_range(0..n_nodes)
-        };
-        if src != dst {
+        let len = edges.len();
+        let mut ahead = rng.clone();
+        draws.clear();
+        after.clear();
+        for k in 0..BLOCK.min(n_edges - len) {
+            let src = ahead.gen_range(0..n_nodes);
+            let dst = if ahead.gen_bool(0.85) {
+                Dst::Copy(ahead.gen_range(0..len + k))
+            } else {
+                Dst::Node(ahead.gen_range(0..n_nodes))
+            };
+            draws.push((src, dst));
+            after.push(ahead.clone());
+        }
+        for (_, dst) in &mut draws {
+            if let Dst::Copy(i) = *dst {
+                if i < len {
+                    *dst = Dst::Node(edges[i].1);
+                }
+            }
+        }
+        let mut last = draws.len() - 1;
+        for (k, &(src, dst)) in draws.iter().enumerate() {
+            let dst = match dst {
+                Dst::Copy(i) => edges[i].1,
+                Dst::Node(v) => v,
+            };
+            if src == dst {
+                last = k;
+                break;
+            }
             edges.push((src, dst));
         }
+        rng = after[last].clone();
     }
     Graph { n_nodes, edges }
 }
@@ -107,20 +171,26 @@ pub fn split_for_update_count(graph: Graph, n_new: usize, seed: u64) -> UpdateWo
         n_new > 0 && n_new < graph.edges.len(),
         "n_new must leave a nonempty base"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = graph.edges;
-    let n_base = edges.len() - n_new;
-    for i in (n_base..edges.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        edges.swap(i, j);
-    }
-    let new_edges = edges.split_off(n_base);
+    shuffle_tail(&mut edges, n_new, seed);
+    let new_edges = edges.split_off(edges.len() - n_new);
     UpdateWorkload {
         base: Graph {
             n_nodes: graph.n_nodes,
             edges,
         },
         new_edges,
+    }
+}
+
+/// Moves the new set [`split_for_update_count`] samples to the last
+/// `n_new` positions of `edges`, in place. `n_new` may be 0 or the
+/// whole list.
+pub(crate) fn shuffle_tail(edges: &mut [(u32, u32)], n_new: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (edges.len() - n_new..edges.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        edges.swap(i, j);
     }
 }
 
@@ -134,6 +204,42 @@ mod tests {
         let w = split_for_update_count(g, 123, 9);
         assert_eq!(w.new_edges.len(), 123);
         assert_eq!(w.base.edges.len(), 477);
+    }
+
+    /// The one-at-a-time loop `generate_power_law` draws in blocks.
+    fn reference_power_law(n_nodes: u32, n_edges: usize, seed: u64) -> Vec<(u32, u32)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = vec![(0, 1)];
+        while edges.len() < n_edges {
+            let src = rng.gen_range(0..n_nodes);
+            let dst = if rng.gen_bool(0.85) {
+                edges[rng.gen_range(0..edges.len())].1
+            } else {
+                rng.gen_range(0..n_nodes)
+            };
+            if src != dst {
+                edges.push((src, dst));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn block_generator_matches_the_one_at_a_time_loop() {
+        // At 2 and 3 nodes self-loops are frequent, so blocks restart
+        // often; 127–129 edges end at or just before the end of the
+        // first full block.
+        for n_nodes in [2, 3, 5, 17, 1000, 100_000] {
+            for n_edges in [1, 2, 127, 128, 129, 1000, 20_011] {
+                for seed in 0..8 {
+                    assert_eq!(
+                        generate_power_law(n_nodes, n_edges, seed).edges,
+                        reference_power_law(n_nodes, n_edges, seed),
+                        "{n_nodes} nodes, {n_edges} edges, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -234,6 +340,14 @@ mod tests {
                 "len {len} n_new {n_new}"
             );
         }
+        // The in-place sampler also takes no edge or every edge.
+        let g = generate_power_law(100, 600, 9);
+        let mut none = g.edges.clone();
+        shuffle_tail(&mut none, 0, 9);
+        assert_eq!(none, g.edges);
+        let mut all = g.edges.clone();
+        shuffle_tail(&mut all, 600, 9);
+        assert_eq!(all, full_shuffle(g.edges, 9));
     }
 
     #[test]

@@ -77,8 +77,9 @@ impl LinkedListGraph {
         if need_chunk {
             let chunk = alloc.pim_malloc(ctx, CHUNK_BYTES)?;
             // Initialize the header: next = old head, count = 0.
-            let next = self.heads[ui];
-            ctx.mram_write_bytes(chunk, &[next.to_le_bytes(), 0u32.to_le_bytes()].concat());
+            let mut header = [0u8; HEADER_BYTES as usize];
+            header[..4].copy_from_slice(&self.heads[ui].to_le_bytes());
+            ctx.mram_write_bytes(chunk, &header);
             self.heads[ui] = chunk;
             self.head_counts[ui] = 0;
             // Write back the node-table entry.

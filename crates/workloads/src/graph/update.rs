@@ -5,8 +5,8 @@
 //! within a DPU, across tasklets (`local_u % n_tasklets`), so all
 //! updates of one node stay on one tasklet — the standard UPMEM
 //! data-partitioning discipline. The host buckets each phase's edges
-//! into every DPU's per-tasklet streams in one pass, as a UPMEM host
-//! program splits its input before pushing each DPU its slice.
+//! into every DPU's per-tasklet streams, as a UPMEM host program splits
+//! its input before pushing each DPU its slice.
 //!
 //! Only the static CSR materializes the pre-update graph (an untimed
 //! bulk build), since its insert cost grows with it. The dynamic
@@ -23,7 +23,7 @@ use pim_sim::{
 use serde::{Deserialize, Serialize};
 
 use super::csr::CsrGraph;
-use super::generator::{generate_power_law, split_for_update_count, UpdateWorkload};
+use super::generator::{generate_power_law, shuffle_tail};
 use super::linked::LinkedListGraph;
 use super::vararray::VarArrayGraph;
 use crate::AllocatorKind;
@@ -148,16 +148,22 @@ fn place(u: u32, n_dpus: usize, n_tasklets: usize) -> (usize, usize, u32) {
     (dpu, tasklet, local)
 }
 
-fn workload(cfg: &GraphUpdateConfig) -> UpdateWorkload {
-    let total = cfg.base_edges + cfg.new_edges;
-    let g = generate_power_law(cfg.n_nodes, total, cfg.ctx.seed);
-    split_for_update_count(g, cfg.new_edges, cfg.ctx.seed ^ 0x5eed)
-}
-
-/// Every DPU's edge streams for one phase, in one pass:
+/// Every DPU's edge streams for one phase:
 /// `parts[dpu][tasklet] = [(local_u, v)]`, in input order.
-fn partition(edges: &[(u32, u32)], n_dpus: usize, n_tasklets: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
-    let mut parts = vec![vec![Vec::new(); n_tasklets]; n_dpus];
+type Parts = Vec<Vec<Vec<(u32, u32)>>>;
+
+/// Buckets one phase's edges into every DPU's streams: one pass counts
+/// each stream's edges, so the second allocates it at its exact size.
+fn partition(edges: &[(u32, u32)], n_dpus: usize, n_tasklets: usize) -> Parts {
+    let mut counts = vec![vec![0usize; n_tasklets]; n_dpus];
+    for &(u, _) in edges {
+        let (dpu, tasklet, _) = place(u, n_dpus, n_tasklets);
+        counts[dpu][tasklet] += 1;
+    }
+    let mut parts: Parts = counts
+        .iter()
+        .map(|dpu| dpu.iter().map(|&n| Vec::with_capacity(n)).collect())
+        .collect();
     for &(u, v) in edges {
         let (dpu, tasklet, local) = place(u, n_dpus, n_tasklets);
         parts[dpu][tasklet].push((local, v));
@@ -165,27 +171,49 @@ fn partition(edges: &[(u32, u32)], n_dpus: usize, n_tasklets: usize) -> Vec<Vec<
     parts
 }
 
+/// Generates the graph, samples its new edges to the tail of the edge
+/// list in place, and buckets both phases: `(new, base)`, where only
+/// the static CSR, which materializes the pre-update graph, gets base
+/// streams. The edge list is dropped once bucketed.
+fn phase_streams(cfg: &GraphUpdateConfig) -> (Parts, Option<Parts>) {
+    let total = cfg.base_edges + cfg.new_edges;
+    let mut edges = if total == 0 {
+        Vec::new()
+    } else {
+        generate_power_law(cfg.n_nodes, total, cfg.ctx.seed).edges
+    };
+    shuffle_tail(&mut edges, cfg.new_edges, cfg.ctx.seed ^ 0x5eed);
+    let (base, new) = edges.split_at(cfg.base_edges);
+    let base = matches!(cfg.repr, GraphRepr::StaticCsr)
+        .then(|| partition(base, cfg.n_dpus, cfg.n_tasklets));
+    (partition(new, cfg.n_dpus, cfg.n_tasklets), base)
+}
+
 /// Inserts the streams in virtual-time order. `insert` performs one
-/// edge insertion and returns the latencies of any `pim_malloc` calls
-/// it triggered. Returns the malloc event series `(completion,
-/// latency)` and the per-tasklet total malloc time.
+/// edge insertion and appends the latencies of any `pim_malloc` calls
+/// it triggered to the (cleared) buffer it is passed. Returns the
+/// malloc event series `(completion, latency)` and the per-tasklet
+/// total malloc time.
 fn run_phase<F>(
     dpu: &mut DpuSim,
     streams: &[Vec<(u32, u32)>],
     mut insert: F,
 ) -> (Vec<(Cycles, Cycles)>, Vec<Cycles>)
 where
-    F: FnMut(&mut DpuSim, usize, u32, u32) -> Vec<Cycles>,
+    F: FnMut(&mut DpuSim, usize, u32, u32, &mut Vec<Cycles>),
 {
     let n = streams.len();
     let mut next = vec![0usize; n];
     let mut events = Vec::new();
     let mut per_tasklet = vec![Cycles::ZERO; n];
+    let mut latencies = Vec::new();
     let mut queue = VirtualTimeQueue::new((0..n).filter(|&t| !streams[t].is_empty()));
     while let Some(tid) = queue.pop(dpu) {
         let (u, v) = streams[tid][next[tid]];
         next[tid] += 1;
-        for latency in insert(dpu, tid, u, v) {
+        latencies.clear();
+        insert(dpu, tid, u, v, &mut latencies);
+        for &latency in &latencies {
             events.push((dpu.clock(tid), latency));
             per_tasklet[tid] += latency;
         }
@@ -273,14 +301,7 @@ fn run_graph_update_impl(
     cfg: &GraphUpdateConfig,
     record: bool,
 ) -> (GraphUpdateResult, Option<pim_trace::AllocTrace>) {
-    // Only the static CSR reads the pre-update graph; the workload is
-    // dropped once both phases are bucketed.
-    let (new_parts, base_parts) = {
-        let w = workload(cfg);
-        let base = matches!(cfg.repr, GraphRepr::StaticCsr)
-            .then(|| partition(&w.base.edges, cfg.n_dpus, cfg.n_tasklets));
-        (partition(&w.new_edges, cfg.n_dpus, cfg.n_tasklets), base)
-    };
+    let (new_parts, base_parts) = phase_streams(cfg);
     let local_nodes = cfg.n_nodes.div_ceil(cfg.n_dpus as u32);
     let mhz = pim_sim::CostModel::default().clock_mhz;
 
@@ -330,12 +351,11 @@ fn run_graph_update_impl(
                     dpu.ctx(t).wait_until(t0);
                 }
                 let stats0 = dpu.total_stats();
-                run_phase(&mut dpu, new, |dpu, tid, u, v| {
+                run_phase(&mut dpu, new, |dpu, tid, u, v, _| {
                     let mut ctx = dpu.ctx(tid);
                     ctx.mutex_lock(mutex);
                     csr.insert(&mut ctx, u, v);
                     ctx.mutex_unlock(mutex);
-                    Vec::new()
                 });
                 DpuOutcome {
                     update: dpu.max_clock() - t0,
@@ -373,29 +393,25 @@ fn run_graph_update_impl(
                     GraphRepr::LinkedList => Repr::Ll(LinkedListGraph::new(local_nodes)),
                     _ => Repr::Va(VarArrayGraph::new(local_nodes)),
                 };
-                let mut do_insert = |dpu: &mut DpuSim,
-                                     alloc: &mut dyn PimAllocator,
-                                     tid: usize,
-                                     u: u32,
-                                     v: u32|
-                 -> Vec<Cycles> {
-                    let before = alloc.alloc_stats().malloc_latencies.len();
-                    let mut ctx = dpu.ctx(tid);
-                    match &mut graph {
-                        Repr::Ll(g) => g.insert(&mut ctx, alloc, u, v).expect("heap sized"),
-                        Repr::Va(g) => g.insert(&mut ctx, alloc, u, v).expect("heap sized"),
-                    }
-                    alloc.alloc_stats().malloc_latencies.samples()[before..].to_vec()
-                };
                 // Barrier, then timed update phase on the empty delta.
                 let t0 = dpu.max_clock();
                 for t in 0..cfg.n_tasklets {
                     dpu.ctx(t).wait_until(t0);
                 }
                 let stats0 = dpu.total_stats();
-                let (events, per_tasklet) = run_phase(&mut dpu, new, |dpu, tid, u, v| {
-                    do_insert(dpu, alloc.as_dyn_mut(), tid, u, v)
-                });
+                let (events, per_tasklet) =
+                    run_phase(&mut dpu, new, |dpu, tid, u, v, latencies| {
+                        let alloc = alloc.as_dyn_mut();
+                        let before = alloc.alloc_stats().malloc_latencies.len();
+                        let mut ctx = dpu.ctx(tid);
+                        match &mut graph {
+                            Repr::Ll(g) => g.insert(&mut ctx, alloc, u, v).expect("heap sized"),
+                            Repr::Va(g) => g.insert(&mut ctx, alloc, u, v).expect("heap sized"),
+                        }
+                        latencies.extend_from_slice(
+                            &alloc.alloc_stats().malloc_latencies.samples()[before..],
+                        );
+                    });
                 let s = alloc.as_dyn().alloc_stats();
                 let (frontend_hits, total_mallocs, cycles_frontend, cycles_backend) = (
                     s.frontend_hits,
@@ -479,7 +495,12 @@ fn run_graph_update_impl(
         repr: cfg.repr,
         allocator: cfg.allocator,
         update_secs,
-        throughput_meps: cfg.new_edges as f64 / update_secs / 1e6,
+        // With no new edge every DPU's phase is empty, and 0/0 is NaN.
+        throughput_meps: if cfg.new_edges == 0 {
+            0.0
+        } else {
+            cfg.new_edges as f64 / update_secs / 1e6
+        },
         breakdown,
         alloc_timeline,
         per_tasklet_malloc_us,
@@ -523,6 +544,7 @@ fn allocator_meta_bytes(alloc: &dyn PimAllocator) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::split_for_update_count;
 
     fn small(repr: GraphRepr, allocator: AllocatorKind) -> GraphUpdateConfig {
         // Gowalla-shaped sparsity (avg degree ~4.7) so the timed phase
@@ -674,6 +696,48 @@ mod tests {
             });
             assert!(r.frag_ratio.is_finite(), "{repr:?}: A/U {}", r.frag_ratio);
             assert!(r.update_secs > 0.0, "{repr:?}");
+        }
+    }
+
+    #[test]
+    fn empty_base_or_empty_update_runs() {
+        for repr in [
+            GraphRepr::StaticCsr,
+            GraphRepr::LinkedList,
+            GraphRepr::VarArray,
+        ] {
+            for (base_edges, new_edges) in [(0, 2000), (2000, 0), (0, 0)] {
+                let r = run_graph_update(&GraphUpdateConfig {
+                    repr,
+                    n_dpus: 4,
+                    n_nodes: 512,
+                    base_edges,
+                    new_edges,
+                    ..GraphUpdateConfig::default()
+                });
+                let what = format!("{repr:?}, {base_edges} + {new_edges} edges");
+                if new_edges == 0 {
+                    assert_eq!(r.throughput_meps, 0.0, "{what}");
+                    assert_eq!(r.update_secs, 0.0, "{what}");
+                } else {
+                    assert!(r.throughput_meps > 0.0, "{what}: {}", r.throughput_meps);
+                    assert!(r.throughput_meps.is_finite(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_split_builds_the_copying_splits_streams() {
+        for repr in [GraphRepr::StaticCsr, GraphRepr::LinkedList] {
+            let cfg = small(repr, AllocatorKind::Sw);
+            let (new, base) = phase_streams(&cfg);
+            let g = generate_power_law(cfg.n_nodes, cfg.base_edges + cfg.new_edges, cfg.ctx.seed);
+            let w = split_for_update_count(g, cfg.new_edges, cfg.ctx.seed ^ 0x5eed);
+            assert_eq!(new, partition(&w.new_edges, cfg.n_dpus, cfg.n_tasklets));
+            let want = matches!(repr, GraphRepr::StaticCsr)
+                .then(|| partition(&w.base.edges, cfg.n_dpus, cfg.n_tasklets));
+            assert_eq!(base, want, "{repr:?}");
         }
     }
 
