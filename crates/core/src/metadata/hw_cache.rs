@@ -86,16 +86,12 @@ impl HwCacheStore {
                 self.stats.bytes_read += u64::from(DMA_GRANULE);
                 let value = self.word_value(idx);
                 ctx.instrs(1); // write_bc
-                if let Some(victim) = self.cache.fill(addr, value) {
-                    if victim.dirty {
-                        ctx.mram_write(victim.addr, DMA_GRANULE);
-                        self.stats.bytes_written += u64::from(DMA_GRANULE);
-                    }
+                let (slot, victim) = self.cache.fill(addr, value);
+                if let Some(victim) = victim.filter(|v| v.dirty) {
+                    ctx.mram_write(victim.addr, DMA_GRANULE);
+                    self.stats.bytes_written += u64::from(DMA_GRANULE);
                 }
-                match self.cache.lookup(addr) {
-                    LookupResult::Hit(slot) => slot,
-                    LookupResult::Miss => unreachable!("just filled"),
-                }
+                slot
             }
         }
     }
@@ -145,6 +141,7 @@ impl MetadataStore for HwCacheStore {
 mod tests {
     use super::*;
     use pim_sim::{DpuConfig, DpuSim};
+    use proptest::prelude::*;
 
     fn dpu() -> DpuSim {
         DpuSim::new(DpuConfig::default().with_tasklets(1))
@@ -239,6 +236,32 @@ mod tests {
             "upper-tree words must stay resident (temporal locality)"
         );
         assert!(s.cache_stats().hit_rate() > 0.8);
+    }
+
+    proptest! {
+        /// The CAM counts one lookup per store access, so its hits and
+        /// misses are the store's.
+        #[test]
+        fn cache_counts_one_lookup_per_access(
+            entries in 1usize..6,
+            ops in proptest::collection::vec((1u32..1024, 0u8..5), 1..300),
+        ) {
+            let mut d = dpu();
+            let mut s = HwCacheStore::new(
+                1023,
+                0,
+                BuddyCacheConfig { entries, bytes_per_entry: 4 },
+            );
+            let mut ctx = d.ctx(0);
+            for (idx, op) in ops {
+                match op {
+                    0..=3 => s.set(&mut ctx, idx, NodeState::from_bits(op)),
+                    _ => { s.get(&mut ctx, idx); }
+                }
+            }
+            let (cam, store) = (s.cache_stats(), s.stats());
+            prop_assert_eq!((cam.hits, cam.misses), (store.hits, store.misses));
+        }
     }
 
     #[test]

@@ -93,16 +93,12 @@ impl LineCacheStore {
                 // The authoritative 2-bit states live in `bits`; the CAM
                 // entry only tracks tag/dirty state for the whole line.
                 ctx.instrs(1);
-                if let Some(victim) = self.cache.fill(addr, 0) {
-                    if victim.dirty {
-                        ctx.mram_write(victim.addr, self.line_bytes);
-                        self.stats.bytes_written += u64::from(self.line_bytes);
-                    }
+                let (slot, victim) = self.cache.fill(addr, 0);
+                if let Some(victim) = victim.filter(|v| v.dirty) {
+                    ctx.mram_write(victim.addr, self.line_bytes);
+                    self.stats.bytes_written += u64::from(self.line_bytes);
                 }
-                match self.cache.lookup(addr) {
-                    LookupResult::Hit(slot) => slot,
-                    LookupResult::Miss => unreachable!("just filled"),
-                }
+                slot
             }
         }
     }

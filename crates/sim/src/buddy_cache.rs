@@ -217,13 +217,13 @@ impl BuddyCache {
     }
 
     /// `write_bc`: installs `addr → value` after a miss, evicting the
-    /// LRU entry if no slot is free. Returns the victim (for DRAM
-    /// write-back) if one was evicted.
+    /// LRU entry if no slot is free. Returns the slot it installed and
+    /// the victim (for DRAM write-back) if one was evicted.
     ///
     /// The newly installed entry is clean: the caller just fetched the
     /// value from DRAM (fill path). Use [`BuddyCache::update`] for
     /// stores that dirty the cached word.
-    pub fn fill(&mut self, addr: u32, value: u32) -> Option<Eviction> {
+    pub fn fill(&mut self, addr: u32, value: u32) -> (usize, Option<Eviction>) {
         debug_assert!(
             !self.entries.iter().any(|e| e.valid && e.addr == addr),
             "fill of already-cached address {addr:#x}"
@@ -254,7 +254,7 @@ impl BuddyCache {
             dirty: false,
         };
         self.touch(slot);
-        victim
+        (slot, victim)
     }
 
     /// Number of valid entries currently cached.
@@ -298,7 +298,7 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut bc = cache(2);
         assert_eq!(bc.lookup(100), LookupResult::Miss);
-        assert_eq!(bc.fill(100, 7), None);
+        assert_eq!(bc.fill(100, 7), (0, None));
         match bc.lookup(100) {
             LookupResult::Hit(slot) => assert_eq!(bc.read(slot), 7),
             LookupResult::Miss => panic!("expected hit"),
@@ -314,7 +314,7 @@ mod tests {
         bc.fill(2, 20);
         // Touch 1 so that 2 becomes LRU.
         assert!(matches!(bc.lookup(1), LookupResult::Hit(_)));
-        let ev = bc.fill(3, 30).expect("cache full, must evict");
+        let ev = bc.fill(3, 30).1.expect("cache full, must evict");
         assert_eq!(ev.addr, 2);
         assert_eq!(ev.value, 20);
         assert!(!ev.dirty);
@@ -332,7 +332,7 @@ mod tests {
         } else {
             panic!("expected hit");
         }
-        let ev = bc.fill(2, 20).unwrap();
+        let ev = bc.fill(2, 20).1.unwrap();
         assert!(ev.dirty);
         assert_eq!(ev.value, 11);
         assert_eq!(bc.stats().writebacks, 1);
