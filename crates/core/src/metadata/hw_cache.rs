@@ -7,6 +7,10 @@
 //! DMA beat), evict the LRU entry (writing it back if dirty), and
 //! install the word with `write_bc`. Every cache operation costs a
 //! single instruction, reflecting the 1-cycle CAM access.
+//!
+//! On the host, an access that hits costs O(1): the store remembers
+//! the CAM slot each word was last found in and checks it before the
+//! tag scan, and it reads a word straight from the packed node array.
 
 use pim_sim::{BuddyCache, BuddyCacheConfig, BuddyCacheStats, LookupResult, TaskletCtx};
 
@@ -23,6 +27,10 @@ pub struct HwCacheStore {
     bits: BitArray,
     meta_base: u32,
     cache: BuddyCache,
+    /// For each metadata word, the CAM slot it was last found in. Only
+    /// a guess for [`BuddyCache::lookup_hinted`]: a stale slot, or one
+    /// past 255 cut to a byte, costs the tag scan and nothing else.
+    slots: Vec<u8>,
     stats: MetaStats,
 }
 
@@ -30,8 +38,10 @@ impl HwCacheStore {
     /// Creates a store for `nodes` nodes backed by MRAM at `meta_base`,
     /// with the given buddy-cache configuration.
     pub fn new(nodes: u32, meta_base: u32, cache_config: BuddyCacheConfig) -> Self {
+        let bits = BitArray::new(nodes);
         HwCacheStore {
-            bits: BitArray::new(nodes),
+            slots: vec![0; bits.word_count()],
+            bits,
             meta_base,
             cache: BuddyCache::new(cache_config),
             stats: MetaStats::default(),
@@ -43,37 +53,17 @@ impl HwCacheStore {
         self.cache.stats()
     }
 
-    /// MRAM address of the 4-byte word holding node `idx`.
-    fn word_addr(&self, idx: u32) -> u32 {
-        self.meta_base + (BitArray::byte_of(idx) & !3)
-    }
-
-    /// Reads the authoritative 4-byte word containing node `idx`.
-    fn word_value(&self, idx: u32) -> u32 {
-        // Node states live in `bits`; assemble the containing word.
-        let first_node = (idx / 16) * 16;
-        let mut word = 0u32;
-        for k in 0..16 {
-            let n = first_node + k;
-            if n >= 1 && n <= self.bits_len() {
-                word |= u32::from(self.bits.get(n).to_bits()) << (2 * k);
-            }
-        }
-        word
-    }
-
-    fn bits_len(&self) -> u32 {
-        self.bits.nodes()
-    }
-
     /// Ensures node `idx`'s word is cached; charges lookup and, on a
     /// miss, the fill path (DMA + eviction write-back + `write_bc`).
     fn ensure(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> usize {
-        let addr = self.word_addr(idx);
+        let word = idx / 16;
+        // MRAM address of the 4-byte word holding node `idx`.
+        let addr = self.meta_base + 4 * word;
         // The getMetadata wrapper's call and index math overhead is
         // common with the SW path; only the buffer search is hardware.
         ctx.instrs(15); // call + index math + lookup_bc
-        match self.cache.lookup(addr) {
+        let hint = usize::from(self.slots[word as usize]);
+        let slot = match self.cache.lookup_hinted(addr, hint) {
             LookupResult::Hit(slot) => {
                 self.stats.hits += 1;
                 slot
@@ -84,16 +74,17 @@ impl HwCacheStore {
                 // Fetch only the requested word (one minimum DMA beat).
                 ctx.mram_read(addr, DMA_GRANULE);
                 self.stats.bytes_read += u64::from(DMA_GRANULE);
-                let value = self.word_value(idx);
                 ctx.instrs(1); // write_bc
-                let (slot, victim) = self.cache.fill(addr, value);
+                let (slot, victim) = self.cache.fill(addr, self.bits.word(word));
                 if let Some(victim) = victim.filter(|v| v.dirty) {
                     ctx.mram_write(victim.addr, DMA_GRANULE);
                     self.stats.bytes_written += u64::from(DMA_GRANULE);
                 }
                 slot
             }
-        }
+        };
+        self.slots[word as usize] = slot as u8;
+        slot
     }
 }
 
@@ -109,8 +100,7 @@ impl MetadataStore for HwCacheStore {
         let slot = self.ensure(ctx, idx);
         ctx.instrs(10); // write_bc (update in place, marks dirty)
         self.bits.set(idx, state);
-        let word = self.word_value(idx);
-        self.cache.update(slot, word);
+        self.cache.update(slot, self.bits.word(idx / 16));
     }
 
     fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {

@@ -140,14 +140,16 @@ pub trait MetadataStore {
 /// by every store implementation.
 #[derive(Debug, Clone)]
 pub(crate) struct BitArray {
-    words: Vec<u8>,
+    /// Node `i` is bits `2 * (i % 4)..` of byte `i / 4`; node 0 is
+    /// unused and stays zero.
+    bytes: Vec<u8>,
     nodes: u32,
 }
 
 impl BitArray {
     pub(crate) fn new(nodes: u32) -> Self {
         BitArray {
-            words: vec![0u8; ((nodes as usize) + 4) / 4],
+            bytes: vec![0u8; ((nodes as usize) + 4) / 4],
             nodes,
         }
     }
@@ -155,7 +157,7 @@ impl BitArray {
     #[inline]
     pub(crate) fn get(&self, idx: u32) -> NodeState {
         debug_assert!(idx >= 1 && idx <= self.nodes, "node {idx} out of range");
-        let byte = self.words[(idx / 4) as usize];
+        let byte = self.bytes[(idx / 4) as usize];
         NodeState::from_bits((byte >> ((idx % 4) * 2)) & 0b11)
     }
 
@@ -164,11 +166,32 @@ impl BitArray {
         debug_assert!(idx >= 1 && idx <= self.nodes, "node {idx} out of range");
         let slot = (idx / 4) as usize;
         let shift = (idx % 4) * 2;
-        self.words[slot] = (self.words[slot] & !(0b11 << shift)) | (state.to_bits() << shift);
+        self.bytes[slot] = (self.bytes[slot] & !(0b11 << shift)) | (state.to_bits() << shift);
+    }
+
+    /// The 4-byte metadata word `w`: nodes `16w..16w + 15`, node
+    /// `16w + k` in bits `2k..2k + 1`. These are bytes `4w..4w + 3`
+    /// read little-endian; the bytes past the array's end read as
+    /// zero.
+    #[inline]
+    pub(crate) fn word(&self, w: u32) -> u32 {
+        let start = 4 * w as usize;
+        if let Some(le) = self.bytes.get(start..start + 4) {
+            return u32::from_le_bytes(le.try_into().expect("four bytes"));
+        }
+        let tail = self.bytes.get(start..).unwrap_or_default();
+        let mut le = [0u8; 4];
+        le[..tail.len()].copy_from_slice(tail);
+        u32::from_le_bytes(le)
+    }
+
+    /// Number of 4-byte metadata words covering nodes `0..=nodes`.
+    pub(crate) fn word_count(&self) -> usize {
+        self.nodes as usize / 16 + 1
     }
 
     pub(crate) fn clear(&mut self) {
-        self.words.fill(0);
+        self.bytes.fill(0);
     }
 
     /// Byte offset of the metadata byte holding node `idx`.
@@ -178,18 +201,14 @@ impl BitArray {
     }
 
     pub(crate) fn len_bytes(&self) -> u32 {
-        self.words.len() as u32
-    }
-
-    /// Highest valid node index.
-    pub(crate) fn nodes(&self) -> u32 {
-        self.nodes
+        self.bytes.len() as u32
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn node_state_bits_roundtrip() {
@@ -240,6 +259,37 @@ mod tests {
         assert_eq!(BitArray::byte_of(4), 1);
         assert_eq!(BitArray::byte_of(7), 1);
         assert_eq!(BitArray::byte_of(8), 2);
+    }
+
+    /// Word `w` assembled node by node, as the hardware store did
+    /// before it read the packed bytes.
+    fn word_by_nodes(a: &BitArray, w: u32) -> u32 {
+        (0..16)
+            .map(|k| (16 * w + k, k))
+            .filter(|&(n, _)| n >= 1 && n <= a.nodes)
+            .fold(0, |word, (n, k)| {
+                word | u32::from(a.get(n).to_bits()) << (2 * k)
+            })
+    }
+
+    proptest! {
+        /// Every word reads as its sixteen nodes, including a short last
+        /// word (at 4,096 nodes it runs three bytes past the array).
+        #[test]
+        fn word_reads_match_node_by_node_assembly(
+            sets in proptest::collection::vec((any::<u32>(), 0u8..4), 0..600),
+        ) {
+            for nodes in [1u32, 7, 63, 4096, 16_383] {
+                let mut a = BitArray::new(nodes);
+                for &(idx, bits) in &sets {
+                    a.set(1 + idx % nodes, NodeState::from_bits(bits));
+                }
+                prop_assert_eq!(a.word_count(), nodes as usize / 16 + 1);
+                for w in 0..a.word_count() as u32 {
+                    prop_assert_eq!(a.word(w), word_by_nodes(&a, w), "{} nodes, word {}", nodes, w);
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! hit/miss/eviction counts and dirty write-backs; timing (1 cycle per
 //! operation) is charged by the caller through its
 //! [`TaskletCtx`](crate::TaskletCtx).
+//!
+//! On the host, a hit costs O(1): LRU order is a per-slot last-use
+//! stamp, so a hit or an update writes one stamp, and
+//! [`BuddyCache::lookup_hinted`] checks a caller-remembered slot before
+//! it scans the tags. Only a fill into a full cache scans for the
+//! victim, the smallest stamp.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +65,8 @@ impl Default for BuddyCacheConfig {
 /// Hit/miss statistics of a buddy cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BuddyCacheStats {
-    /// `lookup_bc` operations that hit.
+    /// `lookup_bc` operations that hit. A metadata store makes one
+    /// lookup per access, so hits plus misses count its accesses.
     pub hits: u64,
     /// `lookup_bc` operations that missed.
     pub misses: u64,
@@ -104,10 +111,12 @@ pub struct Eviction {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
-    valid: bool,
     addr: u32,
     value: u32,
     dirty: bool,
+    /// Tick of the entry's last hit, update or fill; the smallest
+    /// stamp marks the least-recently-used entry.
+    stamp: u64,
 }
 
 /// A fully-associative, LRU-replaced CAM of metadata words.
@@ -116,18 +125,20 @@ struct Entry {
 /// use pim_sim::{BuddyCache, BuddyCacheConfig, LookupResult};
 /// let mut bc = BuddyCache::new(BuddyCacheConfig::default());
 /// assert_eq!(bc.lookup(0x0800_0000), LookupResult::Miss);
-/// bc.fill(0x0800_0000, 0x1111_1111);
-/// match bc.lookup(0x0800_0000) {
-///     LookupResult::Hit(slot) => assert_eq!(bc.read(slot), 0x1111_1111),
-///     LookupResult::Miss => unreachable!(),
-/// }
+/// let (slot, _) = bc.fill(0x0800_0000, 0x1111_1111);
+/// assert_eq!(bc.lookup(0x0800_0000), LookupResult::Hit(slot));
+/// assert_eq!(bc.read(slot), 0x1111_1111);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BuddyCache {
     config: BuddyCacheConfig,
     entries: Vec<Entry>,
-    /// Slot indices ordered most-recently-used first.
-    lru: Vec<usize>,
+    /// Number of valid entries. Fills take free slots in order and
+    /// only `init` invalidates, so slots `..valid` are exactly the
+    /// valid ones.
+    valid: usize,
+    /// Last stamp handed out.
+    tick: u64,
     stats: BuddyCacheStats,
 }
 
@@ -141,7 +152,8 @@ impl BuddyCache {
         assert!(config.entries > 0, "buddy cache needs at least one entry");
         BuddyCache {
             entries: vec![Entry::default(); config.entries],
-            lru: (0..config.entries).collect(),
+            valid: 0,
+            tick: 0,
             config,
             stats: BuddyCacheStats::default(),
         }
@@ -159,36 +171,51 @@ impl BuddyCache {
 
     /// `init_bc`: invalidates every entry and resets statistics.
     pub fn init(&mut self) {
-        for e in &mut self.entries {
-            *e = Entry::default();
-        }
-        self.lru = (0..self.config.entries).collect();
+        self.valid = 0;
         self.stats = BuddyCacheStats::default();
     }
 
+    /// Marks `slot` most-recently-used.
+    #[inline]
     fn touch(&mut self, slot: usize) {
-        let pos = self
-            .lru
-            .iter()
-            .position(|&s| s == slot)
-            .expect("slot present in LRU order");
-        self.lru.remove(pos);
-        self.lru.insert(0, slot);
+        self.tick += 1;
+        self.entries[slot].stamp = self.tick;
+    }
+
+    #[inline]
+    fn hit(&mut self, slot: usize) -> LookupResult {
+        self.stats.hits += 1;
+        self.touch(slot);
+        LookupResult::Hit(slot)
     }
 
     /// `lookup_bc`: CAM tag search for `addr`.
     ///
     /// A hit promotes the entry to most-recently-used.
     pub fn lookup(&mut self, addr: u32) -> LookupResult {
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.valid && e.addr == addr {
-                self.stats.hits += 1;
-                self.touch(i);
-                return LookupResult::Hit(i);
+        match self.entries[..self.valid]
+            .iter()
+            .position(|e| e.addr == addr)
+        {
+            Some(slot) => self.hit(slot),
+            None => {
+                self.stats.misses += 1;
+                LookupResult::Miss
             }
         }
-        self.stats.misses += 1;
-        LookupResult::Miss
+    }
+
+    /// [`BuddyCache::lookup`] that checks slot `hint` first and scans
+    /// the tags only when `hint` does not hold `addr`. The result,
+    /// statistics and LRU effect are the same for any `hint`, so a
+    /// stale or out-of-range guess costs only the scan.
+    #[inline]
+    pub fn lookup_hinted(&mut self, addr: u32, hint: usize) -> LookupResult {
+        if hint < self.valid && self.entries[hint].addr == addr {
+            self.hit(hint)
+        } else {
+            self.lookup(addr)
+        }
     }
 
     /// `read_bc`: reads the metadata word in `slot`.
@@ -197,10 +224,10 @@ impl BuddyCache {
     ///
     /// Panics if the slot is invalid — the runtime must only read slots
     /// returned by a hit.
+    #[inline]
     pub fn read(&self, slot: usize) -> u32 {
-        let e = &self.entries[slot];
-        assert!(e.valid, "read_bc of invalid slot {slot}");
-        e.value
+        assert!(slot < self.valid, "read_bc of invalid slot {slot}");
+        self.entries[slot].value
     }
 
     /// Updates the metadata word in a *hit* slot, marking it dirty.
@@ -208,9 +235,10 @@ impl BuddyCache {
     /// # Panics
     ///
     /// Panics if the slot is invalid.
+    #[inline]
     pub fn update(&mut self, slot: usize, value: u32) {
+        assert!(slot < self.valid, "update of invalid slot {slot}");
         let e = &mut self.entries[slot];
-        assert!(e.valid, "update of invalid slot {slot}");
         e.value = value;
         e.dirty = true;
         self.touch(slot);
@@ -225,33 +253,32 @@ impl BuddyCache {
     /// stores that dirty the cached word.
     pub fn fill(&mut self, addr: u32, value: u32) -> (usize, Option<Eviction>) {
         debug_assert!(
-            !self.entries.iter().any(|e| e.valid && e.addr == addr),
+            !self.entries[..self.valid].iter().any(|e| e.addr == addr),
             "fill of already-cached address {addr:#x}"
         );
-        // Prefer an invalid slot; otherwise evict the LRU entry.
-        let slot = match self.entries.iter().position(|e| !e.valid) {
-            Some(s) => s,
-            None => *self.lru.last().expect("nonempty lru"),
-        };
-        let victim = if self.entries[slot].valid {
-            self.stats.evictions += 1;
+        // Prefer a free slot; otherwise evict the LRU entry.
+        let (slot, victim) = if self.valid < self.entries.len() {
+            self.valid += 1;
+            (self.valid - 1, None)
+        } else {
+            let slot = (0..self.entries.len())
+                .min_by_key(|&i| self.entries[i].stamp)
+                .expect("nonempty cache");
             let v = self.entries[slot];
-            if v.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(Eviction {
+            self.stats.evictions += 1;
+            self.stats.writebacks += u64::from(v.dirty);
+            let victim = Eviction {
                 addr: v.addr,
                 value: v.value,
                 dirty: v.dirty,
-            })
-        } else {
-            None
+            };
+            (slot, Some(victim))
         };
         self.entries[slot] = Entry {
-            valid: true,
             addr,
             value,
             dirty: false,
+            stamp: 0,
         };
         self.touch(slot);
         (slot, victim)
@@ -259,7 +286,7 @@ impl BuddyCache {
 
     /// Number of valid entries currently cached.
     pub fn valid_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.valid
     }
 }
 
@@ -378,7 +405,133 @@ mod tests {
         bc.read(0);
     }
 
+    /// The MRU-list cache the stamp LRU replaced: `lru` holds every
+    /// slot, most recently used first, and each touch moves one slot
+    /// to the front.
+    struct ListLru {
+        entries: Vec<Option<(u32, u32, bool)>>,
+        lru: Vec<usize>,
+        stats: BuddyCacheStats,
+    }
+
+    impl ListLru {
+        fn new(entries: usize) -> Self {
+            ListLru {
+                entries: vec![None; entries],
+                lru: (0..entries).collect(),
+                stats: BuddyCacheStats::default(),
+            }
+        }
+
+        fn init(&mut self) {
+            *self = ListLru::new(self.entries.len());
+        }
+
+        fn touch(&mut self, slot: usize) {
+            let pos = self.lru.iter().position(|&s| s == slot).unwrap();
+            self.lru.remove(pos);
+            self.lru.insert(0, slot);
+        }
+
+        fn lookup(&mut self, addr: u32) -> LookupResult {
+            match self
+                .entries
+                .iter()
+                .position(|e| matches!(e, Some((a, _, _)) if *a == addr))
+            {
+                Some(slot) => {
+                    self.stats.hits += 1;
+                    self.touch(slot);
+                    LookupResult::Hit(slot)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    LookupResult::Miss
+                }
+            }
+        }
+
+        fn read(&self, slot: usize) -> Option<u32> {
+            self.entries[slot].map(|(_, value, _)| value)
+        }
+
+        fn update(&mut self, slot: usize, value: u32) {
+            let e = self.entries[slot].as_mut().unwrap();
+            (e.1, e.2) = (value, true);
+            self.touch(slot);
+        }
+
+        fn fill(&mut self, addr: u32, value: u32) -> (usize, Option<Eviction>) {
+            let slot = match self.entries.iter().position(Option::is_none) {
+                Some(s) => s,
+                None => *self.lru.last().unwrap(),
+            };
+            let victim = self.entries[slot].map(|(addr, value, dirty)| {
+                self.stats.evictions += 1;
+                self.stats.writebacks += u64::from(dirty);
+                Eviction { addr, value, dirty }
+            });
+            self.entries[slot] = Some((addr, value, false));
+            self.touch(slot);
+            (slot, victim)
+        }
+
+        fn valid_entries(&self) -> usize {
+            self.entries.iter().flatten().count()
+        }
+    }
+
     proptest! {
+        /// The stamp LRU makes every choice the MRU list makes: each
+        /// lookup (plain or from any hint), fill slot, eviction, read,
+        /// valid count and statistic agrees after every step.
+        #[test]
+        fn stamps_replay_the_mru_list(
+            entries in 1usize..7,
+            ops in proptest::collection::vec(
+                (0u8..12, 0u32..12, any::<u32>(), 0usize..8),
+                1..400,
+            ),
+        ) {
+            let mut bc = cache(entries);
+            let mut list = ListLru::new(entries);
+            for (op, addr, value, hint) in ops {
+                match op {
+                    0 => {
+                        bc.init();
+                        list.init();
+                    }
+                    1..=2 => {
+                        let slot = hint % entries;
+                        let want = list.read(slot);
+                        if want.is_some() {
+                            prop_assert_eq!(Some(bc.read(slot)), want);
+                        }
+                    }
+                    _ => {
+                        let got = if op % 2 == 0 {
+                            bc.lookup_hinted(addr, hint)
+                        } else {
+                            bc.lookup(addr)
+                        };
+                        prop_assert_eq!(got, list.lookup(addr));
+                        match got {
+                            LookupResult::Hit(slot) if op > 6 => {
+                                bc.update(slot, value);
+                                list.update(slot, value);
+                            }
+                            LookupResult::Hit(_) => {}
+                            LookupResult::Miss => {
+                                prop_assert_eq!(bc.fill(addr, value), list.fill(addr, value));
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(bc.valid_entries(), list.valid_entries());
+                prop_assert_eq!(bc.stats(), list.stats);
+            }
+        }
+
         /// The cache never holds more valid entries than its capacity,
         /// never holds two entries for one address, and a lookup right
         /// after a fill always hits with the filled value.

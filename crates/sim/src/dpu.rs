@@ -174,9 +174,17 @@ impl DpuSim {
 
     /// The tasklet with the smallest logical clock — the one whose next
     /// request should execute to keep virtual time causally ordered.
+    /// The smallest id wins a tie.
+    ///
+    /// One pass over the settled clocks; only the tasklet owing the
+    /// pending instruction batch has it added.
     pub fn next_tasklet(&self) -> usize {
-        (0..self.clocks.len())
-            .min_by_key(|&i| self.clock(i))
+        let (owing, owed) = (self.pending_tid, self.pending_cycles(self.pending_tid));
+        self.clocks
+            .iter()
+            .enumerate()
+            .min_by_key(|&(tid, &clock)| if tid == owing { clock + owed } else { clock })
+            .map(|(tid, _)| tid)
             .expect("DPU has at least one tasklet")
     }
 
@@ -421,6 +429,7 @@ impl TaskletCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dpu(tasklets: usize) -> DpuSim {
         DpuSim::new(DpuConfig::default().with_tasklets(tasklets))
@@ -536,6 +545,28 @@ mod tests {
         assert_eq!(d.next_tasklet(), 2); // clock 0
         d.ctx(2).instrs(20);
         assert_eq!(d.next_tasklet(), 1); // smallest nonzero clock
+    }
+
+    proptest! {
+        /// The one-pass pick is the laggard by the compensated clocks,
+        /// smallest id first on a tie, with an instruction batch still
+        /// pending on any tasklet.
+        #[test]
+        fn next_tasklet_is_the_first_smallest_clock(
+            tasklets in 1usize..25,
+            clocks in proptest::collection::vec(0u64..4, 24),
+            owing in 0usize..24,
+            batch in 0u64..3,
+        ) {
+            let mut d = dpu(tasklets);
+            let interval = d.config().cost.issue_interval(tasklets);
+            for (tid, &c) in clocks.iter().take(tasklets).enumerate() {
+                d.ctx(tid).wait_until(Cycles(c * interval));
+            }
+            d.ctx(owing % tasklets).instrs(batch);
+            let laggard = (0..tasklets).min_by_key(|&i| d.clock(i)).unwrap();
+            prop_assert_eq!(d.next_tasklet(), laggard);
+        }
     }
 
     #[test]
