@@ -144,11 +144,17 @@ pub struct UpdateWorkload {
 ///
 /// # Panics
 ///
-/// Panics unless `0 < new_fraction < 1`.
+/// Panics unless `0 < new_fraction < 1`, and if the graph has fewer
+/// than two edges (no split leaves both sides nonempty).
 pub fn split_for_update(graph: Graph, new_fraction: f64, seed: u64) -> UpdateWorkload {
     assert!(
         new_fraction > 0.0 && new_fraction < 1.0,
         "fraction must be in (0, 1)"
+    );
+    assert!(
+        graph.edges.len() >= 2,
+        "splitting needs at least 2 edges to leave both sides nonempty, got {}",
+        graph.edges.len()
     );
     let n_new = ((graph.edges.len() as f64) * new_fraction).round() as usize;
     let n_new = n_new.clamp(1, graph.edges.len() - 1);
@@ -348,6 +354,31 @@ mod tests {
         let mut all = g.edges.clone();
         shuffle_tail(&mut all, 600, 9);
         assert_eq!(all, full_shuffle(g.edges, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 edges")]
+    fn split_of_empty_graph_rejected() {
+        let g = Graph {
+            n_nodes: 10,
+            edges: Vec::new(),
+        };
+        split_for_update(g, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 edges")]
+    fn split_of_one_edge_rejected() {
+        split_for_update(generate_power_law(10, 1, 0), 0.5, 0);
+    }
+
+    #[test]
+    fn two_edge_graph_splits_one_to_one() {
+        let g = generate_power_law(10, 2, 0);
+        for fraction in [0.01, 0.5, 0.99] {
+            let w = split_for_update(g.clone(), fraction, 3);
+            assert_eq!((w.base.edges.len(), w.new_edges.len()), (1, 1));
+        }
     }
 
     #[test]
