@@ -95,34 +95,18 @@ pub fn discussion_cache_granularity(quick: bool) -> Experiment {
          granularity complements a general-purpose cache",
     );
     let allocs = if quick { 256 } else { 1024 };
+    // The line caches are CAMs with line-sized entries.
+    let cam = |entries, bytes_per_entry| BackendKind::HwCache {
+        cache: BuddyCacheConfig {
+            entries,
+            bytes_per_entry,
+        },
+    };
     let backends: [(&str, BackendKind); 4] = [
-        (
-            "buddy cache 64 B (16 x 4 B)",
-            BackendKind::HwCache {
-                cache: BuddyCacheConfig::default(),
-            },
-        ),
-        (
-            "line cache 1 KB, 64 B lines",
-            BackendKind::LineCache {
-                capacity_bytes: 1024,
-                line_bytes: 64,
-            },
-        ),
-        (
-            "line cache 1 KB, 8 B lines",
-            BackendKind::LineCache {
-                capacity_bytes: 1024,
-                line_bytes: 8,
-            },
-        ),
-        (
-            "line cache 64 B, 64 B lines",
-            BackendKind::LineCache {
-                capacity_bytes: 64,
-                line_bytes: 64,
-            },
-        ),
+        ("buddy cache 64 B (16 x 4 B)", cam(16, 4)),
+        ("line cache 1 KB, 64 B lines", cam(16, 64)),
+        ("line cache 1 KB, 8 B lines", cam(128, 8)),
+        ("line cache 64 B, 64 B lines", cam(1, 64)),
     ];
     for (label, backend) in backends {
         let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(16));

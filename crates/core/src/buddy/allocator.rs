@@ -1,4 +1,4 @@
-//! The buddy allocation algorithm over a [`MetadataStore`].
+//! The buddy allocation algorithm over a [`MetadataBackend`].
 //!
 //! Allocation descends from the root looking for a free block of the
 //! target level, splitting free blocks on the way down and marking
@@ -8,13 +8,10 @@
 //! Knowlton algorithm, with every metadata touch charged to the
 //! calling tasklet through the store.
 
-use pim_sim::{BuddyCacheConfig, TaskletCtx};
+use pim_sim::TaskletCtx;
 
 use crate::error::AllocError;
-use crate::metadata::{
-    CoarseBufferStore, FineLruStore, HwCacheStore, LineCacheStore, MetaStats, MetadataStore,
-    NodeState, WramStore,
-};
+use crate::metadata::{MetadataBackend, NodeState};
 
 use super::geometry::BuddyGeometry;
 
@@ -24,128 +21,6 @@ const NODE_VISIT_INSTRS: u64 = 25;
 /// Instructions of fixed request overhead (size rounding, level
 /// computation, call/return).
 const REQUEST_INSTRS: u64 = 30;
-
-/// The metadata storage backends a [`BuddyAllocator`] can run on.
-///
-/// This enum mirrors the paper's design points; see the
-/// [`crate::metadata`] module docs for what each one models.
-#[derive(Debug)]
-pub enum MetadataBackend {
-    /// Whole tree in scratchpad (UPMEM's stock `buddy_alloc()`).
-    Wram(WramStore),
-    /// MRAM-resident tree + coarse software window (straw-man & SW).
-    Coarse(CoarseBufferStore),
-    /// MRAM-resident tree + fine-grained software LRU (§IV-B ablation).
-    FineLru(FineLruStore),
-    /// MRAM-resident tree + hardware buddy cache (HW/SW).
-    HwCache(HwCacheStore),
-    /// MRAM-resident tree + line-granular general-purpose cache (the
-    /// §VII counterfactual).
-    LineCache(LineCacheStore),
-}
-
-impl MetadataBackend {
-    /// A coarse-buffer backend with the given WRAM window size.
-    pub fn coarse(geometry: &BuddyGeometry, meta_base: u32, buffer_bytes: u32) -> Self {
-        MetadataBackend::Coarse(CoarseBufferStore::new(
-            geometry.node_count(),
-            meta_base,
-            buffer_bytes,
-        ))
-    }
-
-    /// A WRAM-resident backend (only for scratchpad-sized heaps).
-    pub fn wram(geometry: &BuddyGeometry) -> Self {
-        MetadataBackend::Wram(WramStore::new(geometry.node_count()))
-    }
-
-    /// A hardware-buddy-cache backend.
-    pub fn hw_cache(geometry: &BuddyGeometry, meta_base: u32, cache: BuddyCacheConfig) -> Self {
-        MetadataBackend::HwCache(HwCacheStore::new(geometry.node_count(), meta_base, cache))
-    }
-
-    /// A line-granular general-purpose-cache backend (§VII).
-    pub fn line_cache(
-        geometry: &BuddyGeometry,
-        meta_base: u32,
-        capacity_bytes: u32,
-        line_bytes: u32,
-    ) -> Self {
-        MetadataBackend::LineCache(LineCacheStore::new(
-            geometry.node_count(),
-            meta_base,
-            capacity_bytes,
-            line_bytes,
-        ))
-    }
-
-    /// A fine-grained software-LRU backend.
-    pub fn fine_lru(
-        geometry: &BuddyGeometry,
-        meta_base: u32,
-        entries: usize,
-        granule_bytes: u32,
-    ) -> Self {
-        MetadataBackend::FineLru(FineLruStore::new(
-            geometry.node_count(),
-            meta_base,
-            entries,
-            granule_bytes,
-        ))
-    }
-}
-
-impl MetadataStore for MetadataBackend {
-    fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
-        match self {
-            MetadataBackend::Wram(s) => s.get(ctx, idx),
-            MetadataBackend::Coarse(s) => s.get(ctx, idx),
-            MetadataBackend::FineLru(s) => s.get(ctx, idx),
-            MetadataBackend::HwCache(s) => s.get(ctx, idx),
-            MetadataBackend::LineCache(s) => s.get(ctx, idx),
-        }
-    }
-
-    fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
-        match self {
-            MetadataBackend::Wram(s) => s.set(ctx, idx, state),
-            MetadataBackend::Coarse(s) => s.set(ctx, idx, state),
-            MetadataBackend::FineLru(s) => s.set(ctx, idx, state),
-            MetadataBackend::HwCache(s) => s.set(ctx, idx, state),
-            MetadataBackend::LineCache(s) => s.set(ctx, idx, state),
-        }
-    }
-
-    fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
-        match self {
-            MetadataBackend::Wram(s) => s.reset(ctx),
-            MetadataBackend::Coarse(s) => s.reset(ctx),
-            MetadataBackend::FineLru(s) => s.reset(ctx),
-            MetadataBackend::HwCache(s) => s.reset(ctx),
-            MetadataBackend::LineCache(s) => s.reset(ctx),
-        }
-    }
-
-    fn stats(&self) -> MetaStats {
-        match self {
-            MetadataBackend::Wram(s) => s.stats(),
-            MetadataBackend::Coarse(s) => s.stats(),
-            MetadataBackend::FineLru(s) => s.stats(),
-            MetadataBackend::HwCache(s) => s.stats(),
-            MetadataBackend::LineCache(s) => s.stats(),
-        }
-    }
-
-    fn peek(&self, idx: u32) -> NodeState {
-        match self {
-            MetadataBackend::Wram(s) => s.peek(idx),
-            MetadataBackend::Coarse(s) => s.peek(idx),
-            MetadataBackend::FineLru(s) => s.peek(idx),
-            MetadataBackend::HwCache(s) => s.peek(idx),
-            MetadataBackend::LineCache(s) => s.peek(idx),
-        }
-    }
-}
 
 /// A buddy allocator over one DPU heap.
 ///
@@ -454,6 +329,7 @@ impl BuddyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::BackendKind;
     use pim_sim::{DpuConfig, DpuSim};
 
     fn dpu() -> DpuSim {
@@ -463,7 +339,7 @@ mod tests {
     fn small_alloc() -> BuddyAllocator {
         // 1 KB heap, 32 B min blocks: depth 5, 63 nodes.
         let g = BuddyGeometry::new(0, 1024, 32);
-        BuddyAllocator::new(g, MetadataBackend::wram(&g))
+        BuddyAllocator::new(g, MetadataBackend::new(BackendKind::Wram, &g, 0))
     }
 
     #[test]
@@ -471,7 +347,7 @@ mod tests {
         // Figure 2: a 4 KB request against a 16 KB pool splits twice
         // and returns the leftmost 4 KB block.
         let g = BuddyGeometry::new(0, 16 << 10, 4 << 10);
-        let mut a = BuddyAllocator::new(g, MetadataBackend::wram(&g));
+        let mut a = BuddyAllocator::new(g, MetadataBackend::new(BackendKind::Wram, &g, 0));
         let mut d = dpu();
         let mut ctx = d.ctx(0);
         let addr = a.alloc(&mut ctx, 4 << 10).unwrap();
@@ -618,7 +494,10 @@ mod tests {
         let mut costs = Vec::new();
         for heap in [32u32 << 10, 1 << 20, 32 << 20] {
             let g = BuddyGeometry::new(0, heap, 32);
-            let mut a = BuddyAllocator::new(g, MetadataBackend::coarse(&g, 0, 2048));
+            let mut a = BuddyAllocator::new(
+                g,
+                MetadataBackend::new(BackendKind::Coarse { buffer_bytes: 2048 }, &g, 0),
+            );
             let mut d = dpu();
             let mut ctx = d.ctx(0);
             let t0 = ctx.now();

@@ -3,5 +3,5 @@
 mod allocator;
 mod geometry;
 
-pub use allocator::{BuddyAllocator, DescentPolicy, MetadataBackend};
+pub use allocator::{BuddyAllocator, DescentPolicy};
 pub use geometry::BuddyGeometry;

@@ -32,7 +32,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::pim_malloc::BackendKind;
+use crate::metadata::BackendKind;
 use crate::thread_cache::{CACHE_BLOCK_BYTES, DEFAULT_SIZE_CLASSES};
 
 /// Required alignment of every size class: sub-block addresses are

@@ -17,6 +17,13 @@
 //!   metadata served by a per-core hardware buddy cache (a 16-entry
 //!   CAM with LRU replacement and 1-cycle access).
 //!
+//! [`BackendKind`] is the one description of where a buddy tree's
+//! metadata lives: WRAM, a coarse software window, a fine software LRU,
+//! or a hardware CAM. Both allocators take one
+//! ([`StrawManConfig::metadata`], [`AllocGeometry::with_backend`]), and
+//! [`MetadataBackend::new`] builds its store. §VII's general-purpose
+//! line cache is a CAM with wide entries; see [`metadata`].
+//!
 //! ## Frontend and remote frees
 //!
 //! Size-class requests are served by the per-tasklet [`ThreadCache`]s:
@@ -76,14 +83,14 @@ pub mod straw_man;
 pub mod thread_cache;
 
 pub use api::PimAllocator;
-pub use buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy, MetadataBackend};
+pub use buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy};
 pub use error::{AllocError, InitError};
 pub use frag::FragTracker;
 pub use geometry::{
     AllocGeometry, GeometryError, PimMallocConfig, SizeClassTable, SIZE_CLASS_ALIGN,
 };
-pub use metadata::{MetaStats, MetadataStore, NodeState};
-pub use pim_malloc::{BackendKind, PimMalloc};
+pub use metadata::{BackendKind, MetaStats, MetadataBackend, NodeState};
+pub use pim_malloc::PimMalloc;
 pub use region_map::{FreeRoute, RegionMap};
 pub use stats::{AllocStats, ServiceSite};
 pub use straw_man::{StrawManAllocator, StrawManConfig};

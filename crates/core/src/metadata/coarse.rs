@@ -11,7 +11,7 @@
 
 use pim_sim::TaskletCtx;
 
-use super::{BitArray, MetaStats, MetadataStore, NodeState};
+use super::{BitArray, MetaStats, NodeState};
 
 /// Instructions for a buffered (hit) access: `getMetadata` is a real
 /// function call whose index→byte/shift math uses `%` and `/` — the
@@ -31,9 +31,7 @@ pub struct CoarseBufferStore {
     bits: BitArray,
     /// MRAM base address of the metadata array.
     meta_base: u32,
-    /// WRAM window size in bytes.
-    buffer_bytes: u32,
-    /// Effective window length: `buffer_bytes` clamped to the metadata
+    /// Window length: the WRAM buffer size clamped to the metadata
     /// size. Cached because the hit check runs on every node access.
     window_len: u32,
     /// First metadata byte currently buffered, aligned to the window.
@@ -61,22 +59,12 @@ impl CoarseBufferStore {
         CoarseBufferStore {
             bits,
             meta_base,
-            buffer_bytes,
             window_len,
             window_start: 0,
             window_valid: false,
             dirty: false,
             stats: MetaStats::default(),
         }
-    }
-
-    /// The WRAM window size in bytes.
-    pub fn buffer_bytes(&self) -> u32 {
-        self.buffer_bytes
-    }
-
-    fn window_len(&self) -> u32 {
-        self.window_len
     }
 
     /// Ensures the metadata byte holding `idx` is buffered, charging
@@ -124,29 +112,27 @@ impl CoarseBufferStore {
         self.window_valid = true;
         self.dirty = false;
     }
-}
 
-impl MetadataStore for CoarseBufferStore {
     #[inline]
-    fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
+    pub(crate) fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         self.ensure(ctx, idx);
         ctx.instrs(HIT_INSTRS);
         self.bits.get(idx)
     }
 
     #[inline]
-    fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
+    pub(crate) fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         self.ensure(ctx, idx);
         ctx.instrs(HIT_INSTRS);
         self.dirty = true;
         self.bits.set(idx, state);
     }
 
-    fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
+    pub(crate) fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
         // initAllocator zeroes the MRAM-resident metadata with streaming
         // DMA writes from a zeroed WRAM window.
         let len = self.bits.len_bytes();
-        let window = self.window_len();
+        let window = self.window_len;
         let mut off = 0;
         while off < len {
             let chunk = window.min(len - off);
@@ -159,11 +145,11 @@ impl MetadataStore for CoarseBufferStore {
         self.stats = MetaStats::default();
     }
 
-    fn stats(&self) -> MetaStats {
+    pub(crate) fn stats(&self) -> MetaStats {
         self.stats
     }
 
-    fn peek(&self, idx: u32) -> NodeState {
+    pub(crate) fn peek(&self, idx: u32) -> NodeState {
         self.bits.get(idx)
     }
 }

@@ -9,7 +9,7 @@
 
 use pim_sim::TaskletCtx;
 
-use super::{BitArray, MetaStats, MetadataStore, NodeState};
+use super::{BitArray, MetaStats, NodeState};
 
 /// Instructions per tag-compare step of the software lookup loop.
 const SCAN_INSTRS_PER_ENTRY: u64 = 4;
@@ -90,20 +90,18 @@ impl FineLruStore {
             }
         }
     }
-}
 
-impl MetadataStore for FineLruStore {
-    fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
+    pub(crate) fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         self.ensure(ctx, idx, false);
         self.bits.get(idx)
     }
 
-    fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
+    pub(crate) fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         self.ensure(ctx, idx, true);
         self.bits.set(idx, state);
     }
 
-    fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
+    pub(crate) fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
         let len = self.bits.len_bytes();
         let mut off = 0;
         while off < len {
@@ -116,11 +114,11 @@ impl MetadataStore for FineLruStore {
         self.stats = MetaStats::default();
     }
 
-    fn stats(&self) -> MetaStats {
+    pub(crate) fn stats(&self) -> MetaStats {
         self.stats
     }
 
-    fn peek(&self, idx: u32) -> NodeState {
+    pub(crate) fn peek(&self, idx: u32) -> NodeState {
         self.bits.get(idx)
     }
 }

@@ -1,39 +1,180 @@
-//! Buddy-tree metadata storage backends.
+//! Buddy-tree metadata placements.
 //!
 //! The buddy allocator reads and writes 2-bit node states during tree
 //! traversal. *Where* those bits live and *how* they are cached is the
-//! crux of the paper's design space:
+//! crux of the paper's design space, and [`BackendKind`] is its one
+//! description:
 //!
-//! * [`WramStore`] — the whole tree resides in scratchpad, as in
-//!   UPMEM's stock 64 KB `buddy_alloc()`. Only feasible for tiny heaps.
-//! * [`CoarseBufferStore`] — the tree resides in MRAM, with a
-//!   software-managed WRAM buffer that caches one contiguous window and
-//!   is flushed-and-reloaded wholesale on a miss (straw-man and
-//!   PIM-malloc-SW).
-//! * [`FineLruStore`] — a software LRU over small granules; fewer DRAM
-//!   transfers but heavy per-access instruction overhead (the §IV-B
-//!   ablation that regressed 29%).
-//! * [`HwCacheStore`] — the paper's hardware buddy cache: a 16-entry
-//!   CAM of 4-byte metadata words with single-cycle access
-//!   (PIM-malloc-HW/SW).
+//! * [`BackendKind::Wram`] ([`WramStore`]) — the whole tree resides in
+//!   scratchpad, as in UPMEM's stock 64 KB `buddy_alloc()`. Only
+//!   feasible for tiny heaps (Figure 7's heaps of 64 KB or less).
+//! * [`BackendKind::Coarse`] ([`CoarseBufferStore`]) — the tree resides
+//!   in MRAM, with a software-managed WRAM buffer that caches one
+//!   contiguous window and is flushed-and-reloaded wholesale on a miss
+//!   (straw-man and PIM-malloc-SW).
+//! * [`BackendKind::FineLru`] ([`FineLruStore`]) — a software LRU over
+//!   small granules; fewer DRAM transfers but heavy per-access
+//!   instruction overhead (the §IV-B ablation that regressed 29%).
+//! * [`BackendKind::HwCache`] ([`HwCacheStore`]) — a hardware CAM with
+//!   single-cycle access: with 4-byte entries the paper's buddy cache
+//!   (PIM-malloc-HW/SW), with wider ones §VII's general-purpose
+//!   line cache.
 //!
-//! All stores implement [`MetadataStore`], charging their access costs
-//! to the calling tasklet's [`TaskletCtx`].
+//! [`MetadataBackend::new`] builds the store a placement names, and
+//! its inherent methods charge each access to the calling tasklet's
+//! [`TaskletCtx`].
 
 mod coarse;
 mod fine_lru;
 mod hw_cache;
-mod line_cache;
 mod wram_store;
 
 pub use coarse::CoarseBufferStore;
 pub use fine_lru::FineLruStore;
 pub use hw_cache::HwCacheStore;
-pub use line_cache::LineCacheStore;
 pub use wram_store::WramStore;
 
-use pim_sim::TaskletCtx;
+use pim_sim::{BuddyCacheConfig, TaskletCtx};
 use serde::{Deserialize, Serialize};
+
+use crate::buddy::BuddyGeometry;
+
+/// Where the buddy tree's metadata lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendKind {
+    /// The whole tree in WRAM — UPMEM's stock scratchpad allocator.
+    Wram,
+    /// MRAM behind a coarse software-managed WRAM window — the
+    /// straw-man and **PIM-malloc-SW**.
+    Coarse {
+        /// WRAM window size in bytes (paper: 2 KB).
+        buffer_bytes: u32,
+    },
+    /// MRAM behind a fine-grained software LRU — the §IV-B ablation.
+    FineLru {
+        /// Number of cached granules.
+        entries: usize,
+        /// Granule size in bytes.
+        granule_bytes: u32,
+    },
+    /// MRAM behind a hardware CAM — **PIM-malloc-HW/SW**'s buddy cache
+    /// (4 B entries), or §VII's line cache (64 B or 8 B entries).
+    HwCache {
+        /// CAM configuration (paper default: 16 × 4 B).
+        cache: BuddyCacheConfig,
+    },
+}
+
+impl BackendKind {
+    /// Bytes of WRAM the placement reserves for a tree of `geometry`.
+    pub fn wram_bytes(&self, geometry: &BuddyGeometry) -> u32 {
+        match *self {
+            BackendKind::Wram => geometry.metadata_bytes(),
+            BackendKind::Coarse { buffer_bytes } => buffer_bytes,
+            BackendKind::FineLru {
+                entries,
+                granule_bytes,
+            } => entries as u32 * granule_bytes,
+            // The CAM is dedicated hardware; WRAM only stages a fill.
+            BackendKind::HwCache { cache } => hw_cache::transfer_bytes(cache.bytes_per_entry),
+        }
+    }
+}
+
+/// The store a [`BackendKind`] names, holding one tree's node states.
+#[derive(Debug)]
+pub enum MetadataBackend {
+    /// Whole tree in scratchpad.
+    Wram(WramStore),
+    /// MRAM-resident tree + coarse software window.
+    Coarse(CoarseBufferStore),
+    /// MRAM-resident tree + fine-grained software LRU.
+    FineLru(FineLruStore),
+    /// MRAM-resident tree + hardware CAM.
+    HwCache(HwCacheStore),
+}
+
+impl MetadataBackend {
+    /// The store `kind` names for a tree of `geometry`, with its
+    /// MRAM copy (if any) at `meta_base`.
+    pub fn new(kind: BackendKind, geometry: &BuddyGeometry, meta_base: u32) -> Self {
+        let nodes = geometry.node_count();
+        match kind {
+            BackendKind::Wram => MetadataBackend::Wram(WramStore::new(nodes)),
+            BackendKind::Coarse { buffer_bytes } => {
+                MetadataBackend::Coarse(CoarseBufferStore::new(nodes, meta_base, buffer_bytes))
+            }
+            BackendKind::FineLru {
+                entries,
+                granule_bytes,
+            } => MetadataBackend::FineLru(FineLruStore::new(
+                nodes,
+                meta_base,
+                entries,
+                granule_bytes,
+            )),
+            BackendKind::HwCache { cache } => {
+                MetadataBackend::HwCache(HwCacheStore::new(nodes, meta_base, cache))
+            }
+        }
+    }
+
+    /// Reads the state of node `idx`.
+    #[inline]
+    pub fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
+        match self {
+            MetadataBackend::Wram(s) => s.get(ctx, idx),
+            MetadataBackend::Coarse(s) => s.get(ctx, idx),
+            MetadataBackend::FineLru(s) => s.get(ctx, idx),
+            MetadataBackend::HwCache(s) => s.get(ctx, idx),
+        }
+    }
+
+    /// Writes the state of node `idx`.
+    #[inline]
+    pub fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
+        match self {
+            MetadataBackend::Wram(s) => s.set(ctx, idx, state),
+            MetadataBackend::Coarse(s) => s.set(ctx, idx, state),
+            MetadataBackend::FineLru(s) => s.set(ctx, idx, state),
+            MetadataBackend::HwCache(s) => s.set(ctx, idx, state),
+        }
+    }
+
+    /// Resets every node to [`NodeState::Free`] and clears caches.
+    /// Called by `initAllocator`; costs are charged to `ctx`.
+    pub fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
+        match self {
+            MetadataBackend::Wram(s) => s.reset(ctx),
+            MetadataBackend::Coarse(s) => s.reset(ctx),
+            MetadataBackend::FineLru(s) => s.reset(ctx),
+            MetadataBackend::HwCache(s) => s.reset(ctx),
+        }
+    }
+
+    /// Transfer/hit statistics since construction or the last reset.
+    pub fn stats(&self) -> MetaStats {
+        match self {
+            MetadataBackend::Wram(s) => s.stats(),
+            MetadataBackend::Coarse(s) => s.stats(),
+            MetadataBackend::FineLru(s) => s.stats(),
+            MetadataBackend::HwCache(s) => s.stats(),
+        }
+    }
+
+    /// Reads a node state *without* charging any simulation cost.
+    ///
+    /// For invariant checks and tests only — a real DPU has no free
+    /// metadata reads.
+    pub fn peek(&self, idx: u32) -> NodeState {
+        match self {
+            MetadataBackend::Wram(s) => s.peek(idx),
+            MetadataBackend::Coarse(s) => s.peek(idx),
+            MetadataBackend::FineLru(s) => s.peek(idx),
+            MetadataBackend::HwCache(s) => s.peek(idx),
+        }
+    }
+}
 
 /// The 2-bit state of one buddy-tree node.
 ///
@@ -111,31 +252,6 @@ impl MetaStats {
     }
 }
 
-/// Storage backend for 2-bit buddy-tree node states.
-///
-/// Implementations charge their access latency (WRAM instructions, DMA
-/// transfers, buddy-cache operations) to the provided context.
-pub trait MetadataStore {
-    /// Reads the state of node `idx`.
-    fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState;
-
-    /// Writes the state of node `idx`.
-    fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState);
-
-    /// Resets every node to [`NodeState::Free`] and clears caches.
-    /// Called by `initAllocator`; costs are charged to `ctx`.
-    fn reset(&mut self, ctx: &mut TaskletCtx<'_>);
-
-    /// Transfer/hit statistics since construction or the last reset.
-    fn stats(&self) -> MetaStats;
-
-    /// Reads a node state *without* charging any simulation cost.
-    ///
-    /// For invariant checks and tests only — a real DPU has no free
-    /// metadata reads.
-    fn peek(&self, idx: u32) -> NodeState;
-}
-
 /// A flat 2-bit-per-node array: the shared authoritative storage used
 /// by every store implementation.
 #[derive(Debug, Clone)]
@@ -169,27 +285,6 @@ impl BitArray {
         self.bytes[slot] = (self.bytes[slot] & !(0b11 << shift)) | (state.to_bits() << shift);
     }
 
-    /// The 4-byte metadata word `w`: nodes `16w..16w + 15`, node
-    /// `16w + k` in bits `2k..2k + 1`. These are bytes `4w..4w + 3`
-    /// read little-endian; the bytes past the array's end read as
-    /// zero.
-    #[inline]
-    pub(crate) fn word(&self, w: u32) -> u32 {
-        let start = 4 * w as usize;
-        if let Some(le) = self.bytes.get(start..start + 4) {
-            return u32::from_le_bytes(le.try_into().expect("four bytes"));
-        }
-        let tail = self.bytes.get(start..).unwrap_or_default();
-        let mut le = [0u8; 4];
-        le[..tail.len()].copy_from_slice(tail);
-        u32::from_le_bytes(le)
-    }
-
-    /// Number of 4-byte metadata words covering nodes `0..=nodes`.
-    pub(crate) fn word_count(&self) -> usize {
-        self.nodes as usize / 16 + 1
-    }
-
     pub(crate) fn clear(&mut self) {
         self.bytes.fill(0);
     }
@@ -208,7 +303,6 @@ impl BitArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn node_state_bits_roundtrip() {
@@ -259,37 +353,6 @@ mod tests {
         assert_eq!(BitArray::byte_of(4), 1);
         assert_eq!(BitArray::byte_of(7), 1);
         assert_eq!(BitArray::byte_of(8), 2);
-    }
-
-    /// Word `w` assembled node by node, as the hardware store did
-    /// before it read the packed bytes.
-    fn word_by_nodes(a: &BitArray, w: u32) -> u32 {
-        (0..16)
-            .map(|k| (16 * w + k, k))
-            .filter(|&(n, _)| n >= 1 && n <= a.nodes)
-            .fold(0, |word, (n, k)| {
-                word | u32::from(a.get(n).to_bits()) << (2 * k)
-            })
-    }
-
-    proptest! {
-        /// Every word reads as its sixteen nodes, including a short last
-        /// word (at 4,096 nodes it runs three bytes past the array).
-        #[test]
-        fn word_reads_match_node_by_node_assembly(
-            sets in proptest::collection::vec((any::<u32>(), 0u8..4), 0..600),
-        ) {
-            for nodes in [1u32, 7, 63, 4096, 16_383] {
-                let mut a = BitArray::new(nodes);
-                for &(idx, bits) in &sets {
-                    a.set(1 + idx % nodes, NodeState::from_bits(bits));
-                }
-                prop_assert_eq!(a.word_count(), nodes as usize / 16 + 1);
-                for w in 0..a.word_count() as u32 {
-                    prop_assert_eq!(a.word(w), word_by_nodes(&a, w), "{} nodes, word {}", nodes, w);
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use pim_sim::TaskletCtx;
 
-use super::{BitArray, MetaStats, MetadataStore, NodeState};
+use super::{BitArray, MetaStats, NodeState};
 
 /// Instructions per metadata access (index arithmetic + load/store +
 /// bit extraction on the DPU).
@@ -28,37 +28,30 @@ impl WramStore {
         }
     }
 
-    /// Bytes of WRAM this store occupies.
-    pub fn wram_bytes(&self) -> u32 {
-        self.bits.len_bytes()
-    }
-}
-
-impl MetadataStore for WramStore {
-    fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
+    pub(crate) fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
         ctx.instrs(ACCESS_INSTRS);
         self.stats.hits += 1;
         self.bits.get(idx)
     }
 
-    fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
+    pub(crate) fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
         ctx.instrs(ACCESS_INSTRS);
         self.stats.hits += 1;
         self.bits.set(idx, state);
     }
 
-    fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
+    pub(crate) fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
         // memset of the tree in WRAM: ~1 instruction per 8 bytes.
         ctx.instrs(u64::from(self.bits.len_bytes() / 8 + 1));
         self.bits.clear();
         self.stats = MetaStats::default();
     }
 
-    fn stats(&self) -> MetaStats {
+    pub(crate) fn stats(&self) -> MetaStats {
         self.stats
     }
 
-    fn peek(&self, idx: u32) -> NodeState {
+    pub(crate) fn peek(&self, idx: u32) -> NodeState {
         self.bits.get(idx)
     }
 }
@@ -66,6 +59,8 @@ impl MetadataStore for WramStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buddy::BuddyGeometry;
+    use crate::metadata::BackendKind;
     use pim_sim::{DpuConfig, DpuSim};
 
     #[test]
@@ -100,7 +95,13 @@ mod tests {
     fn wram_footprint_matches_geometry() {
         // UPMEM's 32 KB scratchpad heap with 32 B min blocks: depth 10,
         // 2^11 nodes, ~512 B of metadata (§III-C).
-        let store = WramStore::new((1 << 11) - 1);
-        assert!(store.wram_bytes() <= 513);
+        let geometry = BuddyGeometry::new(0, 32 << 10, 32);
+        assert_eq!(geometry.node_count(), (1 << 11) - 1);
+        let bytes = BackendKind::Wram.wram_bytes(&geometry);
+        assert_eq!(
+            bytes,
+            WramStore::new(geometry.node_count()).bits.len_bytes()
+        );
+        assert!(bytes <= 513);
     }
 }

@@ -16,19 +16,19 @@
 //! remote slot reads one back. A block whose bitmap drains returns to
 //! the buddy backend with its marks.
 //!
-//! The backend's metadata store selects between the paper's variants:
-//! a coarse software buffer (**PIM-malloc-SW**), the hardware buddy
-//! cache (**PIM-malloc-HW/SW**), or the fine-grained software LRU
-//! ablation.
+//! The backend's [`BackendKind`](crate::BackendKind) places its tree's metadata: a coarse
+//! software buffer (**PIM-malloc-SW**), the hardware buddy cache
+//! (**PIM-malloc-HW/SW**), the fine-grained software LRU ablation, a
+//! wide-entry CAM (§VII's line cache), or WRAM.
 
-use pim_sim::{BuddyCacheConfig, BuddyCacheStats, DpuSim, MutexId, TaskletCtx, MAX_TASKLETS};
+use pim_sim::{BuddyCacheStats, DpuSim, MutexId, TaskletCtx, MAX_TASKLETS};
 
 use crate::api::PimAllocator;
-use crate::buddy::{BuddyAllocator, BuddyGeometry, MetadataBackend};
+use crate::buddy::{BuddyAllocator, BuddyGeometry};
 use crate::error::{AllocError, InitError};
 use crate::frag::FragTracker;
 use crate::geometry::{PimMallocConfig, SizeClassTable};
-use crate::metadata::{MetaStats, MetadataStore};
+use crate::metadata::{MetaStats, MetadataBackend};
 use crate::region_map::{FreeRoute, RegionMap};
 use crate::stats::{AllocStats, ServiceSite};
 use crate::thread_cache::{FreeOutcome, ThreadCache, CACHE_BLOCK_BYTES};
@@ -51,36 +51,6 @@ const TRANSFER_POP_INSTRS: u64 = 10;
 const TRANSFER_BATCH: u32 = 8;
 /// Bytes per staged object pointer in a batch.
 const TRANSFER_SLOT_BYTES: u32 = 8;
-
-/// Which metadata store the backend buddy allocator runs on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BackendKind {
-    /// Coarse software-managed WRAM window — **PIM-malloc-SW**.
-    Coarse {
-        /// WRAM window size in bytes (paper: 2 KB).
-        buffer_bytes: u32,
-    },
-    /// Fine-grained software LRU — the §IV-B ablation.
-    FineLru {
-        /// Number of cached granules.
-        entries: usize,
-        /// Granule size in bytes.
-        granule_bytes: u32,
-    },
-    /// Hardware buddy cache — **PIM-malloc-HW/SW**.
-    HwCache {
-        /// CAM configuration (paper default: 16 × 4 B).
-        cache: BuddyCacheConfig,
-    },
-    /// Line-granular general-purpose metadata cache — the §VII
-    /// cache-enabled-PIM counterfactual.
-    LineCache {
-        /// Total cache capacity in bytes.
-        capacity_bytes: u32,
-        /// Cache line size in bytes (e.g. 64).
-        line_bytes: u32,
-    },
-}
 
 /// The hierarchical PIM-malloc allocator for one DPU.
 #[derive(Debug)]
@@ -140,50 +110,14 @@ impl PimMalloc {
             .map(|_| ThreadCache::new(&config.size_classes))
             .collect();
 
-        // WRAM budget: backend metadata buffer + per-tasklet bitmaps.
-        match config.backend {
-            BackendKind::Coarse { buffer_bytes } => {
-                dpu.wram_mut()
-                    .reserve("buddy metadata buffer", buffer_bytes)?;
-            }
-            BackendKind::FineLru {
-                entries,
-                granule_bytes,
-            } => {
-                dpu.wram_mut()
-                    .reserve("fine-lru metadata buffer", entries as u32 * granule_bytes)?;
-            }
-            BackendKind::HwCache { .. } => {
-                // The buddy cache is dedicated hardware; only a staging
-                // beat in WRAM is needed for miss handling.
-                dpu.wram_mut().reserve("buddy cache staging", 8)?;
-            }
-            BackendKind::LineCache { line_bytes, .. } => {
-                dpu.wram_mut().reserve("line cache staging", line_bytes)?;
-            }
-        }
+        // WRAM budget: backend metadata + per-tasklet bitmaps.
+        dpu.wram_mut()
+            .reserve("buddy metadata", config.backend.wram_bytes(&geometry))?;
         let bitmap_bytes: u32 = caches.iter().map(ThreadCache::bitmap_wram_bytes).sum();
         dpu.wram_mut()
             .reserve("thread cache bitmaps", bitmap_bytes)?;
 
-        let store = match config.backend {
-            BackendKind::Coarse { buffer_bytes } => {
-                MetadataBackend::coarse(&geometry, config.meta_base, buffer_bytes)
-            }
-            BackendKind::FineLru {
-                entries,
-                granule_bytes,
-            } => MetadataBackend::fine_lru(&geometry, config.meta_base, entries, granule_bytes),
-            BackendKind::HwCache { cache } => {
-                MetadataBackend::hw_cache(&geometry, config.meta_base, cache)
-            }
-            BackendKind::LineCache {
-                capacity_bytes,
-                line_bytes,
-            } => {
-                MetadataBackend::line_cache(&geometry, config.meta_base, capacity_bytes, line_bytes)
-            }
-        };
+        let store = MetadataBackend::new(config.backend, &geometry, config.meta_base);
         let mut backend = BuddyAllocator::new(geometry, store);
         let backend_mutex = dpu.alloc_mutex();
 
@@ -243,8 +177,9 @@ impl PimMalloc {
         self.backend.store().stats()
     }
 
-    /// Hardware buddy-cache statistics, if this instance runs
-    /// PIM-malloc-HW/SW.
+    /// Statistics of the backend's hardware CAM, if its metadata sits
+    /// behind one ([`crate::BackendKind::HwCache`]: HW/SW's buddy cache, or a
+    /// §VII line cache).
     pub fn buddy_cache_stats(&self) -> Option<BuddyCacheStats> {
         match self.backend.store() {
             MetadataBackend::HwCache(s) => Some(s.cache_stats()),
@@ -475,6 +410,7 @@ impl PimAllocator for PimMalloc {
 mod tests {
     use super::*;
     use crate::geometry::AllocGeometry;
+    use crate::metadata::BackendKind;
     use pim_sim::DpuConfig;
 
     fn dpu(tasklets: usize) -> DpuSim {

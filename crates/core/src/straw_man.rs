@@ -2,16 +2,17 @@
 //!
 //! A single mutex-protected buddy allocator manages the whole 32 MB
 //! heap down to 32 B blocks — a 20-level tree whose 512 KB of metadata
-//! lives in MRAM behind the coarse software-managed buffer. Every
-//! request, small or large, traverses the deep tree under the lock,
-//! which is exactly what makes it slow (Figure 7) and
-//! contention-prone (Figure 8).
+//! lives in MRAM behind the coarse software-managed buffer (or, for
+//! Figure 7's small heaps, in WRAM). Every request, small or large,
+//! traverses the deep tree under the lock, which is exactly what makes
+//! it slow (Figure 7) and contention-prone (Figure 8).
 
 use pim_sim::{DpuSim, MutexId, TaskletCtx};
 
 use crate::api::PimAllocator;
-use crate::buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy, MetadataBackend};
+use crate::buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy};
 use crate::error::{AllocError, InitError};
+use crate::metadata::{BackendKind, MetaStats, MetadataBackend};
 use crate::region_map::{FreeRoute, RegionMap};
 use crate::stats::{AllocStats, ServiceSite};
 
@@ -26,12 +27,10 @@ pub struct StrawManConfig {
     pub min_block: u32,
     /// MRAM address of the metadata array.
     pub meta_base: u32,
-    /// WRAM window of the software-managed metadata buffer.
-    pub buffer_bytes: u32,
-    /// Keep the metadata in WRAM instead of MRAM — models UPMEM's
-    /// stock scratchpad `buddy_alloc()` for small heaps (Figure 7's
-    /// 32 KB point).
-    pub metadata_in_wram: bool,
+    /// Where the metadata lives (paper: MRAM behind a 2 KB coarse
+    /// window; [`BackendKind::Wram`] models UPMEM's stock scratchpad
+    /// `buddy_alloc()` for small heaps).
+    pub metadata: BackendKind,
     /// Descent policy (ablation hook).
     pub descent: DescentPolicy,
 }
@@ -44,8 +43,7 @@ impl Default for StrawManConfig {
             heap_size: 32 << 20,
             min_block: 32,
             meta_base: 0x0100_0000,
-            buffer_bytes: 2048,
-            metadata_in_wram: false,
+            metadata: BackendKind::Coarse { buffer_bytes: 2048 },
             descent: DescentPolicy::FullMarks,
         }
     }
@@ -69,8 +67,8 @@ impl StrawManAllocator {
     ///
     /// # Errors
     ///
-    /// [`InitError::Wram`] if the metadata (with `metadata_in_wram`)
-    /// or the software-managed buffer does not fit the scratchpad —
+    /// [`InitError::Wram`] if the metadata's WRAM share (the whole tree
+    /// for [`BackendKind::Wram`]) does not fit the scratchpad —
     /// reachable from data (DSE sweeps explore tree depths whose
     /// metadata exceeds 64 KB), so it is reported, not panicked.
     ///
@@ -79,15 +77,9 @@ impl StrawManAllocator {
     /// Panics on malformed geometry (non-power-of-two sizes).
     pub fn init(dpu: &mut DpuSim, config: StrawManConfig) -> Result<Self, InitError> {
         let geometry = BuddyGeometry::new(config.heap_base, config.heap_size, config.min_block);
-        let store = if config.metadata_in_wram {
-            dpu.wram_mut()
-                .reserve("straw-man metadata (WRAM)", geometry.metadata_bytes())?;
-            MetadataBackend::wram(&geometry)
-        } else {
-            dpu.wram_mut()
-                .reserve("straw-man metadata buffer", config.buffer_bytes)?;
-            MetadataBackend::coarse(&geometry, config.meta_base, config.buffer_bytes)
-        };
+        dpu.wram_mut()
+            .reserve("straw-man metadata", config.metadata.wram_bytes(&geometry))?;
+        let store = MetadataBackend::new(config.metadata, &geometry, config.meta_base);
         let mut buddy = BuddyAllocator::new(geometry, store).with_policy(config.descent);
         let mutex = dpu.alloc_mutex();
         {
@@ -105,6 +97,11 @@ impl StrawManAllocator {
     /// The underlying buddy allocator.
     pub fn buddy(&self) -> &BuddyAllocator {
         &self.buddy
+    }
+
+    /// Metadata-store transfer statistics of the buddy tree.
+    pub fn metadata_stats(&self) -> MetaStats {
+        self.buddy.store().stats()
     }
 
     /// Number of live user allocations.
@@ -227,7 +224,7 @@ mod tests {
             heap_base: 0,
             heap_size: 32 << 10,
             min_block: 32,
-            metadata_in_wram: true,
+            metadata: BackendKind::Wram,
             ..StrawManConfig::default()
         };
         let mut a = StrawManAllocator::init(&mut d, cfg).unwrap();
@@ -248,7 +245,7 @@ mod tests {
             heap_base: 0,
             heap_size: 32 << 10,
             min_block: 32,
-            metadata_in_wram: true,
+            metadata: BackendKind::Wram,
             ..StrawManConfig::default()
         };
         let mut a1 = StrawManAllocator::init(&mut d1, small).unwrap();

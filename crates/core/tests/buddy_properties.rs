@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pim_malloc::{AllocError, BuddyAllocator, BuddyGeometry, MetadataBackend};
+use pim_malloc::{AllocError, BackendKind, BuddyAllocator, BuddyGeometry, MetadataBackend};
 use pim_sim::{DpuConfig, DpuSim};
 use proptest::prelude::*;
 
@@ -111,7 +111,10 @@ fn op_strategy(max_size: u32) -> impl Strategy<Value = Op> {
 fn run_sequence(heap_size: u32, min_block: u32, ops: &[Op]) {
     let geometry = BuddyGeometry::new(0x1000, heap_size, min_block);
     let mut sys = DpuSim::new(DpuConfig::default().with_tasklets(1));
-    let mut tree = BuddyAllocator::new(geometry, MetadataBackend::coarse(&geometry, 0, 512));
+    let mut tree = BuddyAllocator::new(
+        geometry,
+        MetadataBackend::new(BackendKind::Coarse { buffer_bytes: 512 }, &geometry, 0),
+    );
     {
         let mut ctx = sys.ctx(0);
         tree.reset(&mut ctx);
@@ -213,8 +216,10 @@ fn exhaustive_pairs_of_sizes_roundtrip() {
         for s2 in [32u32, 48, 1024, 4096] {
             for order in 0..2 {
                 let mut sys = DpuSim::new(DpuConfig::default().with_tasklets(1));
-                let mut tree =
-                    BuddyAllocator::new(geometry, MetadataBackend::coarse(&geometry, 0, 512));
+                let mut tree = BuddyAllocator::new(
+                    geometry,
+                    MetadataBackend::new(BackendKind::Coarse { buffer_bytes: 512 }, &geometry, 0),
+                );
                 let mut ctx = sys.ctx(0);
                 tree.reset(&mut ctx);
                 let a = tree.alloc(&mut ctx, s1).unwrap();

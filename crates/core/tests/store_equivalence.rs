@@ -1,33 +1,52 @@
-//! Differential property tests: all five metadata stores are
-//! *functionally identical* — they differ only in cost and traffic.
-//! Any sequence of get/set operations must return the same states from
-//! each, and a buddy allocator running on each must produce identical
-//! placements.
+//! Differential property tests: every metadata placement is
+//! *functionally identical* — placements differ only in cost and
+//! traffic. Any sequence of get/set operations must return the same
+//! states from each, and a buddy allocator running on each must produce
+//! identical placements.
 
-use pim_malloc::metadata::{
-    CoarseBufferStore, FineLruStore, HwCacheStore, LineCacheStore, MetadataStore, NodeState,
-    WramStore,
-};
-use pim_malloc::{BuddyAllocator, BuddyGeometry, MetadataBackend};
+use pim_malloc::{BackendKind, BuddyAllocator, BuddyGeometry, MetadataBackend, NodeState};
 use pim_sim::{BuddyCacheConfig, DpuConfig, DpuSim};
 use proptest::prelude::*;
 
+/// Node indices the store tests touch: `1..=NODES`.
 const NODES: u32 = 1 << 12;
 
-fn all_stores() -> Vec<(&'static str, Box<dyn MetadataStore>)> {
+/// A tree of `(1 << 13) - 1` nodes, so every index the tests touch is
+/// in it.
+fn geometry() -> BuddyGeometry {
+    BuddyGeometry::new(0, 1 << 20, 256)
+}
+
+/// One of each placement: WRAM, a 256 B coarse window, a fine LRU, and
+/// CAMs with 4 B, 8 B and 64 B entries.
+fn kinds() -> Vec<(&'static str, BackendKind)> {
+    let cam = |entries, bytes_per_entry| BackendKind::HwCache {
+        cache: BuddyCacheConfig {
+            entries,
+            bytes_per_entry,
+        },
+    };
     vec![
-        ("wram", Box::new(WramStore::new(NODES))),
-        ("coarse", Box::new(CoarseBufferStore::new(NODES, 0, 256))),
-        ("fine-lru", Box::new(FineLruStore::new(NODES, 0, 8, 8))),
+        ("wram", BackendKind::Wram),
+        ("coarse", BackendKind::Coarse { buffer_bytes: 256 }),
         (
-            "hw-cache",
-            Box::new(HwCacheStore::new(NODES, 0, BuddyCacheConfig::default())),
+            "fine-lru",
+            BackendKind::FineLru {
+                entries: 8,
+                granule_bytes: 8,
+            },
         ),
-        (
-            "line-cache",
-            Box::new(LineCacheStore::new(NODES, 0, 128, 64)),
-        ),
+        ("cam-4b", cam(16, 4)),
+        ("cam-8b", cam(16, 8)),
+        ("cam-64b", cam(2, 64)),
     ]
+}
+
+fn all_stores() -> Vec<(&'static str, MetadataBackend)> {
+    kinds()
+        .into_iter()
+        .map(|(name, kind)| (name, MetadataBackend::new(kind, &geometry(), 0)))
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -82,20 +101,10 @@ proptest! {
         sizes in proptest::collection::vec(1u32..8192, 1..60)
     ) {
         let geometry = BuddyGeometry::new(0, 1 << 20, 32);
-        let backends: Vec<(&str, MetadataBackend)> = vec![
-            ("wram", MetadataBackend::wram(&geometry)),
-            ("coarse", MetadataBackend::coarse(&geometry, 0, 2048)),
-            ("fine-lru", MetadataBackend::fine_lru(&geometry, 0, 64, 8)),
-            (
-                "hw-cache",
-                MetadataBackend::hw_cache(&geometry, 0, BuddyCacheConfig::default()),
-            ),
-            ("line-cache", MetadataBackend::line_cache(&geometry, 0, 1024, 64)),
-        ];
         let mut results: Vec<(&str, Vec<Option<u32>>)> = Vec::new();
-        for (name, backend) in backends {
+        for (name, kind) in kinds() {
             let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
-            let mut tree = BuddyAllocator::new(geometry, backend);
+            let mut tree = BuddyAllocator::new(geometry, MetadataBackend::new(kind, &geometry, 0));
             {
                 let mut ctx = dpu.ctx(0);
                 tree.reset(&mut ctx);
@@ -141,7 +150,7 @@ fn traffic_profiles_differ_as_designed() {
     }
     assert_eq!(traffic["wram"], 0, "WRAM store never touches DRAM");
     assert!(
-        traffic["hw-cache"] < traffic["coarse"],
+        traffic["cam-4b"] < traffic["coarse"],
         "word fills must beat window reloads: {traffic:?}"
     );
     assert!(

@@ -2,16 +2,16 @@
 //!
 //! The buddy cache (PIM-malloc-HW/SW, §IV-B of the paper) is a small
 //! fully-associative cache built from a CAM, holding recently accessed
-//! buddy-allocator metadata words. Each entry stores a valid bit, the
-//! MRAM address of a 4-byte metadata word (the tag), and the word
-//! itself. Replacement is true LRU. The PIM core reaches it through
-//! four ISA extensions — `init_bc`, `lookup_bc`, `read_bc`, `write_bc` —
-//! mirrored here as methods.
+//! buddy-allocator metadata. Each entry is tagged with the MRAM address
+//! of its `bytes_per_entry` bytes of metadata (4 B in the paper).
+//! Replacement is true LRU. The PIM core reaches it through four ISA
+//! extensions — `init_bc`, `lookup_bc`, `read_bc`, `write_bc`.
 //!
-//! The model is *functional + statistical*: it tracks exact contents,
-//! hit/miss/eviction counts and dirty write-backs; timing (1 cycle per
-//! operation) is charged by the caller through its
-//! [`TaskletCtx`](crate::TaskletCtx).
+//! The model keeps only what decides hits, evictions and write-backs:
+//! each entry's tag, dirty bit and LRU stamp. The metadata itself stays
+//! in the caller's node array, which is what a cached entry would hold.
+//! Timing (1 cycle per operation, `read_bc` included) is charged by the
+//! caller through its [`TaskletCtx`](crate::TaskletCtx).
 //!
 //! On the host, a hit costs O(1): LRU order is a per-slot last-use
 //! stamp, so a hit or an update writes one stamp, and
@@ -26,7 +26,8 @@ use serde::{Deserialize, Serialize};
 pub struct BuddyCacheConfig {
     /// Number of CAM entries (paper default: 16).
     pub entries: usize,
-    /// Bytes of metadata per entry (paper default: 4).
+    /// Bytes of metadata per entry, a power of two of at least 4
+    /// (paper default: 4; §VII's line caches use 8 or 64).
     pub bytes_per_entry: u32,
 }
 
@@ -91,7 +92,8 @@ impl BuddyCacheStats {
 /// Result of a `lookup_bc` operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupResult {
-    /// Tag match; the slot index can be passed to `read_bc`/`write_bc`.
+    /// Tag match; the slot index can be passed to
+    /// [`BuddyCache::update`].
     Hit(usize),
     /// No entry holds the address.
     Miss,
@@ -101,33 +103,32 @@ pub enum LookupResult {
 /// write the victim back to DRAM if it was dirty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
-    /// MRAM address of the evicted metadata word.
+    /// MRAM address of the evicted entry.
     pub addr: u32,
-    /// The evicted word's value.
-    pub value: u32,
-    /// Whether the word was modified since it was filled.
+    /// Whether the entry was modified since it was filled.
     pub dirty: bool,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     addr: u32,
-    value: u32,
     dirty: bool,
     /// Tick of the entry's last hit, update or fill; the smallest
     /// stamp marks the least-recently-used entry.
     stamp: u64,
 }
 
-/// A fully-associative, LRU-replaced CAM of metadata words.
+/// A fully-associative, LRU-replaced CAM of metadata tags.
 ///
 /// ```
 /// use pim_sim::{BuddyCache, BuddyCacheConfig, LookupResult};
 /// let mut bc = BuddyCache::new(BuddyCacheConfig::default());
 /// assert_eq!(bc.lookup(0x0800_0000), LookupResult::Miss);
-/// let (slot, _) = bc.fill(0x0800_0000, 0x1111_1111);
+/// let (slot, _) = bc.fill(0x0800_0000);
 /// assert_eq!(bc.lookup(0x0800_0000), LookupResult::Hit(slot));
-/// assert_eq!(bc.read(slot), 0x1111_1111);
+/// bc.update(slot);
+/// let (_, victim) = bc.fill(0x0800_0004);
+/// assert_eq!(victim, None, "a free slot remains");
 /// ```
 #[derive(Debug, Clone)]
 pub struct BuddyCache {
@@ -218,40 +219,26 @@ impl BuddyCache {
         }
     }
 
-    /// `read_bc`: reads the metadata word in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is invalid — the runtime must only read slots
-    /// returned by a hit.
-    #[inline]
-    pub fn read(&self, slot: usize) -> u32 {
-        assert!(slot < self.valid, "read_bc of invalid slot {slot}");
-        self.entries[slot].value
-    }
-
-    /// Updates the metadata word in a *hit* slot, marking it dirty.
+    /// `write_bc` on a *hit* slot: the entry was modified, so it is
+    /// marked dirty and most-recently-used.
     ///
     /// # Panics
     ///
     /// Panics if the slot is invalid.
     #[inline]
-    pub fn update(&mut self, slot: usize, value: u32) {
+    pub fn update(&mut self, slot: usize) {
         assert!(slot < self.valid, "update of invalid slot {slot}");
-        let e = &mut self.entries[slot];
-        e.value = value;
-        e.dirty = true;
+        self.entries[slot].dirty = true;
         self.touch(slot);
     }
 
-    /// `write_bc`: installs `addr → value` after a miss, evicting the
-    /// LRU entry if no slot is free. Returns the slot it installed and
-    /// the victim (for DRAM write-back) if one was evicted.
+    /// `write_bc` after a miss: installs `addr`, evicting the LRU entry
+    /// if no slot is free. Returns the slot it installed and the victim
+    /// (for DRAM write-back) if one was evicted.
     ///
-    /// The newly installed entry is clean: the caller just fetched the
-    /// value from DRAM (fill path). Use [`BuddyCache::update`] for
-    /// stores that dirty the cached word.
-    pub fn fill(&mut self, addr: u32, value: u32) -> (usize, Option<Eviction>) {
+    /// The newly installed entry is clean: the caller just fetched it
+    /// from DRAM. Use [`BuddyCache::update`] when a store dirties it.
+    pub fn fill(&mut self, addr: u32) -> (usize, Option<Eviction>) {
         debug_assert!(
             !self.entries[..self.valid].iter().any(|e| e.addr == addr),
             "fill of already-cached address {addr:#x}"
@@ -269,14 +256,12 @@ impl BuddyCache {
             self.stats.writebacks += u64::from(v.dirty);
             let victim = Eviction {
                 addr: v.addr,
-                value: v.value,
                 dirty: v.dirty,
             };
             (slot, Some(victim))
         };
         self.entries[slot] = Entry {
             addr,
-            value,
             dirty: false,
             stamp: 0,
         };
@@ -325,11 +310,8 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut bc = cache(2);
         assert_eq!(bc.lookup(100), LookupResult::Miss);
-        assert_eq!(bc.fill(100, 7), (0, None));
-        match bc.lookup(100) {
-            LookupResult::Hit(slot) => assert_eq!(bc.read(slot), 7),
-            LookupResult::Miss => panic!("expected hit"),
-        }
+        assert_eq!(bc.fill(100), (0, None));
+        assert_eq!(bc.lookup(100), LookupResult::Hit(0));
         assert_eq!(bc.stats().hits, 1);
         assert_eq!(bc.stats().misses, 1);
     }
@@ -337,13 +319,12 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut bc = cache(2);
-        bc.fill(1, 10);
-        bc.fill(2, 20);
+        bc.fill(1);
+        bc.fill(2);
         // Touch 1 so that 2 becomes LRU.
         assert!(matches!(bc.lookup(1), LookupResult::Hit(_)));
-        let ev = bc.fill(3, 30).1.expect("cache full, must evict");
+        let ev = bc.fill(3).1.expect("cache full, must evict");
         assert_eq!(ev.addr, 2);
-        assert_eq!(ev.value, 20);
         assert!(!ev.dirty);
         assert!(matches!(bc.lookup(1), LookupResult::Hit(_)));
         assert!(matches!(bc.lookup(3), LookupResult::Hit(_)));
@@ -353,15 +334,20 @@ mod tests {
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut bc = cache(1);
-        bc.fill(1, 10);
+        bc.fill(1);
         if let LookupResult::Hit(slot) = bc.lookup(1) {
-            bc.update(slot, 11);
+            bc.update(slot);
         } else {
             panic!("expected hit");
         }
-        let ev = bc.fill(2, 20).1.unwrap();
-        assert!(ev.dirty);
-        assert_eq!(ev.value, 11);
+        let ev = bc.fill(2).1.unwrap();
+        assert_eq!(
+            ev,
+            Eviction {
+                addr: 1,
+                dirty: true
+            }
+        );
         assert_eq!(bc.stats().writebacks, 1);
         assert_eq!(bc.stats().evictions, 1);
     }
@@ -369,7 +355,7 @@ mod tests {
     #[test]
     fn init_clears_contents_and_stats() {
         let mut bc = cache(2);
-        bc.fill(1, 10);
+        bc.fill(1);
         bc.lookup(1);
         bc.init();
         assert_eq!(bc.valid_entries(), 0);
@@ -380,7 +366,7 @@ mod tests {
     #[test]
     fn hit_rate_computation() {
         let mut bc = cache(4);
-        bc.fill(1, 0);
+        bc.fill(1);
         for _ in 0..9 {
             bc.lookup(1);
         }
@@ -400,16 +386,17 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid slot")]
-    fn reading_invalid_slot_panics() {
-        let bc = cache(2);
-        bc.read(0);
+    fn updating_invalid_slot_panics() {
+        let mut bc = cache(2);
+        bc.fill(1);
+        bc.update(1);
     }
 
     /// The MRU-list cache the stamp LRU replaced: `lru` holds every
     /// slot, most recently used first, and each touch moves one slot
     /// to the front.
     struct ListLru {
-        entries: Vec<Option<(u32, u32, bool)>>,
+        entries: Vec<Option<(u32, bool)>>,
         lru: Vec<usize>,
         stats: BuddyCacheStats,
     }
@@ -437,7 +424,7 @@ mod tests {
             match self
                 .entries
                 .iter()
-                .position(|e| matches!(e, Some((a, _, _)) if *a == addr))
+                .position(|e| matches!(e, Some((a, _)) if *a == addr))
             {
                 Some(slot) => {
                     self.stats.hits += 1;
@@ -451,27 +438,22 @@ mod tests {
             }
         }
 
-        fn read(&self, slot: usize) -> Option<u32> {
-            self.entries[slot].map(|(_, value, _)| value)
-        }
-
-        fn update(&mut self, slot: usize, value: u32) {
-            let e = self.entries[slot].as_mut().unwrap();
-            (e.1, e.2) = (value, true);
+        fn update(&mut self, slot: usize) {
+            self.entries[slot].as_mut().unwrap().1 = true;
             self.touch(slot);
         }
 
-        fn fill(&mut self, addr: u32, value: u32) -> (usize, Option<Eviction>) {
+        fn fill(&mut self, addr: u32) -> (usize, Option<Eviction>) {
             let slot = match self.entries.iter().position(Option::is_none) {
                 Some(s) => s,
                 None => *self.lru.last().unwrap(),
             };
-            let victim = self.entries[slot].map(|(addr, value, dirty)| {
+            let victim = self.entries[slot].map(|(addr, dirty)| {
                 self.stats.evictions += 1;
                 self.stats.writebacks += u64::from(dirty);
-                Eviction { addr, value, dirty }
+                Eviction { addr, dirty }
             });
-            self.entries[slot] = Some((addr, value, false));
+            self.entries[slot] = Some((addr, false));
             self.touch(slot);
             (slot, victim)
         }
@@ -483,30 +465,20 @@ mod tests {
 
     proptest! {
         /// The stamp LRU makes every choice the MRU list makes: each
-        /// lookup (plain or from any hint), fill slot, eviction, read,
-        /// valid count and statistic agrees after every step.
+        /// lookup (plain or from any hint), fill slot, eviction, dirty
+        /// bit, valid count and statistic agrees after every step.
         #[test]
         fn stamps_replay_the_mru_list(
             entries in 1usize..7,
-            ops in proptest::collection::vec(
-                (0u8..12, 0u32..12, any::<u32>(), 0usize..8),
-                1..400,
-            ),
+            ops in proptest::collection::vec((0u8..12, 0u32..12, 0usize..8), 1..400),
         ) {
             let mut bc = cache(entries);
             let mut list = ListLru::new(entries);
-            for (op, addr, value, hint) in ops {
+            for (op, addr, hint) in ops {
                 match op {
                     0 => {
                         bc.init();
                         list.init();
-                    }
-                    1..=2 => {
-                        let slot = hint % entries;
-                        let want = list.read(slot);
-                        if want.is_some() {
-                            prop_assert_eq!(Some(bc.read(slot)), want);
-                        }
                     }
                     _ => {
                         let got = if op % 2 == 0 {
@@ -517,12 +489,12 @@ mod tests {
                         prop_assert_eq!(got, list.lookup(addr));
                         match got {
                             LookupResult::Hit(slot) if op > 6 => {
-                                bc.update(slot, value);
-                                list.update(slot, value);
+                                bc.update(slot);
+                                list.update(slot);
                             }
                             LookupResult::Hit(_) => {}
                             LookupResult::Miss => {
-                                prop_assert_eq!(bc.fill(addr, value), list.fill(addr, value));
+                                prop_assert_eq!(bc.fill(addr), list.fill(addr));
                             }
                         }
                     }
@@ -534,20 +506,18 @@ mod tests {
 
         /// The cache never holds more valid entries than its capacity,
         /// never holds two entries for one address, and a lookup right
-        /// after a fill always hits with the filled value.
+        /// after a fill always hits.
         #[test]
-        fn cam_invariants(ops in proptest::collection::vec((0u32..32, any::<u32>()), 1..200)) {
+        fn cam_invariants(ops in proptest::collection::vec((0u32..32, any::<bool>()), 1..200)) {
             let mut bc = cache(4);
-            for (addr, value) in ops {
+            for (addr, write) in ops {
                 match bc.lookup(addr) {
-                    LookupResult::Hit(slot) => bc.update(slot, value),
-                    LookupResult::Miss => { bc.fill(addr, value); }
+                    LookupResult::Hit(slot) if write => bc.update(slot),
+                    LookupResult::Hit(_) => {}
+                    LookupResult::Miss => { bc.fill(addr); }
                 }
                 // Immediately visible.
-                match bc.lookup(addr) {
-                    LookupResult::Hit(slot) => prop_assert_eq!(bc.read(slot), value),
-                    LookupResult::Miss => prop_assert!(false, "fill must be visible"),
-                }
+                prop_assert!(matches!(bc.lookup(addr), LookupResult::Hit(_)), "fill must be visible");
                 prop_assert!(bc.valid_entries() <= 4);
             }
         }
@@ -557,7 +527,7 @@ mod tests {
         #[test]
         fn small_working_set_fully_hits(rounds in 1usize..20) {
             let mut bc = cache(4);
-            for addr in 0u32..4 { bc.lookup(addr); bc.fill(addr, addr); }
+            for addr in 0u32..4 { bc.lookup(addr); bc.fill(addr); }
             let before = bc.stats().misses;
             for _ in 0..rounds {
                 for addr in 0u32..4 {

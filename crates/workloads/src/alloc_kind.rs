@@ -1,9 +1,10 @@
 //! Selecting which allocator a workload runs on.
 
 use pim_malloc::{
-    AllocGeometry, BackendKind, PimAllocator, PimMalloc, StrawManAllocator, StrawManConfig,
+    AllocGeometry, BackendKind, MetaStats, PimAllocator, PimMalloc, StrawManAllocator,
+    StrawManConfig,
 };
-use pim_sim::{BuddyCacheConfig, DpuSim};
+use pim_sim::{BuddyCacheConfig, BuddyCacheStats, DpuSim};
 use serde::{Deserialize, Serialize};
 
 /// The allocator design points compared throughout the paper's
@@ -110,6 +111,21 @@ impl AllocatorKind {
             .with_backend(BackendKind::HwCache { cache })
             .build();
         Box::new(PimMalloc::init(dpu, cfg).expect("HW/SW init"))
+    }
+}
+
+/// The metadata and buddy-cache statistics of an allocator built by
+/// [`AllocatorKind::build`]. `PimAllocator` mirrors the paper's C API
+/// and carries no statistics, so this downcasts to the two concrete
+/// allocators; any other reads as zero traffic and no cache.
+pub(crate) fn allocator_meta(alloc: &dyn PimAllocator) -> (MetaStats, Option<BuddyCacheStats>) {
+    let any = alloc.as_any();
+    if let Some(pm) = any.downcast_ref::<PimMalloc>() {
+        (pm.metadata_stats(), pm.buddy_cache_stats())
+    } else if let Some(sm) = any.downcast_ref::<StrawManAllocator>() {
+        (sm.metadata_stats(), None)
+    } else {
+        (MetaStats::default(), None)
     }
 }
 

@@ -15,7 +15,7 @@
 //! edges are then inserted in a timed phase whose duration, cycle
 //! breakdown, allocation latencies and metadata traffic are reported.
 
-use pim_malloc::{MetadataStore, PimAllocator};
+use pim_malloc::PimAllocator;
 use pim_sim::{
     parallel_indexed, Cycles, DpuConfig, DpuSim, SimContext, TaskletStats, TransferDirection,
     TransferPlan, VirtualTimeQueue,
@@ -26,6 +26,7 @@ use super::csr::CsrGraph;
 use super::generator::{generate_power_law, shuffle_tail};
 use super::linked::LinkedListGraph;
 use super::vararray::VarArrayGraph;
+use crate::alloc_kind::allocator_meta;
 use crate::AllocatorKind;
 
 /// Graph representation under test.
@@ -424,7 +425,7 @@ fn run_graph_update_impl(
                     breakdown: dpu.total_stats().since(&stats0),
                     // Whole-run metadata traffic (build + update),
                     // matching Figure 17(d)'s aggregate comparison.
-                    meta: allocator_meta_bytes(alloc.as_dyn()),
+                    meta: allocator_meta(alloc.as_dyn()).0.total_bytes(),
                     dram: dpu.traffic().total_bytes(),
                     // Re-base event times onto the update phase origin.
                     events: events
@@ -526,19 +527,6 @@ fn run_graph_update_impl(
         host_xfer_calls: staging.calls,
     };
     (result, trace)
-}
-
-fn allocator_meta_bytes(alloc: &dyn PimAllocator) -> u64 {
-    if let Some(pm) = alloc.as_any().downcast_ref::<pim_malloc::PimMalloc>() {
-        pm.metadata_stats().total_bytes()
-    } else if let Some(sm) = alloc
-        .as_any()
-        .downcast_ref::<pim_malloc::StrawManAllocator>()
-    {
-        sm.buddy().store().stats().total_bytes()
-    } else {
-        0
-    }
 }
 
 #[cfg(test)]

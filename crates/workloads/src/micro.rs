@@ -7,13 +7,14 @@
 //! breakdown, metadata traffic, and buddy-cache statistics. This is
 //! the workload behind Figures 7, 8, 15 and 16.
 
-use pim_malloc::{MetaStats, MetadataStore, PimAllocator, StrawManAllocator, StrawManConfig};
+use pim_malloc::{BackendKind, MetaStats, PimAllocator, StrawManAllocator, StrawManConfig};
 use pim_sim::{
     BuddyCacheConfig, BuddyCacheStats, Cycles, DpuConfig, DpuSim, LatencyRecorder, TaskletStats,
 };
 use pim_trace::{replay_streams, AllocTrace, TraceOp};
 use serde::{Deserialize, Serialize};
 
+use crate::alloc_kind::allocator_meta;
 use crate::AllocatorKind;
 
 /// Request pattern of the microbenchmark.
@@ -161,24 +162,6 @@ pub fn run_micro_with_cache(cfg: &MicroConfig, cache: BuddyCacheConfig) -> Micro
     })
 }
 
-/// Extracts metadata/buddy-cache statistics from a boxed allocator.
-fn allocator_meta(alloc: &dyn PimAllocator) -> (MetaStats, Option<BuddyCacheStats>) {
-    // Downcast-free: both concrete types expose the same stats through
-    // inherent methods; we thread them via a helper trait object probe.
-    // The `PimAllocator` trait deliberately stays minimal (it mirrors
-    // the paper's C API), so stats are recovered via `Any`-style
-    // probing on the two known implementations.
-    use std::any::Any;
-    let any: &dyn Any = alloc.as_any();
-    if let Some(pm) = any.downcast_ref::<pim_malloc::PimMalloc>() {
-        (pm.metadata_stats(), pm.buddy_cache_stats())
-    } else if let Some(sm) = any.downcast_ref::<StrawManAllocator>() {
-        (sm.buddy().store().stats(), None)
-    } else {
-        (MetaStats::default(), None)
-    }
-}
-
 /// Runs the Figure 7 grid point: a *single-tasklet* straw-man
 /// allocator over `heap_size` doing alloc/free pairs of `alloc_size`,
 /// returning the average `pim_malloc` latency in microseconds.
@@ -192,7 +175,11 @@ pub fn run_straw_man_grid_point(heap_size: u32, alloc_size: u32, pairs: usize) -
         heap_base: 0,
         heap_size,
         min_block: 32,
-        metadata_in_wram: heap_size <= 64 << 10,
+        metadata: if heap_size <= 64 << 10 {
+            BackendKind::Wram
+        } else {
+            StrawManConfig::default().metadata
+        },
         ..StrawManConfig::default()
     };
     let mut alloc = StrawManAllocator::init(&mut dpu, cfg).expect("straw-man init");

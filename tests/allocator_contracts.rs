@@ -189,6 +189,7 @@ fn latency_ordering_straw_man_worst_for_small_allocs() {
 #[test]
 fn every_backend_kind_constructs_on_default_sim() {
     let backends = [
+        BackendKind::Wram,
         BackendKind::Coarse { buffer_bytes: 2048 },
         BackendKind::FineLru {
             entries: 64,
@@ -197,9 +198,11 @@ fn every_backend_kind_constructs_on_default_sim() {
         BackendKind::HwCache {
             cache: BuddyCacheConfig::default(),
         },
-        BackendKind::LineCache {
-            capacity_bytes: 4096,
-            line_bytes: 64,
+        BackendKind::HwCache {
+            cache: BuddyCacheConfig {
+                entries: 64,
+                bytes_per_entry: 64,
+            },
         },
     ];
     for backend in backends {
