@@ -16,101 +16,130 @@
 //!                 for `trace`, also writes the generated traces as
 //!                 DIR/trace-<family>.trace.json
 //! ```
+//!
+//! An unknown flag, a second experiment id, or a report that cannot be
+//! written ends the run with a one-line message and exit status 1.
 
 use std::collections::BTreeMap;
 use std::env;
+use std::path::Path;
 use std::process::ExitCode;
 
 use parking_lot::Mutex;
 use pim_bench::figures;
 
+/// The flags `repro` accepts, for error messages.
+const FLAGS: &str = "--quick, --seed N, --csv DIR and --json DIR";
+
+/// A parsed command line.
+#[derive(Default)]
+struct Args {
+    target: Option<String>,
+    quick: bool,
+    seed: Option<u64>,
+    csv_dir: Option<String>,
+    json_dir: Option<String>,
+}
+
+/// Parses the arguments after the program name. An unknown flag, a
+/// flag missing its operand, or a second experiment id is an error.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut operand = |name: &str| match it.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.clone()),
+            _ => Err(format!("{arg} requires a {name} operand")),
+        };
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--csv" => parsed.csv_dir = Some(operand("DIR")?),
+            "--json" => parsed.json_dir = Some(operand("DIR")?),
+            "--seed" => {
+                let s = operand("N")?;
+                let n = s
+                    .parse::<u64>()
+                    .map_err(|_| format!("--seed needs a u64, got `{s}`"))?;
+                parsed.seed = Some(n);
+            }
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag `{flag}`; repro accepts {FLAGS}"));
+            }
+            id => {
+                if let Some(first) = parsed.target.replace(id.to_owned()) {
+                    return Err(format!(
+                        "unexpected operand `{id}` after `{first}`; repro runs one experiment id \
+                         and accepts {FLAGS}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+/// Writes `contents` to `dir/file`, creating `dir` first.
+fn write(dir: &str, file: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot write {dir}: {e}"))?;
+    let path = Path::new(dir).join(file);
+    std::fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let value_flag = |flag: &str, operand: &str| -> Result<Option<String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-                _ => Err(format!("{flag} requires a {operand} operand")),
-            },
-        }
-    };
-    type Flags = (Option<String>, Option<String>, Option<u64>);
-    let parsed = (|| -> Result<Flags, String> {
-        let csv = value_flag("--csv", "DIR")?;
-        let json = value_flag("--json", "DIR")?;
-        let seed = match value_flag("--seed", "N")? {
-            None => None,
-            Some(s) => Some(
-                s.parse::<u64>()
-                    .map_err(|_| format!("--seed needs a u64, got `{s}`"))?,
-            ),
-        };
-        Ok((csv, json, seed))
-    })();
-    let (csv_dir, json_dir, seed) = match parsed {
-        Ok(v) => v,
+    match parse(&args).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let targets: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--csv" || *a == "--json" || *a == "--seed" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .map(String::as_str)
-            .collect()
-    };
-    let target = targets.first().copied().unwrap_or("all");
-    let write_outputs = |experiments: &[pim_bench::Experiment]| {
+    }
+}
+
+fn run(args: Args) -> Result<(), String> {
+    let Args {
+        target,
+        quick,
+        seed,
+        csv_dir,
+        json_dir,
+    } = args;
+    // Writes one experiment's reports, then prints them.
+    let emit = |experiments: Vec<pim_bench::Experiment>| -> Result<(), String> {
         if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            for e in experiments {
-                let path = std::path::Path::new(dir).join(format!("{}.csv", e.id));
-                std::fs::write(&path, e.to_csv()).expect("write csv");
+            for e in &experiments {
+                write(dir, &format!("{}.csv", e.id), e.to_csv())?;
             }
         }
         if let Some(dir) = &json_dir {
-            std::fs::create_dir_all(dir).expect("create json dir");
-            for e in experiments {
-                let path = std::path::Path::new(dir).join(format!("{}.json", e.id));
-                std::fs::write(&path, e.to_json()).expect("write json");
+            for e in &experiments {
+                write(dir, &format!("{}.json", e.id), e.to_json())?;
             }
-        }
-        // The trace experiment ships its generated traces alongside
-        // the report, so a replay elsewhere starts from the same files.
-        if let Some(dir) = &json_dir {
+            // The trace experiment ships its generated traces alongside
+            // the report, so a replay elsewhere starts from the same
+            // files.
             if experiments.iter().any(|e| e.id == "trace") {
                 for (file, contents) in figures::trace_artifact_files(
                     quick,
                     seed.unwrap_or(figures::TRACE_DEFAULT_SEED),
                 ) {
-                    let path = std::path::Path::new(dir).join(file);
-                    std::fs::write(&path, contents).expect("write trace artifact");
+                    write(dir, &file, contents)?;
                 }
             }
         }
+        for e in experiments {
+            println!("{e}");
+        }
+        Ok(())
     };
 
-    match target {
+    match target.as_deref().unwrap_or("all") {
         "list" => {
             let width = figures::all_ids().map(str::len).max().unwrap_or(0);
             for entry in &figures::CATALOG {
                 println!("{:width$}  {}", entry.id, entry.description);
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
         "all" => {
             println!(
@@ -130,25 +159,9 @@ fn main() -> ExitCode {
                     });
                 }
             });
-            for (_, experiments) in results.into_inner() {
-                write_outputs(&experiments);
-                for e in experiments {
-                    println!("{e}");
-                }
-            }
-            ExitCode::SUCCESS
+            results.into_inner().into_values().try_for_each(emit)
         }
-        id if figures::is_known(id) => {
-            let experiments = figures::run(id, quick, seed);
-            write_outputs(&experiments);
-            for e in experiments {
-                println!("{e}");
-            }
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`; try `repro list`");
-            ExitCode::FAILURE
-        }
+        id if figures::is_known(id) => emit(figures::run(id, quick, seed)),
+        other => Err(format!("unknown experiment `{other}`; try `repro list`")),
     }
 }
