@@ -169,20 +169,20 @@ pub fn fig17(quick: bool, seed: u64) -> Experiment {
             ("idle(etc)", s_etc),
         ],
     ));
-    let mut sw_meta = None;
+    // Every row's DRAM traffic against its own representation's SW run.
+    let sw_dram = |repr: GraphRepr| {
+        let i = grid
+            .iter()
+            .position(|&g| g == (repr, AllocatorKind::Sw))
+            .expect("the grid runs SW on every dynamic representation");
+        runs[i].dram_bytes.max(1) as f64
+    };
     for (&(repr, kind), r) in grid[1..].iter().zip(&runs[1..]) {
         let (run, busy, mem, etc) = r.breakdown.fractions();
         let malloc_p50 = {
             let mut v = r.per_tasklet_malloc_us.clone();
             v.sort_by(f64::total_cmp);
             v.get(v.len() / 2).copied().unwrap_or(0.0)
-        };
-        if kind == AllocatorKind::Sw {
-            sw_meta = Some(r.dram_bytes.max(1));
-        }
-        let dram_vs_sw = match (kind, sw_meta) {
-            (AllocatorKind::HwSw, Some(sw)) => r.dram_bytes as f64 / sw as f64,
-            _ => 1.0,
         };
         e.push(Row::new(
             format!("{} + {}", repr.label(), kind.label()),
@@ -195,7 +195,7 @@ pub fn fig17(quick: bool, seed: u64) -> Experiment {
                 ("idle(etc)", etc),
                 ("vs static", r.throughput_meps / static_r.throughput_meps),
                 ("tasklet malloc p50 us", malloc_p50),
-                ("DRAM vs SW", dram_vs_sw),
+                ("DRAM vs SW", r.dram_bytes as f64 / sw_dram(repr)),
             ],
         ));
     }
@@ -263,5 +263,16 @@ mod tests {
             .value("DRAM vs SW")
             .unwrap();
         assert!(dram < 1.0, "HW/SW must cut DRAM traffic: {dram}");
+        for repr in ["Array of linked list", "Variable sized array"] {
+            let straw_dram = e
+                .row(&format!("Dynamic ({repr}) + Straw-man"))
+                .unwrap()
+                .value("DRAM vs SW")
+                .unwrap();
+            assert!(
+                straw_dram > 1.0,
+                "{repr}: straw-man must move more DRAM than SW: {straw_dram}"
+            );
+        }
     }
 }

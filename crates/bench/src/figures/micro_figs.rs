@@ -236,7 +236,7 @@ pub fn ablation_descent(quick: bool) -> Experiment {
     let mut e = Experiment::new(
         "ablation-descent",
         "buddy descent: full marks vs three-state metadata",
-        "design choice called out in DESIGN.md; not in the paper",
+        "not in the paper: the four-state node encoding (NodeState, DescentPolicy) is this reproduction's choice",
     );
     let allocs = if quick { 128 } else { 512 };
     let policies = [

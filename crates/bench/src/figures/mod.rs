@@ -165,7 +165,7 @@ pub const CATALOG: [CatalogEntry; 21] = [
     },
     CatalogEntry {
         id: "tune",
-        description: "profile-guided geometry: record -> synthesize -> replay, synthesized vs paper size classes",
+        description: "profile-guided geometry: profile -> synthesize -> replay, synthesized vs paper size classes",
         runner: |quick, seed| vec![geometry_tune(quick, seed.unwrap_or(TRACE_DEFAULT_SEED))],
     },
 ];

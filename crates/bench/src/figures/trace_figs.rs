@@ -1,15 +1,18 @@
 //! The allocation-trace experiment (extension beyond the paper).
 //!
 //! Sweeps the synthetic scenario matrix — size laws × temporal shapes
-//! from [`pim_trace::synth`] — across the headline allocator designs,
-//! replaying every trace on the parallel multi-DPU engine with
-//! host-batched trace distribution. A final row verifies the
-//! record/replay contract end to end: a trace recorded from the
-//! micro-benchmark replays against a fresh allocator of the same kind
-//! to byte-identical latency results.
+//! from [`pim_trace::synth`] — across the headline allocator designs.
+//! Every DPU of the modeled fleet runs the same trace on its own bank
+//! (SPMD), so each (trace, allocator) pair replays once on a fresh DPU
+//! and the host's distribution of the trace to the fleet is priced on
+//! its own. A final row verifies the record/replay contract end to
+//! end: a trace recorded from the micro-benchmark replays against a
+//! fresh allocator of the same kind to byte-identical latency results.
 
-use pim_sim::CostModel;
-use pim_trace::{replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape};
+use pim_sim::{CostModel, DpuConfig, DpuSim, SimContext, TransferDirection, TransferPlan};
+use pim_trace::{
+    replay, synthesize, AllocTrace, ReplayResult, SizeLaw, SynthConfig, TemporalShape,
+};
 use pim_workloads::micro::{run_micro_recorded, MicroConfig};
 use pim_workloads::AllocatorKind;
 
@@ -81,8 +84,15 @@ pub fn scenario_families(quick: bool, seed: u64) -> Vec<SynthConfig> {
     ]
 }
 
-/// The `trace` experiment: generators × allocators on the parallel
-/// engine, plus the record/replay fidelity check.
+/// Replays `trace` once on a fresh DPU with a fresh `kind` allocator.
+fn replay_once(trace: &AllocTrace, kind: AllocatorKind) -> ReplayResult {
+    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
+    let mut alloc = kind.build(&mut dpu, trace.n_tasklets, trace.heap_size);
+    replay(&mut dpu, alloc.as_mut(), trace)
+}
+
+/// The `trace` experiment: generators × allocators, plus the
+/// record/replay fidelity check.
 pub fn trace_replay(quick: bool, seed: u64) -> Experiment {
     let mut e = Experiment::new(
         "trace",
@@ -90,29 +100,24 @@ pub fn trace_replay(quick: bool, seed: u64) -> Experiment {
         "extension; workload-diversity motivation per PrIM (Gomez-Luna et al.)",
     );
     let mhz = CostModel::default().clock_mhz;
-    let fleet_cfg = FleetConfig {
-        n_dpus: if quick { 4 } else { 16 },
-        ..FleetConfig::default()
-    };
+    // The fleet the host pushes every trace to.
+    let n_dpus = if quick { 4 } else { 16 };
     for family in scenario_families(quick, seed) {
         let trace = synthesize(&family);
+        let plan = TransferPlan::uniform(TransferDirection::HostToPim, n_dpus, trace.wire_bytes());
+        let distribution = SimContext::default().planner().estimate(&plan);
         for kind in KINDS {
-            let (n_tasklets, heap) = (trace.n_tasklets, trace.heap_size);
-            let fleet = replay_fleet(&trace, &fleet_cfg, |dpu| kind.build(dpu, n_tasklets, heap));
-            let d0 = &fleet.per_dpu[0];
+            let r = replay_once(&trace, kind);
             e.push(Row::new(
                 format!("{} @ {}", trace.name, kind.label()),
                 vec![
-                    ("mean us", fleet.mean_latency().as_micros(mhz)),
-                    (
-                        "p95 us",
-                        d0.malloc_latencies.percentile(0.95).as_micros(mhz),
-                    ),
-                    ("finish ms", fleet.kernel_finish.as_millis(mhz)),
-                    ("oom", fleet.oom_count() as f64),
-                    ("dropped frees", d0.dropped_frees as f64),
-                    ("dist ms", fleet.distribution.secs * 1e3),
-                    ("dist calls", fleet.distribution.calls as f64),
+                    ("mean us", r.malloc_latencies.mean().as_micros(mhz)),
+                    ("p95 us", r.malloc_latencies.percentile(0.95).as_micros(mhz)),
+                    ("finish ms", r.finish.as_millis(mhz)),
+                    ("oom", r.oom_count as f64),
+                    ("dropped frees", r.dropped_frees as f64),
+                    ("dist ms", distribution.secs * 1e3),
+                    ("dist calls", distribution.calls as f64),
                 ],
             ));
         }
@@ -127,15 +132,7 @@ pub fn trace_replay(quick: bool, seed: u64) -> Experiment {
     };
     for kind in [AllocatorKind::StrawMan, AllocatorKind::Sw] {
         let (direct, recorded) = run_micro_recorded(kind, &micro_cfg);
-        let fleet = replay_fleet(
-            &recorded,
-            &FleetConfig {
-                n_dpus: 1,
-                ..fleet_cfg
-            },
-            |dpu| kind.build(dpu, micro_cfg.n_tasklets, micro_cfg.heap_size),
-        );
-        let replayed = &fleet.per_dpu[0];
+        let replayed = replay_once(&recorded, kind);
         let replay_timeline: Vec<(f64, f64)> = replayed
             .timeline
             .iter()

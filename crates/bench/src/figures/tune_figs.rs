@@ -1,5 +1,5 @@
 //! The profile-guided geometry-tuning experiment (extension beyond
-//! the paper): closes the record → synthesize → replay loop.
+//! the paper): closes the profile → synthesize → replay loop.
 //!
 //! For every synthetic scenario family, the experiment derives an
 //! allocation profile from the trace, synthesizes a custom size-class
@@ -7,19 +7,17 @@
 //! same trace under both the paper's fixed power-of-two geometry and
 //! the synthesized one — reporting *measured* fragmentation (A/U at
 //! peak), churn throughput, and WRAM bitmap footprint next to the
-//! synthesizer's *modeled* predictions. Two extra row groups verify
-//! the pipeline: a recorder-vs-pure fidelity check (profiling a live
-//! replay must observe the same histogram and counts as the pure
-//! trace walk), and the `pim-dse` objective-weight ladder showing the
+//! synthesizer's *modeled* predictions. Every DPU runs the same trace
+//! (SPMD), so each (trace, geometry) pair replays once. An extra row
+//! group sweeps the objective's WRAM-weight ladder, showing the
 //! fragmentation/WRAM trade-off the objective exposes.
 
 use pim_malloc::{AllocGeometry, PimMalloc, SizeClassTable};
 use pim_profile::{
-    synthesize_table, wram_bitmap_bytes, AllocProfile, ProfileRecorder, Synthesis,
-    SynthesisObjective,
+    synthesize_table, wram_bitmap_bytes, AllocProfile, Synthesis, SynthesisObjective,
 };
 use pim_sim::{CostModel, DpuConfig, DpuSim};
-use pim_trace::{replay, replay_fleet, synthesize, AllocTrace, FleetConfig};
+use pim_trace::{replay, synthesize, AllocTrace};
 
 use crate::figures::scenario_families;
 use crate::report::{Experiment, Row};
@@ -34,57 +32,28 @@ fn build_alloc(dpu: &mut DpuSim, trace: &AllocTrace, table: &SizeClassTable) -> 
 
 /// What one (trace, geometry) replay measures.
 pub struct Measured {
-    /// A/U at the memory-usage peak, from a single-DPU replay.
+    /// A/U at the memory-usage peak.
     pub frag_peak_ratio: f64,
-    /// Successful mallocs per second of simulated kernel time, from
-    /// the parallel fleet replay (SPMD — every DPU runs the trace).
+    /// The trace's mallocs per second of simulated kernel time.
     pub churn_ops_per_sec: f64,
     /// Mean `pim_malloc` latency, microseconds.
     pub mean_us: f64,
-    /// Out-of-memory events across the fleet.
+    /// Out-of-memory events.
     pub oom: u64,
 }
 
-fn measure(trace: &AllocTrace, table: &SizeClassTable, quick: bool) -> Measured {
+/// Replays `trace` once on a fresh DPU under `table`.
+fn measure(trace: &AllocTrace, table: &SizeClassTable) -> Measured {
     let mhz = CostModel::default().clock_mhz;
-    // Fragmentation comes from a local single-DPU replay — the fleet
-    // discards its allocators, and SPMD replicas are identical anyway.
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
     let mut alloc = build_alloc(&mut dpu, trace, table);
-    replay(&mut dpu, &mut alloc, trace);
-    let frag_peak_ratio = alloc.frag().peak_ratio();
-
-    let fleet_cfg = FleetConfig {
-        n_dpus: if quick { 2 } else { 8 },
-        ..FleetConfig::default()
-    };
-    let fleet = replay_fleet(trace, &fleet_cfg, |dpu| {
-        Box::new(build_alloc(dpu, trace, table))
-    });
-    let finish_secs = fleet.kernel_finish.as_secs(mhz);
+    let r = replay(&mut dpu, &mut alloc, trace);
     Measured {
-        frag_peak_ratio,
-        churn_ops_per_sec: trace.malloc_count() as f64 / finish_secs,
-        mean_us: fleet.mean_latency().as_micros(mhz),
-        oom: fleet.oom_count(),
+        frag_peak_ratio: alloc.frag().peak_ratio(),
+        churn_ops_per_sec: trace.malloc_count() as f64 / r.finish.as_secs(mhz),
+        mean_us: r.malloc_latencies.mean().as_micros(mhz),
+        oom: r.oom_count,
     }
-}
-
-/// Recorder-vs-pure fidelity: profiling a live replay with
-/// [`ProfileRecorder`] must observe the same histogram and
-/// malloc/free/remote-free counts as the pure
-/// [`AllocProfile::from_trace`] walk (lifetime *units* differ —
-/// cycles vs op ticks — so those are out of scope).
-fn recorder_matches_pure(trace: &AllocTrace, pure: &AllocProfile) -> bool {
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
-    let inner = build_alloc(&mut dpu, trace, &SizeClassTable::paper_default());
-    let mut rec = ProfileRecorder::new(inner, trace.name.clone(), trace.n_tasklets);
-    replay(&mut dpu, &mut rec, trace);
-    let (live, _alloc) = rec.into_profile();
-    live.histogram == pure.histogram
-        && live.mallocs == pure.mallocs
-        && live.frees == pure.frees
-        && live.remote_frees == pure.remote_frees
 }
 
 /// Per-family synthesis outcome the experiment reports.
@@ -129,8 +98,8 @@ pub fn tune_families(quick: bool, seed: u64) -> Vec<TunedFamily> {
                 .expect("every scenario family allocates cacheable sizes");
             TunedFamily {
                 name: trace.name.clone(),
-                paper: measure(&trace, &paper, quick),
-                tuned: measure(&trace, &synthesis.table, quick),
+                paper: measure(&trace, &paper),
+                tuned: measure(&trace, &synthesis.table),
                 synthesis,
             }
         })
@@ -138,7 +107,7 @@ pub fn tune_families(quick: bool, seed: u64) -> Vec<TunedFamily> {
 }
 
 /// The `tune` experiment: paper vs synthesized geometry per family,
-/// fidelity row, and the DSE objective ladder.
+/// and the objective's WRAM-weight ladder.
 pub fn geometry_tune(quick: bool, seed: u64) -> Experiment {
     let mut e = Experiment::new(
         "tune",
@@ -183,40 +152,25 @@ pub fn geometry_tune(quick: bool, seed: u64) -> Experiment {
         ));
     }
 
-    // Fidelity: live ProfileRecorder vs pure trace walk, on the most
-    // size-diverse family (uniform/bursty).
-    let families = scenario_families(quick, seed);
-    let trace = synthesize(&families[1]);
-    let pure = AllocProfile::from_trace(&trace);
-    e.push(Row::new(
-        format!("recorded {} fidelity", trace.name),
-        vec![
-            (
-                "recorder==pure",
-                if recorder_matches_pure(&trace, &pure) {
-                    1.0
-                } else {
-                    0.0
-                },
-            ),
-            ("mallocs", pure.mallocs as f64),
-            ("remote-free frac", pure.remote_free_fraction()),
-        ],
-    ));
-
-    // The DSE hook: sweep the objective's WRAM-weight ladder over the
-    // same profile, exposing the fragmentation/WRAM frontier.
-    let sweep_cfg = pim_dse::GeometrySweepConfig::default();
-    for point in pim_dse::sweep_objectives(&pure, &sweep_cfg)
-        .into_iter()
-        .flatten()
-    {
+    // The WRAM-weight ladder, from "WRAM is free" to "WRAM is 256x
+    // dearer than fragmentation bytes", over the most size-diverse
+    // family (uniform/bursty): the fragmentation/WRAM frontier.
+    let trace = synthesize(&scenario_families(quick, seed)[1]);
+    let profile = AllocProfile::from_trace(&trace);
+    for wram_weight in [0.0, 1.0, 4.0, 16.0, 64.0, 256.0] {
+        let objective = SynthesisObjective {
+            wram_weight,
+            ..SynthesisObjective::default()
+        };
+        let report = synthesize_table(&profile, &objective)
+            .expect("the family synthesized under the default objective above")
+            .report;
         e.push(Row::new(
-            format!("dse w={} @ {}", point.wram_weight, trace.name),
+            format!("dse w={wram_weight} @ {}", trace.name),
             vec![
-                ("classes", point.classes.len() as f64),
-                ("modeled frag ratio", point.predicted_frag_ratio),
-                ("wram B", f64::from(point.wram_bytes_per_tasklet)),
+                ("classes", report.classes.len() as f64),
+                ("modeled frag ratio", report.predicted_frag_ratio),
+                ("wram B", f64::from(report.wram_bytes_per_tasklet)),
             ],
         ));
     }
@@ -277,12 +231,6 @@ mod tests {
             }
             assert!(e.row(&format!("{name} delta")).is_some());
         }
-        let fidelity = e
-            .rows
-            .iter()
-            .find(|r| r.label.ends_with("fidelity"))
-            .expect("fidelity row");
-        assert_eq!(fidelity.value("recorder==pure").unwrap(), 1.0);
         assert!(
             e.rows
                 .iter()
@@ -298,25 +246,5 @@ mod tests {
         let a = geometry_tune(true, TRACE_DEFAULT_SEED).to_json();
         let b = geometry_tune(true, TRACE_DEFAULT_SEED).to_json();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fleet_measurements_match_a_direct_replay() {
-        let families = scenario_families(true, TRACE_DEFAULT_SEED);
-        let trace = synthesize(&families[0]);
-        let profile = AllocProfile::from_trace(&trace);
-        let synth = synthesize_table(&profile, &SynthesisObjective::default()).unwrap();
-        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
-        let mut alloc = build_alloc(&mut dpu, &trace, &synth.table);
-        let direct = replay(&mut dpu, &mut alloc, &trace);
-        let cfg = FleetConfig {
-            n_dpus: 2,
-            ..FleetConfig::default()
-        };
-        let fleet = replay_fleet(&trace, &cfg, |dpu| {
-            Box::new(build_alloc(dpu, &trace, &synth.table))
-        });
-        assert_eq!(fleet.kernel_finish, direct.finish);
-        assert!(fleet.per_dpu.iter().all(|r| r.timeline == direct.timeline));
     }
 }

@@ -23,10 +23,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod geometry;
 mod runner;
 mod strategy;
 
-pub use geometry::{sweep_objectives, GeometryPoint, GeometrySweepConfig};
 pub use runner::{run_strategy, sweep, DseConfig, DseResult};
 pub use strategy::Strategy;

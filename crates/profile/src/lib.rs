@@ -3,13 +3,11 @@
 //! The paper's PIM-malloc ships one fixed power-of-two size-class
 //! table. This crate closes the loop that tunes it per workload:
 //!
-//! 1. **Record** — [`ProfileRecorder`] wraps any
-//!    [`PimAllocator`](pim_malloc::PimAllocator) and observes a live
-//!    run into an [`AllocProfile`] without perturbing it (mirroring
-//!    `pim_trace::TraceRecorder`), or [`AllocProfile::from_trace`]
-//!    derives the same profile purely from a recorded
-//!    [`AllocTrace`](pim_trace::AllocTrace). Profiles are versioned
-//!    and round-trip losslessly through JSON.
+//! 1. **Profile** — [`AllocProfile::from_trace`] derives an
+//!    [`AllocProfile`] from an [`AllocTrace`](pim_trace::AllocTrace),
+//!    synthesized or recorded from a live run by
+//!    `pim_trace::TraceRecorder`, without running a simulation.
+//!    Profiles are versioned and round-trip losslessly through JSON.
 //! 2. **Synthesize** — [`synthesize_table`] runs an exact dynamic
 //!    program over candidate class boundaries, minimizing modeled
 //!    internal fragmentation (rounding waste plus the eager
@@ -32,14 +30,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod profile;
-pub mod recorder;
 pub mod synthesize;
 
 pub use profile::{
     AllocProfile, LifetimeStats, ProfileError, SizeHistogram, LIFETIME_BUCKETS,
     PROFILE_SCHEMA_VERSION, TIMELINE_SAMPLES,
 };
-pub use recorder::ProfileRecorder;
 pub use synthesize::{
     modeled_frag_bytes, synthesize_table, wram_bitmap_bytes, Synthesis, SynthesisError,
     SynthesisObjective, SynthesisReport, MAX_CLASS_BYTES,

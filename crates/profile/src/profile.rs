@@ -3,15 +3,10 @@
 //!
 //! An [`AllocProfile`] is the input of the size-class synthesizer: a
 //! per-request-size histogram, live-object lifetime statistics, the
-//! remote-free fraction, and a peak-bytes timeline. Profiles come from
-//! two paths that agree on every count:
-//!
-//! * [`AllocProfile::from_trace`] — a pure function of an
-//!   [`AllocTrace`] (no simulation; lifetimes and the timeline are
-//!   measured in *op ticks* of a deterministic round-robin walk).
-//! * [`crate::ProfileRecorder`] — a zero-perturbation allocator
-//!   wrapper observing a live run (lifetimes and the timeline are
-//!   measured in simulated *cycles*).
+//! remote-free fraction, and a peak-bytes timeline.
+//! [`AllocProfile::from_trace`] builds one as a pure function of an
+//! [`AllocTrace`]: no simulation runs, and lifetimes and the timeline
+//! are measured in *op ticks* of a deterministic round-robin walk.
 //!
 //! Profiles are versioned and round-trip losslessly through JSON, so a
 //! profile captured once can be re-tuned under different objectives
@@ -20,7 +15,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use pim_malloc::SizeClassTable;
 use pim_sim::MAX_TASKLETS;
 use pim_trace::{AllocTrace, TraceOp};
 use serde_json::Value;
@@ -70,18 +64,6 @@ impl SizeHistogram {
         }
     }
 
-    /// Pure histogram extraction from a trace: counts every
-    /// [`TraceOp::Malloc`] across all streams.
-    pub fn from_trace(trace: &AllocTrace) -> Self {
-        let mut h = SizeHistogram::new();
-        for op in trace.streams.iter().flatten() {
-            if let TraceOp::Malloc { size, .. } = *op {
-                h.record(size);
-            }
-        }
-        h
-    }
-
     /// `(size, count)` entries, smallest size first.
     pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.counts.iter().map(|(&s, &c)| (s, c))
@@ -106,28 +88,11 @@ impl SizeHistogram {
     pub fn max_size(&self) -> Option<u32> {
         self.counts.keys().next_back().copied()
     }
-
-    /// Projects the histogram onto a size-class table: per-class
-    /// request counts plus the bypass count (requests larger than the
-    /// table's biggest class).
-    pub fn class_requests(&self, table: &SizeClassTable) -> (Vec<u64>, u64) {
-        let mut per_class = vec![0u64; table.len()];
-        let mut bypass = 0u64;
-        for (size, count) in self.entries() {
-            match table.class_for(size) {
-                Some(idx) => per_class[idx] += count,
-                None => bypass += count,
-            }
-        }
-        (per_class, bypass)
-    }
 }
 
 /// Live-object lifetime statistics: count, sum, max, and a log2 bucket
-/// histogram. Units are whatever the producer measured in —
-/// simulated cycles for [`crate::ProfileRecorder`], op ticks for
-/// [`AllocProfile::from_trace`] — and are comparable only within one
-/// profile.
+/// histogram. Lifetimes are in op ticks of the round-robin walk of
+/// [`AllocProfile::from_trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LifetimeStats {
     /// Completed (malloc, free) pairs observed.
@@ -187,9 +152,10 @@ pub struct AllocProfile {
     pub histogram: SizeHistogram,
     /// Live-object lifetime statistics.
     pub lifetimes: LifetimeStats,
-    /// Successful `pim_malloc` calls observed.
+    /// `Malloc` ops in the trace.
     pub mallocs: u64,
-    /// Successful `pim_free` calls observed.
+    /// Frees of live allocations: local and remote frees, and the
+    /// free of the allocation a `Malloc` shadows in its slot.
     pub frees: u64,
     /// Frees issued by a tasklet other than the allocation's owner.
     pub remote_frees: u64,
@@ -524,7 +490,7 @@ impl TraceWalk {
 
 /// Downsamples a timeline to at most [`TIMELINE_SAMPLES`] points with
 /// a deterministic stride, always keeping the final sample.
-pub(crate) fn downsample_timeline(raw: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+fn downsample_timeline(raw: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     if raw.len() <= TIMELINE_SAMPLES {
         return raw;
     }
@@ -596,25 +562,12 @@ mod tests {
 
     #[test]
     fn histogram_counts_sizes() {
-        let h = SizeHistogram::from_trace(&sample_trace());
+        let h = AllocProfile::from_trace(&sample_trace()).histogram;
         assert_eq!(h.entries().collect::<Vec<_>>(), vec![(64, 2), (100, 1)]);
         assert_eq!(h.total_requests(), 3);
         assert_eq!(h.total_requested_bytes(), 228);
         assert_eq!(h.max_size(), Some(100));
         assert_eq!(h.distinct_sizes(), 2);
-    }
-
-    #[test]
-    fn class_projection_counts_bypass() {
-        let mut h = SizeHistogram::new();
-        h.record(16);
-        h.record(16);
-        h.record(100);
-        h.record(4000);
-        let (per_class, bypass) = h.class_requests(&SizeClassTable::paper_default());
-        assert_eq!(per_class[0], 2); // 16 B
-        assert_eq!(per_class[3], 1); // 100 -> 128 B
-        assert_eq!(bypass, 1); // 4000 > 2048
     }
 
     #[test]

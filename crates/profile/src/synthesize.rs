@@ -581,6 +581,27 @@ mod tests {
     }
 
     #[test]
+    fn ladder_trades_wram_for_fragmentation() {
+        let p = profile_of(16, &[(24, 400), (136, 300), (700, 200), (2000, 100)]);
+        let reports: Vec<SynthesisReport> = [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]
+            .into_iter()
+            .map(|wram_weight| {
+                let objective = SynthesisObjective {
+                    wram_weight,
+                    ..SynthesisObjective::default()
+                };
+                synthesize_table(&p, &objective).unwrap().report
+            })
+            .collect();
+        // Monotone along the ladder: pricier WRAM never buys more
+        // bitmap bytes, cheaper WRAM never models worse fragmentation.
+        for w in reports.windows(2) {
+            assert!(w[1].wram_bytes_per_tasklet <= w[0].wram_bytes_per_tasklet);
+            assert!(w[1].modeled_frag_bytes >= w[0].modeled_frag_bytes);
+        }
+    }
+
+    #[test]
     fn synthesized_beats_paper_on_a_skewed_profile() {
         // A profile the fixed power-of-two table serves poorly:
         // mid-range sizes just past each power of two.

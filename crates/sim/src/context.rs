@@ -2,10 +2,10 @@
 //! in the workspace reads — the host batching policy and the workload
 //! seed.
 //!
-//! `ServeConfig`, `FleetConfig`, `GraphUpdateConfig`, the LLM
-//! `ServingConfig` and `DseConfig` each embed one `ctx: SimContext`
-//! instead of their own copy of the field pair, so the knobs and their
-//! defaults live in one place. Transfers are priced by
+//! `ServeConfig`, `GraphUpdateConfig`, the LLM `ServingConfig` and
+//! `DseConfig` each embed one `ctx: SimContext` instead of their own
+//! copy of the field pair, so the knobs and their defaults live in one
+//! place. Transfers are priced by
 //! [`TransferModel::default`]; the fault plan, which only the serving
 //! loop reads, lives in `ServeConfig::faults`.
 //!

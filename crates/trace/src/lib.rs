@@ -17,15 +17,16 @@
 //!   producer–consumer).
 //! * [`replay`](mod@replay) — the deterministic virtual-time replay engine
 //!   ([`replay()`], and [`replay_streams`] that the microbenchmark
-//!   runs on), plus [`replay_fleet`] for multi-DPU replay on the
-//!   parallel engine with host-batched trace distribution.
+//!   runs on). A DPU is deterministic, so one replay stands for every
+//!   DPU of an SPMD fleet running the same trace.
 //!
 //! Capture once, replay everywhere: the same trace file drives every
-//! [`PimAllocator`](pim_malloc::PimAllocator) design and both
-//! execution engines with byte-identical latency timelines.
+//! [`PimAllocator`](pim_malloc::PimAllocator) design with
+//! byte-identical latency timelines.
 //!
 //! ```
-//! use pim_trace::{replay_fleet, synthesize, FleetConfig, SynthConfig};
+//! use pim_sim::{DpuConfig, DpuSim};
+//! use pim_trace::{replay, synthesize, SynthConfig};
 //!
 //! let trace = synthesize(&SynthConfig {
 //!     n_tasklets: 4,
@@ -34,15 +35,11 @@
 //! });
 //! let round = trace.to_json();
 //! assert_eq!(pim_trace::AllocTrace::from_json(&round).unwrap(), trace);
-//! let fleet = replay_fleet(
-//!     &trace,
-//!     &FleetConfig { n_dpus: 2, ..FleetConfig::default() },
-//!     |dpu| {
-//!         let cfg = pim_malloc::AllocGeometry::sw(4).build();
-//!         Box::new(pim_malloc::PimMalloc::init(dpu, cfg).unwrap())
-//!     },
-//! );
-//! assert_eq!(fleet.per_dpu.len(), 2);
+//! let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(4));
+//! let cfg = pim_malloc::AllocGeometry::sw(4).build();
+//! let mut alloc = pim_malloc::PimMalloc::init(&mut dpu, cfg).unwrap();
+//! let result = replay(&mut dpu, &mut alloc, &trace);
+//! assert_eq!(result.malloc_latencies.len(), trace.malloc_count());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,5 +53,5 @@ pub mod synth;
 
 pub use format::{AllocTrace, TraceError, TraceOp, TRACE_SCHEMA_VERSION};
 pub use record::TraceRecorder;
-pub use replay::{replay, replay_fleet, replay_streams, FleetConfig, FleetResult, ReplayResult};
+pub use replay::{replay, replay_streams, ReplayResult};
 pub use synth::{synthesize, SizeLaw, SynthConfig, TemporalShape};

@@ -4,10 +4,8 @@
 //! virtual-time order. The microbenchmark runs its request streams
 //! through [`replay_streams`] too, so the trace of a microbenchmark
 //! run replays to byte-identical latency results by construction.
-//! [`replay_fleet`] scales one trace across a multi-DPU system: the
-//! host first distributes the trace bytes under a
-//! [`HostBatching`](pim_sim::HostBatching) policy, then every DPU
-//! replays it as a share-nothing simulation on the parallel engine.
+//! A DPU is deterministic, so one replay stands for every DPU of an
+//! SPMD fleet that runs the same trace on its own bank.
 //!
 //! The engine pops its [`VirtualTimeQueue`] once per allocator call.
 //! A `Compute` op moves only its own tasklet's clock and idle time, so
@@ -36,10 +34,7 @@
 //! had not yet taken, so it still retries once per pop.
 
 use pim_malloc::{AllocError, PimAllocator};
-use pim_sim::{
-    parallel_indexed, Cycles, DpuConfig, DpuSim, LatencyRecorder, SimContext, TransferDirection,
-    TransferPlan, VirtualTimeQueue, XferEstimate,
-};
+use pim_sim::{Cycles, DpuSim, LatencyRecorder, VirtualTimeQueue};
 
 use crate::format::{AllocTrace, TraceOp};
 
@@ -366,102 +361,11 @@ pub fn replay_streams(
     result
 }
 
-/// Multi-DPU replay configuration: fleet size plus the shared
-/// execution context (how the host distributes the trace).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetConfig {
-    /// DPUs replaying the trace (each runs the whole trace, SPMD).
-    pub n_dpus: usize,
-    /// Shared execution context: `ctx.batching` schedules the
-    /// trace-distribution push.
-    pub ctx: SimContext,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            n_dpus: 16,
-            ctx: SimContext::default(),
-        }
-    }
-}
-
-/// Outcome of a fleet replay.
-#[derive(Debug, Clone)]
-pub struct FleetResult {
-    /// Per-DPU replay outcomes, in DPU-index order.
-    pub per_dpu: Vec<ReplayResult>,
-    /// Modeled host cost of pushing the trace to every DPU.
-    pub distribution: XferEstimate,
-    /// Slowest DPU's finish time.
-    pub kernel_finish: Cycles,
-}
-
-impl FleetResult {
-    /// Mean malloc latency across all DPUs, in cycles.
-    pub fn mean_latency(&self) -> Cycles {
-        let (sum, count) = self.per_dpu.iter().fold((0u64, 0u64), |(s, c), r| {
-            (
-                s + r
-                    .malloc_latencies
-                    .samples()
-                    .iter()
-                    .map(|l| l.0)
-                    .sum::<u64>(),
-                c + r.malloc_latencies.len() as u64,
-            )
-        });
-        Cycles(sum.checked_div(count).unwrap_or(0))
-    }
-
-    /// Total out-of-memory events across the fleet.
-    pub fn oom_count(&self) -> u64 {
-        self.per_dpu.iter().map(|r| r.oom_count).sum()
-    }
-}
-
-/// Replays `trace` on `cfg.n_dpus` share-nothing DPUs, each with an
-/// allocator built by `build`, and prices the host's trace
-/// distribution under `cfg.ctx.batching`.
-///
-/// Deterministic for any worker count: every DPU's simulation is
-/// independent and results merge in DPU-index order on
-/// [`parallel_indexed`].
-///
-/// # Panics
-///
-/// Panics if the trace is invalid, needs more than 24 tasklets, or
-/// `cfg.n_dpus` is zero.
-pub fn replay_fleet<B>(trace: &AllocTrace, cfg: &FleetConfig, build: B) -> FleetResult
-where
-    B: Fn(&mut DpuSim) -> Box<dyn PimAllocator> + Sync,
-{
-    trace.validate().expect("fleet replays validated traces");
-    assert!(cfg.n_dpus > 0, "fleet needs at least one DPU");
-    let plan = TransferPlan::uniform(TransferDirection::HostToPim, cfg.n_dpus, trace.wire_bytes());
-    let distribution = cfg.ctx.planner().estimate(&plan);
-    let run_one = |_idx: usize| -> ReplayResult {
-        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
-        let mut alloc = build(&mut dpu);
-        replay(&mut dpu, alloc.as_mut(), trace)
-    };
-    let per_dpu = parallel_indexed(cfg.n_dpus, run_one);
-    let kernel_finish = per_dpu
-        .iter()
-        .map(|r| r.finish)
-        .max()
-        .unwrap_or(Cycles::ZERO);
-    FleetResult {
-        per_dpu,
-        distribution,
-        kernel_finish,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pim_malloc::{AllocGeometry, PimMalloc, StrawManAllocator, StrawManConfig};
+    use pim_sim::DpuConfig;
 
     fn dpu(tasklets: usize) -> DpuSim {
         DpuSim::new(DpuConfig::default().with_tasklets(tasklets))
@@ -617,30 +521,6 @@ mod tests {
             contended.0 > 2 * solo.0,
             "contended mean {contended} vs solo mean {solo}"
         );
-    }
-
-    #[test]
-    fn fleet_replay_is_deterministic_across_engines() {
-        let mut t = AllocTrace::new("fleet", 1 << 20, 4);
-        for tid in 0..4 {
-            t.streams[tid] = (0..32)
-                .map(|i| TraceOp::Malloc {
-                    size: 32 + 8 * (i % 5),
-                    slot: i,
-                })
-                .collect();
-        }
-        let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> { sw_alloc(dpu, 4, 1 << 20) };
-        let mut d = dpu(4);
-        let mut a = build(&mut d);
-        let direct = replay(&mut d, a.as_mut(), &t);
-        let fleet = replay_fleet(&t, &FleetConfig::default(), build);
-        assert_eq!(fleet.per_dpu.len(), 16);
-        for r in &fleet.per_dpu {
-            assert_eq!(r.timeline, direct.timeline);
-        }
-        assert_eq!(fleet.kernel_finish, direct.finish);
-        assert!(fleet.distribution.bytes > 0);
     }
 
     #[test]

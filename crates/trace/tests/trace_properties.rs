@@ -3,9 +3,8 @@
 //! * **Serde round-trip** — arbitrary traces (all four op kinds,
 //!   pathological slot/size/cycle values) survive
 //!   `to_json` → `from_json` losslessly.
-//! * **Replay determinism** — replaying one trace twice, and a direct
-//!   replay vs every DPU of a `replay_fleet` on the parallel engine,
-//!   yields byte-identical latency timelines.
+//! * **Replay determinism** — replaying one trace twice yields
+//!   byte-identical latency timelines.
 //! * **Replay robustness** — arbitrary (even nonsensical) traces
 //!   replay without panicking once they validate: bad frees drop, OOM
 //!   counts, the run terminates. A malloc larger than the heap must
@@ -13,10 +12,7 @@
 
 use pim_malloc::PimAllocator;
 use pim_sim::{DpuConfig, DpuSim};
-use pim_trace::{
-    replay, replay_fleet, synthesize, AllocTrace, FleetConfig, SizeLaw, SynthConfig, TemporalShape,
-    TraceOp,
-};
+use pim_trace::{replay, AllocTrace, TraceOp};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -99,31 +95,5 @@ proptest! {
         prop_assert_eq!(a.finish, b.finish);
         prop_assert_eq!(a.oom_count, b.oom_count);
         prop_assert_eq!(a.dropped_frees, b.dropped_frees);
-    }
-
-    #[test]
-    fn serial_and_parallel_fleets_match(seed in 0u64..1000) {
-        let cfg = SynthConfig {
-            n_tasklets: N_TASKLETS,
-            mallocs_per_tasklet: 48,
-            size_law: SizeLaw::Zipf { min: 16, max: 2048, exponent: 1.0 },
-            shape: TemporalShape::Bursty { burst: 8, gap: 4000 },
-            heap_size: HEAP_SIZE,
-            seed,
-            ..SynthConfig::default()
-        };
-        let trace = synthesize(&cfg);
-        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(N_TASKLETS));
-        let mut alloc = sw_build(&mut dpu);
-        let ser = replay(&mut dpu, alloc.as_mut(), &trace);
-        let par = replay_fleet(
-            &trace,
-            &FleetConfig { n_dpus: 5, ..FleetConfig::default() },
-            sw_build,
-        );
-        for p in &par.per_dpu {
-            prop_assert_eq!(&p.timeline, &ser.timeline);
-        }
-        prop_assert_eq!(par.kernel_finish, ser.finish);
     }
 }

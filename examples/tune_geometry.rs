@@ -1,13 +1,13 @@
 //! Profile-guided geometry tuning, end to end on one scenario family:
-//! record a live run through [`ProfileRecorder`], synthesize a custom
-//! size-class table from the profile, then replay the same trace
-//! under the paper geometry and the synthesized one and compare
+//! profile the trace with [`AllocProfile::from_trace`], synthesize a
+//! custom size-class table from the profile, then replay the same
+//! trace under the paper geometry and the synthesized one and compare
 //! measured fragmentation.
 //!
 //! Run with: `cargo run --release --example tune_geometry`
 
 use pim_malloc_repro::{
-    synthesize_table, AllocGeometry, PimMalloc, ProfileRecorder, SizeClassTable, SynthesisObjective,
+    synthesize_table, AllocGeometry, AllocProfile, PimMalloc, SizeClassTable, SynthesisObjective,
 };
 use pim_profile::wram_bitmap_bytes;
 use pim_sim::{DpuConfig, DpuSim};
@@ -44,15 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SynthConfig::default()
     });
 
-    // 2. Record: replay once with a ProfileRecorder wrapped around
-    //    the allocator. The recorder only reads the clock — the run
-    //    is identical with and without it.
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
-    let geom = AllocGeometry::sw(trace.n_tasklets).with_heap_size(trace.heap_size);
-    let inner = PimMalloc::init(&mut dpu, geom.build())?;
-    let mut recorder = ProfileRecorder::new(inner, trace.name.clone(), trace.n_tasklets);
-    replay(&mut dpu, &mut recorder, &trace);
-    let (profile, _alloc) = recorder.into_profile();
+    // 2. Profile: walk the trace, no simulation needed.
+    let profile = AllocProfile::from_trace(&trace);
     println!("profiled {}:", profile.name);
     println!("  mallocs            : {}", profile.mallocs);
     println!(

@@ -16,11 +16,11 @@
 //! * The allocator core: [`PimMalloc`] behind the [`AllocGeometry`]
 //!   builder (size classes via [`SizeClassTable`]), plus the
 //!   [`PimAllocator`] object-safe trait.
-//! * Profile-guided geometry: [`ProfileRecorder`] / [`AllocProfile`]
-//!   capture what a workload asks the allocator for, and
+//! * Profile-guided geometry: [`AllocProfile::from_trace`] captures
+//!   what a workload's trace asks the allocator for, and
 //!   [`synthesize_table`] turns a profile into a custom
 //!   [`SizeClassTable`] under a [`SynthesisObjective`] (see
-//!   `examples/tune_geometry.rs` for the full record → synthesize →
+//!   `examples/tune_geometry.rs` for the full profile → synthesize →
 //!   replay loop).
 
 pub use pim_malloc::{
@@ -28,7 +28,7 @@ pub use pim_malloc::{
     PimMallocConfig, SizeClassTable,
 };
 pub use pim_profile::{
-    synthesize_table, AllocProfile, ProfileRecorder, Synthesis, SynthesisObjective, SynthesisReport,
+    synthesize_table, AllocProfile, Synthesis, SynthesisObjective, SynthesisReport,
 };
 pub use pim_serving::{
     estimated_capacity_rps, saturation_sweep, serve, ArrivalProcess, FaultSummary, LoadPoint,

@@ -132,45 +132,6 @@ fn llm_serving_at_512_dpus_is_engine_invariant() {
     );
 }
 
-/// Replays one synthesized trace over 512 share-nothing DPUs with
-/// `replay_fleet` and checks every DPU against a direct single-DPU
-/// `replay` of the same trace (the fleet is SPMD: all replicas match).
-#[test]
-fn trace_fleet_at_512_dpus_is_engine_invariant() {
-    use pim_trace::{
-        replay, replay_fleet, synthesize, FleetConfig, SizeLaw, SynthConfig, TemporalShape,
-    };
-    let trace = synthesize(&SynthConfig {
-        n_tasklets: 4,
-        mallocs_per_tasklet: 24,
-        size_law: SizeLaw::Uniform { min: 16, max: 1024 },
-        shape: TemporalShape::Steady { compute: 300 },
-        heap_size: 1 << 20,
-        seed: 7,
-        ..SynthConfig::default()
-    });
-    let build = |dpu: &mut DpuSim| -> Box<dyn PimAllocator> {
-        let cfg = pim_malloc::AllocGeometry::sw(4)
-            .with_heap_size(1 << 20)
-            .build();
-        Box::new(pim_malloc::PimMalloc::init(dpu, cfg).expect("init"))
-    };
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(4));
-    let mut alloc = build(&mut dpu);
-    let direct = replay(&mut dpu, alloc.as_mut(), &trace);
-    let cfg = FleetConfig {
-        n_dpus: 512,
-        ..FleetConfig::default()
-    };
-    let fleet = replay_fleet(&trace, &cfg, build);
-    assert_eq!(fleet.per_dpu.len(), 512);
-    for r in &fleet.per_dpu {
-        assert_eq!(r.timeline, direct.timeline);
-        assert_eq!(r.oom_count, direct.oom_count);
-    }
-    assert_eq!(fleet.kernel_finish, direct.finish);
-}
-
 #[test]
 fn pipeline_sharing_slows_dense_multithreading() {
     // The same instruction stream takes longer per tasklet at 24

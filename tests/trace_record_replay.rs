@@ -1,10 +1,10 @@
 //! End-to-end trace subsystem tests: a workload recorded as a trace,
 //! round-tripped through JSON, and replayed on a fresh allocator must
 //! reproduce the direct run's figure output byte for byte — across
-//! allocator kinds, request patterns, and both execution engines.
+//! allocator kinds and request patterns.
 
 use pim_sim::{DpuConfig, DpuSim};
-use pim_trace::{replay, replay_fleet, AllocTrace, FleetConfig};
+use pim_trace::{replay, AllocTrace};
 use pim_workloads::graph::{run_graph_update_recorded, GraphRepr, GraphUpdateConfig};
 use pim_workloads::llm::{record_kv_trace, sharegpt_like_trace, LlmConfig};
 use pim_workloads::micro::{run_micro, run_micro_recorded, MicroConfig, Pattern};
@@ -69,29 +69,6 @@ fn replaying_twice_is_byte_identical() {
     let b = replay_once(&trace, AllocatorKind::Sw);
     assert_eq!(a.timeline, b.timeline);
     assert_eq!(a.finish, b.finish);
-}
-
-#[test]
-fn serial_and_parallel_replay_agree_on_recorded_trace() {
-    let cfg = MicroConfig {
-        n_tasklets: 16,
-        allocs_per_tasklet: 32,
-        ..MicroConfig::default()
-    };
-    let (_, trace) = run_micro_recorded(AllocatorKind::Sw, &cfg);
-    let ser = replay_once(&trace, AllocatorKind::Sw);
-    let par = replay_fleet(
-        &trace,
-        &FleetConfig {
-            n_dpus: 8,
-            ..FleetConfig::default()
-        },
-        |dpu| AllocatorKind::Sw.build(dpu, trace.n_tasklets, trace.heap_size),
-    );
-    for p in &par.per_dpu {
-        assert_eq!(p.timeline, ser.timeline);
-    }
-    assert_eq!(par.kernel_finish, ser.finish);
 }
 
 #[test]
