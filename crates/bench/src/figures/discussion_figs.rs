@@ -118,7 +118,11 @@ pub fn discussion_cache_granularity(quick: bool) -> Experiment {
             pm.pim_malloc(&mut ctx, 4096).expect("heap sized");
         }
         let meta = pm.metadata_stats();
-        let mean_us = pm.alloc_stats().malloc_latencies.mean().as_micros(350);
+        let mean_us = pm
+            .alloc_stats()
+            .malloc_latencies
+            .mean()
+            .as_micros(dpu.config().cost.clock_mhz);
         e.push(Row::new(
             label,
             vec![

@@ -250,13 +250,14 @@ pub fn ablation_descent(quick: bool) -> Experiment {
             ..StrawManConfig::default()
         };
         let mut alloc = StrawManAllocator::init(&mut dpu, cfg).expect("straw-man init");
+        let mhz = dpu.config().cost.clock_mhz;
         let mut first = 0.0;
         let mut last = 0.0;
         for j in 0..allocs {
             let mut ctx = dpu.ctx(0);
             let t0 = ctx.now();
             alloc.pim_malloc(&mut ctx, 32).unwrap();
-            let us = (ctx.now() - t0).as_micros(350);
+            let us = (ctx.now() - t0).as_micros(mhz);
             if j == 0 {
                 first = us;
             }

@@ -1,21 +1,17 @@
 //! The profile-guided geometry-tuning experiment (extension beyond
 //! the paper): closes the profile → synthesize → replay loop.
 //!
-//! For every synthetic scenario family, the experiment derives an
-//! allocation profile from the trace, synthesizes a custom size-class
-//! table under the default [`SynthesisObjective`], and replays the
-//! same trace under both the paper's fixed power-of-two geometry and
-//! the synthesized one — reporting *measured* fragmentation (A/U at
-//! peak), churn throughput, and WRAM bitmap footprint next to the
-//! synthesizer's *modeled* predictions. Every DPU runs the same trace
-//! (SPMD), so each (trace, geometry) pair replays once. An extra row
-//! group sweeps the objective's WRAM-weight ladder, showing the
-//! fragmentation/WRAM trade-off the objective exposes.
+//! For every synthetic scenario family, the experiment takes the
+//! trace's request-size histogram as its profile, synthesizes a
+//! custom size-class table from it, and replays the same trace under
+//! both the paper's fixed power-of-two geometry and the synthesized
+//! one — reporting *measured* fragmentation (peak reserved over peak
+//! requested bytes), churn throughput, and WRAM bitmap footprint next
+//! to the synthesizer's *modeled* predictions. Every DPU runs the
+//! same trace (SPMD), so each (trace, geometry) pair replays once.
 
 use pim_malloc::{AllocGeometry, PimMalloc, SizeClassTable};
-use pim_profile::{
-    synthesize_table, wram_bitmap_bytes, AllocProfile, Synthesis, SynthesisObjective,
-};
+use pim_profile::{synthesize_table, AllocProfile, Synthesis};
 use pim_sim::{CostModel, DpuConfig, DpuSim};
 use pim_trace::{replay, synthesize, AllocTrace};
 
@@ -32,7 +28,8 @@ fn build_alloc(dpu: &mut DpuSim, trace: &AllocTrace, table: &SizeClassTable) -> 
 
 /// What one (trace, geometry) replay measures.
 pub struct Measured {
-    /// A/U at the memory-usage peak.
+    /// Peak reserved bytes over peak requested bytes; the two peaks
+    /// need not fall at the same moment.
     pub frag_peak_ratio: f64,
     /// The trace's mallocs per second of simulated kernel time.
     pub churn_ops_per_sec: f64,
@@ -78,15 +75,9 @@ impl TunedFamily {
     pub fn churn_ratio(&self) -> f64 {
         self.tuned.churn_ops_per_sec / self.paper.churn_ops_per_sec
     }
-
-    /// WRAM bitmap footprint ratio, tuned over paper.
-    pub fn wram_ratio(&self) -> f64 {
-        f64::from(self.synthesis.report.wram_bytes_per_tasklet)
-            / f64::from(self.synthesis.report.wram_bytes_per_tasklet_paper)
-    }
 }
 
-/// Records, synthesizes, and replays every scenario family.
+/// Profiles, synthesizes, and replays every scenario family.
 pub fn tune_families(quick: bool, seed: u64) -> Vec<TunedFamily> {
     let paper = SizeClassTable::paper_default();
     scenario_families(quick, seed)
@@ -94,7 +85,7 @@ pub fn tune_families(quick: bool, seed: u64) -> Vec<TunedFamily> {
         .map(|family| {
             let trace = synthesize(family);
             let profile = AllocProfile::from_trace(&trace);
-            let synthesis = synthesize_table(&profile, &SynthesisObjective::default())
+            let synthesis = synthesize_table(&profile)
                 .expect("every scenario family allocates cacheable sizes");
             TunedFamily {
                 name: trace.name.clone(),
@@ -106,8 +97,7 @@ pub fn tune_families(quick: bool, seed: u64) -> Vec<TunedFamily> {
         .collect()
 }
 
-/// The `tune` experiment: paper vs synthesized geometry per family,
-/// and the objective's WRAM-weight ladder.
+/// The `tune` experiment: paper vs synthesized geometry per family.
 pub fn geometry_tune(quick: bool, seed: u64) -> Experiment {
     let mut e = Experiment::new(
         "tune",
@@ -115,7 +105,6 @@ pub fn geometry_tune(quick: bool, seed: u64) -> Experiment {
         "extension; internal-fragmentation model per Table III (A/U, Hoard-style)",
     );
     let paper_table = SizeClassTable::paper_default();
-    let paper_wram = f64::from(wram_bitmap_bytes(&paper_table));
     for fam in tune_families(quick, seed) {
         let report = &fam.synthesis.report;
         e.push(Row::new(
@@ -125,14 +114,14 @@ pub fn geometry_tune(quick: bool, seed: u64) -> Experiment {
                 ("frag A/U", fam.paper.frag_peak_ratio),
                 ("churn Mops/s", fam.paper.churn_ops_per_sec / 1e6),
                 ("mean us", fam.paper.mean_us),
-                ("wram B", paper_wram),
+                ("wram B", f64::from(report.wram_bytes_per_tasklet_paper)),
                 ("oom", fam.paper.oom as f64),
             ],
         ));
         e.push(Row::new(
             format!("{} @ tuned", fam.name),
             vec![
-                ("classes", report.class_count as f64),
+                ("classes", report.classes.len() as f64),
                 ("frag A/U", fam.tuned.frag_peak_ratio),
                 ("churn Mops/s", fam.tuned.churn_ops_per_sec / 1e6),
                 ("mean us", fam.tuned.mean_us),
@@ -145,32 +134,9 @@ pub fn geometry_tune(quick: bool, seed: u64) -> Experiment {
             vec![
                 ("frag ratio", fam.frag_ratio()),
                 ("churn ratio", fam.churn_ratio()),
-                ("wram ratio", fam.wram_ratio()),
+                ("wram ratio", report.predicted_wram_ratio),
                 ("modeled frag ratio", report.predicted_frag_ratio),
                 ("bypass", report.bypass_requests as f64),
-            ],
-        ));
-    }
-
-    // The WRAM-weight ladder, from "WRAM is free" to "WRAM is 256x
-    // dearer than fragmentation bytes", over the most size-diverse
-    // family (uniform/bursty): the fragmentation/WRAM frontier.
-    let trace = synthesize(&scenario_families(quick, seed)[1]);
-    let profile = AllocProfile::from_trace(&trace);
-    for wram_weight in [0.0, 1.0, 4.0, 16.0, 64.0, 256.0] {
-        let objective = SynthesisObjective {
-            wram_weight,
-            ..SynthesisObjective::default()
-        };
-        let report = synthesize_table(&profile, &objective)
-            .expect("the family synthesized under the default objective above")
-            .report;
-        e.push(Row::new(
-            format!("dse w={wram_weight} @ {}", trace.name),
-            vec![
-                ("classes", report.classes.len() as f64),
-                ("modeled frag ratio", report.predicted_frag_ratio),
-                ("wram B", f64::from(report.wram_bytes_per_tasklet)),
             ],
         ));
     }
@@ -208,11 +174,11 @@ mod tests {
                 f.name,
                 f.churn_ratio()
             );
+            let wram_ratio = f.synthesis.report.predicted_wram_ratio;
             assert!(
-                f.wram_ratio() <= 1.0,
-                "{}: bitmap WRAM grew (ratio {})",
-                f.name,
-                f.wram_ratio()
+                wram_ratio <= 1.0,
+                "{}: bitmap WRAM grew (ratio {wram_ratio})",
+                f.name
             );
             assert_eq!(f.paper.oom + f.tuned.oom, 0, "{}: replay hit OOM", f.name);
         }
@@ -231,14 +197,6 @@ mod tests {
             }
             assert!(e.row(&format!("{name} delta")).is_some());
         }
-        assert!(
-            e.rows
-                .iter()
-                .filter(|r| r.label.starts_with("dse w="))
-                .count()
-                >= 4,
-            "objective ladder rows missing"
-        );
     }
 
     #[test]

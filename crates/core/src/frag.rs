@@ -70,7 +70,9 @@ impl FragTracker {
         }
     }
 
-    /// Fragmentation at the memory-usage peak: peak A over peak U.
+    /// Peak reserved bytes over peak requested bytes (peak A over
+    /// peak U). The two peaks need not fall at the same moment, so this
+    /// is not the A/U of any one instant.
     pub fn peak_ratio(&self) -> f64 {
         match (self.peak_reserved, self.peak_requested) {
             (0, 0) => 1.0,

@@ -6,13 +6,15 @@
 //! 1. **Profile** — [`AllocProfile::from_trace`] derives an
 //!    [`AllocProfile`] from an [`AllocTrace`](pim_trace::AllocTrace),
 //!    synthesized or recorded from a live run by
-//!    `pim_trace::TraceRecorder`, without running a simulation.
-//!    Profiles are versioned and round-trip losslessly through JSON.
+//!    `pim_trace::TraceRecorder`, without running a simulation. A
+//!    profile is the trace's request-size histogram and tasklet count;
+//!    it is recomputed from the trace, never stored.
 //! 2. **Synthesize** — [`synthesize_table`] runs an exact dynamic
 //!    program over candidate class boundaries, minimizing modeled
 //!    internal fragmentation (rounding waste plus the eager
-//!    prepopulation floor) against WRAM bitmap footprint under a
-//!    [`SynthesisObjective`], and reports predicted deltas versus
+//!    prepopulation floor) plus 16 times the WRAM bitmap footprint,
+//!    over at most [`MAX_CLASSES`] classes, and reports predicted
+//!    deltas versus
 //!    [`SizeClassTable::paper_default`](pim_malloc::SizeClassTable::paper_default)
 //!    in a [`SynthesisReport`].
 //! 3. **Replay** — feed the synthesized table back through
@@ -21,9 +23,8 @@
 //!    experiment in `pim-bench`; `examples/tune_geometry.rs` shows
 //!    the loop end to end).
 //!
-//! Everything here is deterministic: the same trace and objective
-//! produce a byte-identical profile, table, and report for any worker
-//! count.
+//! Everything here is deterministic: the same trace produces a
+//! byte-identical profile, table, and report for any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +33,8 @@
 pub mod profile;
 pub mod synthesize;
 
-pub use profile::{
-    AllocProfile, LifetimeStats, ProfileError, SizeHistogram, LIFETIME_BUCKETS,
-    PROFILE_SCHEMA_VERSION, TIMELINE_SAMPLES,
-};
+pub use profile::{AllocProfile, SizeHistogram};
 pub use synthesize::{
     modeled_frag_bytes, synthesize_table, wram_bitmap_bytes, Synthesis, SynthesisError,
-    SynthesisObjective, SynthesisReport, MAX_CLASS_BYTES,
+    SynthesisReport, MAX_CLASSES, MAX_CLASS_BYTES,
 };

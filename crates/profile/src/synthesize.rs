@@ -1,13 +1,15 @@
 //! Profile-guided size-class synthesis.
 //!
 //! [`synthesize_table`] turns an [`AllocProfile`] into a custom
-//! [`SizeClassTable`] minimizing a modeled cost: internal
+//! [`SizeClassTable`] minimizing one fixed modeled cost: internal
 //! fragmentation (per-request rounding waste *plus* the eager
 //! prepopulation floor — PIM-malloc reserves one
 //! [`CACHE_BLOCK_BYTES`]-byte block per class per tasklet at init, so
 //! every class a table carries costs reserved heap whether or not it
-//! is ever hit) traded against per-tasklet WRAM metadata footprint
-//! (each class needs a slot bitmap in scarce scratchpad).
+//! is ever hit) plus 16 times the WRAM metadata footprint summed over
+//! tasklets (each class needs a slot bitmap in scarce scratchpad),
+//! over at most [`MAX_CLASSES`] classes aligned to
+//! [`SIZE_CLASS_ALIGN`].
 //!
 //! Optimal class boundaries always sit at (aligned-up) observed
 //! request sizes, so the synthesizer runs an exact dynamic program
@@ -17,13 +19,12 @@
 //! pinned to the largest cacheable candidate so a synthesized table
 //! never caches *less* of the profile than the observed workload
 //! needs. The whole pipeline is integer/fixed-order arithmetic over
-//! `BTreeMap`-sorted inputs: the same profile and objective always
-//! synthesize a byte-identical table.
+//! `BTreeMap`-sorted inputs: the same profile always synthesizes a
+//! byte-identical table.
 
 use std::fmt;
 
 use pim_malloc::{SizeClassTable, CACHE_BLOCK_BYTES, SIZE_CLASS_ALIGN};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::AllocProfile;
 
@@ -31,41 +32,13 @@ use crate::profile::AllocProfile;
 /// requests bypass to the buddy backend regardless of geometry.
 pub const MAX_CLASS_BYTES: u32 = CACHE_BLOCK_BYTES / 2;
 
-/// What the synthesizer optimizes and under which constraints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SynthesisObjective {
-    /// Weight on modeled fragmentation bytes (rounding waste plus the
-    /// prepopulation floor).
-    pub frag_weight: f64,
-    /// Weight on WRAM bitmap bytes (summed over tasklets). WRAM is
-    /// ~1000x scarcer than MRAM on UPMEM-like parts, so the default
-    /// prices one WRAM byte as 16 fragmentation bytes.
-    pub wram_weight: f64,
-    /// Fewest classes the table may have (clamped to the number of
-    /// distinct candidates when the profile is narrower).
-    pub min_classes: usize,
-    /// Most classes the table may have.
-    pub max_classes: usize,
-    /// Class-size alignment; must be a multiple of
-    /// [`SIZE_CLASS_ALIGN`] and divide [`MAX_CLASS_BYTES`].
-    pub alignment: u32,
-    /// Optional per-tasklet WRAM bitmap budget in bytes: class counts
-    /// whose optimum exceeds it are discarded.
-    pub wram_budget_bytes: Option<u32>,
-}
+/// Most classes a synthesized table may have.
+pub const MAX_CLASSES: usize = 16;
 
-impl Default for SynthesisObjective {
-    fn default() -> Self {
-        SynthesisObjective {
-            frag_weight: 1.0,
-            wram_weight: 16.0,
-            min_classes: 1,
-            max_classes: 16,
-            alignment: SIZE_CLASS_ALIGN,
-            wram_budget_bytes: None,
-        }
-    }
-}
+/// Price of one WRAM bitmap byte in fragmentation bytes. WRAM is
+/// ~1000x scarcer than MRAM on UPMEM-like parts, so one WRAM byte
+/// weighs as much as 16 bytes of reserved heap.
+const WRAM_WEIGHT: f64 = 16.0;
 
 /// Why synthesis failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,16 +46,6 @@ pub enum SynthesisError {
     /// The profile recorded no request a size class could serve
     /// (empty, or every request bypasses the thread cache).
     NoCacheableSizes,
-    /// The objective itself is contradictory.
-    BadObjective(String),
-    /// No class count within `[min_classes, max_classes]` fits the
-    /// WRAM budget.
-    WramBudget {
-        /// Cheapest per-tasklet bitmap footprint among the optima.
-        needed: u32,
-        /// The budget that excluded it.
-        budget: u32,
-    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -94,11 +57,6 @@ impl fmt::Display for SynthesisError {
                     "profile has no cacheable request sizes to synthesize from"
                 )
             }
-            SynthesisError::BadObjective(msg) => write!(f, "bad synthesis objective: {msg}"),
-            SynthesisError::WramBudget { needed, budget } => write!(
-                f,
-                "no feasible table fits the WRAM budget ({needed} B needed, {budget} B allowed)"
-            ),
         }
     }
 }
@@ -116,12 +74,10 @@ pub struct Synthesis {
 
 /// Modeled comparison of a synthesized table against the paper's
 /// fixed power-of-two geometry, for the same profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisReport {
     /// Synthesized classes, ascending.
     pub classes: Vec<u32>,
-    /// `classes.len()`.
-    pub class_count: usize,
     /// Modeled fragmentation of the synthesized table, bytes.
     pub modeled_frag_bytes: u64,
     /// Modeled fragmentation of the paper table, bytes.
@@ -165,21 +121,14 @@ pub fn wram_bitmap_bytes(table: &SizeClassTable) -> u32 {
         .sum()
 }
 
-/// Synthesizes the cost-minimal size-class table for `profile` under
-/// `objective`, with a report of the predicted deltas versus the
-/// paper geometry.
+/// Synthesizes the cost-minimal size-class table for `profile`, with
+/// a report of the predicted deltas versus the paper geometry.
 ///
 /// # Errors
 ///
-/// [`SynthesisError::BadObjective`] for contradictory constraints,
 /// [`SynthesisError::NoCacheableSizes`] when nothing in the profile
-/// can be cached, [`SynthesisError::WramBudget`] when no feasible
-/// class count fits the budget.
-pub fn synthesize_table(
-    profile: &AllocProfile,
-    objective: &SynthesisObjective,
-) -> Result<Synthesis, SynthesisError> {
-    validate_objective(objective)?;
+/// can be cached.
+pub fn synthesize_table(profile: &AllocProfile) -> Result<Synthesis, SynthesisError> {
     let n_tasklets = profile.n_tasklets as u64;
 
     // Cacheable (size, count) pairs ascending, and the bypass tail.
@@ -197,11 +146,11 @@ pub fn synthesize_table(
     }
 
     // Candidate boundaries: observed sizes aligned up, deduplicated.
-    // align | MAX_CLASS_BYTES (validated), so candidates stay legal.
-    let align = objective.alignment;
+    // SIZE_CLASS_ALIGN divides MAX_CLASS_BYTES, so candidates stay
+    // legal classes.
     let mut candidates: Vec<u32> = cacheable
         .iter()
-        .map(|&(s, _)| s.div_ceil(align) * align)
+        .map(|&(s, _)| s.div_ceil(SIZE_CLASS_ALIGN) * SIZE_CLASS_ALIGN)
         .collect();
     candidates.dedup();
     let m = candidates.len();
@@ -230,13 +179,12 @@ pub fn synthesize_table(
         let waste = u64::from(candidates[i]) * count - bytes;
         let floor = n_tasklets * u64::from(CACHE_BLOCK_BYTES);
         let wram = n_tasklets * u64::from((CACHE_BLOCK_BYTES / candidates[i]).div_ceil(8));
-        objective.frag_weight * (waste + floor) as f64 + objective.wram_weight * wram as f64
+        (waste + floor) as f64 + WRAM_WEIGHT * wram as f64
     };
 
     // dp[k-1][i]: cheapest k-class table whose largest class is
     // candidates[i] (covering everything <= candidates[i]).
-    let k_max = objective.max_classes.min(m);
-    let k_min = objective.min_classes.min(m);
+    let k_max = MAX_CLASSES.min(m);
     let mut dp = vec![vec![f64::INFINITY; m]; k_max];
     let mut parent = vec![vec![usize::MAX; m]; k_max];
     for (i, cell) in dp[0].iter_mut().enumerate() {
@@ -256,52 +204,30 @@ pub fn synthesize_table(
         }
     }
 
-    // Finalists: the optimum for each class count k, largest class
-    // pinned to the last candidate; then the WRAM budget filters
-    // them. Ties on cost keep the smaller k (fewer classes).
-    let mut best: Option<(f64, Vec<u32>, u32)> = None;
-    let mut cheapest_wram: Option<u32> = None;
-    for k in k_min..=k_max {
-        let cost = dp[k - 1][m - 1];
-        if !cost.is_finite() {
-            continue;
-        }
-        let mut classes = Vec::with_capacity(k);
-        let mut i = m - 1;
-        for level in (0..k).rev() {
-            classes.push(candidates[i]);
-            if level > 0 {
-                i = parent[level][i];
-            }
-        }
-        classes.reverse();
-        let wram: u32 = classes
-            .iter()
-            .map(|&c| (CACHE_BLOCK_BYTES / c).div_ceil(8))
-            .sum();
-        cheapest_wram = Some(cheapest_wram.map_or(wram, |w| w.min(wram)));
-        if objective.wram_budget_bytes.is_some_and(|b| wram > b) {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-            best = Some((cost, classes, wram));
+    // The optimum over class counts, largest class pinned to the last
+    // candidate. Ties on cost keep the smaller count (fewer classes).
+    let mut k_best = 1;
+    for k in 2..=k_max {
+        if dp[k - 1][m - 1] < dp[k_best - 1][m - 1] {
+            k_best = k;
         }
     }
-    let Some((_, classes, wram)) = best else {
-        return Err(SynthesisError::WramBudget {
-            needed: cheapest_wram.unwrap_or(0),
-            budget: objective.wram_budget_bytes.unwrap_or(0),
-        });
-    };
+    let mut classes = vec![0; k_best];
+    let mut i = m - 1;
+    for level in (0..k_best).rev() {
+        classes[level] = candidates[i];
+        if level > 0 {
+            i = parent[level][i];
+        }
+    }
 
-    let table = SizeClassTable::try_new(classes.clone())
-        .map_err(|e| SynthesisError::BadObjective(format!("synthesized table invalid: {e}")))?;
+    let table = SizeClassTable::new(classes.clone());
     let paper = SizeClassTable::paper_default();
     let frag = modeled_frag_bytes(profile, &table);
     let frag_paper = modeled_frag_bytes(profile, &paper);
+    let wram = wram_bitmap_bytes(&table);
     let wram_paper = wram_bitmap_bytes(&paper);
     let report = SynthesisReport {
-        class_count: classes.len(),
         classes,
         modeled_frag_bytes: frag,
         modeled_frag_bytes_paper: frag_paper,
@@ -318,57 +244,17 @@ pub fn synthesize_table(
     Ok(Synthesis { table, report })
 }
 
-fn validate_objective(o: &SynthesisObjective) -> Result<(), SynthesisError> {
-    let bad = |msg: String| Err(SynthesisError::BadObjective(msg));
-    if !o.frag_weight.is_finite() || o.frag_weight < 0.0 {
-        return bad(format!(
-            "frag_weight {} not finite and non-negative",
-            o.frag_weight
-        ));
-    }
-    if !o.wram_weight.is_finite() || o.wram_weight < 0.0 {
-        return bad(format!(
-            "wram_weight {} not finite and non-negative",
-            o.wram_weight
-        ));
-    }
-    if o.min_classes == 0 {
-        return bad("min_classes must be at least 1".to_owned());
-    }
-    if o.min_classes > o.max_classes {
-        return bad(format!(
-            "min_classes {} exceeds max_classes {}",
-            o.min_classes, o.max_classes
-        ));
-    }
-    if o.alignment == 0 || !o.alignment.is_multiple_of(SIZE_CLASS_ALIGN) {
-        return bad(format!(
-            "alignment {} is not a multiple of {SIZE_CLASS_ALIGN}",
-            o.alignment
-        ));
-    }
-    if !MAX_CLASS_BYTES.is_multiple_of(o.alignment) {
-        return bad(format!(
-            "alignment {} does not divide the {MAX_CLASS_BYTES} B class ceiling",
-            o.alignment
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    /// Total objective cost of a table — the quantity the DP
-    /// minimizes, recomputed from first principles.
-    fn objective_cost(
-        profile: &AllocProfile,
-        table: &SizeClassTable,
-        o: &SynthesisObjective,
-    ) -> f64 {
-        o.frag_weight * modeled_frag_bytes(profile, table) as f64
-            + o.wram_weight * profile.n_tasklets as f64 * f64::from(wram_bitmap_bytes(table))
+    /// Total cost of a table — the quantity the DP minimizes,
+    /// recomputed from first principles.
+    fn cost(profile: &AllocProfile, table: &SizeClassTable) -> f64 {
+        modeled_frag_bytes(profile, table) as f64
+            + WRAM_WEIGHT * profile.n_tasklets as f64 * f64::from(wram_bitmap_bytes(table))
     }
 
     fn profile_of(n_tasklets: usize, sizes: &[(u32, u64)]) -> AllocProfile {
@@ -377,7 +263,6 @@ mod tests {
             for _ in 0..count {
                 p.histogram.record(size);
             }
-            p.mallocs += count;
         }
         p
     }
@@ -385,9 +270,9 @@ mod tests {
     #[test]
     fn single_size_profile_synthesizes_a_single_class() {
         let p = profile_of(16, &[(64, 1000)]);
-        let s = synthesize_table(&p, &SynthesisObjective::default()).unwrap();
+        let s = synthesize_table(&p).unwrap();
         assert_eq!(s.table.classes(), &[64]);
-        assert_eq!(s.report.class_count, 1);
+        assert_eq!(s.report.classes, [64]);
         assert!(
             s.report.predicted_frag_ratio < 1.0,
             "drops 7 prepop classes"
@@ -401,7 +286,7 @@ mod tests {
         // Counts high enough that rounding waste outweighs the extra
         // class's prepopulation floor, so both classes survive.
         let p = profile_of(4, &[(20, 500), (300, 500)]);
-        let s = synthesize_table(&p, &SynthesisObjective::default()).unwrap();
+        let s = synthesize_table(&p).unwrap();
         assert_eq!(s.table.classes(), &[24, 304]);
         for &c in s.table.classes() {
             assert_eq!(c % SIZE_CLASS_ALIGN, 0);
@@ -411,7 +296,7 @@ mod tests {
     #[test]
     fn oversized_requests_bypass_and_do_not_form_classes() {
         let p = profile_of(4, &[(128, 10), (4000, 5)]);
-        let s = synthesize_table(&p, &SynthesisObjective::default()).unwrap();
+        let s = synthesize_table(&p).unwrap();
         assert_eq!(s.table.classes(), &[128]);
         assert_eq!(s.report.bypass_requests, 5);
     }
@@ -420,96 +305,27 @@ mod tests {
     fn empty_and_bypass_only_profiles_are_rejected() {
         let empty = profile_of(4, &[]);
         assert_eq!(
-            synthesize_table(&empty, &SynthesisObjective::default()).unwrap_err(),
+            synthesize_table(&empty).unwrap_err(),
             SynthesisError::NoCacheableSizes
         );
         let bypass_only = profile_of(4, &[(4000, 10)]);
         assert_eq!(
-            synthesize_table(&bypass_only, &SynthesisObjective::default()).unwrap_err(),
+            synthesize_table(&bypass_only).unwrap_err(),
             SynthesisError::NoCacheableSizes
         );
     }
 
     #[test]
-    fn contradictory_objectives_are_rejected() {
-        let p = profile_of(4, &[(64, 10)]);
-        let cases = [
-            SynthesisObjective {
-                min_classes: 0,
-                ..SynthesisObjective::default()
-            },
-            SynthesisObjective {
-                min_classes: 5,
-                max_classes: 2,
-                ..SynthesisObjective::default()
-            },
-            SynthesisObjective {
-                alignment: 12,
-                ..SynthesisObjective::default()
-            },
-            SynthesisObjective {
-                alignment: 0,
-                ..SynthesisObjective::default()
-            },
-            SynthesisObjective {
-                frag_weight: f64::NAN,
-                ..SynthesisObjective::default()
-            },
-            SynthesisObjective {
-                wram_weight: -1.0,
-                ..SynthesisObjective::default()
-            },
-        ];
-        for o in cases {
-            assert!(matches!(
-                synthesize_table(&p, &o),
-                Err(SynthesisError::BadObjective(_))
-            ));
-        }
-    }
-
-    #[test]
     fn max_classes_caps_the_table() {
-        let sizes: Vec<(u32, u64)> = (1..=20).map(|i| (i * 96, 10)).collect();
-        let p = profile_of(4, &sizes);
-        let o = SynthesisObjective {
-            max_classes: 3,
-            ..SynthesisObjective::default()
-        };
-        let s = synthesize_table(&p, &o).unwrap();
-        assert!(s.table.len() <= 3);
+        // 32 sizes 64 B apart, each requested often enough that
+        // merging two of them wastes more than a class costs: the
+        // unconstrained optimum keeps all 32.
+        let sizes: Vec<(u32, u64)> = (1..=32).map(|i| (i * 64, 1000)).collect();
+        let p = profile_of(1, &sizes);
+        let s = synthesize_table(&p).unwrap();
+        assert_eq!(s.table.len(), MAX_CLASSES);
         // The largest class still covers the largest cacheable size.
-        assert_eq!(*s.table.classes().last().unwrap(), 1920);
-    }
-
-    #[test]
-    fn min_classes_forces_a_wider_table() {
-        let p = profile_of(4, &[(16, 10), (500, 10), (2000, 10)]);
-        let o = SynthesisObjective {
-            min_classes: 3,
-            ..SynthesisObjective::default()
-        };
-        let s = synthesize_table(&p, &o).unwrap();
-        assert_eq!(s.table.len(), 3);
-    }
-
-    #[test]
-    fn wram_budget_filters_class_counts() {
-        let p = profile_of(4, &[(16, 1000), (64, 1000), (2048, 1000)]);
-        // A 16 B class alone costs (4096/16)/8 = 32 B of bitmap; force
-        // a budget that only wide classes can meet.
-        let o = SynthesisObjective {
-            wram_budget_bytes: Some(2),
-            ..SynthesisObjective::default()
-        };
-        match synthesize_table(&p, &o) {
-            Ok(s) => assert!(wram_bitmap_bytes(&s.table) <= 2),
-            Err(SynthesisError::WramBudget { needed, budget }) => {
-                assert!(needed > budget);
-                assert_eq!(budget, 2);
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+        assert_eq!(*s.table.classes().last().unwrap(), 2048);
     }
 
     #[test]
@@ -518,87 +334,10 @@ mod tests {
             .map(|i| (i * 40, u64::from(i % 7) + 1))
             .collect();
         let p = profile_of(16, &sizes);
-        let o = SynthesisObjective::default();
-        let a = synthesize_table(&p, &o).unwrap();
-        let b = synthesize_table(&p, &o).unwrap();
+        let a = synthesize_table(&p).unwrap();
+        let b = synthesize_table(&p).unwrap();
         assert_eq!(a, b);
         assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
-    }
-
-    #[test]
-    fn dp_matches_brute_force_on_small_profiles() {
-        // Exhaustively enumerate every subset of candidates that
-        // includes the last one, and check the DP finds the cheapest.
-        let p = profile_of(4, &[(16, 30), (48, 5), (100, 20), (512, 1), (900, 40)]);
-        let o = SynthesisObjective {
-            max_classes: 5,
-            ..SynthesisObjective::default()
-        };
-        let candidates = [16u32, 48, 104, 512, 904];
-        let mut best = f64::INFINITY;
-        for mask in 0u32..(1 << candidates.len()) {
-            if mask & (1 << (candidates.len() - 1)) == 0 {
-                continue; // must include the last candidate
-            }
-            let classes: Vec<u32> = candidates
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &c)| c)
-                .collect();
-            let table = SizeClassTable::try_new(classes).unwrap();
-            best = best.min(objective_cost(&p, &table, &o));
-        }
-        let s = synthesize_table(&p, &o).unwrap();
-        let got = objective_cost(&p, &s.table, &o);
-        assert!(
-            (got - best).abs() < 1e-6,
-            "DP cost {got} != brute-force optimum {best}"
-        );
-    }
-
-    #[test]
-    fn wram_weight_trades_classes_for_fragmentation() {
-        let sizes: Vec<(u32, u64)> = (1..=30).map(|i| (i * 64, 20)).collect();
-        let p = profile_of(16, &sizes);
-        let cheap_wram = SynthesisObjective {
-            wram_weight: 0.0,
-            ..SynthesisObjective::default()
-        };
-        let dear_wram = SynthesisObjective {
-            wram_weight: 10_000.0,
-            ..SynthesisObjective::default()
-        };
-        let a = synthesize_table(&p, &cheap_wram).unwrap();
-        let b = synthesize_table(&p, &dear_wram).unwrap();
-        assert!(
-            a.table.len() >= b.table.len(),
-            "pricier WRAM must not buy more classes ({} vs {})",
-            a.table.len(),
-            b.table.len()
-        );
-        assert!(wram_bitmap_bytes(&b.table) <= wram_bitmap_bytes(&a.table));
-    }
-
-    #[test]
-    fn ladder_trades_wram_for_fragmentation() {
-        let p = profile_of(16, &[(24, 400), (136, 300), (700, 200), (2000, 100)]);
-        let reports: Vec<SynthesisReport> = [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]
-            .into_iter()
-            .map(|wram_weight| {
-                let objective = SynthesisObjective {
-                    wram_weight,
-                    ..SynthesisObjective::default()
-                };
-                synthesize_table(&p, &objective).unwrap().report
-            })
-            .collect();
-        // Monotone along the ladder: pricier WRAM never buys more
-        // bitmap bytes, cheaper WRAM never models worse fragmentation.
-        for w in reports.windows(2) {
-            assert!(w[1].wram_bytes_per_tasklet <= w[0].wram_bytes_per_tasklet);
-            assert!(w[1].modeled_frag_bytes >= w[0].modeled_frag_bytes);
-        }
     }
 
     #[test]
@@ -606,7 +345,7 @@ mod tests {
         // A profile the fixed power-of-two table serves poorly:
         // mid-range sizes just past each power of two.
         let p = profile_of(16, &[(136, 500), (520, 500), (1040, 500)]);
-        let s = synthesize_table(&p, &SynthesisObjective::default()).unwrap();
+        let s = synthesize_table(&p).unwrap();
         assert!(
             s.report.modeled_frag_bytes < s.report.modeled_frag_bytes_paper,
             "synthesized {} >= paper {}",
@@ -614,5 +353,41 @@ mod tests {
             s.report.modeled_frag_bytes_paper
         );
         assert!(s.report.predicted_frag_ratio < 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Enumerates every subset of the candidates that keeps the
+        /// last one, and checks that the DP's table costs exactly the
+        /// brute-force minimum. Every cost is an integer below 2^53,
+        /// so `f64` holds it exactly.
+        #[test]
+        fn dp_matches_brute_force_on_small_profiles(
+            sizes in vec((1u32..=MAX_CLASS_BYTES, 1u64..500), 1..=8),
+            n_tasklets in 1usize..=24,
+        ) {
+            let p = profile_of(n_tasklets, &sizes);
+            let mut candidates: Vec<u32> = p
+                .histogram
+                .entries()
+                .map(|(s, _)| s.div_ceil(SIZE_CLASS_ALIGN) * SIZE_CLASS_ALIGN)
+                .collect();
+            candidates.dedup();
+            let last = candidates.len() - 1;
+            let best = (0u32..1 << last)
+                .map(|mask| {
+                    let classes: Vec<u32> = candidates
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i == last || mask & (1 << i) != 0)
+                        .map(|(_, &c)| c)
+                        .collect();
+                    cost(&p, &SizeClassTable::new(classes))
+                })
+                .fold(f64::INFINITY, f64::min);
+            let s = synthesize_table(&p).unwrap();
+            prop_assert_eq!(cost(&p, &s.table), best);
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! the paper's fixed power-of-two table.
 
 use pim_malloc::{AllocGeometry, PimAllocator, PimMalloc, SizeClassTable};
-use pim_profile::{synthesize_table, AllocProfile, SynthesisObjective};
+use pim_profile::{synthesize_table, AllocProfile, MAX_CLASSES, MAX_CLASS_BYTES};
 use pim_sim::{DpuConfig, DpuSim};
 use proptest::prelude::*;
 
@@ -21,24 +21,9 @@ fn profile_strategy() -> impl Strategy<Value = AllocProfile> {
             for _ in 0..count {
                 p.histogram.record(size);
             }
-            p.mallocs += count;
         }
         p
     })
-}
-
-/// A random (but valid) objective.
-fn objective_strategy() -> impl Strategy<Value = SynthesisObjective> {
-    (0.0f64..10.0, 0.0f64..100.0, 1usize..4, 0usize..16, 1u32..4).prop_map(
-        |(frag_weight, wram_weight, min_classes, extra, align_pow)| SynthesisObjective {
-            frag_weight,
-            wram_weight,
-            min_classes,
-            max_classes: min_classes + extra,
-            alignment: 8 << align_pow.min(3), // 16/32/64: divide 2048
-            wram_budget_bytes: None,
-        },
-    )
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -153,28 +138,25 @@ proptest! {
 
     /// Any synthesized table passes `SizeClassTable::try_new` — the
     /// synthesizer can never emit a geometry the builder rejects —
-    /// and synthesis is a pure function of (profile, objective).
+    /// and synthesis is a pure function of the profile.
     #[test]
-    fn synthesized_tables_are_valid_and_deterministic(
-        profile in profile_strategy(),
-        objective in objective_strategy(),
-    ) {
-        let Ok(a) = synthesize_table(&profile, &objective) else {
+    fn synthesized_tables_are_valid_and_deterministic(profile in profile_strategy()) {
+        let Ok(a) = synthesize_table(&profile) else {
             // NoCacheableSizes (all requests > 2048) is legitimate.
             return Ok(());
         };
         prop_assert!(SizeClassTable::try_new(a.table.classes().to_vec()).is_ok());
-        prop_assert!(a.table.len() <= objective.max_classes);
+        prop_assert!(a.table.len() <= MAX_CLASSES);
         // Largest class covers the largest cacheable observed size.
         let max_cacheable = profile
             .histogram
             .entries()
-            .filter(|&(s, _)| s <= pim_profile::MAX_CLASS_BYTES)
+            .filter(|&(s, _)| s <= MAX_CLASS_BYTES)
             .map(|(s, _)| s)
             .max()
             .expect("synthesis succeeded, so a cacheable size exists");
         prop_assert!(a.table.class_for(max_cacheable).is_some());
-        let b = synthesize_table(&profile, &objective).expect("second run");
+        let b = synthesize_table(&profile).expect("second run");
         prop_assert_eq!(a.table.classes(), b.table.classes());
         prop_assert_eq!(a.report, b.report);
     }
@@ -189,7 +171,7 @@ proptest! {
         profile in profile_strategy(),
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
-        let Ok(synth) = synthesize_table(&profile, &SynthesisObjective::default()) else {
+        let Ok(synth) = synthesize_table(&profile) else {
             return Ok(());
         };
         let remote = run(false, &synth.table, &ops);

@@ -13,10 +13,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // PIM-malloc-SW with the paper's defaults: 32 MB heap, 16 B..2 KB
     // size classes, a 4 KB-block buddy backend behind a 2 KB software
     // metadata window.
+    let mhz = dpu.config().cost.clock_mhz;
     let mut alloc = PimMalloc::init(&mut dpu, AllocGeometry::sw(16).build())?;
     println!(
         "initAllocator finished at t = {:.1} us",
-        alloc.init_end().as_micros(350)
+        alloc.init_end().as_micros(mhz)
     );
 
     // Every tasklet allocates a mix of sizes, then frees half of them.
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "mean malloc latency   : {:.2} us",
-        stats.malloc_latencies.mean().as_micros(350)
+        stats.malloc_latencies.mean().as_micros(mhz)
     );
     println!("fragmentation A/U     : {:.2}", alloc.frag().ratio());
     println!(
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "virtual time elapsed  : {:.1} us",
-        dpu.max_clock().as_micros(350)
+        dpu.max_clock().as_micros(mhz)
     );
     Ok(())
 }

@@ -1,27 +1,27 @@
 //! Profile-guided geometry tuning, end to end on one scenario family:
-//! profile the trace with [`AllocProfile::from_trace`], synthesize a
-//! custom size-class table from the profile, then replay the same
-//! trace under the paper geometry and the synthesized one and compare
-//! measured fragmentation.
+//! take the trace's request-size histogram with
+//! [`AllocProfile::from_trace`], synthesize a custom size-class table
+//! from it, then replay the same trace under the paper geometry and
+//! the synthesized one and compare measured fragmentation.
 //!
 //! Run with: `cargo run --release --example tune_geometry`
 
-use pim_malloc_repro::{
-    synthesize_table, AllocGeometry, AllocProfile, PimMalloc, SizeClassTable, SynthesisObjective,
-};
+use pim_malloc_repro::{synthesize_table, AllocGeometry, AllocProfile, PimMalloc, SizeClassTable};
 use pim_profile::wram_bitmap_bytes;
 use pim_sim::{DpuConfig, DpuSim};
 use pim_trace::{replay, synthesize, AllocTrace, SizeLaw, SynthConfig, TemporalShape};
 
-/// Replays `trace` under `table`, returning (A/U at peak, finish us).
+/// Replays `trace` under `table`, returning (peak A over peak U,
+/// finish us).
 fn replay_under(trace: &AllocTrace, table: &SizeClassTable) -> (f64, f64) {
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(trace.n_tasklets));
+    let mhz = dpu.config().cost.clock_mhz;
     let geom = AllocGeometry::sw(trace.n_tasklets)
         .with_heap_size(trace.heap_size)
         .with_size_classes(table.clone());
     let mut alloc = PimMalloc::init(&mut dpu, geom.build()).expect("init");
     let result = replay(&mut dpu, &mut alloc, trace);
-    (alloc.frag().peak_ratio(), result.finish.as_micros(350))
+    (alloc.frag().peak_ratio(), result.finish.as_micros(mhz))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,22 +44,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SynthConfig::default()
     });
 
-    // 2. Profile: walk the trace, no simulation needed.
+    // 2. Profile: the trace's request sizes, no simulation needed.
     let profile = AllocProfile::from_trace(&trace);
     println!("profiled {}:", profile.name);
-    println!("  mallocs            : {}", profile.mallocs);
+    println!(
+        "  mallocs            : {}",
+        profile.histogram.total_requests()
+    );
     println!(
         "  distinct sizes     : {}",
         profile.histogram.distinct_sizes()
     );
-    println!("  peak live          : {} B", profile.peak_live_bytes);
-    println!(
-        "  remote frees       : {:.1} %",
-        100.0 * profile.remote_free_fraction()
-    );
 
     // 3. Synthesize a table from the profile.
-    let synthesis = synthesize_table(&profile, &SynthesisObjective::default())?;
+    let synthesis = synthesize_table(&profile)?;
     let report = &synthesis.report;
     println!("\nsynthesized classes  : {:?}", report.classes);
     println!(

@@ -16,20 +16,17 @@
 //! * The allocator core: [`PimMalloc`] behind the [`AllocGeometry`]
 //!   builder (size classes via [`SizeClassTable`]), plus the
 //!   [`PimAllocator`] object-safe trait.
-//! * Profile-guided geometry: [`AllocProfile::from_trace`] captures
-//!   what a workload's trace asks the allocator for, and
-//!   [`synthesize_table`] turns a profile into a custom
-//!   [`SizeClassTable`] under a [`SynthesisObjective`] (see
-//!   `examples/tune_geometry.rs` for the full profile → synthesize →
-//!   replay loop).
+//! * Profile-guided geometry: [`AllocProfile::from_trace`] takes a
+//!   workload trace's request-size histogram, and [`synthesize_table`]
+//!   turns it into a custom [`SizeClassTable`] under one fixed cost
+//!   (see `examples/tune_geometry.rs` for the full profile →
+//!   synthesize → replay loop).
 
 pub use pim_malloc::{
     AllocGeometry, AllocStats, BackendKind, GeometryError, PimAllocator, PimMalloc,
     PimMallocConfig, SizeClassTable,
 };
-pub use pim_profile::{
-    synthesize_table, AllocProfile, Synthesis, SynthesisObjective, SynthesisReport,
-};
+pub use pim_profile::{synthesize_table, AllocProfile, Synthesis, SynthesisReport};
 pub use pim_serving::{
     estimated_capacity_rps, saturation_sweep, serve, ArrivalProcess, FaultSummary, LoadPoint,
     RequestClass, RetryPolicy, SaturationReport, ServeConfig, ServeReport,

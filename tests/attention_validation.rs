@@ -84,10 +84,8 @@ fn kernel_allocation_overhead_matches_microbench_ranking() {
             let mut ctx = dpu.ctx(r % 16);
             kernel.admit(&mut ctx, alloc.as_mut(), 16).unwrap();
         }
-        kernel
-            .decode_step(&mut dpu, alloc.as_mut())
-            .unwrap()
-            .as_secs(350)
+        let cycles = kernel.decode_step(&mut dpu, alloc.as_mut()).unwrap();
+        cycles.as_secs(dpu.config().cost.clock_mhz)
     };
     let straw = step(AllocatorKind::StrawMan);
     let sw = step(AllocatorKind::Sw);

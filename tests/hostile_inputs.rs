@@ -1,16 +1,16 @@
-//! Hostile-input guard: arbitrary bytes and mutated trace and profile
-//! JSON come back from the parsers as typed errors or as values the
-//! engines downstream accept, never as a panic.
+//! Hostile-input guard: arbitrary bytes and mutated trace JSON come
+//! back from the parser as typed errors or as values the engines
+//! downstream accept, never as a panic.
 //!
-//! Every document goes through both paths: `AllocTrace::from_json` →
+//! Every document that parses as a trace reaches both engines:
 //! `replay` on the SW, HW/SW and straw-man allocators, and
-//! `AllocProfile::from_json` → `synthesize_table`. Mutations flip,
+//! `AllocProfile::from_trace` → `synthesize_table`. Mutations flip,
 //! insert, delete and duplicate bytes of a valid document; half the
 //! bytes they write are JSON punctuation, digits or literal letters,
 //! so that more mutants still parse and reach the engines.
 
 use pim_malloc::{AllocGeometry, PimMalloc, StrawManAllocator, StrawManConfig};
-use pim_profile::{synthesize_table, AllocProfile, SynthesisObjective};
+use pim_profile::{synthesize_table, AllocProfile};
 use pim_sim::{DpuConfig, DpuSim};
 use pim_trace::{replay, synthesize, AllocTrace, SizeLaw, SynthConfig, TemporalShape};
 use proptest::collection::vec;
@@ -82,29 +82,26 @@ fn replay_on_every_allocator(trace: &AllocTrace) {
     }
 }
 
-/// Feeds `bytes` to both parsers and runs whatever parses through its
-/// engine. Returns whether the trace and the profile parser accepted
-/// the document.
-fn feed(bytes: &[u8]) -> (bool, bool) {
+/// Feeds `bytes` to the trace parser and runs a trace that parses
+/// through both engines. Returns whether the parser accepted the
+/// document.
+fn feed(bytes: &[u8]) -> bool {
     let text = String::from_utf8_lossy(bytes);
-    let trace = AllocTrace::from_json(&text);
-    if let Ok(trace) = &trace {
-        replay_on_every_allocator(trace);
-    }
-    let profile = AllocProfile::from_json(&text);
-    if let Ok(profile) = &profile {
-        // A typed synthesis error is an accepted outcome.
-        let _ = synthesize_table(profile, &SynthesisObjective::default());
-    }
-    (trace.is_ok(), profile.is_ok())
+    let Ok(trace) = AllocTrace::from_json(&text) else {
+        return false;
+    };
+    replay_on_every_allocator(&trace);
+    // A typed synthesis error is an accepted outcome.
+    let _ = synthesize_table(&AllocProfile::from_trace(&trace));
+    true
 }
 
 #[test]
 fn seed_documents_reach_both_engines() {
     let trace = seed_trace();
-    assert_eq!(feed(trace.to_json().as_bytes()), (true, false));
-    let profile = AllocProfile::from_trace(&trace).to_json();
-    assert_eq!(feed(profile.as_bytes()), (false, true));
+    assert!(feed(trace.to_json().as_bytes()));
+    // The seed's sizes reach the DP, not only its typed error.
+    assert!(synthesize_table(&AllocProfile::from_trace(&trace)).is_ok());
 }
 
 proptest! {
@@ -120,17 +117,6 @@ proptest! {
         edits in vec((0u8..4, any::<u64>(), any::<u64>()), 1..5),
     ) {
         let mut doc = seed_trace().to_json().into_bytes();
-        for edit in edits {
-            mutate(&mut doc, edit);
-        }
-        feed(&doc);
-    }
-
-    #[test]
-    fn mutated_profile_json_never_panics(
-        edits in vec((0u8..4, any::<u64>(), any::<u64>()), 1..5),
-    ) {
-        let mut doc = AllocProfile::from_trace(&seed_trace()).to_json().into_bytes();
         for edit in edits {
             mutate(&mut doc, edit);
         }
