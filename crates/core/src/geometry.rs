@@ -28,8 +28,6 @@
 //! assert_eq!(cfg.size_classes().max_bytes(), 1024);
 //! ```
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 
 use crate::metadata::BackendKind;
@@ -39,67 +37,6 @@ use crate::thread_cache::{CACHE_BLOCK_BYTES, DEFAULT_SIZE_CLASSES};
 /// `base + slot * class_bytes`, and the DPU's MRAM interface moves
 /// 8-byte-aligned words, so classes must be multiples of 8.
 pub const SIZE_CLASS_ALIGN: u32 = 8;
-
-/// Why a size-class list was rejected by [`SizeClassTable::try_new`].
-///
-/// Synthesized tables (`pim-profile`) make arbitrary class lists
-/// reachable from data, so construction reports malformed geometry as
-/// a typed error instead of silently accepting or panicking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GeometryError {
-    /// The class list is empty.
-    Empty,
-    /// A class of zero bytes (no sub-block can be zero-sized).
-    ZeroSize,
-    /// A class not aligned to [`SIZE_CLASS_ALIGN`] bytes.
-    Misaligned {
-        /// The offending class size.
-        class: u32,
-    },
-    /// A class repeated in the list.
-    Duplicate {
-        /// The repeated class size.
-        class: u32,
-    },
-    /// Classes out of ascending order.
-    Unsorted {
-        /// The class that precedes `class` in the list.
-        prev: u32,
-        /// The out-of-order class.
-        class: u32,
-    },
-    /// A class larger than half a [`CACHE_BLOCK_BYTES`] block (it
-    /// could never subdivide a cache block into at least two slots).
-    TooLarge {
-        /// The offending class size.
-        class: u32,
-    },
-}
-
-impl fmt::Display for GeometryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GeometryError::Empty => write!(f, "need at least one size class"),
-            GeometryError::ZeroSize => write!(f, "size class of zero bytes"),
-            GeometryError::Misaligned { class } => {
-                write!(f, "size class {class} not aligned to {SIZE_CLASS_ALIGN} B")
-            }
-            GeometryError::Duplicate { class } => {
-                write!(f, "duplicate size class {class}")
-            }
-            GeometryError::Unsorted { prev, class } => write!(
-                f,
-                "size classes must be strictly increasing ({class} after {prev})"
-            ),
-            GeometryError::TooLarge { class } => write!(
-                f,
-                "size class {class} too large for a {CACHE_BLOCK_BYTES} B block"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for GeometryError {}
 
 /// The validated, shared size-class geometry of one allocator: a
 /// strictly increasing list of 8-byte-aligned sub-block sizes, each at
@@ -112,52 +49,35 @@ pub struct SizeClassTable {
 }
 
 impl SizeClassTable {
-    /// Builds a table from `classes`, validating the geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`GeometryError`] naming the first violated invariant: empty,
-    /// zero-sized, misaligned, duplicate, unsorted, or oversized class
-    /// lists are all rejected.
-    pub fn try_new(classes: impl Into<Vec<u32>>) -> Result<Self, GeometryError> {
-        let classes = classes.into();
-        if classes.is_empty() {
-            return Err(GeometryError::Empty);
-        }
-        let mut prev = 0;
-        for &c in &classes {
-            if c == 0 {
-                return Err(GeometryError::ZeroSize);
-            }
-            if c % SIZE_CLASS_ALIGN != 0 {
-                return Err(GeometryError::Misaligned { class: c });
-            }
-            if c > CACHE_BLOCK_BYTES / 2 {
-                return Err(GeometryError::TooLarge { class: c });
-            }
-            if c == prev {
-                return Err(GeometryError::Duplicate { class: c });
-            }
-            if c < prev {
-                return Err(GeometryError::Unsorted { prev, class: c });
-            }
-            prev = c;
-        }
-        Ok(SizeClassTable { classes })
-    }
-
     /// Builds a table from `classes`.
     ///
     /// # Panics
     ///
-    /// Panics on the invariants [`SizeClassTable::try_new`] reports as
-    /// errors (empty, zero-size, misaligned, duplicate, unsorted, or
-    /// oversized classes).
+    /// Panics on an empty list, and on the first class that is zero,
+    /// not a multiple of [`SIZE_CLASS_ALIGN`], larger than half a
+    /// [`CACHE_BLOCK_BYTES`] block, or not above the class before it.
     pub fn new(classes: impl Into<Vec<u32>>) -> Self {
-        match Self::try_new(classes) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
+        let classes = classes.into();
+        assert!(!classes.is_empty(), "need at least one size class");
+        let mut prev = 0;
+        for &c in &classes {
+            assert!(c != 0, "size class of zero bytes");
+            assert!(
+                c % SIZE_CLASS_ALIGN == 0,
+                "size class {c} not aligned to {SIZE_CLASS_ALIGN} B"
+            );
+            assert!(
+                c <= CACHE_BLOCK_BYTES / 2,
+                "size class {c} too large for a {CACHE_BLOCK_BYTES} B block"
+            );
+            assert!(c != prev, "duplicate size class {c}");
+            assert!(
+                c > prev,
+                "size classes must be strictly increasing ({c} after {prev})"
+            );
+            prev = c;
         }
+        SizeClassTable { classes }
     }
 
     /// The paper's default geometry: powers of two from 16 B to 2 KB.
@@ -374,44 +294,33 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_each_rejection_as_a_typed_error() {
-        assert_eq!(
-            SizeClassTable::try_new(Vec::<u32>::new()),
-            Err(GeometryError::Empty)
-        );
-        assert_eq!(
-            SizeClassTable::try_new([16, 0, 64]),
-            Err(GeometryError::ZeroSize)
-        );
-        assert_eq!(
-            SizeClassTable::try_new([16, 28, 64]),
-            Err(GeometryError::Misaligned { class: 28 })
-        );
-        assert_eq!(
-            SizeClassTable::try_new([16, 64, 64]),
-            Err(GeometryError::Duplicate { class: 64 })
-        );
-        assert_eq!(
-            SizeClassTable::try_new([64, 16]),
-            Err(GeometryError::Unsorted {
-                prev: 64,
-                class: 16
-            })
-        );
-        assert_eq!(
-            SizeClassTable::try_new([16, 4096]),
-            Err(GeometryError::TooLarge { class: 4096 })
-        );
-        // Errors display the offending class for diagnostics.
-        assert!(GeometryError::Misaligned { class: 28 }
-            .to_string()
-            .contains("28"));
+    #[should_panic(expected = "need at least one size class")]
+    fn empty_class_list_rejected() {
+        SizeClassTable::new(Vec::<u32>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "size class of zero bytes")]
+    fn zero_byte_class_rejected() {
+        SizeClassTable::new([16, 0, 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "size class 28 not aligned to 8 B")]
+    fn misaligned_class_rejected() {
+        SizeClassTable::new([16, 28, 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate size class 64")]
+    fn duplicate_class_rejected() {
+        SizeClassTable::new([16, 64, 64]);
     }
 
     #[test]
     fn aligned_non_power_of_two_classes_are_valid() {
         // Synthesized geometry: arbitrary 8-byte-aligned boundaries.
-        let t = SizeClassTable::try_new([24, 72, 520, 2040]).unwrap();
+        let t = SizeClassTable::new([24, 72, 520, 2040]);
         assert_eq!(t.class_for(25), Some(1)); // 72 B
         assert_eq!(t.class_for(2040), Some(3));
         assert_eq!(t.class_for(2041), None); // bypass

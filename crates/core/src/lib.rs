@@ -86,9 +86,7 @@ pub use api::PimAllocator;
 pub use buddy::{BuddyAllocator, BuddyGeometry, DescentPolicy};
 pub use error::{AllocError, InitError};
 pub use frag::FragTracker;
-pub use geometry::{
-    AllocGeometry, GeometryError, PimMallocConfig, SizeClassTable, SIZE_CLASS_ALIGN,
-};
+pub use geometry::{AllocGeometry, PimMallocConfig, SizeClassTable, SIZE_CLASS_ALIGN};
 pub use metadata::{BackendKind, MetaStats, MetadataBackend, NodeState};
 pub use pim_malloc::PimMalloc;
 pub use region_map::{FreeRoute, RegionMap};

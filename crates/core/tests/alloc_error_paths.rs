@@ -174,7 +174,7 @@ proptest! {
 /// rejected like any hostile free, and counts toward quarantine.
 #[test]
 fn frees_past_the_last_slot_of_a_non_dividing_class_are_invalid() {
-    let table = SizeClassTable::try_new([24, 48, 520, 2040]).expect("valid table");
+    let table = SizeClassTable::new([24, 48, 520, 2040]);
     let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
     let geom = AllocGeometry::sw(1)
         .with_heap_size(HEAP_SIZE)

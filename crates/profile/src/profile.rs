@@ -49,16 +49,6 @@ impl SizeHistogram {
     pub fn total_requests(&self) -> u64 {
         self.counts.values().sum()
     }
-
-    /// Total requested bytes.
-    pub fn total_requested_bytes(&self) -> u64 {
-        self.counts.iter().map(|(&s, &c)| u64::from(s) * c).sum()
-    }
-
-    /// Largest request size seen, or `None` for an empty histogram.
-    pub fn max_size(&self) -> Option<u32> {
-        self.counts.keys().next_back().copied()
-    }
 }
 
 /// The allocation profile of one workload (one DPU's tasklets).
@@ -124,8 +114,6 @@ mod tests {
         let h = AllocProfile::from_trace(&sample_trace()).histogram;
         assert_eq!(h.entries().collect::<Vec<_>>(), vec![(64, 2), (100, 1)]);
         assert_eq!(h.total_requests(), 3);
-        assert_eq!(h.total_requested_bytes(), 228);
-        assert_eq!(h.max_size(), Some(100));
         assert_eq!(h.distinct_sizes(), 2);
     }
 

@@ -136,8 +136,8 @@ fn run(owner_frees: bool, table: &SizeClassTable, ops: &[Op]) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any synthesized table passes `SizeClassTable::try_new` — the
-    /// synthesizer can never emit a geometry the builder rejects —
+    /// Any synthesized table passes `SizeClassTable::new`'s checks —
+    /// the synthesizer can never emit a geometry the builder rejects —
     /// and synthesis is a pure function of the profile.
     #[test]
     fn synthesized_tables_are_valid_and_deterministic(profile in profile_strategy()) {
@@ -145,7 +145,7 @@ proptest! {
             // NoCacheableSizes (all requests > 2048) is legitimate.
             return Ok(());
         };
-        prop_assert!(SizeClassTable::try_new(a.table.classes().to_vec()).is_ok());
+        prop_assert_eq!(&SizeClassTable::new(a.table.classes().to_vec()), &a.table);
         prop_assert!(a.table.len() <= MAX_CLASSES);
         // Largest class covers the largest cacheable observed size.
         let max_cacheable = profile

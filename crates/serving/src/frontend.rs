@@ -3,7 +3,8 @@
 //! [`serve`] admits a seeded arrival stream of allocation-bearing
 //! requests into a fleet of `n_dpus` DPUs and reports SLO metrics in
 //! *simulated* time. The loop is a discrete-event simulation over
-//! virtual nanoseconds driven by [`pim_sim::EventQueue`]:
+//! virtual nanoseconds. A [`pim_sim::EventQueue`] holds arrivals, the
+//! pending flush and kills; a time-bucketed ring holds completions:
 //!
 //! 1. **Admission** — each arrival is hash-routed round-robin over
 //!    admitted requests to a *healthy* DPU; if that DPU already holds
@@ -12,7 +13,7 @@
 //!    the current dispatch window. The arrival stream is sorted, so
 //!    arrivals enter the queue through its in-order lane
 //!    ([`EventQueue::push_in_order`]) and never touch its heap, which
-//!    holds only flushes, completions and kills.
+//!    holds only the pending flush and the kills.
 //! 2. **Dispatch** — every `window_us` the staged requests flush as
 //!    one host→PIM push: the payload bytes of the DPUs the window
 //!    ships to form a [`TransferPlan`], in ascending DPU order, priced
@@ -21,12 +22,22 @@
 //!    work for DPUs that received nothing in its window.
 //! 3. **Service** — each DPU serves its queue FIFO; a request's
 //!    service time is its class's replay-calibrated fragment time
-//!    (see [`RequestClass::service_ns`]). Completion events feed the
-//!    queue-depth timeline.
+//!    (see [`RequestClass::service_ns`]). Each job's completion goes
+//!    into the completion ring (`ring.rs`: 2^14 buckets of 1,024 ns,
+//!    and a small heap past its 16.8 ms horizon), tagged with the
+//!    insertion number its push into the event queue would have taken
+//!    ([`EventQueue::reserve_seq`]). Before the loop handles its next
+//!    event at key `(t, seq)`, it applies every completion keyed below
+//!    `(t, seq)`, in the ring's order rather than key order. That
+//!    gives the same report: in-flight counts, the completed count and
+//!    the latency samples do not depend on order, and each DPU's
+//!    completions still come in FIFO order, the order its job list
+//!    (kept under a fault plan) is edited in.
 //!
-//! The loop ends once every request has completed or dropped; events
-//! still pending then (a later kill, a ghost completion) settle
-//! nothing and do not count toward the makespan.
+//! The loop ends once every request has completed or dropped; a kill
+//! still pending then settles nothing and does not count toward the
+//! makespan. A ghost completion (of a job whose DPU died) never
+//! counts toward it: it only frees its job slot.
 //!
 //! A request whose projected completion exceeds
 //! [`RetryPolicy::timeout_ns`] after its arrival is re-routed to
@@ -66,6 +77,7 @@ use pim_sim::{
 
 use crate::arrival::ArrivalProcess;
 use crate::request::{assign_classes, BuildAllocator, RequestClass};
+use crate::ring::CompletionRing;
 
 /// Seed salt separating the class-composition substream from the
 /// arrival-time substream.
@@ -300,17 +312,15 @@ impl ServeReport {
     }
 }
 
-/// Events of the serving loop. Ordering ties at one timestamp resolve
-/// by push order ([`EventQueue`] is FIFO within a timestamp), which is
-/// itself deterministic.
+/// Events of the serving loop's queue (completions live in the
+/// [`CompletionRing`]). Ordering ties at one timestamp resolve by push
+/// order ([`EventQueue`] is FIFO within a timestamp), which is itself
+/// deterministic.
 enum Ev {
     /// Request `idx` of the stream reaches the frontend.
     Arrive(u32),
     /// The current dispatch window closes.
     Flush,
-    /// Service slot `job` finishes on its DPU (possibly a ghost, if
-    /// the DPU died mid-service and the request was re-dispatched).
-    Complete(u32),
     /// DPU `dpu` dies at its scheduled kill time.
     Kill(u32),
 }
@@ -339,8 +349,8 @@ struct Job {
     class: u32,
     retries: u32,
     done: u64,
-    /// Cleared when the serving DPU dies; the pending completion event
-    /// then becomes a ghost.
+    /// Cleared when the serving DPU dies; the job's completion, still
+    /// in the ring, then becomes a ghost.
     live: bool,
 }
 
@@ -432,6 +442,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let faults_on = faults.enabled();
 
     let mut ev: EventQueue<Ev> = EventQueue::new();
+    let mut ring = CompletionRing::new();
     ev.push_in_order(arrivals[0], Ev::Arrive(0));
     let mut next_arrival = 1usize;
 
@@ -485,10 +496,34 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let mut window_dpus: Vec<usize> = Vec::new();
     let n_requests = cfg.n_requests as u64;
 
-    // Stop once every request has completed or dropped: a kill or a
-    // ghost completion after that settles nothing and must not
-    // stretch the makespan.
-    while completed + st.summary.drops_queue_full + st.summary.fault_drops() < n_requests {
+    loop {
+        // Apply the completions keyed below the next event (all of
+        // them once no event is left).
+        let next = ev.peek_key().unwrap_or((u64::MAX, u64::MAX));
+        ring.drain(next, |job_id| {
+            let job = st.jobs[job_id as usize];
+            st.free_slots.push(job_id);
+            if !job.live {
+                return; // ghost of a killed DPU's service slot
+            }
+            let dpu = job.dpu as usize;
+            if faults_on {
+                if let Some(pos) = st.dpu_jobs[dpu].iter().position(|&j| j == job_id) {
+                    st.dpu_jobs[dpu].swap_remove(pos);
+                }
+            }
+            st.in_flight[dpu] -= 1;
+            st.total_in_flight -= 1;
+            completed += 1;
+            last_event_ns = last_event_ns.max(job.done);
+            rec.record(Cycles(job.done - job.arrived));
+        });
+        // Stop once every request has completed or dropped: a kill or a
+        // ghost completion after that settles nothing and must not
+        // stretch the makespan.
+        if completed + st.summary.drops_queue_full + st.summary.fault_drops() == n_requests {
+            break;
+        }
         let Some((now, event)) = ev.pop() else {
             break;
         };
@@ -610,7 +645,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                     if faults_on {
                         st.dpu_jobs[dpu].push(job);
                     }
-                    ev.push(done, Ev::Complete(job));
+                    ring.push(done, ev.reserve_seq(), job);
                 }
                 depth_series.push((now, st.total_in_flight));
                 if !st.staged.is_empty() && !flush_scheduled {
@@ -618,23 +653,6 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                     ev.push((now / window_ns + 1) * window_ns, Ev::Flush);
                     flush_scheduled = true;
                 }
-            }
-            Ev::Complete(job_id) => {
-                let job = st.jobs[job_id as usize];
-                st.free_slots.push(job_id);
-                if !job.live {
-                    continue; // ghost of a killed DPU's service slot
-                }
-                let dpu = job.dpu as usize;
-                if faults_on {
-                    if let Some(pos) = st.dpu_jobs[dpu].iter().position(|&j| j == job_id) {
-                        st.dpu_jobs[dpu].swap_remove(pos);
-                    }
-                }
-                st.in_flight[dpu] -= 1;
-                st.total_in_flight -= 1;
-                completed += 1;
-                rec.record(Cycles(job.done - job.arrived));
             }
             Ev::Kill(dpu) => {
                 let d = dpu as usize;

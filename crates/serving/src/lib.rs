@@ -63,6 +63,7 @@
 pub mod arrival;
 pub mod frontend;
 pub mod request;
+mod ring;
 pub mod sweep;
 
 pub use arrival::ArrivalProcess;

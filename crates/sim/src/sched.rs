@@ -106,9 +106,13 @@ impl VirtualTimeQueue {
 /// order)`, so the pop order is the one `push` alone would give.
 ///
 /// [`VirtualTimeQueue`] schedules *tasklets by their clocks*; this
-/// queue schedules *arbitrary payloads at explicit times* — arrivals
-/// (in the lane), dispatches, and completions in the serving
-/// frontend's event loop.
+/// queue schedules *arbitrary payloads at explicit times* — in the
+/// serving frontend's event loop, arrivals (in the lane), the pending
+/// dispatch flush, and DPU kills. Events kept outside the queue (that
+/// loop's completions) can still order against its own:
+/// [`reserve_seq`](Self::reserve_seq) gives one the insertion number a
+/// push would have, and [`peek_key`](Self::peek_key) shows the key of
+/// the next pop.
 ///
 /// ```
 /// use pim_sim::EventQueue;
@@ -171,7 +175,11 @@ impl<T> EventQueue<T> {
         }
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// Takes the next insertion number without queueing an event. An
+    /// event held outside the queue under `(time, reserve_seq())`
+    /// orders against the queue's events as it would had it been
+    /// pushed at `time`.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         seq
@@ -179,7 +187,7 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` at virtual time `at`.
     pub fn push(&mut self, at: u64, payload: T) {
-        let seq = self.next_seq();
+        let seq = self.reserve_seq();
         self.heap.push(Event { at, seq, payload });
     }
 
@@ -199,19 +207,23 @@ impl<T> EventQueue<T> {
             self.lane_last
         );
         self.lane_last = at;
-        let seq = self.next_seq();
+        let seq = self.reserve_seq();
         self.lane.push_back(Event { at, seq, payload });
+    }
+
+    /// True when the next pop comes from the lane.
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => (l.at, l.seq) < (h.at, h.seq),
+            (Some(_), None) => true,
+            (None, _) => false,
+        }
     }
 
     /// Removes and returns the earliest event as `(time, payload)`;
     /// equal times pop in insertion order.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let from_lane = match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => (l.at, l.seq) < (h.at, h.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let event = if from_lane {
+        let event = if self.lane_first() {
             self.lane.pop_front()
         } else {
             self.heap.pop()
@@ -219,11 +231,15 @@ impl<T> EventQueue<T> {
         event.map(|e| (e.at, e.payload))
     }
 
-    /// The earliest scheduled time, if any event is pending.
-    pub fn peek_time(&self) -> Option<u64> {
-        let lane = self.lane.front().map(|e| e.at);
-        let heap = self.heap.peek().map(|e| e.at);
-        lane.into_iter().chain(heap).min()
+    /// The `(time, insertion number)` key of the event the next
+    /// [`pop`](Self::pop) returns, if any event is pending.
+    pub fn peek_key(&self) -> Option<(u64, u64)> {
+        let event = if self.lane_first() {
+            self.lane.front()
+        } else {
+            self.heap.peek()
+        };
+        event.map(|e| (e.at, e.seq))
     }
 
     /// Number of pending events.
@@ -306,14 +322,14 @@ mod tests {
         q.push(20, 'b');
         q.push(10, 'd'); // same time as 'a', inserted later
         assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_time(), Some(10));
+        assert_eq!(q.peek_key(), Some((10, 1)));
         assert_eq!(q.pop(), Some((10, 'a')));
         assert_eq!(q.pop(), Some((10, 'd')));
         assert_eq!(q.pop(), Some((20, 'b')));
         assert_eq!(q.pop(), Some((30, 'c')));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
@@ -324,6 +340,22 @@ mod tests {
         assert_eq!(q.pop(), Some((5, 'a')));
         // The lane is empty, but 4 still precedes the last lane push.
         q.push_in_order(4, 'b');
+    }
+
+    #[test]
+    fn reserved_numbers_order_like_pushes() {
+        let mut q = EventQueue::new();
+        q.push_in_order(10, 'a');
+        let held = (10, q.reserve_seq());
+        q.push(10, 'b');
+        // 'a' was queued before the reservation and 'b' after it.
+        assert_eq!(q.peek_key(), Some((10, 0)));
+        assert!(q.peek_key() < Some(held));
+        assert_eq!(q.pop(), Some((10, 'a')));
+        assert_eq!(q.peek_key(), Some((10, 2)));
+        assert!(Some(held) < q.peek_key());
+        assert_eq!(q.pop(), Some((10, 'b')));
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]

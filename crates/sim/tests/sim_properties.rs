@@ -229,8 +229,8 @@ proptest! {
 
     /// The in-order lane is invisible: random interleavings of `push`,
     /// `push_in_order` and `pop` pop the same `(time, payload)`
-    /// sequence, with the same `len` and `peek_time` after every
-    /// step, as the same events pushed with `push` alone.
+    /// sequence, with the same `len` and `peek_key` after every step,
+    /// as the same events pushed with `push` alone.
     #[test]
     fn event_queue_lane_matches_a_heap_only_queue(
         ops in proptest::collection::vec(queue_op_strategy(), 1..200),
@@ -253,7 +253,7 @@ proptest! {
                 QueueOp::Pop => prop_assert_eq!(q.pop(), reference.pop()),
             }
             prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.peek_time(), reference.peek_time());
+            prop_assert_eq!(q.peek_key(), reference.peek_key());
         }
         while !reference.is_empty() {
             prop_assert_eq!(q.pop(), reference.pop());

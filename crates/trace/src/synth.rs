@@ -64,34 +64,60 @@ impl SizeLaw {
             SizeLaw::LogNormal { .. } => "lognormal",
         }
     }
+}
+
+/// A [`SizeLaw`] ready to draw from. A Zipf law's buckets, weights and
+/// weight total are built here once per trace, not once per draw.
+struct SizeSampler {
+    law: SizeLaw,
+    /// Zipf's power-of-two buckets, smallest first; empty for the
+    /// other laws and for a Zipf range that holds no power of two.
+    buckets: Vec<u32>,
+    /// Bucket `k`'s weight, `(k + 1)^-exponent`.
+    weights: Vec<f64>,
+    /// Sum of `weights`.
+    total: f64,
+}
+
+impl SizeSampler {
+    fn new(law: SizeLaw) -> Self {
+        let mut buckets = Vec::new();
+        let mut weights = Vec::new();
+        if let SizeLaw::Zipf { min, max, exponent } = law {
+            let mut b = min.max(1).next_power_of_two();
+            while b <= max.max(1) {
+                buckets.push(b);
+                b = b.saturating_mul(2);
+            }
+            weights = (0..buckets.len())
+                .map(|k| ((k + 1) as f64).powf(-exponent))
+                .collect();
+        }
+        let total = weights.iter().sum();
+        SizeSampler {
+            law,
+            buckets,
+            weights,
+            total,
+        }
+    }
 
     fn sample(&self, rng: &mut StdRng) -> u32 {
-        match *self {
+        match self.law {
             SizeLaw::Fixed(size) => size.max(1),
             SizeLaw::Uniform { min, max } => rng.gen_range(min.max(1)..=max.max(min.max(1))),
-            SizeLaw::Zipf { min, max, exponent } => {
-                // Power-of-two buckets with precomputed CDF.
-                let mut buckets = Vec::new();
-                let mut b = min.max(1).next_power_of_two();
-                while b <= max.max(1) {
-                    buckets.push(b);
-                    b = b.saturating_mul(2);
-                }
-                if buckets.is_empty() {
+            SizeLaw::Zipf { min, .. } => {
+                let Some(last) = self.buckets.len().checked_sub(1) else {
                     return min.max(1);
-                }
-                let weights: Vec<f64> = (0..buckets.len())
-                    .map(|k| ((k + 1) as f64).powf(-exponent))
-                    .collect();
-                let total: f64 = weights.iter().sum();
-                let mut u = rng.gen_range(0.0..1.0) * total;
-                for (k, w) in weights.iter().enumerate() {
-                    if u < *w || k + 1 == buckets.len() {
-                        return buckets[k];
+                };
+                let mut u = rng.gen_range(0.0..1.0) * self.total;
+                for (k, &w) in self.weights[..last].iter().enumerate() {
+                    if u < w {
+                        return self.buckets[k];
                     }
                     u -= w;
                 }
-                buckets[0]
+                self.buckets[last]
             }
             SizeLaw::LogNormal {
                 mu,
@@ -216,6 +242,7 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
     assert!(cfg.n_tasklets >= 1, "trace needs at least one tasklet");
     assert!(cfg.mallocs_per_tasklet >= 1, "trace needs requests");
     let mut trace = AllocTrace::new(cfg.scenario_name(), cfg.heap_size, cfg.n_tasklets);
+    let sizes = SizeSampler::new(cfg.size_law);
     for tid in 0..cfg.n_tasklets {
         // SplitMix-style substream derivation per tasklet.
         let sub = cfg
@@ -223,8 +250,10 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
             .wrapping_add((tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut rng = StdRng::seed_from_u64(sub);
         trace.streams[tid] = match cfg.shape {
-            TemporalShape::Steady { compute } => windowed_stream(cfg, &mut rng, |_| Some(compute)),
-            TemporalShape::Bursty { burst, gap } => windowed_stream(cfg, &mut rng, |i| {
+            TemporalShape::Steady { compute } => {
+                windowed_stream(cfg, &sizes, &mut rng, |_| Some(compute))
+            }
+            TemporalShape::Bursty { burst, gap } => windowed_stream(cfg, &sizes, &mut rng, |i| {
                 if i % burst.max(1) == 0 {
                     Some(gap)
                 } else {
@@ -233,15 +262,15 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
             }),
             TemporalShape::Ramp { start_gap } => {
                 let n = cfg.mallocs_per_tasklet as u64;
-                windowed_stream(cfg, &mut rng, |i| {
+                windowed_stream(cfg, &sizes, &mut rng, |i| {
                     Some(start_gap.saturating_sub(start_gap * i as u64 / n.max(1)))
                 })
             }
             TemporalShape::PhaseShift { period, compute } => {
-                phase_shift_stream(cfg, &mut rng, period.max(1), compute)
+                phase_shift_stream(cfg, &sizes, &mut rng, period.max(1), compute)
             }
             TemporalShape::ProducerConsumer { compute } => {
-                producer_consumer_stream(cfg, &mut rng, tid, compute)
+                producer_consumer_stream(cfg, &sizes, &mut rng, tid, compute)
             }
         };
     }
@@ -255,6 +284,7 @@ pub fn synthesize(cfg: &SynthConfig) -> AllocTrace {
 /// back-to-back).
 fn windowed_stream(
     cfg: &SynthConfig,
+    sizes: &SizeSampler,
     rng: &mut StdRng,
     gap: impl Fn(usize) -> Option<u64>,
 ) -> Vec<TraceOp> {
@@ -267,7 +297,7 @@ fn windowed_stream(
             }
         }
         ops.push(TraceOp::Malloc {
-            size: cfg.size_law.sample(rng),
+            size: sizes.sample(rng),
             slot: i as u32,
         });
         if i as u32 - oldest >= cfg.live_window.max(1) as u32 {
@@ -282,6 +312,7 @@ fn windowed_stream(
 /// previous grow phase allocated (newest first) between its mallocs.
 fn phase_shift_stream(
     cfg: &SynthConfig,
+    sizes: &SizeSampler,
     rng: &mut StdRng,
     period: usize,
     compute: u64,
@@ -299,7 +330,7 @@ fn phase_shift_stream(
             }
         }
         ops.push(TraceOp::Malloc {
-            size: cfg.size_law.sample(rng),
+            size: sizes.sample(rng),
             slot: i as u32,
         });
         live.push(i as u32);
@@ -317,6 +348,7 @@ fn phase_shift_stream(
 /// tasklet falls back to a steady windowed stream.
 fn producer_consumer_stream(
     cfg: &SynthConfig,
+    sizes: &SizeSampler,
     rng: &mut StdRng,
     tid: usize,
     compute: u64,
@@ -324,7 +356,7 @@ fn producer_consumer_stream(
     let is_producer = tid.is_multiple_of(2);
     let unpaired = is_producer && tid + 1 >= cfg.n_tasklets;
     if unpaired {
-        return windowed_stream(cfg, rng, |_| Some(compute));
+        return windowed_stream(cfg, sizes, rng, |_| Some(compute));
     }
     let mut ops = Vec::new();
     for i in 0..cfg.mallocs_per_tasklet {
@@ -333,7 +365,7 @@ fn producer_consumer_stream(
         }
         if is_producer {
             ops.push(TraceOp::Malloc {
-                size: cfg.size_law.sample(rng),
+                size: sizes.sample(rng),
                 slot: i as u32,
             });
         } else {
@@ -349,6 +381,56 @@ fn producer_consumer_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One Zipf draw that builds its buckets and weights on the spot:
+    /// the reference for `SizeSampler`, which builds them once per
+    /// trace.
+    fn zipf_per_draw(min: u32, max: u32, exponent: f64, rng: &mut StdRng) -> u32 {
+        let mut buckets = Vec::new();
+        let mut b = min.max(1).next_power_of_two();
+        while b <= max.max(1) {
+            buckets.push(b);
+            b = b.saturating_mul(2);
+        }
+        if buckets.is_empty() {
+            return min.max(1);
+        }
+        let weights: Vec<f64> = (0..buckets.len())
+            .map(|k| ((k + 1) as f64).powf(-exponent))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let mut u = rng.gen_range(0.0..1.0) * total;
+        for (k, w) in weights.iter().enumerate() {
+            if u < *w || k + 1 == buckets.len() {
+                return buckets[k];
+            }
+            u -= w;
+        }
+        buckets[0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn zipf_table_draws_match_per_draw_tables(
+            min in 0u32..=8192,
+            max in 0u32..=1 << 20,
+            exponent in 0.0f64..4.0,
+            seed in any::<u64>(),
+        ) {
+            let sampler = SizeSampler::new(SizeLaw::Zipf { min, max, exponent });
+            let mut table_rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(
+                    sampler.sample(&mut table_rng),
+                    zipf_per_draw(min, max, exponent, &mut reference_rng)
+                );
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

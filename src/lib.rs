@@ -23,8 +23,8 @@
 //!   synthesize → replay loop).
 
 pub use pim_malloc::{
-    AllocGeometry, AllocStats, BackendKind, GeometryError, PimAllocator, PimMalloc,
-    PimMallocConfig, SizeClassTable,
+    AllocGeometry, AllocStats, BackendKind, PimAllocator, PimMalloc, PimMallocConfig,
+    SizeClassTable,
 };
 pub use pim_profile::{synthesize_table, AllocProfile, Synthesis, SynthesisReport};
 pub use pim_serving::{
