@@ -28,8 +28,6 @@
 //! assert_eq!(cfg.size_classes().max_bytes(), 1024);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::metadata::BackendKind;
 use crate::thread_cache::{CACHE_BLOCK_BYTES, DEFAULT_SIZE_CLASSES};
 
@@ -43,7 +41,7 @@ pub const SIZE_CLASS_ALIGN: u32 = 8;
 /// most half a [`CACHE_BLOCK_BYTES`] block. The paper's default is
 /// powers of two ([`SizeClassTable::paper_default`]); synthesized
 /// tables (`pim-profile`) may use any aligned boundaries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SizeClassTable {
     classes: Vec<u32>,
 }

@@ -20,7 +20,6 @@
 //! marks with it.
 
 use pim_sim::TaskletCtx;
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::SizeClassTable;
 
@@ -66,7 +65,7 @@ fn init_free_mask(slots: u32, words: &mut [u64]) {
 }
 
 /// One 4 KB block subdivided into `class_bytes` sub-blocks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CacheBlock {
     base: u32,
     /// Bitmap of sub-blocks, 1 = free.
@@ -99,7 +98,7 @@ impl CacheBlock {
 }
 
 /// One size-class pool: a list of 4 KB blocks plus their bitmaps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizeClassPool {
     class_bytes: u32,
     blocks: Vec<CacheBlock>,
@@ -153,7 +152,7 @@ pub enum FreeOutcome {
 }
 
 /// A private, mutex-free allocation frontend for one tasklet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadCache {
     pools: Vec<SizeClassPool>,
 }

@@ -1,11 +1,15 @@
 //! Seeded open-loop arrival processes.
 //!
 //! An [`ArrivalProcess`] expands, via the same seeded-generator
-//! discipline as `pim_trace::synthesize`, into a deterministic sorted
-//! vector of arrival timestamps (virtual nanoseconds). Open-loop means
+//! discipline as `pim_trace::synthesize`, into a deterministic stream
+//! of arrival timestamps (virtual nanoseconds) in ascending order,
+//! generated as they are consumed. Open-loop means
 //! arrivals do not react to the system: a saturated frontend keeps
 //! receiving requests, which is what makes tail latency and drop
 //! counts meaningful.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,23 +84,226 @@ impl ArrivalProcess {
         }
     }
 
-    /// Expands the process into `n` arrival timestamps in virtual
-    /// nanoseconds, sorted ascending. Deterministic per `(self, seed,
-    /// n)`; equal prefixes: growing `n` appends later arrivals without
-    /// disturbing earlier ones (before the final sort, which only
-    /// matters for overlapping bursts).
+    /// The first `n` arrival times in virtual nanoseconds, generated
+    /// one at a time in ascending order. Deterministic per `(self,
+    /// seed, n)`, and growing `n` only appends later arrivals.
+    ///
+    /// Poisson and diurnal times come out in the order they are drawn.
+    /// Bursts can overlap when an epoch gap is shorter than the burst
+    /// span, so a bursty stream holds the times of the bursts drawn so
+    /// far in a small heap and yields one only once the next epoch
+    /// cannot precede it.
     ///
     /// # Panics
     ///
     /// Panics if the mean rate is not strictly positive.
-    pub fn arrival_times_ns(&self, seed: u64, n: usize) -> Vec<u64> {
+    pub(crate) fn stream(&self, seed: u64, n: usize) -> Arrivals {
         assert!(
             self.mean_rps() > 0.0,
             "arrival process needs a positive rate"
         );
         let mut rng = StdRng::seed_from_u64(seed);
+        let shape = match *self {
+            ArrivalProcess::Poisson { rps } => Shape::Poisson { rps, t: 0.0 },
+            ArrivalProcess::Bursty { rps, burst } => {
+                let burst = burst.max(1);
+                let epoch_rate = rps / burst as f64;
+                let mut epoch = 0.0f64;
+                if n > 0 {
+                    epoch += exp_sample(&mut rng, epoch_rate);
+                }
+                Shape::Bursty(Bursts {
+                    burst,
+                    epoch_rate,
+                    epoch,
+                    unexpanded: n,
+                    pending: BinaryHeap::new(),
+                })
+            }
+            ArrivalProcess::Diurnal {
+                rps,
+                period_secs,
+                depth,
+            } => {
+                let depth = depth.clamp(0.0, 0.99);
+                Shape::Diurnal {
+                    rps,
+                    period: period_secs.max(1e-9),
+                    depth,
+                    peak: rps * (1.0 + depth),
+                    t: 0.0,
+                }
+            }
+        };
+        Arrivals {
+            rng,
+            left: n,
+            shape,
+        }
+    }
+
+    /// The first `n` arrival times in virtual nanoseconds, sorted
+    /// ascending: the stream `serve` consumes, collected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mean rate is not strictly positive.
+    pub fn arrival_times_ns(&self, seed: u64, n: usize) -> Vec<u64> {
         let mut times = Vec::with_capacity(n);
-        match *self {
+        self.stream(seed, n).for_each(|t| times.push(t));
+        times
+    }
+}
+
+/// The arrival times of one [`ArrivalProcess`], in ascending order;
+/// see [`ArrivalProcess::stream`].
+#[derive(Debug)]
+pub(crate) struct Arrivals {
+    rng: StdRng,
+    /// Times still to yield.
+    left: usize,
+    shape: Shape,
+}
+
+/// Generator state of one arrival shape.
+#[derive(Debug)]
+enum Shape {
+    Poisson {
+        rps: f64,
+        /// Latest arrival, seconds.
+        t: f64,
+    },
+    Bursty(Bursts),
+    Diurnal {
+        rps: f64,
+        period: f64,
+        depth: f64,
+        /// Peak rate, the thinning envelope.
+        peak: f64,
+        /// Latest candidate arrival, seconds.
+        t: f64,
+    },
+}
+
+/// Generator state of [`ArrivalProcess::Bursty`].
+#[derive(Debug)]
+struct Bursts {
+    burst: usize,
+    epoch_rate: f64,
+    /// Epoch of the first burst not yet in `pending`, seconds.
+    epoch: f64,
+    /// Requests of the bursts not yet in `pending`.
+    unexpanded: usize,
+    /// Times of the expanded bursts not yet yielded.
+    pending: BinaryHeap<Reverse<u64>>,
+}
+
+impl Bursts {
+    /// The smallest time not yet yielded; there must be one.
+    fn next(&mut self, rng: &mut StdRng) -> u64 {
+        loop {
+            // Every later time is at or after the unexpanded epoch.
+            let next_start = if self.unexpanded > 0 {
+                to_ns(self.epoch)
+            } else {
+                u64::MAX
+            };
+            if let Some(&Reverse(t)) = self.pending.peek() {
+                if t <= next_start {
+                    self.pending.pop();
+                    return t;
+                }
+            }
+            let expand = self.burst.min(self.unexpanded);
+            for k in 0..expand {
+                let t = to_ns(self.epoch + k as f64 * INTRA_BURST_GAP_SECS);
+                self.pending.push(Reverse(t));
+            }
+            self.unexpanded -= expand;
+            if self.unexpanded > 0 {
+                self.epoch += exp_sample(rng, self.epoch_rate);
+            }
+        }
+    }
+}
+
+impl Iterator for Arrivals {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let rng = &mut self.rng;
+        Some(match &mut self.shape {
+            Shape::Poisson { rps, t } => {
+                *t += exp_sample(rng, *rps);
+                to_ns(*t)
+            }
+            Shape::Bursty(bursts) => bursts.next(rng),
+            Shape::Diurnal {
+                rps,
+                period,
+                depth,
+                peak,
+                t,
+            } => loop {
+                // Lewis–Shedler thinning against the peak rate.
+                *t += exp_sample(rng, *peak);
+                let lambda =
+                    *rps * (1.0 + *depth * (2.0 * std::f64::consts::PI * *t / *period).sin());
+                if rng.gen_range(0.0..1.0) * *peak < lambda {
+                    break to_ns(*t);
+                }
+            },
+        })
+    }
+
+    /// [`next`](Self::next) in a loop. `arrival_times_ns` collects
+    /// through here, and a Poisson stream keeps its state in locals,
+    /// which makes that as fast as drawing every time up front was.
+    fn fold<B, F: FnMut(B, u64) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        if let Shape::Poisson { rps, mut t } = self.shape {
+            for _ in 0..self.left {
+                t += exp_sample(&mut self.rng, rps);
+                acc = f(acc, to_ns(t));
+            }
+            return acc;
+        }
+        for t in self {
+            acc = f(acc, t);
+        }
+        acc
+    }
+}
+
+/// One exponential inter-arrival gap at `rate` per second.
+fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    -(1.0 - u).ln() / rate
+}
+
+fn to_ns(secs: f64) -> u64 {
+    (secs * 1e9).round() as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const N: usize = 20_000;
+
+    /// The generator [`ArrivalProcess::stream`] replaced: every time
+    /// drawn up front, in draw order, which overlapping bursts leave
+    /// unsorted. Sorted, it is the reference for the stream.
+    fn drawn_times(p: ArrivalProcess, seed: u64, n: usize) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut times = Vec::with_capacity(n);
+        match p {
             ArrivalProcess::Poisson { rps } => {
                 let mut t = 0.0f64;
                 for _ in 0..n {
@@ -120,7 +327,6 @@ impl ArrivalProcess {
                 period_secs,
                 depth,
             } => {
-                // Lewis–Shedler thinning against the peak rate.
                 let depth = depth.clamp(0.0, 0.99);
                 let period = period_secs.max(1e-9);
                 let peak = rps * (1.0 + depth);
@@ -135,28 +341,59 @@ impl ArrivalProcess {
                 }
             }
         }
-        // Bursts can overlap when an epoch gap is shorter than the
-        // burst span; the frontend wants a time-ordered stream.
-        times.sort_unstable();
         times
     }
-}
 
-/// One exponential inter-arrival gap at `rate` per second.
-fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
-    let u: f64 = rng.gen_range(0.0..1.0);
-    -(1.0 - u).ln() / rate
-}
+    fn shape_strategy() -> impl Strategy<Value = ArrivalProcess> {
+        // Rates log-uniform over 10^2..10^8 req/s. Past about 10^6 a
+        // burst, 2 µs per request, spans several mean epoch gaps, so
+        // bursts overlap.
+        let rps = (2.0f64..8.0).prop_map(|e| 10f64.powf(e));
+        prop_oneof![
+            rps.clone().prop_map(|rps| ArrivalProcess::Poisson { rps }),
+            (rps.clone(), 0usize..48)
+                .prop_map(|(rps, burst)| ArrivalProcess::Bursty { rps, burst }),
+            (rps, 1e-6f64..1.0, -0.5f64..1.5).prop_map(|(rps, period_secs, depth)| {
+                ArrivalProcess::Diurnal {
+                    rps,
+                    period_secs,
+                    depth,
+                }
+            }),
+        ]
+    }
 
-fn to_ns(secs: f64) -> u64 {
-    (secs * 1e9).round() as u64
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+        /// The stream yields exactly the sorted times of the
+        /// draw-everything generator, for every shape, rate and seed.
+        #[test]
+        fn stream_equals_the_sorted_up_front_draw(
+            p in shape_strategy(),
+            seed in any::<u64>(),
+            n in 0usize..600,
+        ) {
+            let mut want = drawn_times(p, seed, n);
+            want.sort_unstable();
+            prop_assert_eq!(p.stream(seed, n).collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(p.arrival_times_ns(seed, n), want);
+        }
+    }
 
-    const N: usize = 20_000;
+    #[test]
+    fn overlapping_bursts_come_out_sorted() {
+        // At 4M req/s a 16-request burst (30 µs) spans about eight mean
+        // epoch gaps (4 µs), so the draw order is far from sorted.
+        let p = ArrivalProcess::Bursty {
+            rps: 4e6,
+            burst: 16,
+        };
+        let mut drawn = drawn_times(p, 5, N);
+        assert!(drawn.windows(2).any(|w| w[0] > w[1]), "bursts overlap");
+        drawn.sort_unstable();
+        assert_eq!(p.stream(5, N).collect::<Vec<_>>(), drawn);
+    }
 
     fn all() -> [ArrivalProcess; 3] {
         [

@@ -3,17 +3,20 @@
 //! [`serve`] admits a seeded arrival stream of allocation-bearing
 //! requests into a fleet of `n_dpus` DPUs and reports SLO metrics in
 //! *simulated* time. The loop is a discrete-event simulation over
-//! virtual nanoseconds. A [`pim_sim::EventQueue`] holds arrivals, the
-//! pending flush and kills; a time-bucketed ring holds completions:
+//! virtual nanoseconds. A [`pim_sim::EventQueue`] holds the pending
+//! flush and the kills; a time-bucketed ring holds completions, and
+//! the arrivals come from two seeded streams:
 //!
 //! 1. **Admission** — each arrival is hash-routed round-robin over
 //!    admitted requests to a *healthy* DPU; if that DPU already holds
 //!    `queue_cap` requests in flight, the request is *dropped*
 //!    (bounded-queue admission control), otherwise it is staged into
-//!    the current dispatch window. The arrival stream is sorted, so
-//!    arrivals enter the queue through its in-order lane
-//!    ([`EventQueue::push_in_order`]) and never touch its heap, which
-//!    holds only the pending flush and the kills.
+//!    the current dispatch window. Arrival times and class picks are
+//!    generated as the loop consumes them, and neither enters the
+//!    queue: the loop holds the next arrival under the insertion
+//!    number its push would have taken ([`EventQueue::reserve_seq`])
+//!    and handles it when its `(time, number)` key is below the
+//!    queue's next ([`EventQueue::peek_key`]).
 //! 2. **Dispatch** — every `window_us` the staged requests flush as
 //!    one host→PIM push: the payload bytes of the DPUs the window
 //!    ships to form a [`TransferPlan`], in ascending DPU order, priced
@@ -25,14 +28,14 @@
 //!    (see [`RequestClass::service_ns`]). Each job's completion goes
 //!    into the completion ring (`ring.rs`: 2^14 buckets of 1,024 ns,
 //!    and a small heap past its 16.8 ms horizon), tagged with the
-//!    insertion number its push into the event queue would have taken
-//!    ([`EventQueue::reserve_seq`]). Before the loop handles its next
-//!    event at key `(t, seq)`, it applies every completion keyed below
-//!    `(t, seq)`, in the ring's order rather than key order. That
-//!    gives the same report: in-flight counts, the completed count and
-//!    the latency samples do not depend on order, and each DPU's
-//!    completions still come in FIFO order, the order its job list
-//!    (kept under a fault plan) is edited in.
+//!    insertion number its push into the event queue would have
+//!    taken. Before the loop handles its next event at key
+//!    `(t, seq)`, the held arrival included, it applies every
+//!    completion keyed below `(t, seq)`, in the ring's order rather
+//!    than key order. That gives the same report: in-flight counts,
+//!    the completed count and the latency samples do not depend on
+//!    order, and each DPU's completions still come in FIFO order, the
+//!    order its job list (kept under a fault plan) is edited in.
 //!
 //! The loop ends once every request has completed or dropped; a kill
 //! still pending then settles nothing and does not count toward the
@@ -76,7 +79,7 @@ use pim_sim::{
 };
 
 use crate::arrival::ArrivalProcess;
-use crate::request::{assign_classes, BuildAllocator, RequestClass};
+use crate::request::{BuildAllocator, ClassPicks, RequestClass};
 use crate::ring::CompletionRing;
 
 /// Seed salt separating the class-composition substream from the
@@ -313,12 +316,11 @@ impl ServeReport {
 }
 
 /// Events of the serving loop's queue (completions live in the
-/// [`CompletionRing`]). Ordering ties at one timestamp resolve by push
-/// order ([`EventQueue`] is FIFO within a timestamp), which is itself
+/// [`CompletionRing`], and the next arrival is held beside the queue).
+/// Ordering ties at one timestamp resolve by insertion number
+/// ([`EventQueue`] is FIFO within a timestamp), which is itself
 /// deterministic.
 enum Ev {
-    /// Request `idx` of the stream reaches the frontend.
-    Arrive(u32),
     /// The current dispatch window closes.
     Flush,
     /// DPU `dpu` dies at its scheduled kill time.
@@ -375,6 +377,18 @@ struct Loop<'a> {
 }
 
 impl Loop<'_> {
+    /// Moves the staged requests `take` selects to the end of `out`;
+    /// both lists keep staging order.
+    fn unstage(&mut self, out: &mut Vec<StagedReq>, take: impl Fn(&StagedReq) -> bool) {
+        self.staged.retain(|r| {
+            let taken = take(r);
+            if taken {
+                out.push(*r);
+            }
+            !taken
+        });
+    }
+
     /// Picks a healthy DPU other than `from` with queue room for a
     /// re-dispatched request, rotating deterministically; `None` drops
     /// the request.
@@ -434,8 +448,8 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     assert!(cfg.n_requests > 0, "serving needs requests");
     assert!(cfg.queue_cap > 0, "a zero queue cap drops everything");
     let svc_ns: Vec<u64> = classes.iter().map(|c| c.service_ns(build)).collect();
-    let arrivals = cfg.arrival.arrival_times_ns(cfg.ctx.seed, cfg.n_requests);
-    let class_of = assign_classes(classes, cfg.ctx.seed ^ CLASS_STREAM_SALT, cfg.n_requests);
+    let mut arrivals = cfg.arrival.stream(cfg.ctx.seed, cfg.n_requests);
+    let mut picks = ClassPicks::new(classes, cfg.ctx.seed ^ CLASS_STREAM_SALT);
     let window_ns = (cfg.window_us * 1_000).max(1);
     let planner = cfg.ctx.planner();
     let faults = cfg.faults;
@@ -443,8 +457,12 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
 
     let mut ev: EventQueue<Ev> = EventQueue::new();
     let mut ring = CompletionRing::new();
-    ev.push_in_order(arrivals[0], Ev::Arrive(0));
-    let mut next_arrival = 1usize;
+    // The next arrival as `(time, insertion number, class)`. Each takes
+    // its number where its push into `ev` would have been, so ties with
+    // queued events order as they would in the queue: the first before
+    // the kills, each later one after any flush its predecessor
+    // schedules.
+    let mut next_arrival = arrivals.next().map(|t| (t, ev.reserve_seq(), picks.pick()));
 
     let alive: Vec<bool> = (0..cfg.n_dpus)
         .map(|d| !faults.dead_on_arrival(d))
@@ -481,7 +499,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
         }
     }
 
-    let mut rec = LatencyRecorder::new();
+    let mut rec = LatencyRecorder::with_capacity(cfg.n_requests);
     let mut admitted = 0u64; // routing counter: requests admitted so far
     let mut completed = 0u64;
     let mut peak_in_flight = 0u64;
@@ -494,12 +512,22 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let mut window_bytes = vec![0u64; cfg.n_dpus];
     // DPUs whose `window_bytes` slot is non-zero, in first-touch order.
     let mut window_dpus: Vec<usize> = Vec::new();
+    // Reused by every flush and kill: the requests it takes off
+    // `staged`, and (flush) the window's transfer plan.
+    let mut unstaged: Vec<StagedReq> = Vec::new();
+    let mut plan = TransferPlan::new(TransferDirection::HostToPim);
     let n_requests = cfg.n_requests as u64;
 
     loop {
-        // Apply the completions keyed below the next event (all of
-        // them once no event is left).
-        let next = ev.peek_key().unwrap_or((u64::MAX, u64::MAX));
+        // The next event is the held arrival when its key is below the
+        // queue's next one. Apply the completions keyed below that
+        // event (all of them once no event is left).
+        let queued = ev.peek_key();
+        let arrival = next_arrival.filter(|&(t, seq, _)| queued.is_none_or(|q| (t, seq) < q));
+        let next = match arrival {
+            Some((t, seq, _)) => (t, seq),
+            None => queued.unwrap_or((u64::MAX, u64::MAX)),
+        };
         ring.drain(next, |job_id| {
             let job = st.jobs[job_id as usize];
             st.free_slots.push(job_id);
@@ -524,52 +552,49 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
         if completed + st.summary.drops_queue_full + st.summary.fault_drops() == n_requests {
             break;
         }
+        if let Some((now, _, class)) = arrival {
+            last_event_ns = last_event_ns.max(now);
+            if st.healthy.is_empty() {
+                st.summary.drops_no_healthy += 1;
+            } else {
+                let dpu = st.healthy[(admitted % st.healthy.len() as u64) as usize];
+                if u64::from(st.in_flight[dpu as usize]) >= cfg.queue_cap as u64 {
+                    st.summary.drops_queue_full += 1;
+                } else {
+                    st.in_flight[dpu as usize] += 1;
+                    st.total_in_flight += 1;
+                    peak_in_flight = peak_in_flight.max(st.total_in_flight);
+                    st.staged.push(StagedReq {
+                        arrived: now,
+                        dpu,
+                        class,
+                        retries: 0,
+                        not_before: 0,
+                    });
+                    admitted += 1;
+                    if !flush_scheduled {
+                        // Close the window at the next boundary.
+                        ev.push((now / window_ns + 1) * window_ns, Ev::Flush);
+                        flush_scheduled = true;
+                    }
+                }
+            }
+            next_arrival = arrivals.next().map(|t| (t, ev.reserve_seq(), picks.pick()));
+            continue;
+        }
         let Some((now, event)) = ev.pop() else {
             break;
         };
         last_event_ns = last_event_ns.max(now);
         match event {
-            Ev::Arrive(idx) => {
-                if st.healthy.is_empty() {
-                    st.summary.drops_no_healthy += 1;
-                } else {
-                    let dpu = st.healthy[(admitted % st.healthy.len() as u64) as usize];
-                    if u64::from(st.in_flight[dpu as usize]) >= cfg.queue_cap as u64 {
-                        st.summary.drops_queue_full += 1;
-                    } else {
-                        st.in_flight[dpu as usize] += 1;
-                        st.total_in_flight += 1;
-                        peak_in_flight = peak_in_flight.max(st.total_in_flight);
-                        st.staged.push(StagedReq {
-                            arrived: now,
-                            dpu,
-                            class: class_of[idx as usize],
-                            retries: 0,
-                            not_before: 0,
-                        });
-                        admitted += 1;
-                        if !flush_scheduled {
-                            // Close the window at the next boundary.
-                            ev.push((now / window_ns + 1) * window_ns, Ev::Flush);
-                            flush_scheduled = true;
-                        }
-                    }
-                }
-                if next_arrival < arrivals.len() {
-                    ev.push_in_order(arrivals[next_arrival], Ev::Arrive(next_arrival as u32));
-                    next_arrival += 1;
-                }
-            }
             Ev::Flush => {
                 flush_scheduled = false;
                 let nonce = flush_ordinal;
                 flush_ordinal += 1;
                 // Ship the eligible staged requests; backoff holds the
                 // rest for a later window.
-                let (ready, deferred): (Vec<StagedReq>, Vec<StagedReq>) =
-                    st.staged.drain(..).partition(|r| r.not_before <= now);
-                st.staged = deferred;
-                for r in &ready {
+                st.unstage(&mut unstaged, |r| r.not_before <= now);
+                for r in &unstaged {
                     let bytes = classes[r.class as usize].payload_bytes;
                     let slot = &mut window_bytes[r.dpu as usize];
                     if *slot == 0 && bytes > 0 {
@@ -580,7 +605,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                 // Ascending DPU order: the per-DPU price sums in plan
                 // order, so any other order could change its bits.
                 window_dpus.sort_unstable();
-                let mut plan = TransferPlan::new(TransferDirection::HostToPim);
+                plan.clear();
                 for dpu in window_dpus.drain(..) {
                     plan.push(dpu, std::mem::take(&mut window_bytes[dpu]));
                 }
@@ -590,7 +615,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                 st.summary.xfer_failed_shards += f.failed_shards;
                 st.summary.xfer_straggled_shards += f.straggled_shards;
                 let runnable_at = now + (f.est.secs * 1e9).round() as u64;
-                for r in ready {
+                for r in unstaged.drain(..) {
                     let dpu = r.dpu as usize;
                     if f.failed_dpus.binary_search(&dpu).is_ok() {
                         // The rank shard carrying this payload failed:
@@ -668,9 +693,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                 // Re-dispatch the casualties: staged requests simply
                 // re-target; in-service requests lose their progress,
                 // consume a retry, and back off before re-entering.
-                let (mut stranded, kept): (Vec<StagedReq>, Vec<StagedReq>) =
-                    st.staged.drain(..).partition(|r| r.dpu == dpu);
-                st.staged = kept;
+                st.unstage(&mut unstaged, |r| r.dpu == dpu);
                 for id in std::mem::take(&mut st.dpu_jobs[d]) {
                     let (arrived, class, prev_retries) = {
                         let job = &mut st.jobs[id as usize];
@@ -683,7 +706,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                         continue;
                     }
                     let not_before = now + st.backoff_ns(retries);
-                    stranded.push(StagedReq {
+                    unstaged.push(StagedReq {
                         arrived,
                         dpu,
                         class,
@@ -691,7 +714,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                         not_before,
                     });
                 }
-                for r in stranded {
+                for r in unstaged.drain(..) {
                     match st.redispatch_target(dpu) {
                         Some(target) => {
                             st.summary.redispatched += 1;
@@ -746,7 +769,7 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
         },
         admitted: completed,
         dropped,
-        latency: rec.summary(),
+        latency: rec.into_summary(),
         queue_depth,
         peak_in_flight,
         push_secs,

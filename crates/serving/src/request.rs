@@ -75,28 +75,41 @@ impl RequestClass {
     }
 }
 
-/// Assigns one class index to each of `n` requests by seeded weighted
-/// sampling — the stream's *composition* is part of the seed contract.
-///
-/// # Panics
-///
-/// Panics if `classes` is empty.
-pub(crate) fn assign_classes(classes: &[RequestClass], seed: u64, n: usize) -> Vec<u32> {
-    assert!(!classes.is_empty(), "serving needs at least one class");
-    let total: f64 = classes.iter().map(|c| c.weight).sum();
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut u = rng.gen_range(0.0..1.0) * total;
-            for (i, c) in classes.iter().enumerate() {
-                if u < c.weight || i + 1 == classes.len() {
-                    return i as u32;
-                }
-                u -= c.weight;
+/// The class of each request in stream order, drawn by seeded weighted
+/// sampling: the stream's *composition* is part of the seed contract.
+pub(crate) struct ClassPicks<'a> {
+    classes: &'a [RequestClass],
+    /// Sum of the class weights.
+    total: f64,
+    rng: StdRng,
+}
+
+impl<'a> ClassPicks<'a> {
+    /// The picks for seed `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes` is empty.
+    pub(crate) fn new(classes: &'a [RequestClass], seed: u64) -> Self {
+        assert!(!classes.is_empty(), "serving needs at least one class");
+        ClassPicks {
+            classes,
+            total: classes.iter().map(|c| c.weight).sum(),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// The next request's class index.
+    pub(crate) fn pick(&mut self) -> u32 {
+        let mut u = self.rng.gen_range(0.0..1.0) * self.total;
+        for (i, c) in self.classes.iter().enumerate() {
+            if u < c.weight || i + 1 == self.classes.len() {
+                return i as u32;
             }
-            0
-        })
-        .collect()
+            u -= c.weight;
+        }
+        0
+    }
 }
 
 #[cfg(test)]
@@ -132,13 +145,55 @@ mod tests {
         assert!(a > 0);
     }
 
+    /// The generator [`ClassPicks`] replaced: all `n` picks up front.
+    fn assign_classes(classes: &[RequestClass], seed: u64, n: usize) -> Vec<u32> {
+        let total: f64 = classes.iter().map(|c| c.weight).sum();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let mut u = rng.gen_range(0.0..1.0) * total;
+                for (i, c) in classes.iter().enumerate() {
+                    if u < c.weight || i + 1 == classes.len() {
+                        return i as u32;
+                    }
+                    u -= c.weight;
+                }
+                0
+            })
+            .collect()
+    }
+
+    fn picks(classes: &[RequestClass], seed: u64, n: usize) -> Vec<u32> {
+        let mut p = ClassPicks::new(classes, seed);
+        (0..n).map(|_| p.pick()).collect()
+    }
+
     #[test]
     fn class_assignment_follows_weights() {
         let classes = vec![class(3.0), class(1.0)];
-        let picks = assign_classes(&classes, 9, 40_000);
-        assert_eq!(picks, assign_classes(&classes, 9, 40_000));
+        let picks = picks(&classes, 9, 40_000);
         let heavy = picks.iter().filter(|&&c| c == 0).count() as f64 / picks.len() as f64;
         assert!((heavy - 0.75).abs() < 0.03, "3:1 weights -> ~75%: {heavy}");
+    }
+
+    #[test]
+    fn class_picks_match_the_up_front_assignment() {
+        // Weights whose running differences round, and one class alone.
+        let mixes = [
+            vec![class(3.0), class(1.0)],
+            vec![class(0.1), class(0.7), class(0.2), class(1e-3)],
+            vec![class(2.5)],
+        ];
+        for classes in &mixes {
+            for seed in [0, 9, u64::MAX] {
+                assert_eq!(
+                    picks(classes, seed, 10_000),
+                    assign_classes(classes, seed, 10_000),
+                    "{} classes, seed {seed}",
+                    classes.len()
+                );
+            }
+        }
     }
 
     #[test]

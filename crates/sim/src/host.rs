@@ -104,16 +104,37 @@ impl TransferModel {
     }
 
     /// `(rank, bytes)` for every rank with a non-empty buffer, rank
-    /// order.
+    /// order. Consecutive buffers of one rank merge as they are read,
+    /// so a plan in DPU order needs no sort.
     pub(crate) fn rank_loads(&self, plan: &crate::xfer::TransferPlan) -> Vec<(usize, u64)> {
         assert!(self.dpus_per_rank > 0, "a rank holds at least one DPU");
-        let mut loads: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
+        let mut loads: Vec<(usize, u64)> = Vec::new();
+        let mut sorted = true;
         for &(dpu, bytes) in plan.entries() {
-            if bytes > 0 {
-                *loads.entry(dpu / self.dpus_per_rank).or_insert(0) += bytes;
+            if bytes == 0 {
+                continue;
+            }
+            let rank = dpu / self.dpus_per_rank;
+            match loads.last_mut() {
+                Some((last, sum)) if *last == rank => *sum += bytes,
+                Some(&mut (last, _)) => {
+                    sorted &= last < rank;
+                    loads.push((rank, bytes));
+                }
+                None => loads.push((rank, bytes)),
             }
         }
-        loads.into_iter().collect()
+        if !sorted {
+            loads.sort_unstable_by_key(|&(rank, _)| rank);
+            loads.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+        }
+        loads
     }
 }
 
@@ -325,6 +346,38 @@ mod tests {
     #[should_panic(expected = "miss fraction")]
     fn bad_miss_fraction_panics() {
         HostSim::default().parallel_for(1, 1, 1.5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The merge gives what summing per rank in a `BTreeMap` gives,
+        /// on plans in any DPU order with empty and repeated buffers.
+        #[test]
+        fn rank_loads_match_a_btree_map(
+            dpus_per_rank in 1usize..80,
+            entries in proptest::collection::vec((0usize..640, 0u64..4), 0..96),
+            ascending in proptest::prelude::any::<bool>(),
+        ) {
+            use crate::xfer::TransferPlan;
+            let model = TransferModel { dpus_per_rank, ..TransferModel::default() };
+            let mut entries = entries;
+            if ascending {
+                entries.sort_unstable();
+            }
+            let mut plan = TransferPlan::new(TransferDirection::HostToPim);
+            let mut reference = std::collections::BTreeMap::new();
+            for (dpu, bytes) in entries {
+                // Half the buffers are empty.
+                let bytes = bytes.saturating_sub(1) * 1000;
+                plan.push(dpu, bytes);
+                if bytes > 0 {
+                    *reference.entry(dpu / dpus_per_rank).or_insert(0) += bytes;
+                }
+            }
+            let want: Vec<(usize, u64)> = reference.into_iter().collect();
+            proptest::prop_assert_eq!(model.rank_loads(&plan), want);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `c_t` exactly when `(c, o) < (c_t, t)`, the order this queue pops
 //! in.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::cost::Cycles;
 use crate::dpu::{DpuSim, MAX_TASKLETS};
@@ -98,18 +98,11 @@ impl VirtualTimeQueue {
 /// insertion order (FIFO), so two runs that push the same events pop
 /// them in the same order regardless of heap internals.
 ///
-/// Events arrive by two paths that share one insertion counter:
-/// [`push`](Self::push) takes any time and goes through a binary heap;
-/// [`push_in_order`](Self::push_in_order) takes nondecreasing times
-/// and goes through a FIFO lane that costs O(1) per event. `pop`
-/// compares the lane's front with the heap's top by `(time, insertion
-/// order)`, so the pop order is the one `push` alone would give.
-///
 /// [`VirtualTimeQueue`] schedules *tasklets by their clocks*; this
 /// queue schedules *arbitrary payloads at explicit times* — in the
-/// serving frontend's event loop, arrivals (in the lane), the pending
-/// dispatch flush, and DPU kills. Events kept outside the queue (that
-/// loop's completions) can still order against its own:
+/// serving frontend's event loop, the pending dispatch flush and DPU
+/// kills. Events kept outside the queue (that loop's next arrival and
+/// its completions) can still order against its own:
 /// [`reserve_seq`](Self::reserve_seq) gives one the insertion number a
 /// push would have, and [`peek_key`](Self::peek_key) shows the key of
 /// the next pop.
@@ -118,9 +111,13 @@ impl VirtualTimeQueue {
 /// use pim_sim::EventQueue;
 /// let mut q = EventQueue::new();
 /// q.push(20, "late");
-/// q.push_in_order(10, "early");
+/// q.push(10, "early");
+/// let held = (10, q.reserve_seq()); // an event kept outside the queue
 /// q.push(10, "early-tie");
+/// assert_eq!(q.peek_key(), Some((10, 1)));
+/// assert!(q.peek_key() < Some(held));
 /// assert_eq!(q.pop(), Some((10, "early")));
+/// assert!(Some(held) < q.peek_key());
 /// assert_eq!(q.pop(), Some((10, "early-tie")));
 /// assert_eq!(q.pop(), Some((20, "late")));
 /// assert_eq!(q.pop(), None);
@@ -128,10 +125,6 @@ impl VirtualTimeQueue {
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Event<T>>,
-    /// Events from `push_in_order`, ascending by `(at, seq)`.
-    lane: VecDeque<Event<T>>,
-    /// Time of the latest `push_in_order`.
-    lane_last: u64,
     seq: u64,
 }
 
@@ -169,8 +162,6 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
-            lane_last: 0,
             seq: 0,
         }
     }
@@ -191,65 +182,26 @@ impl<T> EventQueue<T> {
         self.heap.push(Event { at, seq, payload });
     }
 
-    /// Schedules `payload` at virtual time `at` through the FIFO lane:
-    /// the same pop order as [`push`](Self::push), without the heap's
-    /// sift, for a stream of events whose times never decrease (such
-    /// as a sorted arrival stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the time of the previous
-    /// `push_in_order`.
-    pub fn push_in_order(&mut self, at: u64, payload: T) {
-        assert!(
-            at >= self.lane_last,
-            "push_in_order at {at} after one at {}",
-            self.lane_last
-        );
-        self.lane_last = at;
-        let seq = self.reserve_seq();
-        self.lane.push_back(Event { at, seq, payload });
-    }
-
-    /// True when the next pop comes from the lane.
-    fn lane_first(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => (l.at, l.seq) < (h.at, h.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        }
-    }
-
     /// Removes and returns the earliest event as `(time, payload)`;
     /// equal times pop in insertion order.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let event = if self.lane_first() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
-        };
-        event.map(|e| (e.at, e.payload))
+        self.heap.pop().map(|e| (e.at, e.payload))
     }
 
     /// The `(time, insertion number)` key of the event the next
     /// [`pop`](Self::pop) returns, if any event is pending.
     pub fn peek_key(&self) -> Option<(u64, u64)> {
-        let event = if self.lane_first() {
-            self.lane.front()
-        } else {
-            self.heap.peek()
-        };
-        event.map(|e| (e.at, e.seq))
+        self.heap.peek().map(|e| (e.at, e.seq))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.heap.is_empty()
     }
 }
 
@@ -333,19 +285,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "push_in_order at 4 after one at 5")]
-    fn push_in_order_rejects_an_earlier_time() {
-        let mut q = EventQueue::new();
-        q.push_in_order(5, 'a');
-        assert_eq!(q.pop(), Some((5, 'a')));
-        // The lane is empty, but 4 still precedes the last lane push.
-        q.push_in_order(4, 'b');
-    }
-
-    #[test]
     fn reserved_numbers_order_like_pushes() {
         let mut q = EventQueue::new();
-        q.push_in_order(10, 'a');
+        q.push(10, 'a');
         let held = (10, q.reserve_seq());
         q.push(10, 'b');
         // 'a' was queued before the reservation and 'b' after it.

@@ -192,10 +192,16 @@ impl LatencyRecorder {
     /// ascending, and a selection leaves nothing larger before its
     /// index, so each next one searches only the rest.
     pub fn summary(&self) -> LatencySummary {
-        if self.samples.is_empty() {
+        self.clone().into_summary()
+    }
+
+    /// [`summary`](Self::summary), selecting in the recorder's own
+    /// samples instead of a copy.
+    pub fn into_summary(self) -> LatencySummary {
+        let mut v = self.samples;
+        if v.is_empty() {
             return LatencySummary::default();
         }
-        let mut v = self.samples.clone();
         let n = v.len();
         let sum: u128 = v.iter().map(|c| u128::from(c.0)).sum();
         let mut from = 0;

@@ -96,6 +96,11 @@ impl TransferPlan {
         self.entries.push((dpu, bytes));
     }
 
+    /// Removes every buffer, keeping the direction and the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Transfer direction.
     pub fn direction(&self) -> TransferDirection {
         self.direction

@@ -26,23 +26,47 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One step against an [`EventQueue`]. Times are relative to the
-/// in-order lane's latest time, so heap and lane events often tie.
+/// One step against an [`EventQueue`]. Times come from a small range,
+/// so events often tie.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
-    /// `push` at the lane's time plus this, minus 2 (floored at 0).
+    /// `push` at this time.
     Push(u64),
-    /// `push_in_order` at the lane's time plus this.
-    PushInOrder(u64),
+    /// Hold an event outside the queue under `(this time,
+    /// reserve_seq())`.
+    Hold(u64),
     Pop,
 }
 
 fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
-        2 => (0u64..5).prop_map(QueueOp::Push),
-        2 => (0u64..2).prop_map(QueueOp::PushInOrder),
+        2 => (0u64..6).prop_map(QueueOp::Push),
+        2 => (0u64..6).prop_map(QueueOp::Hold),
         3 => Just(QueueOp::Pop),
     ]
+}
+
+/// The key of the next event of `q` and `held` together.
+fn merged_key(q: &EventQueue<usize>, held: &[(u64, u64, usize)]) -> Option<(u64, u64)> {
+    let first_held = held.iter().map(|&(at, seq, _)| (at, seq)).min();
+    match (q.peek_key(), first_held) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Removes and returns the next event of `q` and `held` together.
+fn pop_merged(
+    q: &mut EventQueue<usize>,
+    held: &mut Vec<(u64, u64, usize)>,
+) -> Option<(u64, usize)> {
+    let key = merged_key(q, held)?;
+    if q.peek_key() == Some(key) {
+        return q.pop();
+    }
+    let i = held.iter().position(|&(at, seq, _)| (at, seq) == key)?;
+    let (at, _, id) = held.swap_remove(i);
+    Some((at, id))
 }
 
 /// The summary's checks: ordering, bounds, and agreement with the
@@ -65,6 +89,7 @@ fn check_summary(samples: &[u64]) -> Result<(), TestCaseError> {
     prop_assert_eq!(s.p95, r.percentile(0.95));
     prop_assert_eq!(s.p99, r.percentile(0.99));
     prop_assert_eq!(s.p999, r.percentile(0.999));
+    prop_assert_eq!(r.into_summary(), s);
     Ok(())
 }
 
@@ -227,38 +252,39 @@ proptest! {
         check_summary(&repeats)?;
     }
 
-    /// The in-order lane is invisible: random interleavings of `push`,
-    /// `push_in_order` and `pop` pop the same `(time, payload)`
-    /// sequence, with the same `len` and `peek_key` after every step,
-    /// as the same events pushed with `push` alone.
+    /// An event held outside the queue under `(t, reserve_seq())` pops
+    /// where a `push` at `t` would have: random interleavings of
+    /// `push`, held events and pops of the earlier of the two give the
+    /// same `(time, payload)` sequence, with the same pending count and
+    /// next key after every step, as pushing every event.
     #[test]
-    fn event_queue_lane_matches_a_heap_only_queue(
+    fn held_events_pop_where_a_push_would_have(
         ops in proptest::collection::vec(queue_op_strategy(), 1..200),
     ) {
         let mut q = EventQueue::new();
+        let mut held = Vec::new();
         let mut reference = EventQueue::new();
-        let mut lane_at = 0u64;
         for (id, op) in ops.into_iter().enumerate() {
             match op {
-                QueueOp::Push(offset) => {
-                    let at = (lane_at + offset).saturating_sub(2);
+                QueueOp::Push(at) => {
                     q.push(at, id);
                     reference.push(at, id);
                 }
-                QueueOp::PushInOrder(step) => {
-                    lane_at += step;
-                    q.push_in_order(lane_at, id);
-                    reference.push(lane_at, id);
+                QueueOp::Hold(at) => {
+                    held.push((at, q.reserve_seq(), id));
+                    reference.push(at, id);
                 }
-                QueueOp::Pop => prop_assert_eq!(q.pop(), reference.pop()),
+                QueueOp::Pop => {
+                    prop_assert_eq!(pop_merged(&mut q, &mut held), reference.pop())
+                }
             }
-            prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.peek_key(), reference.peek_key());
+            prop_assert_eq!(q.len() + held.len(), reference.len());
+            prop_assert_eq!(merged_key(&q, &held), reference.peek_key());
         }
         while !reference.is_empty() {
-            prop_assert_eq!(q.pop(), reference.pop());
+            prop_assert_eq!(pop_merged(&mut q, &mut held), reference.pop());
         }
-        prop_assert!(q.is_empty());
+        prop_assert!(q.is_empty() && held.is_empty());
         prop_assert_eq!(q.pop(), None);
     }
 }

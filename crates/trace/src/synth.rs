@@ -84,10 +84,11 @@ impl SizeSampler {
         let mut buckets = Vec::new();
         let mut weights = Vec::new();
         if let SizeLaw::Zipf { min, max, exponent } = law {
-            let mut b = min.max(1).next_power_of_two();
-            while b <= max.max(1) {
-                buckets.push(b);
-                b = b.saturating_mul(2);
+            // Powers of two from `min` up to `max`; none past 2^31.
+            let mut b = min.max(1).checked_next_power_of_two();
+            while let Some(size) = b.filter(|&size| size <= max.max(1)) {
+                buckets.push(size);
+                b = size.checked_mul(2);
             }
             weights = (0..buckets.len())
                 .map(|k| ((k + 1) as f64).powf(-exponent))
@@ -430,6 +431,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn zipf_buckets_stop_at_the_top_power_of_two() {
+        let zipf = |min, max| {
+            SizeSampler::new(SizeLaw::Zipf {
+                min,
+                max,
+                exponent: 1.0,
+            })
+        };
+        let widest = zipf(0, u32::MAX);
+        assert_eq!(
+            widest.buckets,
+            (0..32).map(|k| 1u32 << k).collect::<Vec<_>>()
+        );
+        let top = zipf(1 << 31, u32::MAX);
+        assert_eq!(top.buckets, vec![1 << 31]);
+        // No power of two reaches a minimum above 2^31, so every draw
+        // is the minimum.
+        let min = (1 << 31) + 1;
+        let empty = zipf(min, u32::MAX);
+        assert!(empty.buckets.is_empty());
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!((0..8).all(|_| empty.sample(&mut rng) == min));
     }
 
     #[test]

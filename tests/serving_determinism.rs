@@ -7,7 +7,7 @@
 
 use pim_malloc::PimAllocator;
 use pim_serving::{saturation_sweep, serve, ArrivalProcess, ServeConfig};
-use pim_sim::DpuSim;
+use pim_sim::{DpuSim, SimContext};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
 
@@ -105,4 +105,27 @@ fn arrival_shapes_share_the_mean_but_not_the_tail() {
         bursty.peak_in_flight,
         poisson.peak_in_flight
     );
+}
+
+#[test]
+fn an_arrival_tied_with_a_flush_misses_it() {
+    // With 1 µs dispatch windows, an arrival now and then lands on the
+    // exact nanosecond of the flush its predecessor scheduled. The flush
+    // was scheduled first, so it goes first and the arrival waits for a
+    // later window; handled the other way round, the arrival would ship
+    // with that flush and the run would make one push fewer. The count
+    // was pinned while every arrival still went through the event
+    // queue, before `serve` held the next arrival beside it.
+    let classes = standard_mix();
+    let cap = pim_serving::estimated_capacity_rps(&classes, &build, 16);
+    let cfg = ServeConfig {
+        n_dpus: 16,
+        n_requests: 50_000,
+        arrival: ArrivalProcess::Poisson { rps: 0.9 * cap },
+        queue_cap: 16,
+        window_us: 1,
+        ctx: SimContext::default().with_seed(1),
+        ..ServeConfig::default()
+    };
+    assert_eq!(serve(&cfg, &classes, &build).push_calls, 49_889);
 }
