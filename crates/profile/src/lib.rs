@@ -4,11 +4,11 @@
 //! table. This crate closes the loop that tunes it per workload:
 //!
 //! 1. **Profile** — [`AllocProfile::from_trace`] derives an
-//!    [`AllocProfile`] from an [`AllocTrace`](pim_trace::AllocTrace),
-//!    synthesized or recorded from a live run by
-//!    `pim_trace::TraceRecorder`, without running a simulation. A
-//!    profile is the trace's request-size histogram and tasklet count;
-//!    it is recomputed from the trace, never stored.
+//!    [`AllocProfile`] from an [`AllocTrace`](pim_trace::AllocTrace)
+//!    (synthesized, taken from the microbenchmark's streams, or read
+//!    from JSON) without running a simulation. A profile is the
+//!    trace's request-size histogram and tasklet count; it is
+//!    recomputed from the trace, never stored.
 //! 2. **Synthesize** — [`synthesize_table`] runs an exact dynamic
 //!    program over candidate class boundaries, minimizing modeled
 //!    internal fragmentation (rounding waste plus the eager

@@ -3,20 +3,22 @@
 //! [`serve`] admits a seeded arrival stream of allocation-bearing
 //! requests into a fleet of `n_dpus` DPUs and reports SLO metrics in
 //! *simulated* time. The loop is a discrete-event simulation over
-//! virtual nanoseconds. A [`pim_sim::EventQueue`] holds the pending
-//! flush and the kills; a time-bucketed ring holds completions, and
-//! the arrivals come from two seeded streams:
+//! virtual nanoseconds. Each event has a key `(time, seq)`, where
+//! `seq` is an insertion number the loop hands out as it schedules
+//! events: the first arrival, then the kills in DPU order, then each
+//! flush, completion and later arrival as the loop schedules it. So
+//! events at one nanosecond go in the order they were scheduled. The
+//! loop holds the next arrival, at most one pending flush, and the
+//! kills, which are fixed before it starts and sorted once; a
+//! time-bucketed ring holds completions. It handles whichever of the
+//! arrival, the flush and the next kill has the smallest key:
 //!
 //! 1. **Admission** — each arrival is hash-routed round-robin over
 //!    admitted requests to a *healthy* DPU; if that DPU already holds
 //!    `queue_cap` requests in flight, the request is *dropped*
 //!    (bounded-queue admission control), otherwise it is staged into
-//!    the current dispatch window. Arrival times and class picks are
-//!    generated as the loop consumes them, and neither enters the
-//!    queue: the loop holds the next arrival under the insertion
-//!    number its push would have taken ([`EventQueue::reserve_seq`])
-//!    and handles it when its `(time, number)` key is below the
-//!    queue's next ([`EventQueue::peek_key`]).
+//!    the current dispatch window. Arrival times and class picks come
+//!    from two seeded streams, generated as the loop consumes them.
 //! 2. **Dispatch** — every `window_us` the staged requests flush as
 //!    one host→PIM push: the payload bytes of the DPUs the window
 //!    ships to form a [`TransferPlan`], in ascending DPU order, priced
@@ -27,15 +29,14 @@
 //!    service time is its class's replay-calibrated fragment time
 //!    (see [`RequestClass::service_ns`]). Each job's completion goes
 //!    into the completion ring (`ring.rs`: 2^14 buckets of 1,024 ns,
-//!    and a small heap past its 16.8 ms horizon), tagged with the
-//!    insertion number its push into the event queue would have
-//!    taken. Before the loop handles its next event at key
-//!    `(t, seq)`, the held arrival included, it applies every
-//!    completion keyed below `(t, seq)`, in the ring's order rather
-//!    than key order. That gives the same report: in-flight counts,
-//!    the completed count and the latency samples do not depend on
-//!    order, and each DPU's completions still come in FIFO order, the
-//!    order its job list (kept under a fault plan) is edited in.
+//!    and a small heap past its 16.8 ms horizon) under its own key.
+//!    Before the loop handles its next arrival, flush or kill at key
+//!    `(t, seq)`, it applies every completion keyed below it, in the
+//!    ring's order rather than key order. That gives the same report:
+//!    in-flight counts, the completed count and the latency samples do
+//!    not depend on order, and each DPU's completions still come in
+//!    FIFO order, the order its job list (kept under a fault plan) is
+//!    edited in.
 //!
 //! The loop ends once every request has completed or dropped; a kill
 //! still pending then settles nothing and does not count toward the
@@ -74,8 +75,7 @@
 //! and drop attribution.
 
 use pim_sim::{
-    Cycles, EventQueue, FaultPlan, LatencyRecorder, LatencySummary, SimContext, TransferDirection,
-    TransferPlan,
+    Cycles, FaultPlan, LatencyRecorder, LatencySummary, SimContext, TransferDirection, TransferPlan,
 };
 
 use crate::arrival::ArrivalProcess;
@@ -128,7 +128,8 @@ pub struct ServeConfig {
     /// in service); arrivals beyond it are dropped.
     pub queue_cap: usize,
     /// Dispatch-window length, microseconds: staged requests flush as
-    /// one batched host→PIM push per window.
+    /// one batched host→PIM push per window. At least 1, and at most
+    /// `u64::MAX / 1000` so the window's nanoseconds fit a `u64`.
     pub window_us: u64,
     /// Maximum points retained in the queue-depth timeline (sampled
     /// at dispatch boundaries, then evenly thinned).
@@ -315,18 +316,6 @@ impl ServeReport {
     }
 }
 
-/// Events of the serving loop's queue (completions live in the
-/// [`CompletionRing`], and the next arrival is held beside the queue).
-/// Ordering ties at one timestamp resolve by insertion number
-/// ([`EventQueue`] is FIFO within a timestamp), which is itself
-/// deterministic.
-enum Ev {
-    /// The current dispatch window closes.
-    Flush,
-    /// DPU `dpu` dies at its scheduled kill time.
-    Kill(u32),
-}
-
 /// A request staged for (re-)dispatch.
 #[derive(Debug, Clone, Copy)]
 struct StagedReq {
@@ -360,7 +349,6 @@ struct Job {
 struct Loop<'a> {
     cfg: &'a ServeConfig,
     svc_ns: Vec<u64>,
-    alive: Vec<bool>,
     /// Indices of currently healthy DPUs, ascending (rebuilt on kill).
     healthy: Vec<u32>,
     free_at: Vec<u64>,
@@ -441,39 +429,55 @@ impl Loop<'_> {
 ///
 /// # Panics
 ///
-/// Panics on an empty fleet/stream/class set, a zero queue cap, or a
-/// non-positive arrival rate.
+/// Panics on an empty fleet/stream/class set, a zero queue cap, a
+/// non-positive arrival rate, or a `window_us` of 0 or of more
+/// nanoseconds than a `u64` holds.
 pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator) -> ServeReport {
     assert!(cfg.n_dpus > 0, "serving needs at least one DPU");
     assert!(cfg.n_requests > 0, "serving needs requests");
     assert!(cfg.queue_cap > 0, "a zero queue cap drops everything");
+    // A zero window would re-arm a flush every nanosecond while a
+    // retried request waits out its backoff.
+    assert!(
+        (1..=u64::MAX / 1_000).contains(&cfg.window_us),
+        "window_us {} is outside 1..={}",
+        cfg.window_us,
+        u64::MAX / 1_000
+    );
+    let window_ns = cfg.window_us * 1_000;
     let svc_ns: Vec<u64> = classes.iter().map(|c| c.service_ns(build)).collect();
     let mut arrivals = cfg.arrival.stream(cfg.ctx.seed, cfg.n_requests);
     let mut picks = ClassPicks::new(classes, cfg.ctx.seed ^ CLASS_STREAM_SALT);
-    let window_ns = (cfg.window_us * 1_000).max(1);
     let planner = cfg.ctx.planner();
     let faults = cfg.faults;
     let faults_on = faults.enabled();
 
-    let mut ev: EventQueue<Ev> = EventQueue::new();
     let mut ring = CompletionRing::new();
-    // The next arrival as `(time, insertion number, class)`. Each takes
-    // its number where its push into `ev` would have been, so ties with
-    // queued events order as they would in the queue: the first before
-    // the kills, each later one after any flush its predecessor
-    // schedules.
-    let mut next_arrival = arrivals.next().map(|t| (t, ev.reserve_seq(), picks.pick()));
-
-    let alive: Vec<bool> = (0..cfg.n_dpus)
-        .map(|d| !faults.dead_on_arrival(d))
+    // Hands out insertion numbers; see the module docs for the order.
+    let mut next_seq = {
+        let mut seq = 0u64;
+        move || {
+            seq += 1;
+            seq - 1
+        }
+    };
+    // The next arrival as `(time, seq, class)`.
+    let mut next_arrival = arrivals.next().map(|t| (t, next_seq(), picks.pick()));
+    // Mid-run kills as `(time, seq, dpu)`, in key order.
+    let mut kills: Vec<(u64, u64, u32)> = (0..cfg.n_dpus)
+        .filter_map(|d| Some((faults.kill_time_ns(d)?, next_seq(), d as u32)))
         .collect();
+    kills.sort_unstable();
+    let mut kills = kills.into_iter().peekable();
+    // The pending flush's key.
+    let mut flush: Option<(u64, u64)> = None;
+
     let healthy: Vec<u32> = (0..cfg.n_dpus as u32)
-        .filter(|&d| alive[d as usize])
+        .filter(|&d| !faults.dead_on_arrival(d as usize))
         .collect();
     let mut st = Loop {
         cfg,
         svc_ns,
-        alive,
         healthy,
         // free_at covers staging: a window's requests start no earlier
         // than its flush + push, FIFO per DPU thereafter.
@@ -491,13 +495,6 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     st.summary
         .healthy_timeline
         .push((0.0, st.healthy.len() as u64));
-    if faults_on {
-        for d in 0..cfg.n_dpus {
-            if let Some(at) = faults.kill_time_ns(d) {
-                ev.push(at, Ev::Kill(d as u32));
-            }
-        }
-    }
 
     let mut rec = LatencyRecorder::with_capacity(cfg.n_requests);
     let mut admitted = 0u64; // routing counter: requests admitted so far
@@ -506,7 +503,6 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let mut depth_series: Vec<(u64, u64)> = Vec::new();
     let mut push_secs = 0.0f64;
     let mut push_calls = 0u64;
-    let mut flush_scheduled = false;
     let mut flush_ordinal = 0u64;
     let mut last_event_ns = 0u64;
     let mut window_bytes = vec![0u64; cfg.n_dpus];
@@ -519,16 +515,21 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
     let n_requests = cfg.n_requests as u64;
 
     loop {
-        // The next event is the held arrival when its key is below the
-        // queue's next one. Apply the completions keyed below that
-        // event (all of them once no event is left).
-        let queued = ev.peek_key();
+        // The next event is the one with the smallest key: the held
+        // arrival, the pending flush or the next kill. Apply the
+        // completions keyed below it (all of them once no event is
+        // left).
+        let kill_key = kills.peek().map(|&(t, seq, _)| (t, seq));
+        let queued = match (flush, kill_key) {
+            (Some(f), Some(k)) => Some(f.min(k)),
+            (f, k) => f.or(k),
+        };
         let arrival = next_arrival.filter(|&(t, seq, _)| queued.is_none_or(|q| (t, seq) < q));
         let next = match arrival {
-            Some((t, seq, _)) => (t, seq),
-            None => queued.unwrap_or((u64::MAX, u64::MAX)),
+            Some((t, seq, _)) => Some((t, seq)),
+            None => queued,
         };
-        ring.drain(next, |job_id| {
+        ring.drain(next.unwrap_or((u64::MAX, u64::MAX)), |job_id| {
             let job = st.jobs[job_id as usize];
             st.free_slots.push(job_id);
             if !job.live {
@@ -552,8 +553,11 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
         if completed + st.summary.drops_queue_full + st.summary.fault_drops() == n_requests {
             break;
         }
-        if let Some((now, _, class)) = arrival {
-            last_event_ns = last_event_ns.max(now);
+        let Some(key @ (now, _)) = next else {
+            break;
+        };
+        last_event_ns = last_event_ns.max(now);
+        if let Some((_, _, class)) = arrival {
             if st.healthy.is_empty() {
                 st.summary.drops_no_healthy += 1;
             } else {
@@ -572,164 +576,147 @@ pub fn serve(cfg: &ServeConfig, classes: &[RequestClass], build: BuildAllocator)
                         not_before: 0,
                     });
                     admitted += 1;
-                    if !flush_scheduled {
-                        // Close the window at the next boundary.
-                        ev.push((now / window_ns + 1) * window_ns, Ev::Flush);
-                        flush_scheduled = true;
-                    }
                 }
             }
-            next_arrival = arrivals.next().map(|t| (t, ev.reserve_seq(), picks.pick()));
-            continue;
-        }
-        let Some((now, event)) = ev.pop() else {
-            break;
-        };
-        last_event_ns = last_event_ns.max(now);
-        match event {
-            Ev::Flush => {
-                flush_scheduled = false;
-                let nonce = flush_ordinal;
-                flush_ordinal += 1;
-                // Ship the eligible staged requests; backoff holds the
-                // rest for a later window.
-                st.unstage(&mut unstaged, |r| r.not_before <= now);
-                for r in &unstaged {
-                    let bytes = classes[r.class as usize].payload_bytes;
-                    let slot = &mut window_bytes[r.dpu as usize];
-                    if *slot == 0 && bytes > 0 {
-                        window_dpus.push(r.dpu as usize);
-                    }
-                    *slot += bytes;
+        } else if flush == Some(key) {
+            flush = None;
+            let nonce = flush_ordinal;
+            flush_ordinal += 1;
+            // Ship the eligible staged requests; backoff holds the
+            // rest for a later window.
+            st.unstage(&mut unstaged, |r| r.not_before <= now);
+            for r in &unstaged {
+                let bytes = classes[r.class as usize].payload_bytes;
+                let slot = &mut window_bytes[r.dpu as usize];
+                if *slot == 0 && bytes > 0 {
+                    window_dpus.push(r.dpu as usize);
                 }
-                // Ascending DPU order: the per-DPU price sums in plan
-                // order, so any other order could change its bits.
-                window_dpus.sort_unstable();
-                plan.clear();
-                for dpu in window_dpus.drain(..) {
-                    plan.push(dpu, std::mem::take(&mut window_bytes[dpu]));
-                }
-                let f = planner.estimate_with_faults(&plan, &faults, nonce);
-                push_secs += f.est.secs;
-                push_calls += f.est.calls;
-                st.summary.xfer_failed_shards += f.failed_shards;
-                st.summary.xfer_straggled_shards += f.straggled_shards;
-                let runnable_at = now + (f.est.secs * 1e9).round() as u64;
-                for r in unstaged.drain(..) {
-                    let dpu = r.dpu as usize;
-                    if f.failed_dpus.binary_search(&dpu).is_ok() {
-                        // The rank shard carrying this payload failed:
-                        // retry with backoff or drop.
-                        let retries = r.retries + 1;
-                        if retries > cfg.retry.max_retries {
-                            st.drop_admitted(r.dpu);
-                        } else {
-                            st.summary.retries += 1;
-                            let not_before = now + st.backoff_ns(retries);
-                            st.staged.push(StagedReq {
-                                retries,
-                                not_before,
-                                ..r
-                            });
-                        }
-                        continue;
-                    }
-                    let start = st.free_at[dpu].max(runnable_at);
-                    let done = start + st.svc_ns[r.class as usize];
-                    if done.saturating_sub(r.arrived) > cfg.retry.timeout_ns {
-                        // Hopeless queue: re-route instead of waiting.
-                        st.summary.timeouts += 1;
-                        let retries = r.retries + 1;
-                        if retries > cfg.retry.max_retries {
-                            st.drop_admitted(r.dpu);
-                        } else if let Some(target) = st.redispatch_target(r.dpu) {
-                            st.summary.retries += 1;
-                            st.in_flight[dpu] -= 1;
-                            st.in_flight[target as usize] += 1;
-                            let not_before = now + st.backoff_ns(retries);
-                            st.staged.push(StagedReq {
-                                dpu: target,
-                                retries,
-                                not_before,
-                                ..r
-                            });
-                        } else {
-                            st.drop_admitted(r.dpu);
-                        }
-                        continue;
-                    }
-                    st.free_at[dpu] = done;
-                    let job = st.alloc_job(Job {
-                        arrived: r.arrived,
-                        dpu: r.dpu,
-                        class: r.class,
-                        retries: r.retries,
-                        done,
-                        live: true,
-                    });
-                    if faults_on {
-                        st.dpu_jobs[dpu].push(job);
-                    }
-                    ring.push(done, ev.reserve_seq(), job);
-                }
-                depth_series.push((now, st.total_in_flight));
-                if !st.staged.is_empty() && !flush_scheduled {
-                    // Deferred retries still need a window.
-                    ev.push((now / window_ns + 1) * window_ns, Ev::Flush);
-                    flush_scheduled = true;
-                }
+                *slot += bytes;
             }
-            Ev::Kill(dpu) => {
-                let d = dpu as usize;
-                if !st.alive[d] {
+            // Ascending DPU order: the per-DPU price sums in plan
+            // order, so any other order could change its bits.
+            window_dpus.sort_unstable();
+            plan.clear();
+            for dpu in window_dpus.drain(..) {
+                plan.push(dpu, std::mem::take(&mut window_bytes[dpu]));
+            }
+            let f = planner.estimate_with_faults(&plan, &faults, nonce);
+            push_secs += f.est.secs;
+            push_calls += f.est.calls;
+            st.summary.xfer_failed_shards += f.failed_shards;
+            st.summary.xfer_straggled_shards += f.straggled_shards;
+            let runnable_at = now + (f.est.secs * 1e9).round() as u64;
+            for r in unstaged.drain(..) {
+                let dpu = r.dpu as usize;
+                if f.failed_dpus.binary_search(&dpu).is_ok() {
+                    // The rank shard carrying this payload failed:
+                    // retry with backoff or drop.
+                    let retries = r.retries + 1;
+                    if retries > cfg.retry.max_retries {
+                        st.drop_admitted(r.dpu);
+                    } else {
+                        st.summary.retries += 1;
+                        let not_before = now + st.backoff_ns(retries);
+                        st.staged.push(StagedReq {
+                            retries,
+                            not_before,
+                            ..r
+                        });
+                    }
                     continue;
                 }
-                st.alive[d] = false;
-                st.healthy.retain(|&h| h != dpu);
-                st.summary.killed_dpus += 1;
-                st.summary
-                    .healthy_timeline
-                    .push((now as f64 * 1e-9, st.healthy.len() as u64));
-                // Re-dispatch the casualties: staged requests simply
-                // re-target; in-service requests lose their progress,
-                // consume a retry, and back off before re-entering.
-                st.unstage(&mut unstaged, |r| r.dpu == dpu);
-                for id in std::mem::take(&mut st.dpu_jobs[d]) {
-                    let (arrived, class, prev_retries) = {
-                        let job = &mut st.jobs[id as usize];
-                        job.live = false;
-                        (job.arrived, job.class, job.retries)
-                    };
-                    let retries = prev_retries + 1;
+                let start = st.free_at[dpu].max(runnable_at);
+                let done = start + st.svc_ns[r.class as usize];
+                if done.saturating_sub(r.arrived) > cfg.retry.timeout_ns {
+                    // Hopeless queue: re-route instead of waiting.
+                    st.summary.timeouts += 1;
+                    let retries = r.retries + 1;
                     if retries > cfg.retry.max_retries {
-                        st.drop_admitted(dpu);
-                        continue;
+                        st.drop_admitted(r.dpu);
+                    } else if let Some(target) = st.redispatch_target(r.dpu) {
+                        st.summary.retries += 1;
+                        st.in_flight[dpu] -= 1;
+                        st.in_flight[target as usize] += 1;
+                        let not_before = now + st.backoff_ns(retries);
+                        st.staged.push(StagedReq {
+                            dpu: target,
+                            retries,
+                            not_before,
+                            ..r
+                        });
+                    } else {
+                        st.drop_admitted(r.dpu);
                     }
-                    let not_before = now + st.backoff_ns(retries);
-                    unstaged.push(StagedReq {
-                        arrived,
-                        dpu,
-                        class,
-                        retries,
-                        not_before,
-                    });
+                    continue;
                 }
-                for r in unstaged.drain(..) {
-                    match st.redispatch_target(dpu) {
-                        Some(target) => {
-                            st.summary.redispatched += 1;
-                            st.in_flight[d] -= 1;
-                            st.in_flight[target as usize] += 1;
-                            st.staged.push(StagedReq { dpu: target, ..r });
-                        }
-                        None => st.drop_admitted(dpu),
+                st.free_at[dpu] = done;
+                let job = st.alloc_job(Job {
+                    arrived: r.arrived,
+                    dpu: r.dpu,
+                    class: r.class,
+                    retries: r.retries,
+                    done,
+                    live: true,
+                });
+                if faults_on {
+                    st.dpu_jobs[dpu].push(job);
+                }
+                ring.push(done, next_seq(), job);
+            }
+            depth_series.push((now, st.total_in_flight));
+        } else if let Some((_, _, dpu)) = kills.next() {
+            // No DPU dead on arrival draws a kill, and none draws two,
+            // so each kill takes one healthy DPU out.
+            let d = dpu as usize;
+            st.healthy.retain(|&h| h != dpu);
+            st.summary.killed_dpus += 1;
+            st.summary
+                .healthy_timeline
+                .push((now as f64 * 1e-9, st.healthy.len() as u64));
+            // Re-dispatch the casualties: staged requests simply
+            // re-target; in-service requests lose their progress,
+            // consume a retry, and back off before re-entering.
+            st.unstage(&mut unstaged, |r| r.dpu == dpu);
+            for id in std::mem::take(&mut st.dpu_jobs[d]) {
+                let (arrived, class, prev_retries) = {
+                    let job = &mut st.jobs[id as usize];
+                    job.live = false;
+                    (job.arrived, job.class, job.retries)
+                };
+                let retries = prev_retries + 1;
+                if retries > cfg.retry.max_retries {
+                    st.drop_admitted(dpu);
+                    continue;
+                }
+                let not_before = now + st.backoff_ns(retries);
+                unstaged.push(StagedReq {
+                    arrived,
+                    dpu,
+                    class,
+                    retries,
+                    not_before,
+                });
+            }
+            for r in unstaged.drain(..) {
+                match st.redispatch_target(dpu) {
+                    Some(target) => {
+                        st.summary.redispatched += 1;
+                        st.in_flight[d] -= 1;
+                        st.in_flight[target as usize] += 1;
+                        st.staged.push(StagedReq { dpu: target, ..r });
                     }
-                }
-                if !st.staged.is_empty() && !flush_scheduled {
-                    ev.push((now / window_ns + 1) * window_ns, Ev::Flush);
-                    flush_scheduled = true;
+                    None => st.drop_admitted(dpu),
                 }
             }
+        }
+        // Staged requests, new or deferred, need a window: close it at
+        // the next boundary. Only a request staged by this event can
+        // find no flush pending.
+        if !st.staged.is_empty() && flush.is_none() {
+            flush = Some(((now / window_ns + 1) * window_ns, next_seq()));
+        }
+        if arrival.is_some() {
+            next_arrival = arrivals.next().map(|t| (t, next_seq(), picks.pick()));
         }
     }
     debug_assert_eq!(
@@ -1053,6 +1040,26 @@ mod tests {
         assert!(f.timeouts > 0, "3x load must breach a 20-svc SLO");
         assert_eq!(f.retries, 0, "no reroute may target the same DPU");
         assert_eq!(f.drops_retry_exhausted, f.timeouts);
+    }
+
+    #[test]
+    #[should_panic(expected = "window_us 0 is outside 1..=")]
+    fn a_zero_window_is_rejected() {
+        let cfg = ServeConfig {
+            window_us: 0,
+            ..quick_cfg(1e4)
+        };
+        serve(&cfg, &[small_class()], &sw_build);
+    }
+
+    #[test]
+    #[should_panic(expected = "is outside 1..=18446744073709551")]
+    fn a_window_past_u64_nanoseconds_is_rejected() {
+        let cfg = ServeConfig {
+            window_us: u64::MAX / 1_000 + 1,
+            ..quick_cfg(1e4)
+        };
+        serve(&cfg, &[small_class()], &sw_build);
     }
 
     #[test]

@@ -66,29 +66,17 @@ impl TransferModel {
         secs
     }
 
-    /// Number of distinct ranks a plan's non-empty buffers land on —
-    /// the calls a rank-sharded schedule issues.
-    pub fn shard_count(&self, plan: &crate::xfer::TransferPlan) -> usize {
-        self.rank_loads(plan).len()
-    }
-
-    /// Seconds for a [`TransferPlan`](crate::TransferPlan) issued as **one batched call per
-    /// occupied rank** (`dpu_push_xfer` style): the fixed per-call
-    /// overhead is paid once per shard (serially, in the dispatching
-    /// host thread), the rank data paths then proceed in parallel
-    /// capped by the shared channel, and every shard beyond the first
-    /// pays [`TransferModel::channel_arb_us`] of channel arbitration.
+    /// Seconds for a plan issued as **one batched call per occupied
+    /// rank** (`dpu_push_xfer` style), given the plan's
+    /// [`rank_loads`](Self::rank_loads): the fixed per-call overhead is
+    /// paid once per shard (serially, in the dispatching host thread),
+    /// the rank data paths then proceed in parallel capped by the
+    /// shared channel, and every shard beyond the first pays
+    /// [`TransferModel::channel_arb_us`] of channel arbitration.
     ///
     /// This is the *raw* sharded price; [`crate::ShardedXfer`] compares
     /// it against [`TransferModel::per_dpu_transfer_secs`] and falls
     /// back when sharding cannot win.
-    pub fn batched_transfer_secs(&self, plan: &crate::xfer::TransferPlan) -> f64 {
-        self.batched_secs_from_loads(&self.rank_loads(plan))
-    }
-
-    /// [`TransferModel::batched_transfer_secs`] over already-grouped
-    /// rank loads, so planners that need the loads anyway don't group
-    /// twice.
     pub(crate) fn batched_secs_from_loads(&self, loads: &[(usize, u64)]) -> f64 {
         if loads.is_empty() {
             return 0.0;

@@ -71,7 +71,7 @@ pub use fault::{FaultPlan, ShardFault};
 pub use host::{HostConfig, HostSim, TransferDirection, TransferModel};
 pub use mram::Mram;
 pub use runtime::DpuSet;
-pub use sched::{EventQueue, VirtualTimeQueue};
+pub use sched::VirtualTimeQueue;
 pub use stats::{DramTraffic, LatencyRecorder, LatencySummary, TaskletStats};
 pub use wram::Wram;
 pub use xfer::{FaultyXferEstimate, HostBatching, ShardedXfer, TransferPlan, XferEstimate};

@@ -7,7 +7,9 @@
 //! scheduler; it lives in the simulator crate because both
 //! `pim-workloads` (the graph update phases) and `pim-trace` (the trace
 //! replayer, which the microbenchmark runs on) drive [`DpuSim`]s
-//! through it.
+//! through it. The serving frontend's loop, whose events sit on one
+//! timeline of virtual nanoseconds rather than on tasklet clocks,
+//! orders them itself (`pim_serving::serve`).
 //!
 //! The trace replayer pops once per allocator call. It applies each
 //! run of `Compute` ops at the end of the op before it, and the
@@ -19,8 +21,6 @@
 //! `o` starting at clock `c` has run before tasklet `t`'s op at clock
 //! `c_t` exactly when `(c, o) < (c_t, t)`, the order this queue pops
 //! in.
-
-use std::collections::BinaryHeap;
 
 use crate::cost::Cycles;
 use crate::dpu::{DpuSim, MAX_TASKLETS};
@@ -93,124 +93,6 @@ impl VirtualTimeQueue {
     }
 }
 
-/// A deterministic discrete-event queue over an arbitrary virtual
-/// timeline: events pop in ascending time order, ties breaking on
-/// insertion order (FIFO), so two runs that push the same events pop
-/// them in the same order regardless of heap internals.
-///
-/// [`VirtualTimeQueue`] schedules *tasklets by their clocks*; this
-/// queue schedules *arbitrary payloads at explicit times* — in the
-/// serving frontend's event loop, the pending dispatch flush and DPU
-/// kills. Events kept outside the queue (that loop's next arrival and
-/// its completions) can still order against its own:
-/// [`reserve_seq`](Self::reserve_seq) gives one the insertion number a
-/// push would have, and [`peek_key`](Self::peek_key) shows the key of
-/// the next pop.
-///
-/// ```
-/// use pim_sim::EventQueue;
-/// let mut q = EventQueue::new();
-/// q.push(20, "late");
-/// q.push(10, "early");
-/// let held = (10, q.reserve_seq()); // an event kept outside the queue
-/// q.push(10, "early-tie");
-/// assert_eq!(q.peek_key(), Some((10, 1)));
-/// assert!(q.peek_key() < Some(held));
-/// assert_eq!(q.pop(), Some((10, "early")));
-/// assert!(Some(held) < q.peek_key());
-/// assert_eq!(q.pop(), Some((10, "early-tie")));
-/// assert_eq!(q.pop(), Some((20, "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Event<T>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Event<T> {
-    at: u64,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Event<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for Event<T> {}
-
-impl<T> PartialOrd for Event<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Event<T> {
-    /// Max-heap order inverted: the smallest `(at, seq)` is the
-    /// greatest element, so `BinaryHeap::pop` yields earliest-first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Takes the next insertion number without queueing an event. An
-    /// event held outside the queue under `(time, reserve_seq())`
-    /// orders against the queue's events as it would had it been
-    /// pushed at `time`.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Schedules `payload` at virtual time `at`.
-    pub fn push(&mut self, at: u64, payload: T) {
-        let seq = self.reserve_seq();
-        self.heap.push(Event { at, seq, payload });
-    }
-
-    /// Removes and returns the earliest event as `(time, payload)`;
-    /// equal times pop in insertion order.
-    pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
-    }
-
-    /// The `(time, insertion number)` key of the event the next
-    /// [`pop`](Self::pop) returns, if any event is pending.
-    pub fn peek_key(&self) -> Option<(u64, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,52 +146,5 @@ mod tests {
     #[should_panic(expected = "tasklet 24 outside the DPU's 0..24")]
     fn ids_past_a_dpu_are_rejected() {
         VirtualTimeQueue::new([0, MAX_TASKLETS - 1, MAX_TASKLETS]);
-    }
-
-    #[test]
-    fn event_queue_orders_by_time_then_insertion() {
-        let mut q = EventQueue::new();
-        q.push(30, 'c');
-        q.push(10, 'a');
-        q.push(20, 'b');
-        q.push(10, 'd'); // same time as 'a', inserted later
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_key(), Some((10, 1)));
-        assert_eq!(q.pop(), Some((10, 'a')));
-        assert_eq!(q.pop(), Some((10, 'd')));
-        assert_eq!(q.pop(), Some((20, 'b')));
-        assert_eq!(q.pop(), Some((30, 'c')));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-        assert_eq!(q.peek_key(), None);
-    }
-
-    #[test]
-    fn reserved_numbers_order_like_pushes() {
-        let mut q = EventQueue::new();
-        q.push(10, 'a');
-        let held = (10, q.reserve_seq());
-        q.push(10, 'b');
-        // 'a' was queued before the reservation and 'b' after it.
-        assert_eq!(q.peek_key(), Some((10, 0)));
-        assert!(q.peek_key() < Some(held));
-        assert_eq!(q.pop(), Some((10, 'a')));
-        assert_eq!(q.peek_key(), Some((10, 2)));
-        assert!(Some(held) < q.peek_key());
-        assert_eq!(q.pop(), Some((10, 'b')));
-        assert_eq!(q.peek_key(), None);
-    }
-
-    #[test]
-    fn event_queue_interleaves_pushes_and_pops_deterministically() {
-        let mut q = EventQueue::default();
-        q.push(5, 0);
-        q.push(1, 1);
-        assert_eq!(q.pop(), Some((1, 1)));
-        q.push(3, 2);
-        q.push(3, 3);
-        assert_eq!(q.pop(), Some((3, 2)));
-        assert_eq!(q.pop(), Some((3, 3)));
-        assert_eq!(q.pop(), Some((5, 0)));
     }
 }

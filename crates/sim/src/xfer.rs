@@ -232,10 +232,14 @@ impl ShardedXfer {
     /// assert!(sharded.secs < per_dpu.secs);
     /// ```
     pub fn estimate(&self, plan: &TransferPlan) -> XferEstimate {
-        // Group into rank loads once; both schedule prices, the byte
-        // total, and the shard count all derive from them (this runs
-        // per decode step in the serving loop).
-        let loads = self.model.rank_loads(plan);
+        self.estimate_loads(plan, &self.model.rank_loads(plan))
+    }
+
+    /// [`estimate`](Self::estimate) given `plan`'s rank loads. Both
+    /// schedule prices, the byte total and the shard count derive from
+    /// them, so a plan is grouped once per estimate (this runs per
+    /// dispatch window in the serving loop).
+    fn estimate_loads(&self, plan: &TransferPlan, loads: &[(usize, u64)]) -> XferEstimate {
         if loads.is_empty() {
             return XferEstimate::zero();
         }
@@ -251,7 +255,7 @@ impl ShardedXfer {
                 fell_back: false,
             },
             HostBatching::Sharded => {
-                let batched_secs = self.model.batched_secs_from_loads(&loads);
+                let batched_secs = self.model.batched_secs_from_loads(loads);
                 if batched_secs <= per_dpu_secs {
                     XferEstimate {
                         secs: batched_secs,
@@ -290,11 +294,12 @@ impl ShardedXfer {
         faults: &FaultPlan,
         nonce: u64,
     ) -> FaultyXferEstimate {
-        let est = self.estimate(plan);
+        let loads = self.model.rank_loads(plan);
+        let est = self.estimate_loads(plan, &loads);
         if !faults.xfer_enabled() || est.bytes == 0 {
             return FaultyXferEstimate::clean(est);
         }
-        let loads = self.model.rank_loads(plan);
+        // Ascending, as `loads` is in rank order.
         let mut failed_ranks: Vec<usize> = Vec::new();
         let mut failed_shards = 0u64;
         let mut straggled_shards = 0u64;
@@ -317,7 +322,10 @@ impl ShardedXfer {
             .entries()
             .iter()
             .filter(|&&(dpu, bytes)| {
-                bytes > 0 && failed_ranks.contains(&(dpu / self.model.dpus_per_rank))
+                bytes > 0
+                    && failed_ranks
+                        .binary_search(&(dpu / self.model.dpus_per_rank))
+                        .is_ok()
             })
             .map(|&(dpu, _)| dpu)
             .collect();
@@ -505,6 +513,97 @@ mod tests {
         // Straggle adds the slowest shard's factor x data time.
         let rank_data = (64.0 * (1 << 16) as f64) / (model().rank_bw_gbps * 1e9);
         assert!((f.straggle_secs - 3.0 * rank_data).abs() / f.straggle_secs < 1e-12);
+    }
+
+    /// `estimate_with_faults` as it was before it grouped the plan once
+    /// and looked failed ranks up by binary search.
+    fn two_pass_estimate_with_faults(
+        planner: &ShardedXfer,
+        plan: &TransferPlan,
+        faults: &FaultPlan,
+        nonce: u64,
+    ) -> FaultyXferEstimate {
+        let est = planner.estimate(plan);
+        if !faults.xfer_enabled() || est.bytes == 0 {
+            return FaultyXferEstimate::clean(est);
+        }
+        let loads = planner.model.rank_loads(plan);
+        let mut failed_ranks: Vec<usize> = Vec::new();
+        let mut failed_shards = 0u64;
+        let mut straggled_shards = 0u64;
+        let mut straggle_secs: f64 = 0.0;
+        for &(rank, bytes) in &loads {
+            match faults.shard_fault(nonce, rank as u64) {
+                ShardFault::Fail => {
+                    failed_shards += 1;
+                    failed_ranks.push(rank);
+                }
+                ShardFault::Straggle => {
+                    straggled_shards += 1;
+                    let data_secs = bytes as f64 / (planner.model.rank_bw_gbps * 1e9);
+                    straggle_secs = straggle_secs.max(faults.straggle_factor * data_secs);
+                }
+                ShardFault::None => {}
+            }
+        }
+        let mut failed_dpus: Vec<usize> = plan
+            .entries()
+            .iter()
+            .filter(|&&(dpu, bytes)| {
+                bytes > 0 && failed_ranks.contains(&(dpu / planner.model.dpus_per_rank))
+            })
+            .map(|&(dpu, _)| dpu)
+            .collect();
+        failed_dpus.sort_unstable();
+        failed_dpus.dedup();
+        FaultyXferEstimate {
+            est: XferEstimate {
+                secs: est.secs + straggle_secs,
+                ..est
+            },
+            failed_dpus,
+            failed_shards,
+            straggled_shards,
+            straggle_secs,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// One grouping and a binary search give what two groupings and
+        /// a scan gave, on plans in any DPU order with empty and
+        /// repeated buffers, under either policy.
+        #[test]
+        fn faulty_estimate_matches_the_two_pass_one(
+            seed in proptest::prelude::any::<u64>(),
+            nonce in 0u64..1_000,
+            xfer_fail_prob in 0.01f64..0.99,
+            xfer_straggle_prob in 0.01f64..0.99,
+            dpus_per_rank in 1usize..80,
+            sharded in proptest::prelude::any::<bool>(),
+            entries in proptest::collection::vec((0usize..640, 0u64..4), 0..96),
+        ) {
+            let model = TransferModel { dpus_per_rank, ..TransferModel::default() };
+            let policy = if sharded { HostBatching::Sharded } else { HostBatching::PerDpu };
+            let planner = ShardedXfer::new(model, policy);
+            let faults = FaultPlan {
+                seed,
+                xfer_fail_prob,
+                xfer_straggle_prob,
+                straggle_factor: 3.0,
+                ..FaultPlan::none()
+            };
+            let mut plan = TransferPlan::new(TransferDirection::HostToPim);
+            for (dpu, bytes) in entries {
+                // Half the buffers are empty.
+                plan.push(dpu, bytes.saturating_sub(1) * 1000);
+            }
+            proptest::prop_assert_eq!(
+                planner.estimate_with_faults(&plan, &faults, nonce),
+                two_pass_estimate_with_faults(&planner, &plan, &faults, nonce)
+            );
+        }
     }
 
     #[test]

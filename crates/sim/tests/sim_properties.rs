@@ -2,8 +2,8 @@
 //! cost model must satisfy under arbitrary operation sequences.
 
 use pim_sim::{
-    Cycles, DpuConfig, DpuSim, EventQueue, HostBatching, ShardedXfer, TransferDirection,
-    TransferModel, TransferPlan,
+    Cycles, DpuConfig, DpuSim, HostBatching, ShardedXfer, TransferDirection, TransferModel,
+    TransferPlan,
 };
 use proptest::prelude::*;
 
@@ -24,49 +24,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Lock),
         Just(Op::Unlock),
     ]
-}
-
-/// One step against an [`EventQueue`]. Times come from a small range,
-/// so events often tie.
-#[derive(Debug, Clone, Copy)]
-enum QueueOp {
-    /// `push` at this time.
-    Push(u64),
-    /// Hold an event outside the queue under `(this time,
-    /// reserve_seq())`.
-    Hold(u64),
-    Pop,
-}
-
-fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
-    prop_oneof![
-        2 => (0u64..6).prop_map(QueueOp::Push),
-        2 => (0u64..6).prop_map(QueueOp::Hold),
-        3 => Just(QueueOp::Pop),
-    ]
-}
-
-/// The key of the next event of `q` and `held` together.
-fn merged_key(q: &EventQueue<usize>, held: &[(u64, u64, usize)]) -> Option<(u64, u64)> {
-    let first_held = held.iter().map(|&(at, seq, _)| (at, seq)).min();
-    match (q.peek_key(), first_held) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
-/// Removes and returns the next event of `q` and `held` together.
-fn pop_merged(
-    q: &mut EventQueue<usize>,
-    held: &mut Vec<(u64, u64, usize)>,
-) -> Option<(u64, usize)> {
-    let key = merged_key(q, held)?;
-    if q.peek_key() == Some(key) {
-        return q.pop();
-    }
-    let i = held.iter().position(|&(at, seq, _)| (at, seq) == key)?;
-    let (at, _, id) = held.swap_remove(i);
-    Some((at, id))
 }
 
 /// The summary's checks: ordering, bounds, and agreement with the
@@ -218,7 +175,13 @@ proptest! {
             let channel_floor = plan.total_bytes() as f64 / (model.channel_bw_gbps * 1e9);
             prop_assert!(sharded.secs >= channel_floor - 1e-12);
             prop_assert!(sharded.calls >= 1);
-            prop_assert_eq!(sharded.shards, model.shard_count(&plan));
+            let ranks: std::collections::BTreeSet<usize> = plan
+                .entries()
+                .iter()
+                .filter(|&&(_, bytes)| bytes > 0)
+                .map(|&(dpu, _)| dpu / dpus_per_rank)
+                .collect();
+            prop_assert_eq!(sharded.shards, ranks.len());
         }
     }
 
@@ -233,7 +196,7 @@ proptest! {
     ) {
         let model = TransferModel { dpus_per_rank, ..TransferModel::default() };
         let plan = TransferPlan::uniform(TransferDirection::PimToHost, n_dpus, bytes);
-        let shards = model.shard_count(&plan);
+        let shards = ShardedXfer::new(model, HostBatching::Sharded).estimate(&plan).shards;
         prop_assert_eq!(shards, n_dpus.div_ceil(dpus_per_rank));
         prop_assert!(shards <= plan.buffer_count());
     }
@@ -250,42 +213,6 @@ proptest! {
     ) {
         check_summary(&samples)?;
         check_summary(&repeats)?;
-    }
-
-    /// An event held outside the queue under `(t, reserve_seq())` pops
-    /// where a `push` at `t` would have: random interleavings of
-    /// `push`, held events and pops of the earlier of the two give the
-    /// same `(time, payload)` sequence, with the same pending count and
-    /// next key after every step, as pushing every event.
-    #[test]
-    fn held_events_pop_where_a_push_would_have(
-        ops in proptest::collection::vec(queue_op_strategy(), 1..200),
-    ) {
-        let mut q = EventQueue::new();
-        let mut held = Vec::new();
-        let mut reference = EventQueue::new();
-        for (id, op) in ops.into_iter().enumerate() {
-            match op {
-                QueueOp::Push(at) => {
-                    q.push(at, id);
-                    reference.push(at, id);
-                }
-                QueueOp::Hold(at) => {
-                    held.push((at, q.reserve_seq(), id));
-                    reference.push(at, id);
-                }
-                QueueOp::Pop => {
-                    prop_assert_eq!(pop_merged(&mut q, &mut held), reference.pop())
-                }
-            }
-            prop_assert_eq!(q.len() + held.len(), reference.len());
-            prop_assert_eq!(merged_key(&q, &held), reference.peek_key());
-        }
-        while !reference.is_empty() {
-            prop_assert_eq!(pop_merged(&mut q, &mut held), reference.pop());
-        }
-        prop_assert!(q.is_empty() && held.is_empty());
-        prop_assert_eq!(q.pop(), None);
     }
 }
 

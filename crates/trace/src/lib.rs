@@ -7,10 +7,6 @@
 //!   round-trippable per-tasklet event streams of
 //!   `Malloc`/`Free`/`Compute`, plus cross-tasklet `RemoteFree` edges
 //!   for producer–consumer patterns.
-//! * [`record`] — [`TraceRecorder`], a transparent
-//!   [`PimAllocator`](pim_malloc::PimAllocator) wrapper that captures
-//!   any live workload (micro, graph update, LLM serving) as a trace
-//!   without perturbing it.
 //! * [`synth`] — [`synthesize`]: scenario families as generator
 //!   configs, crossing size laws (fixed / uniform / zipf / lognormal)
 //!   with temporal shapes (steady / bursty / phase-shift / ramp /
@@ -20,7 +16,9 @@
 //!   runs on). A DPU is deterministic, so one replay stands for every
 //!   DPU of an SPMD fleet running the same trace.
 //!
-//! Capture once, replay everywhere: the same trace file drives every
+//! A trace comes from [`synthesize`], from the microbenchmark's
+//! request streams (`pim_workloads::micro::run_micro_recorded`), or
+//! from JSON ([`AllocTrace::from_json`]). The same trace drives every
 //! [`PimAllocator`](pim_malloc::PimAllocator) design with
 //! byte-identical latency timelines.
 //!
@@ -47,11 +45,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod format;
-pub mod record;
 pub mod replay;
 pub mod synth;
 
 pub use format::{AllocTrace, TraceError, TraceOp, TRACE_SCHEMA_VERSION};
-pub use record::TraceRecorder;
 pub use replay::{replay, replay_streams, ReplayResult};
 pub use synth::{synthesize, SizeLaw, SynthConfig, TemporalShape};

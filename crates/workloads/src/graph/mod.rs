@@ -23,6 +23,4 @@ pub mod vararray;
 pub use generator::{
     generate_power_law, split_for_update, split_for_update_count, Graph, UpdateWorkload,
 };
-pub use update::{
-    run_graph_update, run_graph_update_recorded, GraphRepr, GraphUpdateConfig, GraphUpdateResult,
-};
+pub use update::{run_graph_update, GraphRepr, GraphUpdateConfig, GraphUpdateResult};

@@ -225,83 +225,8 @@ where
     (events, per_tasklet)
 }
 
-/// An allocator that may be transparently wrapped in a trace recorder
-/// (recording never perturbs the run: the recorder only reads clocks).
-enum MaybeRecorded {
-    Plain(Box<dyn PimAllocator>),
-    Recording(Box<pim_trace::TraceRecorder<Box<dyn PimAllocator>>>),
-}
-
-impl MaybeRecorded {
-    fn new(inner: Box<dyn PimAllocator>, record: Option<&GraphUpdateConfig>) -> Self {
-        match record {
-            Some(cfg) => {
-                let name = match cfg.repr {
-                    GraphRepr::StaticCsr => "graph/static-csr",
-                    GraphRepr::LinkedList => "graph/linked-list",
-                    GraphRepr::VarArray => "graph/var-array",
-                };
-                MaybeRecorded::Recording(Box::new(pim_trace::TraceRecorder::new(
-                    inner,
-                    name,
-                    cfg.heap_size,
-                    cfg.n_tasklets,
-                )))
-            }
-            None => MaybeRecorded::Plain(inner),
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn PimAllocator {
-        match self {
-            MaybeRecorded::Plain(a) => a.as_mut(),
-            MaybeRecorded::Recording(r) => r.as_mut(),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn PimAllocator {
-        match self {
-            MaybeRecorded::Plain(a) => a.as_ref(),
-            MaybeRecorded::Recording(r) => r.as_ref(),
-        }
-    }
-
-    fn into_trace(self) -> Option<pim_trace::AllocTrace> {
-        match self {
-            MaybeRecorded::Plain(_) => None,
-            MaybeRecorded::Recording(r) => Some(r.into_trace().0),
-        }
-    }
-}
-
 /// Runs the graph update experiment.
 pub fn run_graph_update(cfg: &GraphUpdateConfig) -> GraphUpdateResult {
-    run_graph_update_impl(cfg, false).0
-}
-
-/// [`run_graph_update`], additionally capturing DPU 0's allocator
-/// activity during the timed update phase as an
-/// [`pim_trace::AllocTrace`] (compute between allocator calls becomes
-/// `Compute` events, so the trace replays with the workload's pacing).
-///
-/// # Panics
-///
-/// Panics for [`GraphRepr::StaticCsr`], which never allocates.
-pub fn run_graph_update_recorded(
-    cfg: &GraphUpdateConfig,
-) -> (GraphUpdateResult, pim_trace::AllocTrace) {
-    assert!(
-        !matches!(cfg.repr, GraphRepr::StaticCsr),
-        "static CSR never calls the allocator; record a dynamic repr"
-    );
-    let (result, trace) = run_graph_update_impl(cfg, true);
-    (result, trace.expect("dynamic repr on DPU 0 records"))
-}
-
-fn run_graph_update_impl(
-    cfg: &GraphUpdateConfig,
-    record: bool,
-) -> (GraphUpdateResult, Option<pim_trace::AllocTrace>) {
     let (new_parts, base_parts) = phase_streams(cfg);
     let local_nodes = cfg.n_nodes.div_ceil(cfg.n_dpus as u32);
     let mhz = pim_sim::CostModel::default().clock_mhz;
@@ -331,7 +256,6 @@ fn run_graph_update_impl(
         cycles_frontend: Cycles,
         cycles_backend: Cycles,
         frag: Option<f64>,
-        trace: Option<pim_trace::AllocTrace>,
     }
 
     let run_one_dpu = |dpu_idx: usize| -> DpuOutcome {
@@ -370,7 +294,6 @@ fn run_graph_update_impl(
                     cycles_frontend: Cycles::ZERO,
                     cycles_backend: Cycles::ZERO,
                     frag: None,
-                    trace: None,
                 }
             }
             None => {
@@ -381,11 +304,7 @@ fn run_graph_update_impl(
                 // initially empty dynamic structure, so each first
                 // touch of a node during the timed phase allocates —
                 // the allocation rate the paper's Figure 17 exhibits.
-                let built = cfg.allocator.build(&mut dpu, cfg.n_tasklets, cfg.heap_size);
-                // Only DPU 0's allocator is recorded — its timeline is
-                // the one the figures single out, and one DPU's stream
-                // is the SPMD unit a replay fans back out.
-                let mut alloc = MaybeRecorded::new(built, (record && dpu_idx == 0).then_some(cfg));
+                let mut alloc = cfg.allocator.build(&mut dpu, cfg.n_tasklets, cfg.heap_size);
                 enum Repr {
                     Ll(LinkedListGraph),
                     Va(VarArrayGraph),
@@ -402,7 +321,7 @@ fn run_graph_update_impl(
                 let stats0 = dpu.total_stats();
                 let (events, per_tasklet) =
                     run_phase(&mut dpu, new, |dpu, tid, u, v, latencies| {
-                        let alloc = alloc.as_dyn_mut();
+                        let alloc = alloc.as_mut();
                         let before = alloc.alloc_stats().malloc_latencies.len();
                         let mut ctx = dpu.ctx(tid);
                         match &mut graph {
@@ -413,7 +332,7 @@ fn run_graph_update_impl(
                             &alloc.alloc_stats().malloc_latencies.samples()[before..],
                         );
                     });
-                let s = alloc.as_dyn().alloc_stats();
+                let s = alloc.alloc_stats();
                 let (frontend_hits, total_mallocs, cycles_frontend, cycles_backend) = (
                     s.frontend_hits,
                     s.total_mallocs(),
@@ -425,7 +344,7 @@ fn run_graph_update_impl(
                     breakdown: dpu.total_stats().since(&stats0),
                     // Whole-run metadata traffic (build + update),
                     // matching Figure 17(d)'s aggregate comparison.
-                    meta: allocator_meta(alloc.as_dyn()).0.total_bytes(),
+                    meta: allocator_meta(alloc.as_ref()).0.total_bytes(),
                     dram: dpu.traffic().total_bytes(),
                     // Re-base event times onto the update phase origin.
                     events: events
@@ -439,12 +358,10 @@ fn run_graph_update_impl(
                     cycles_backend,
                     // An idle DPU requested nothing, so it has no A/U.
                     frag: alloc
-                        .as_dyn()
                         .as_any()
                         .downcast_ref::<pim_malloc::PimMalloc>()
                         .filter(|_| !idle)
                         .map(|pm| pm.frag().ratio()),
-                    trace: alloc.into_trace(),
                 }
             }
         }
@@ -452,8 +369,7 @@ fn run_graph_update_impl(
 
     // Per-DPU simulations are share-nothing; fan them out and reduce in
     // DPU-index order for determinism.
-    let mut outcomes: Vec<DpuOutcome> = parallel_indexed(cfg.n_dpus, run_one_dpu);
-    let trace = outcomes[0].trace.take();
+    let outcomes: Vec<DpuOutcome> = parallel_indexed(cfg.n_dpus, run_one_dpu);
 
     let mut slowest = Cycles::ZERO;
     let mut breakdown = TaskletStats::default();
@@ -492,7 +408,7 @@ fn run_graph_update_impl(
 
     let update_secs = slowest.as_secs(mhz);
     let total_latency = (cycles_frontend + cycles_backend).0 as f64;
-    let result = GraphUpdateResult {
+    GraphUpdateResult {
         repr: cfg.repr,
         allocator: cfg.allocator,
         update_secs,
@@ -525,8 +441,7 @@ fn run_graph_update_impl(
         },
         host_push_secs: staging.secs,
         host_xfer_calls: staging.calls,
-    };
-    (result, trace)
+    }
 }
 
 #[cfg(test)]
@@ -632,38 +547,6 @@ mod tests {
         // The kernel-side result is untouched by the host schedule.
         assert_eq!(s.update_secs, p.update_secs);
         assert_eq!(s.total_mallocs, p.total_mallocs);
-    }
-
-    #[test]
-    fn recorded_update_captures_dpu0_allocations() {
-        let cfg = small(GraphRepr::LinkedList, AllocatorKind::Sw);
-        let (plain, trace) = {
-            let (r, t) = run_graph_update_recorded(&cfg);
-            (r, t)
-        };
-        // Recording never perturbs the run.
-        let unrecorded = run_graph_update(&cfg);
-        assert_eq!(plain.update_secs, unrecorded.update_secs);
-        assert_eq!(plain.total_mallocs, unrecorded.total_mallocs);
-        // The trace holds DPU 0's mallocs with compute pacing and
-        // round-trips through JSON.
-        assert!(trace.malloc_count() > 0);
-        assert!(trace
-            .streams
-            .iter()
-            .flatten()
-            .any(|op| matches!(op, pim_trace::TraceOp::Compute { .. })));
-        assert_eq!(
-            pim_trace::AllocTrace::from_json(&trace.to_json()).unwrap(),
-            trace
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "never calls the allocator")]
-    fn recording_static_csr_is_rejected() {
-        let cfg = small(GraphRepr::StaticCsr, AllocatorKind::Sw);
-        let _ = run_graph_update_recorded(&cfg);
     }
 
     #[test]

@@ -75,58 +75,6 @@ pub fn max_batch_size(scheme: KvScheme, cfg: &LlmConfig, trace: &[RequestSpec]) 
     MaxBatchResult { scheme, max_batch }
 }
 
-/// Records the dynamic KV-cache allocation pattern of serving `reqs`
-/// as an [`pim_trace::AllocTrace`].
-///
-/// Token-major decode: every step grows each active request's cache by
-/// the fresh 512 B blocks that token needs, on the tasklet owning the
-/// request (`i % 16`). When a request completes, tasklet 0 — the
-/// serving scheduler's eviction path — frees its blocks, so the trace
-/// carries cross-tasklet `RemoteFree` edges, the producer–consumer
-/// shape a replayer must honour.
-pub fn record_kv_trace(
-    kind: AllocatorKind,
-    cfg: &LlmConfig,
-    reqs: &[RequestSpec],
-) -> pim_trace::AllocTrace {
-    let n_tasklets = 16;
-    let heap = cfg.heap_bytes.next_power_of_two();
-    let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(n_tasklets));
-    let inner = kind.build(&mut dpu, n_tasklets, heap);
-    let mut rec = pim_trace::TraceRecorder::new(inner, "llm/kv-serving", heap, n_tasklets);
-    let max_tokens = reqs
-        .iter()
-        .map(RequestSpec::total_tokens)
-        .max()
-        .unwrap_or(0);
-    let mut blocks: Vec<Vec<u32>> = vec![Vec::new(); reqs.len()];
-    // Inclusive upper bound: requests complete at `t == total`, so the
-    // longest request's reclaim step is `t == max_tokens`.
-    for t in 0..=max_tokens {
-        for (i, req) in reqs.iter().enumerate() {
-            let total = req.total_tokens();
-            if t < total {
-                let delta = cfg.blocks_per_request(t + 1) - cfg.blocks_per_request(t);
-                for _ in 0..delta {
-                    let mut ctx = dpu.ctx(i % n_tasklets);
-                    match rec.pim_malloc(&mut ctx, cfg.kv_block_bytes) {
-                        Ok(addr) => blocks[i].push(addr),
-                        Err(AllocError::OutOfMemory { .. }) => {}
-                        Err(e) => panic!("unexpected allocator error: {e}"),
-                    }
-                }
-            } else if t == total {
-                // Completion: the scheduler tasklet reclaims the cache.
-                for addr in blocks[i].drain(..) {
-                    let mut ctx = dpu.ctx(0);
-                    rec.pim_free(&mut ctx, addr).expect("live KV block frees");
-                }
-            }
-        }
-    }
-    rec.into_trace().0
-}
-
 /// Runs the KV-allocation pattern on PIM-malloc and reports the
 /// fragmentation ratio A/U (Table III's "LLM attention" row).
 ///
@@ -213,45 +161,6 @@ mod tests {
             "512 B blocks fill 4 KB blocks exactly: lazy ratio {lazy}"
         );
         assert!(eager > 1.2, "pre-population waste expected: {eager}");
-    }
-
-    #[test]
-    fn kv_trace_records_growth_and_remote_reclaim() {
-        let cfg = LlmConfig::default();
-        let reqs = sharegpt_like_trace(12, 10.0, 256, 5);
-        let trace = record_kv_trace(AllocatorKind::Sw, &cfg, &reqs);
-        trace.validate().unwrap();
-        let expected_blocks: u64 = reqs
-            .iter()
-            .map(|r| cfg.blocks_per_request(r.total_tokens()))
-            .sum();
-        assert_eq!(trace.malloc_count() as u64, expected_blocks);
-        // Requests on tasklets != 0 are reclaimed by tasklet 0:
-        // cross-tasklet free edges must appear.
-        assert!(trace.streams[0]
-            .iter()
-            .any(|op| matches!(op, pim_trace::TraceOp::RemoteFree { .. })));
-        // Every request completes — including the longest one — so
-        // every allocated block is eventually reclaimed.
-        let frees = trace
-            .streams
-            .iter()
-            .flatten()
-            .filter(|op| {
-                matches!(
-                    op,
-                    pim_trace::TraceOp::Free { .. } | pim_trace::TraceOp::RemoteFree { .. }
-                )
-            })
-            .count() as u64;
-        assert_eq!(frees, expected_blocks, "all KV blocks must be freed");
-        // Deterministic and replayable end to end.
-        assert_eq!(trace, record_kv_trace(AllocatorKind::Sw, &cfg, &reqs));
-        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(16));
-        let mut alloc = AllocatorKind::Sw.build(&mut dpu, 16, trace.heap_size);
-        let r = pim_trace::replay(&mut dpu, alloc.as_mut(), &trace);
-        assert_eq!(r.malloc_latencies.len() as u64, expected_blocks);
-        assert_eq!(r.dropped_frees, 0);
     }
 
     #[test]

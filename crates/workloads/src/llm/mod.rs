@@ -20,6 +20,6 @@ pub mod trace;
 
 pub use attention::AttentionKernel;
 pub use config::LlmConfig;
-pub use kv_cache::{kv_fragmentation, max_batch_size, record_kv_trace, KvScheme, MaxBatchResult};
+pub use kv_cache::{kv_fragmentation, max_batch_size, KvScheme, MaxBatchResult};
 pub use serving::{run_serving, run_serving_many, ServingConfig, ServingResult};
 pub use trace::{fixed_trace, sharegpt_like_trace, RequestSpec};

@@ -6,8 +6,9 @@
 //! percentiles, drop-free light load, load shedding past saturation.
 
 use pim_malloc::PimAllocator;
-use pim_serving::{saturation_sweep, serve, ArrivalProcess, ServeConfig};
-use pim_sim::{DpuSim, SimContext};
+use pim_serving::{saturation_sweep, serve, ArrivalProcess, RequestClass, ServeConfig};
+use pim_sim::{DpuSim, FaultPlan, SimContext};
+use pim_trace::{synthesize, SizeLaw, SynthConfig, TemporalShape};
 use pim_workloads::requests::standard_mix;
 use pim_workloads::AllocatorKind;
 
@@ -128,4 +129,40 @@ fn an_arrival_tied_with_a_flush_misses_it() {
         ..ServeConfig::default()
     };
     assert_eq!(serve(&cfg, &classes, &build).push_calls, 49_889);
+}
+
+#[test]
+fn a_kill_tied_with_a_flush_goes_first() {
+    // Every DPU of a 4-DPU fleet dies within 2 ms, and with 1 µs windows
+    // one kill lands on the exact nanosecond of a pending flush. The
+    // kills were scheduled before the loop started, so the kill goes
+    // first and moves the dying DPU's staged requests before the flush
+    // ships the window; handled the other way round, the run makes 10
+    // pushes.
+    let trace = synthesize(&SynthConfig {
+        n_tasklets: 4,
+        mallocs_per_tasklet: 8,
+        size_law: SizeLaw::Fixed(64),
+        shape: TemporalShape::Steady { compute: 100 },
+        heap_size: 1 << 20,
+        ..SynthConfig::default()
+    });
+    let classes = [RequestClass::new("small", trace, 2048, 1.0)];
+    let cap = pim_serving::estimated_capacity_rps(&classes, &build, 4);
+    let cfg = ServeConfig {
+        n_dpus: 4,
+        n_requests: 2_000,
+        arrival: ArrivalProcess::Poisson { rps: 2.0 * cap },
+        queue_cap: 16,
+        window_us: 1,
+        ctx: SimContext::default().with_seed(1),
+        faults: FaultPlan {
+            seed: 31819,
+            kill_frac: 1.0,
+            kill_horizon_ns: 2_000_000,
+            ..FaultPlan::none()
+        },
+        ..ServeConfig::default()
+    };
+    assert_eq!(serve(&cfg, &classes, &build).push_calls, 9);
 }

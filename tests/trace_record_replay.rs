@@ -1,12 +1,11 @@
-//! End-to-end trace subsystem tests: a workload recorded as a trace,
-//! round-tripped through JSON, and replayed on a fresh allocator must
-//! reproduce the direct run's figure output byte for byte — across
-//! allocator kinds and request patterns.
+//! End-to-end trace subsystem tests: the microbenchmark's request
+//! streams recorded as a trace, round-tripped through JSON, and
+//! replayed on a fresh allocator must reproduce the direct run's
+//! figure output byte for byte — across allocator kinds and request
+//! patterns.
 
 use pim_sim::{DpuConfig, DpuSim};
 use pim_trace::{replay, AllocTrace};
-use pim_workloads::graph::{run_graph_update_recorded, GraphRepr, GraphUpdateConfig};
-use pim_workloads::llm::{record_kv_trace, sharegpt_like_trace, LlmConfig};
 use pim_workloads::micro::{run_micro, run_micro_recorded, MicroConfig, Pattern};
 use pim_workloads::AllocatorKind;
 
@@ -69,45 +68,4 @@ fn replaying_twice_is_byte_identical() {
     let b = replay_once(&trace, AllocatorKind::Sw);
     assert_eq!(a.timeline, b.timeline);
     assert_eq!(a.finish, b.finish);
-}
-
-#[test]
-fn graph_and_llm_traces_replay_against_every_allocator() {
-    // Traces recorded from one workload replay against *other*
-    // allocator designs — the capture-once / replay-everywhere
-    // contract of the subsystem.
-    let graph_cfg = GraphUpdateConfig {
-        repr: GraphRepr::LinkedList,
-        allocator: AllocatorKind::Sw,
-        n_dpus: 2,
-        n_nodes: 1024,
-        base_edges: 3200,
-        new_edges: 1600,
-        ctx: pim_sim::SimContext::default().with_seed(7),
-        ..GraphUpdateConfig::default()
-    };
-    let (_, graph_trace) = run_graph_update_recorded(&graph_cfg);
-    let llm_trace = record_kv_trace(
-        AllocatorKind::Sw,
-        &LlmConfig::default(),
-        &sharegpt_like_trace(8, 10.0, 256, 3),
-    );
-    for trace in [&graph_trace, &llm_trace] {
-        let parsed = AllocTrace::from_json(&trace.to_json()).expect("round trip");
-        assert_eq!(&parsed, trace);
-        for kind in [
-            AllocatorKind::StrawMan,
-            AllocatorKind::Sw,
-            AllocatorKind::HwSw,
-        ] {
-            let r = replay_once(trace, kind);
-            assert_eq!(
-                r.malloc_latencies.len(),
-                trace.malloc_count(),
-                "{} on {kind:?}",
-                trace.name
-            );
-            assert_eq!(r.oom_count, 0, "{} on {kind:?}", trace.name);
-        }
-    }
 }
