@@ -309,11 +309,6 @@ impl ServeReport {
     pub fn p999_ms(&self) -> f64 {
         Self::ms(self.latency.p999)
     }
-
-    /// Worst observed latency, ms.
-    pub fn max_ms(&self) -> f64 {
-        Self::ms(self.latency.max)
-    }
 }
 
 /// A request staged for (re-)dispatch.

@@ -10,8 +10,8 @@
 //! The model keeps only what decides hits, evictions and write-backs:
 //! each entry's tag, dirty bit and LRU stamp. The metadata itself stays
 //! in the caller's node array, which is what a cached entry would hold.
-//! Timing (1 cycle per operation, `read_bc` included) is charged by the
-//! caller through its [`TaskletCtx`](crate::TaskletCtx).
+//! Timing is charged by the caller, as instructions, through its
+//! [`TaskletCtx`](crate::TaskletCtx).
 //!
 //! On the host, a hit costs O(1): LRU order is a per-slot last-use
 //! stamp, so a hit or an update writes one stamp, and

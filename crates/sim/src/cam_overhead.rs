@@ -15,9 +15,8 @@ use crate::buddy_cache::BuddyCacheConfig;
 /// Technology and derating parameters for the CAM overhead model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CamOverheadModel {
-    /// Logic process feature size in nanometres (paper: 32 nm).
-    pub logic_node_nm: f64,
-    /// Area of one CAM bit cell in square microns at the logic node.
+    /// Area of one CAM bit cell in square microns at the paper's 32 nm
+    /// logic node.
     /// A CAM cell is roughly 2× a 6T SRAM cell (search transistors).
     pub cam_cell_um2: f64,
     /// Multiplier for peripheral circuitry (match lines, priority
@@ -38,7 +37,6 @@ pub struct CamOverheadModel {
 impl Default for CamOverheadModel {
     fn default() -> Self {
         CamOverheadModel {
-            logic_node_nm: 32.0,
             cam_cell_um2: 0.75,
             periphery_factor: 2.4,
             dram_density_derate: 10.0,

@@ -127,8 +127,6 @@ pub struct CostModel {
     pub dma_setup_cycles: u64,
     /// Incremental cost per 8-byte beat of a DMA transfer.
     pub dma_cycles_per_8b: u64,
-    /// Cycles per access of the hardware buddy cache (paper: 1 cycle).
-    pub buddy_cache_access_cycles: u64,
 }
 
 impl CostModel {
@@ -170,7 +168,6 @@ impl Default for CostModel {
             pipeline_depth: 11,
             dma_setup_cycles: 250,
             dma_cycles_per_8b: 3,
-            buddy_cache_access_cycles: 1,
         }
     }
 }

@@ -43,12 +43,6 @@ impl DpuConfig {
         self.n_tasklets = n;
         self
     }
-
-    /// Returns the config with a different cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
 }
 
 impl Default for DpuConfig {
@@ -247,11 +241,6 @@ impl DpuSim {
     /// Shared read access to the MRAM bank.
     pub fn mram(&self) -> &Mram {
         &self.mram
-    }
-
-    /// Mutable access to the MRAM bank (host-side initialization).
-    pub fn mram_mut(&mut self) -> &mut Mram {
-        &mut self.mram
     }
 
     /// The WRAM capacity ledger.

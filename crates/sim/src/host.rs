@@ -175,7 +175,6 @@ pub struct HostSim {
     config: HostConfig,
     compute_secs: f64,
     transfer_secs: f64,
-    bytes_moved: u64,
     transfer_calls: u64,
 }
 
@@ -187,7 +186,6 @@ impl HostSim {
             config,
             compute_secs: 0.0,
             transfer_secs: 0.0,
-            bytes_moved: 0,
             transfer_calls: 0,
         }
     }
@@ -230,7 +228,7 @@ impl HostSim {
     }
 
     /// Executes a [`crate::TransferPlan`] under `policy`, accumulating
-    /// the modeled seconds, bytes, and the *actual* number of transfer
+    /// the modeled seconds and the *actual* number of transfer
     /// calls the chosen schedule issues (one per non-empty buffer for
     /// per-DPU, one per occupied rank for sharded). Returns the
     /// planner's estimate.
@@ -242,7 +240,6 @@ impl HostSim {
         let estimate =
             crate::xfer::ShardedXfer::new(TransferModel::default(), policy).estimate(plan);
         self.transfer_secs += estimate.secs;
-        self.bytes_moved += estimate.bytes;
         self.transfer_calls += estimate.calls;
         estimate
     }
@@ -262,21 +259,15 @@ impl HostSim {
         self.compute_secs + self.transfer_secs
     }
 
-    /// Total bytes moved across the host↔PIM boundary.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
     /// Number of transfer calls issued.
     pub fn transfer_calls(&self) -> u64 {
         self.transfer_calls
     }
 
-    /// Resets all accumulated time and traffic.
+    /// Resets all accumulated time and transfer calls.
     pub fn reset(&mut self) {
         self.compute_secs = 0.0;
         self.transfer_secs = 0.0;
-        self.bytes_moved = 0;
         self.transfer_calls = 0;
     }
 }
@@ -376,7 +367,7 @@ mod tests {
         let e = h.transfer_plan(&plan, HostBatching::PerDpu);
         assert_eq!(e.calls, 128);
         assert_eq!(h.transfer_calls(), 128);
-        assert_eq!(h.bytes_moved(), 128 * 64);
+        assert_eq!(e.bytes, 128 * 64);
         h.reset();
         let e = h.transfer_plan(&plan, HostBatching::Sharded);
         assert_eq!(e.calls, 2, "128 DPUs = 2 ranks");
@@ -390,14 +381,13 @@ mod tests {
         let mut h = HostSim::default();
         h.parallel_for(4, 100, 0.5);
         let plan = TransferPlan::uniform(TransferDirection::HostToPim, 4, 1024);
-        h.transfer_plan(&plan, HostBatching::Sharded);
+        let e = h.transfer_plan(&plan, HostBatching::Sharded);
         assert!(h.compute_secs() > 0.0);
         assert!(h.transfer_secs() > 0.0);
-        assert_eq!(h.bytes_moved(), 4096);
+        assert_eq!(e.bytes, 4096);
         assert_eq!(h.transfer_calls(), 1);
         assert!((h.total_secs() - h.compute_secs() - h.transfer_secs()).abs() < 1e-15);
         h.reset();
         assert_eq!(h.total_secs(), 0.0);
-        assert_eq!(h.bytes_moved(), 0);
     }
 }

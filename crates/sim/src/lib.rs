@@ -55,7 +55,6 @@ pub mod exec;
 pub mod fault;
 pub mod host;
 pub mod mram;
-pub mod runtime;
 pub mod sched;
 pub mod stats;
 pub mod wram;
@@ -70,7 +69,6 @@ pub use exec::parallel_indexed;
 pub use fault::{FaultPlan, ShardFault};
 pub use host::{HostConfig, HostSim, TransferDirection, TransferModel};
 pub use mram::Mram;
-pub use runtime::DpuSet;
 pub use sched::VirtualTimeQueue;
 pub use stats::{DramTraffic, LatencyRecorder, LatencySummary, TaskletStats};
 pub use wram::Wram;

@@ -1,12 +1,12 @@
 //! Sparse byte-addressable model of a DPU's local DRAM bank (MRAM).
 //!
 //! UPMEM pairs every DPU with a 64 MB DRAM bank. Allocator experiments
-//! only need latency accounting, but workload experiments (dynamic graph
-//! update, KV-cache append) also store real data through the allocator,
-//! so [`Mram`] backs the address space with 64 KB pages materialized on
-//! first write. A table indexed by page number finds them (1,024 entries
-//! of 8 B for a 64 MB bank). Reading unwritten memory returns zeroes,
-//! like DRAM after initialization.
+//! only need latency accounting, but the dynamic graph update also
+//! stores real data through the allocator, so [`Mram`] backs the
+//! address space with 64 KB pages materialized on first write. A table
+//! indexed by page number finds them (1,024 entries of 8 B for a 64 MB
+//! bank). Reading unwritten memory returns zeroes, like DRAM after
+//! initialization.
 
 /// Size of one lazily-allocated backing page.
 const PAGE_SHIFT: u32 = 16;
@@ -128,18 +128,6 @@ impl Mram {
         self.write(addr, &value.to_le_bytes());
     }
 
-    /// Reads a little-endian `u64` at `addr`.
-    pub fn read_u64(&self, addr: u32) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    pub fn write_u64(&mut self, addr: u32, value: u64) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
     /// Zeroes a byte range without materializing pages for it.
     pub fn clear(&mut self, addr: u32, len: u32) {
         self.check_range(addr, len as usize);
@@ -210,9 +198,7 @@ mod tests {
     fn integer_accessors_roundtrip() {
         let mut m = Mram::new(1 << 20);
         m.write_u32(8, 0x0102_0304);
-        m.write_u64(16, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u32(8), 0x0102_0304);
-        assert_eq!(m.read_u64(16), 0x1122_3344_5566_7788);
     }
 
     #[test]

@@ -21,17 +21,6 @@ pub struct Graph {
     pub edges: Vec<(u32, u32)>,
 }
 
-impl Graph {
-    /// Out-degree of every node.
-    pub fn degrees(&self) -> Vec<u32> {
-        let mut d = vec![0u32; self.n_nodes as usize];
-        for &(s, _) in &self.edges {
-            d[s as usize] += 1;
-        }
-        d
-    }
-}
-
 /// Iterations [`generate_power_law`] draws ahead of committing them.
 const BLOCK: usize = 128;
 

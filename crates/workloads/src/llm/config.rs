@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 pub struct LlmConfig {
     /// Transformer layers (Llama-2-7B: 32).
     pub n_layers: u32,
-    /// Attention heads (Llama-2-7B: 32).
-    pub n_heads: u32,
     /// Hidden dimension (Llama-2-7B: 4096).
     pub hidden_dim: u32,
     /// Bytes per element (fp16: 2).
@@ -34,7 +32,6 @@ impl Default for LlmConfig {
     fn default() -> Self {
         LlmConfig {
             n_layers: 32,
-            n_heads: 32,
             hidden_dim: 4096,
             dtype_bytes: 2,
             n_dpus: 512,

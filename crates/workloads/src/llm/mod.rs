@@ -9,16 +9,12 @@
 //!   experiment (Figure 4(b)) and KV fragmentation (Table III).
 //! * [`serving`] — the discrete-event serving simulator reporting
 //!   throughput and TPOT percentiles (Figure 18).
-//! * [`attention`] — the PIM attention kernel itself (the paper's
-//!   PrIM-GEMV extension), streaming allocator-provided KV blocks.
 
-pub mod attention;
 pub mod config;
 pub mod kv_cache;
 pub mod serving;
 pub mod trace;
 
-pub use attention::AttentionKernel;
 pub use config::LlmConfig;
 pub use kv_cache::{kv_fragmentation, max_batch_size, KvScheme, MaxBatchResult};
 pub use serving::{run_serving, run_serving_many, ServingConfig, ServingResult};

@@ -404,4 +404,30 @@ mod tests {
         );
         assert!(slow.tpot_p50_ms > fast.tpot_p50_ms);
     }
+
+    #[test]
+    fn step_time_grows_with_the_context_read() {
+        // A decode step streams the request's whole KV shard out of
+        // MRAM, so 448 more prompt tokens add their per-DPU bytes at
+        // the MRAM bandwidth to every step.
+        let cfg = quick_cfg();
+        let tpot_p50_ms = |prompt_tokens| {
+            let trace = [RequestSpec {
+                prompt_tokens,
+                output_tokens: 8,
+                arrival_s: 0.0,
+            }];
+            let r = run_serving(KvScheme::Static, &cfg, &trace);
+            assert_eq!(r.kv_push_stall_secs, 0.0);
+            r.tpot_p50_ms
+        };
+        let gap = tpot_p50_ms(512) - tpot_p50_ms(64);
+        let read_ms =
+            448.0 * cfg.llm.kv_bytes_per_token_per_dpu() as f64 / cfg.mram_bw_bytes_per_s * 1e3;
+        // TPOT is recorded in whole microseconds.
+        assert!(
+            (gap - read_ms).abs() < 0.002,
+            "TPOT grew {gap} ms, the context read {read_ms} ms"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 
 use pim_malloc::{BackendKind, MetaStats, PimAllocator, StrawManAllocator, StrawManConfig};
 use pim_sim::{
-    BuddyCacheConfig, BuddyCacheStats, Cycles, DpuConfig, DpuSim, LatencyRecorder, TaskletStats,
+    BuddyCacheConfig, BuddyCacheStats, DpuConfig, DpuSim, LatencyRecorder, TaskletStats,
 };
 use pim_trace::{replay_streams, AllocTrace, TraceOp};
 use serde::{Deserialize, Serialize};
@@ -189,11 +189,6 @@ pub fn run_straw_man_grid_point(heap_size: u32, alloc_size: u32, pairs: usize) -
     r.malloc_latencies
         .mean()
         .as_micros(dpu.config().cost.clock_mhz)
-}
-
-/// Convenience: mean latency over `Cycles` → µs at the default clock.
-pub fn cycles_to_us(c: Cycles) -> f64 {
-    c.as_micros(pim_sim::CostModel::default().clock_mhz)
 }
 
 #[cfg(test)]
