@@ -20,12 +20,10 @@
 //! An unknown flag, a second experiment id, or a report that cannot be
 //! written ends the run with a one-line message and exit status 1.
 
-use std::collections::BTreeMap;
 use std::env;
 use std::path::Path;
 use std::process::ExitCode;
 
-use parking_lot::Mutex;
 use pim_bench::figures;
 
 /// The flags `repro` accepts, for error messages.
@@ -146,20 +144,12 @@ fn run(args: Args) -> Result<(), String> {
                 "# PIM-malloc reproduction — all experiments ({} mode)\n",
                 if quick { "quick" } else { "full" }
             );
-            // Experiments are independent; run them on a scoped thread
-            // pool and print in paper order as they complete.
-            let results: Mutex<BTreeMap<usize, Vec<pim_bench::Experiment>>> =
-                Mutex::new(BTreeMap::new());
-            std::thread::scope(|scope| {
-                for (idx, id) in figures::all_ids().enumerate() {
-                    let results = &results;
-                    scope.spawn(move || {
-                        let out = figures::run(id, quick, seed);
-                        results.lock().insert(idx, out);
-                    });
-                }
-            });
-            results.into_inner().into_values().try_for_each(emit)
+            // Experiments are independent; the executor runs them on
+            // its workers and returns them in catalogue (paper) order.
+            let catalog = &figures::CATALOG;
+            pim_sim::parallel_indexed(catalog.len(), |i| figures::run(catalog[i].id, quick, seed))
+                .into_iter()
+                .try_for_each(emit)
         }
         id if figures::is_known(id) => emit(figures::run(id, quick, seed)),
         other => Err(format!("unknown experiment `{other}`; try `repro list`")),

@@ -21,8 +21,10 @@
 //! metadata lives: WRAM, a coarse software window, a fine software LRU,
 //! or a hardware CAM. Both allocators take one
 //! ([`StrawManConfig::metadata`], [`AllocGeometry::with_backend`]), and
-//! [`MetadataBackend::new`] builds its store. §VII's general-purpose
-//! line cache is a CAM with wide entries; see [`metadata`].
+//! [`MetadataBackend::new`] builds its store: one node array, with the
+//! placement deciding what each access costs. The software LRU is the
+//! CAM's LRU at software prices, and §VII's general-purpose line cache
+//! is a CAM with wide entries; see [`metadata`].
 //!
 //! ## Frontend and remote frees
 //!

@@ -5,39 +5,40 @@
 //! crux of the paper's design space, and [`BackendKind`] is its one
 //! description:
 //!
-//! * [`BackendKind::Wram`] ([`WramStore`]) — the whole tree resides in
-//!   scratchpad, as in UPMEM's stock 64 KB `buddy_alloc()`. Only
-//!   feasible for tiny heaps (Figure 7's heaps of 64 KB or less).
-//! * [`BackendKind::Coarse`] ([`CoarseBufferStore`]) — the tree resides
-//!   in MRAM, with a software-managed WRAM buffer that caches one
-//!   contiguous window and is flushed-and-reloaded wholesale on a miss
-//!   (straw-man and PIM-malloc-SW).
-//! * [`BackendKind::FineLru`] ([`FineLruStore`]) — a software LRU over
-//!   small granules; fewer DRAM transfers but heavy per-access
-//!   instruction overhead (the §IV-B ablation that regressed 29%).
-//! * [`BackendKind::HwCache`] ([`HwCacheStore`]) — a hardware CAM with
-//!   single-cycle access: with 4-byte entries the paper's buddy cache
-//!   (PIM-malloc-HW/SW), with wider ones §VII's general-purpose
-//!   line cache.
+//! * [`BackendKind::Wram`] — the whole tree resides in scratchpad, as
+//!   in UPMEM's stock 64 KB `buddy_alloc()`. Only feasible for tiny
+//!   heaps (Figure 7's heaps of 64 KB or less).
+//! * [`BackendKind::Coarse`] — the tree resides in MRAM, with a
+//!   software-managed WRAM buffer that caches one contiguous window
+//!   and is flushed-and-reloaded wholesale on a miss (straw-man and
+//!   PIM-malloc-SW; `coarse.rs`).
+//! * [`BackendKind::FineLru`] — a software LRU over small granules;
+//!   fewer DRAM transfers but heavy per-access instruction overhead
+//!   (the §IV-B ablation that regressed 29%). It is the hardware CAM's
+//!   LRU at software prices.
+//! * [`BackendKind::HwCache`] — a hardware CAM with single-cycle
+//!   access: with 4-byte entries the paper's buddy cache
+//!   (PIM-malloc-HW/SW), with wider ones §VII's general-purpose line
+//!   cache (`hw_cache.rs`).
 //!
-//! [`MetadataBackend::new`] builds the store a placement names, and
-//! its inherent methods charge each access to the calling tasklet's
-//! [`TaskletCtx`].
+//! [`MetadataBackend::new`] builds one tree's store for a placement.
+//! Every placement keeps the node states in the same array; it decides
+//! only what an access costs, charged to the calling tasklet's
+//! [`TaskletCtx`], and what [`MetaStats`] counts.
 
 mod coarse;
-mod fine_lru;
 mod hw_cache;
-mod wram_store;
 
-pub use coarse::CoarseBufferStore;
-pub use fine_lru::FineLruStore;
-pub use hw_cache::HwCacheStore;
-pub use wram_store::WramStore;
-
-use pim_sim::{BuddyCacheConfig, TaskletCtx};
+use pim_sim::{BuddyCacheConfig, BuddyCacheStats, TaskletCtx};
 use serde::{Deserialize, Serialize};
 
 use crate::buddy::BuddyGeometry;
+use coarse::Window;
+use hw_cache::{Lru, HARDWARE, SOFTWARE};
+
+/// Instructions per WRAM-resident metadata access (index arithmetic +
+/// load/store + bit extraction on the DPU).
+const ACCESS_INSTRS: u64 = 3;
 
 /// Where the buddy tree's metadata lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,84 +82,131 @@ impl BackendKind {
     }
 }
 
-/// The store a [`BackendKind`] names, holding one tree's node states.
+/// One tree's node states, stored where a [`BackendKind`] places them.
 #[derive(Debug)]
-pub enum MetadataBackend {
-    /// Whole tree in scratchpad.
-    Wram(WramStore),
-    /// MRAM-resident tree + coarse software window.
-    Coarse(CoarseBufferStore),
-    /// MRAM-resident tree + fine-grained software LRU.
-    FineLru(FineLruStore),
-    /// MRAM-resident tree + hardware CAM.
-    HwCache(HwCacheStore),
+pub struct MetadataBackend {
+    bits: BitArray,
+    /// MRAM base address of the tree's copy (unused in WRAM).
+    meta_base: u32,
+    placement: Placement,
+    stats: MetaStats,
+}
+
+/// What stands between the tasklet and the node array: nothing (the
+/// tree is in WRAM), or a window or an LRU over the MRAM copy.
+#[derive(Debug)]
+enum Placement {
+    Wram,
+    Window(Window),
+    Lru(Lru),
 }
 
 impl MetadataBackend {
     /// The store `kind` names for a tree of `geometry`, with its
     /// MRAM copy (if any) at `meta_base`.
     pub fn new(kind: BackendKind, geometry: &BuddyGeometry, meta_base: u32) -> Self {
-        let nodes = geometry.node_count();
-        match kind {
-            BackendKind::Wram => MetadataBackend::Wram(WramStore::new(nodes)),
+        Self::with_nodes(kind, geometry.node_count(), meta_base)
+    }
+
+    /// [`MetadataBackend::new`] for a tree of `nodes` nodes.
+    pub(crate) fn with_nodes(kind: BackendKind, nodes: u32, meta_base: u32) -> Self {
+        let bits = BitArray::new(nodes);
+        let len = bits.len_bytes();
+        let placement = match kind {
+            BackendKind::Wram => Placement::Wram,
             BackendKind::Coarse { buffer_bytes } => {
-                MetadataBackend::Coarse(CoarseBufferStore::new(nodes, meta_base, buffer_bytes))
+                Placement::Window(Window::new(len, buffer_bytes))
             }
             BackendKind::FineLru {
                 entries,
                 granule_bytes,
-            } => MetadataBackend::FineLru(FineLruStore::new(
-                nodes,
-                meta_base,
-                entries,
-                granule_bytes,
-            )),
-            BackendKind::HwCache { cache } => {
-                MetadataBackend::HwCache(HwCacheStore::new(nodes, meta_base, cache))
+            } => {
+                assert!(
+                    granule_bytes.is_power_of_two() && granule_bytes >= 8,
+                    "granule must be a power of two of at least 8 bytes"
+                );
+                let cache = BuddyCacheConfig {
+                    entries,
+                    bytes_per_entry: granule_bytes,
+                };
+                Placement::Lru(Lru::new(len, cache, SOFTWARE))
             }
+            BackendKind::HwCache { cache } => Placement::Lru(Lru::new(len, cache, HARDWARE)),
+        };
+        MetadataBackend {
+            bits,
+            meta_base,
+            placement,
+            stats: MetaStats::default(),
         }
     }
 
     /// Reads the state of node `idx`.
     #[inline]
     pub fn get(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32) -> NodeState {
-        match self {
-            MetadataBackend::Wram(s) => s.get(ctx, idx),
-            MetadataBackend::Coarse(s) => s.get(ctx, idx),
-            MetadataBackend::FineLru(s) => s.get(ctx, idx),
-            MetadataBackend::HwCache(s) => s.get(ctx, idx),
-        }
+        self.charge(ctx, idx, false);
+        self.bits.get(idx)
     }
 
     /// Writes the state of node `idx`.
     #[inline]
     pub fn set(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, state: NodeState) {
-        match self {
-            MetadataBackend::Wram(s) => s.set(ctx, idx, state),
-            MetadataBackend::Coarse(s) => s.set(ctx, idx, state),
-            MetadataBackend::FineLru(s) => s.set(ctx, idx, state),
-            MetadataBackend::HwCache(s) => s.set(ctx, idx, state),
+        self.charge(ctx, idx, true);
+        self.bits.set(idx, state);
+    }
+
+    /// Charges one read or write of node `idx` to `ctx`.
+    #[inline]
+    fn charge(&mut self, ctx: &mut TaskletCtx<'_>, idx: u32, write: bool) {
+        let stats = &mut self.stats;
+        match &mut self.placement {
+            Placement::Wram => {
+                ctx.instrs(ACCESS_INSTRS);
+                stats.hits += 1;
+            }
+            Placement::Window(window) => window.access(ctx, stats, self.meta_base, idx, write),
+            Placement::Lru(lru) => lru.access(ctx, stats, self.meta_base, idx, write),
         }
     }
 
     /// Resets every node to [`NodeState::Free`] and clears caches.
     /// Called by `initAllocator`; costs are charged to `ctx`.
     pub fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
-        match self {
-            MetadataBackend::Wram(s) => s.reset(ctx),
-            MetadataBackend::Coarse(s) => s.reset(ctx),
-            MetadataBackend::FineLru(s) => s.reset(ctx),
-            MetadataBackend::HwCache(s) => s.reset(ctx),
+        let (len, base) = (self.bits.len_bytes(), self.meta_base);
+        // initAllocator zeroes an MRAM-resident tree with streaming DMA
+        // writes from a zeroed WRAM buffer.
+        let zero = |ctx: &mut TaskletCtx<'_>, chunk: u32| {
+            for off in (0..len).step_by(chunk as usize) {
+                ctx.mram_write(base + off, chunk.min(len - off));
+            }
+        };
+        match &mut self.placement {
+            // memset of the tree in WRAM: ~1 instruction per 8 bytes.
+            Placement::Wram => ctx.instrs(u64::from(len / 8 + 1)),
+            Placement::Window(window) => {
+                zero(ctx, window.len);
+                window.invalidate();
+            }
+            Placement::Lru(lru) => {
+                zero(ctx, 2048);
+                lru.init(ctx);
+            }
         }
+        self.bits.clear();
+        self.stats = MetaStats::default();
     }
 
     /// Transfer/hit statistics since construction or the last reset.
     pub fn stats(&self) -> MetaStats {
-        match self {
-            MetadataBackend::Wram(s) => s.stats(),
-            MetadataBackend::Coarse(s) => s.stats(),
-            MetadataBackend::FineLru(s) => s.stats(),
-            MetadataBackend::HwCache(s) => s.stats(),
+        self.stats
+    }
+
+    /// Statistics of the hardware CAM, if the tree sits behind one
+    /// ([`BackendKind::HwCache`]; the software LRU is not a CAM).
+    pub fn cam_stats(&self) -> Option<BuddyCacheStats> {
+        match &self.placement {
+            Placement::Lru(lru) => lru.cam_stats(),
+            _ => None,
         }
     }
 
@@ -167,12 +215,7 @@ impl MetadataBackend {
     /// For invariant checks and tests only — a real DPU has no free
     /// metadata reads.
     pub fn peek(&self, idx: u32) -> NodeState {
-        match self {
-            MetadataBackend::Wram(s) => s.peek(idx),
-            MetadataBackend::Coarse(s) => s.peek(idx),
-            MetadataBackend::FineLru(s) => s.peek(idx),
-            MetadataBackend::HwCache(s) => s.peek(idx),
-        }
+        self.bits.get(idx)
     }
 }
 
@@ -252,8 +295,8 @@ impl MetaStats {
     }
 }
 
-/// A flat 2-bit-per-node array: the shared authoritative storage used
-/// by every store implementation.
+/// A flat 2-bit-per-node array: the authoritative node states of every
+/// placement.
 #[derive(Debug, Clone)]
 pub(crate) struct BitArray {
     /// Node `i` is bits `2 * (i % 4)..` of byte `i / 4`; node 0 is
@@ -303,6 +346,47 @@ impl BitArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_sim::{DpuConfig, DpuSim};
+
+    #[test]
+    fn get_set_roundtrip_and_cost() {
+        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
+        let mut store = MetadataBackend::with_nodes(BackendKind::Wram, 31, 0);
+        let mut ctx = dpu.ctx(0);
+        store.set(&mut ctx, 5, NodeState::Allocated);
+        assert_eq!(store.get(&mut ctx, 5), NodeState::Allocated);
+        assert_eq!(store.peek(5), NodeState::Allocated);
+        // Two accesses, ACCESS_INSTRS each.
+        assert_eq!(dpu.total_stats().instrs, 2 * ACCESS_INSTRS);
+        assert_eq!(
+            dpu.traffic().total_bytes(),
+            0,
+            "WRAM store never touches DRAM"
+        );
+    }
+
+    #[test]
+    fn reset_clears_and_recounts() {
+        let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(1));
+        let mut store = MetadataBackend::with_nodes(BackendKind::Wram, 31, 0);
+        let mut ctx = dpu.ctx(0);
+        store.set(&mut ctx, 3, NodeState::Split);
+        store.reset(&mut ctx);
+        assert_eq!(store.peek(3), NodeState::Free);
+        assert_eq!(store.stats(), MetaStats::default());
+    }
+
+    #[test]
+    fn wram_footprint_matches_geometry() {
+        // UPMEM's 32 KB scratchpad heap with 32 B min blocks: depth 10,
+        // 2^11 nodes, ~512 B of metadata (§III-C).
+        let geometry = BuddyGeometry::new(0, 32 << 10, 32);
+        assert_eq!(geometry.node_count(), (1 << 11) - 1);
+        let bytes = BackendKind::Wram.wram_bytes(&geometry);
+        let store = MetadataBackend::new(BackendKind::Wram, &geometry, 0);
+        assert_eq!(bytes, store.bits.len_bytes());
+        assert!(bytes <= 513);
+    }
 
     #[test]
     fn node_state_bits_roundtrip() {

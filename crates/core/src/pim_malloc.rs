@@ -181,10 +181,7 @@ impl PimMalloc {
     /// behind one ([`crate::BackendKind::HwCache`]: HW/SW's buddy cache, or a
     /// §VII line cache).
     pub fn buddy_cache_stats(&self) -> Option<BuddyCacheStats> {
-        match self.backend.store() {
-            MetadataBackend::HwCache(s) => Some(s.cache_stats()),
-            _ => None,
-        }
+        self.backend.store().cam_stats()
     }
 
     /// The backend buddy allocator (read-only).

@@ -8,8 +8,10 @@
 //! identical 32 B allocations.
 //!
 //! PIM-side compute times come from running the *actual* straw-man
-//! allocator on the [`pim_sim`] DPU model; host-side compute and all
-//! host↔PIM transfers use the analytic [`pim_sim::HostSim`] model.
+//! allocator on the [`pim_sim`] DPU model. Host-side compute uses the
+//! analytic [`pim_sim::HostConfig::parallel_for_secs`] model, and every
+//! host↔PIM transfer is priced by the context's
+//! [`pim_sim::SimContext::planner`].
 //!
 //! ```
 //! use pim_dse::{DseConfig, Strategy};

@@ -1,7 +1,7 @@
 //! Executes one design strategy and reports the latency split.
 
 use pim_malloc::{PimAllocator, StrawManAllocator, StrawManConfig};
-use pim_sim::{DpuConfig, DpuSim, HostConfig, HostSim, SimContext};
+use pim_sim::{DpuConfig, DpuSim, HostConfig, SimContext};
 use serde::{Deserialize, Serialize};
 
 use crate::strategy::Strategy;
@@ -146,7 +146,6 @@ fn host_miss_fraction(config: &DseConfig) -> f64 {
 /// once and the PIM cores run the entire batch locally, issuing no
 /// host↔PIM traffic at all.
 pub fn run_strategy(strategy: Strategy, config: &DseConfig) -> DseResult {
-    let mut host = HostSim::new(config.host);
     let rounds = config.allocs_per_dpu;
     let meta_bytes = u64::from(
         pim_malloc::BuddyGeometry::new(
@@ -169,7 +168,7 @@ pub fn run_strategy(strategy: Strategy, config: &DseConfig) -> DseResult {
             let accesses = host_accesses_per_alloc(config);
             let miss = host_miss_fraction(config);
             for _ in 0..rounds {
-                compute_secs += host.parallel_for(config.n_dpus, accesses, miss);
+                compute_secs += config.host.parallel_for_secs(config.n_dpus, accesses, miss);
             }
         }
         // Fig 5(b): launch each round; PIM cores allocate.
@@ -186,20 +185,23 @@ pub fn run_strategy(strategy: Strategy, config: &DseConfig) -> DseResult {
 
     // The strategy's per-round traffic, scheduled by the policy.
     let plans = strategy.round_plans(config.n_dpus, meta_bytes);
+    let planner = config.ctx.planner();
+    let (mut transfer_secs, mut transfer_calls) = (0.0, 0);
     for _ in 0..rounds {
         for plan in &plans {
-            host.transfer_plan(plan, config.ctx.batching);
+            let estimate = planner.estimate(plan);
+            transfer_secs += estimate.secs;
+            transfer_calls += estimate.calls;
         }
     }
 
-    let transfer_secs = host.transfer_secs();
     DseResult {
         strategy,
         n_dpus: config.n_dpus,
         total_secs: transfer_secs + compute_secs,
         transfer_secs,
         compute_secs,
-        transfer_calls: host.transfer_calls(),
+        transfer_calls,
     }
 }
 

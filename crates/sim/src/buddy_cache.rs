@@ -273,6 +273,15 @@ impl BuddyCache {
     pub fn valid_entries(&self) -> usize {
         self.valid
     }
+
+    /// Position of `addr`'s entry in most-recently-used-first order (0
+    /// for the most recent), or `None` if no entry holds it. Read-only:
+    /// unlike [`BuddyCache::lookup`], it neither counts nor promotes.
+    pub fn recency(&self, addr: u32) -> Option<usize> {
+        let valid = &self.entries[..self.valid];
+        let stamp = valid.iter().find(|e| e.addr == addr)?.stamp;
+        Some(valid.iter().filter(|e| e.stamp > stamp).count())
+    }
 }
 
 #[cfg(test)]
@@ -461,12 +470,24 @@ mod tests {
         fn valid_entries(&self) -> usize {
             self.entries.iter().flatten().count()
         }
+
+        /// Position of `addr`'s slot in the list. Fills take never-used
+        /// slots, which stay behind every used one, so this counts only
+        /// valid entries.
+        fn recency(&self, addr: u32) -> Option<usize> {
+            let slot = self
+                .entries
+                .iter()
+                .position(|e| matches!(e, Some((a, _)) if *a == addr))?;
+            self.lru.iter().position(|&s| s == slot)
+        }
     }
 
     proptest! {
         /// The stamp LRU makes every choice the MRU list makes: each
         /// lookup (plain or from any hint), fill slot, eviction, dirty
-        /// bit, valid count and statistic agrees after every step.
+        /// bit, valid count, statistic and every address's recency
+        /// agrees after every step.
         #[test]
         fn stamps_replay_the_mru_list(
             entries in 1usize..7,
@@ -501,6 +522,9 @@ mod tests {
                 }
                 prop_assert_eq!(bc.valid_entries(), list.valid_entries());
                 prop_assert_eq!(bc.stats(), list.stats);
+                for addr in 0..12 {
+                    prop_assert_eq!(bc.recency(addr), list.recency(addr));
+                }
             }
         }
 

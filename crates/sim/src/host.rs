@@ -167,44 +167,20 @@ impl Default for HostConfig {
     }
 }
 
-/// The host CPU: executes allocator work on behalf of DPUs and issues
-/// host↔PIM transfers, accumulating seconds of wall-clock time split
-/// into compute and transfer.
-#[derive(Debug, Clone)]
-pub struct HostSim {
-    config: HostConfig,
-    compute_secs: f64,
-    transfer_secs: f64,
-    transfer_calls: u64,
-}
-
-impl HostSim {
-    /// Creates a host with the given CPU model; transfers are priced by
-    /// [`TransferModel::default`].
-    pub fn new(config: HostConfig) -> Self {
-        HostSim {
-            config,
-            compute_secs: 0.0,
-            transfer_secs: 0.0,
-            transfer_calls: 0,
-        }
-    }
-
-    /// The host CPU configuration.
-    pub fn config(&self) -> HostConfig {
-        self.config
-    }
-
-    /// Runs a parallel-for of `n_workers` independent tasks, each
-    /// performing `accesses_per_worker` metadata accesses of which
-    /// `miss_fraction` go to DRAM. Returns the elapsed seconds (also
-    /// accumulated into [`HostSim::compute_secs`]).
+impl HostConfig {
+    /// Seconds a parallel-for of `n_workers` independent tasks takes,
+    /// each performing `accesses_per_worker` metadata accesses of which
+    /// `miss_fraction` go to DRAM.
     ///
     /// Model: spawning is serial in the parent
     /// (`n_workers × thread_spawn_us`); the work itself runs with
     /// `min(threads, n_workers)`-way parallelism.
-    pub fn parallel_for(
-        &mut self,
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `miss_fraction` is in `[0, 1]`.
+    pub fn parallel_for_secs(
+        &self,
         n_workers: usize,
         accesses_per_worker: u64,
         miss_fraction: f64,
@@ -216,65 +192,13 @@ impl HostSim {
         if n_workers == 0 {
             return 0.0;
         }
-        let spawn = n_workers as f64 * self.config.thread_spawn_us * 1e-6;
-        let per_access_ns = miss_fraction * self.config.dram_access_ns
-            + (1.0 - miss_fraction) * self.config.cached_access_ns;
+        let spawn = n_workers as f64 * self.thread_spawn_us * 1e-6;
+        let per_access_ns =
+            miss_fraction * self.dram_access_ns + (1.0 - miss_fraction) * self.cached_access_ns;
         let per_worker = accesses_per_worker as f64 * per_access_ns * 1e-9;
-        let lanes = self.config.threads.min(n_workers) as f64;
+        let lanes = self.threads.min(n_workers) as f64;
         let work = per_worker * (n_workers as f64 / lanes).ceil();
-        let elapsed = spawn + work;
-        self.compute_secs += elapsed;
-        elapsed
-    }
-
-    /// Executes a [`crate::TransferPlan`] under `policy`, accumulating
-    /// the modeled seconds and the *actual* number of transfer
-    /// calls the chosen schedule issues (one per non-empty buffer for
-    /// per-DPU, one per occupied rank for sharded). Returns the
-    /// planner's estimate.
-    pub fn transfer_plan(
-        &mut self,
-        plan: &crate::xfer::TransferPlan,
-        policy: crate::xfer::HostBatching,
-    ) -> crate::xfer::XferEstimate {
-        let estimate =
-            crate::xfer::ShardedXfer::new(TransferModel::default(), policy).estimate(plan);
-        self.transfer_secs += estimate.secs;
-        self.transfer_calls += estimate.calls;
-        estimate
-    }
-
-    /// Seconds spent in host compute so far.
-    pub fn compute_secs(&self) -> f64 {
-        self.compute_secs
-    }
-
-    /// Seconds spent in host↔PIM transfers so far.
-    pub fn transfer_secs(&self) -> f64 {
-        self.transfer_secs
-    }
-
-    /// Total host-side wall clock (compute + transfer).
-    pub fn total_secs(&self) -> f64 {
-        self.compute_secs + self.transfer_secs
-    }
-
-    /// Number of transfer calls issued.
-    pub fn transfer_calls(&self) -> u64 {
-        self.transfer_calls
-    }
-
-    /// Resets all accumulated time and transfer calls.
-    pub fn reset(&mut self) {
-        self.compute_secs = 0.0;
-        self.transfer_secs = 0.0;
-        self.transfer_calls = 0;
-    }
-}
-
-impl Default for HostSim {
-    fn default() -> Self {
-        HostSim::new(HostConfig::default())
+        spawn + work
     }
 }
 
@@ -284,37 +208,32 @@ mod tests {
 
     #[test]
     fn parallel_for_spawn_cost_is_serial() {
-        let mut h = HostSim::default();
-        let one = h.parallel_for(1, 0, 0.0);
-        h.reset();
-        let many = h.parallel_for(512, 0, 0.0);
+        let h = HostConfig::default();
+        let one = h.parallel_for_secs(1, 0, 0.0);
+        let many = h.parallel_for_secs(512, 0, 0.0);
         assert!((many / one - 512.0).abs() < 1.0, "ratio {}", many / one);
     }
 
     #[test]
     fn parallel_for_work_parallelizes_up_to_thread_count() {
-        let cfg = HostConfig {
+        let h = HostConfig {
             thread_spawn_us: 0.0,
             ..HostConfig::default()
         };
-        let mut h = HostSim::new(cfg);
-        let t8 = h.parallel_for(8, 1_000_000, 1.0);
-        h.reset();
-        let t16 = h.parallel_for(16, 1_000_000, 1.0);
+        let t8 = h.parallel_for_secs(8, 1_000_000, 1.0);
+        let t16 = h.parallel_for_secs(16, 1_000_000, 1.0);
         // 16 workers on 8 threads take twice as long as 8 workers.
         assert!((t16 / t8 - 2.0).abs() < 0.01, "ratio {}", t16 / t8);
     }
 
     #[test]
     fn miss_fraction_interpolates_access_cost() {
-        let cfg = HostConfig {
+        let h = HostConfig {
             thread_spawn_us: 0.0,
             ..HostConfig::default()
         };
-        let mut h = HostSim::new(cfg);
-        let hot = h.parallel_for(1, 1_000_000, 0.0);
-        h.reset();
-        let cold = h.parallel_for(1, 1_000_000, 1.0);
+        let hot = h.parallel_for_secs(1, 1_000_000, 0.0);
+        let cold = h.parallel_for_secs(1, 1_000_000, 1.0);
         assert!(
             cold > hot * 10.0,
             "DRAM misses must dominate: {cold} vs {hot}"
@@ -324,7 +243,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "miss fraction")]
     fn bad_miss_fraction_panics() {
-        HostSim::default().parallel_for(1, 1, 1.5);
+        HostConfig::default().parallel_for_secs(1, 1, 1.5);
     }
 
     proptest::proptest! {
@@ -357,37 +276,5 @@ mod tests {
             let want: Vec<(usize, u64)> = reference.into_iter().collect();
             proptest::prop_assert_eq!(model.rank_loads(&plan), want);
         }
-    }
-
-    #[test]
-    fn transfer_plan_accounts_calls_by_schedule() {
-        use crate::xfer::{HostBatching, TransferPlan};
-        let plan = TransferPlan::uniform(TransferDirection::HostToPim, 128, 64);
-        let mut h = HostSim::default();
-        let e = h.transfer_plan(&plan, HostBatching::PerDpu);
-        assert_eq!(e.calls, 128);
-        assert_eq!(h.transfer_calls(), 128);
-        assert_eq!(e.bytes, 128 * 64);
-        h.reset();
-        let e = h.transfer_plan(&plan, HostBatching::Sharded);
-        assert_eq!(e.calls, 2, "128 DPUs = 2 ranks");
-        assert_eq!(h.transfer_calls(), 2);
-        assert!((h.transfer_secs() - e.secs).abs() < 1e-15);
-    }
-
-    #[test]
-    fn accounting_accumulates_and_resets() {
-        use crate::xfer::{HostBatching, TransferPlan};
-        let mut h = HostSim::default();
-        h.parallel_for(4, 100, 0.5);
-        let plan = TransferPlan::uniform(TransferDirection::HostToPim, 4, 1024);
-        let e = h.transfer_plan(&plan, HostBatching::Sharded);
-        assert!(h.compute_secs() > 0.0);
-        assert!(h.transfer_secs() > 0.0);
-        assert_eq!(e.bytes, 4096);
-        assert_eq!(h.transfer_calls(), 1);
-        assert!((h.total_secs() - h.compute_secs() - h.transfer_secs()).abs() < 1e-15);
-        h.reset();
-        assert_eq!(h.total_secs(), 0.0);
     }
 }

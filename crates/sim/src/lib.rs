@@ -67,7 +67,7 @@ pub use cost::{CostModel, Cycles};
 pub use dpu::{DpuConfig, DpuSim, MutexId, TaskletCtx, MAX_TASKLETS};
 pub use exec::parallel_indexed;
 pub use fault::{FaultPlan, ShardFault};
-pub use host::{HostConfig, HostSim, TransferDirection, TransferModel};
+pub use host::{HostConfig, TransferDirection, TransferModel};
 pub use mram::Mram;
 pub use sched::VirtualTimeQueue;
 pub use stats::{DramTraffic, LatencyRecorder, LatencySummary, TaskletStats};

@@ -29,7 +29,7 @@ fn zeroed_page() -> Page {
 /// ```
 /// use pim_sim::Mram;
 /// let mut m = Mram::new(64 << 20);
-/// m.write_u32(0x100, 0xdead_beef);
+/// m.write(0x100, &0xdead_beef_u32.to_le_bytes());
 /// assert_eq!(m.read_u32(0x100), 0xdead_beef);
 /// assert_eq!(m.read_u32(0x2000), 0); // untouched memory reads as zero
 /// ```
@@ -123,11 +123,6 @@ impl Mram {
         u32::from_le_bytes(b)
     }
 
-    /// Writes a little-endian `u32` at `addr`.
-    pub fn write_u32(&mut self, addr: u32, value: u32) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
     /// Zeroes a byte range without materializing pages for it.
     pub fn clear(&mut self, addr: u32, len: u32) {
         self.check_range(addr, len as usize);
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn integer_accessors_roundtrip() {
         let mut m = Mram::new(1 << 20);
-        m.write_u32(8, 0x0102_0304);
+        m.write(8, &0x0102_0304_u32.to_le_bytes());
         assert_eq!(m.read_u32(8), 0x0102_0304);
     }
 

@@ -84,8 +84,8 @@ impl AllocatorKind {
                 Box::new(PimMalloc::init(dpu, cfg).expect("PIM-malloc-HW/SW init"))
             }
             AllocatorKind::SwFineLru => {
-                // Same 512 B of WRAM as a 2 KB coarse window would use
-                // per four granules: 64 granules of 8 B.
+                // 64 granules of 8 B: 512 B of WRAM, a quarter of the
+                // coarse window's 2 KB.
                 let cfg = AllocGeometry::sw(n_tasklets)
                     .with_heap_size(heap_size)
                     .with_backend(BackendKind::FineLru {

@@ -5,8 +5,8 @@
 //! to act as the *newly added* set, at a 1:2 new:existing ratio. We
 //! cannot ship the SNAP dataset, so [`generate_power_law`] produces a
 //! preferential-attachment graph with the same skewed degree shape at a
-//! configurable scale, and [`split_for_update`] performs the paper's
-//! random 1/3 sampling.
+//! configurable scale, and [`split_for_update_count`] samples the new
+//! edges at random.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,32 +127,10 @@ pub struct UpdateWorkload {
     pub new_edges: Vec<(u32, u32)>,
 }
 
-/// Randomly samples `new_fraction` of the graph's edges as the "newly
-/// added" set (paper: 1/3, i.e. new:existing = 1:2), deterministic for
-/// a given `seed`.
-///
-/// # Panics
-///
-/// Panics unless `0 < new_fraction < 1`, and if the graph has fewer
-/// than two edges (no split leaves both sides nonempty).
-pub fn split_for_update(graph: Graph, new_fraction: f64, seed: u64) -> UpdateWorkload {
-    assert!(
-        new_fraction > 0.0 && new_fraction < 1.0,
-        "fraction must be in (0, 1)"
-    );
-    assert!(
-        graph.edges.len() >= 2,
-        "splitting needs at least 2 edges to leave both sides nonempty, got {}",
-        graph.edges.len()
-    );
-    let n_new = ((graph.edges.len() as f64) * new_fraction).round() as usize;
-    let n_new = n_new.clamp(1, graph.edges.len() - 1);
-    split_for_update_count(graph, n_new, seed)
-}
-
-/// Like [`split_for_update`], but samples exactly `n_new` edges as the
-/// new set (used when the experiment fixes the new-edge count while
-/// varying the pre-update size, as Figure 3(c) does).
+/// Randomly samples exactly `n_new` of the graph's edges as the "newly
+/// added" set, deterministic for a given `seed`. The paper samples a
+/// third (new:existing = 1:2); Figure 3(c) fixes the new-edge count
+/// while varying the pre-update size.
 ///
 /// Runs only the first `n_new` steps of a Fisher–Yates shuffle. Step
 /// `i` fixes position `i`, so the new set is the one a full shuffle
@@ -281,29 +259,15 @@ mod tests {
     }
 
     #[test]
-    fn split_respects_one_to_two_ratio() {
-        let g = generate_power_law(1000, 9000, 5);
-        let w = split_for_update(g, 1.0 / 3.0, 11);
-        assert_eq!(w.new_edges.len(), 3000);
-        assert_eq!(w.base.edges.len(), 6000);
-        // Ratio new:existing = 1:2.
-        assert_eq!(w.base.edges.len(), 2 * w.new_edges.len());
-    }
-
-    #[test]
     fn split_is_a_partition_of_the_original() {
         let g = generate_power_law(100, 600, 5);
         let mut original = g.edges.clone();
         original.sort_unstable();
-        for w in [
-            split_for_update(g.clone(), 1.0 / 3.0, 11),
-            split_for_update_count(g, 123, 11),
-        ] {
-            let mut recombined = w.base.edges.clone();
-            recombined.extend_from_slice(&w.new_edges);
-            recombined.sort_unstable();
-            assert_eq!(original, recombined);
-        }
+        let w = split_for_update_count(g, 123, 11);
+        let mut recombined = w.base.edges.clone();
+        recombined.extend_from_slice(&w.new_edges);
+        recombined.sort_unstable();
+        assert_eq!(original, recombined);
     }
 
     /// The whole Fisher–Yates shuffle that `split_for_update_count`
@@ -343,37 +307,5 @@ mod tests {
         let mut all = g.edges.clone();
         shuffle_tail(&mut all, 600, 9);
         assert_eq!(all, full_shuffle(g.edges, 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 edges")]
-    fn split_of_empty_graph_rejected() {
-        let g = Graph {
-            n_nodes: 10,
-            edges: Vec::new(),
-        };
-        split_for_update(g, 0.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 edges")]
-    fn split_of_one_edge_rejected() {
-        split_for_update(generate_power_law(10, 1, 0), 0.5, 0);
-    }
-
-    #[test]
-    fn two_edge_graph_splits_one_to_one() {
-        let g = generate_power_law(10, 2, 0);
-        for fraction in [0.01, 0.5, 0.99] {
-            let w = split_for_update(g.clone(), fraction, 3);
-            assert_eq!((w.base.edges.len(), w.new_edges.len()), (1, 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn bad_fraction_rejected() {
-        let g = generate_power_law(10, 20, 1);
-        split_for_update(g, 1.5, 0);
     }
 }

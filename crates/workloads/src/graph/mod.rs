@@ -20,7 +20,5 @@ pub mod linked;
 pub mod update;
 pub mod vararray;
 
-pub use generator::{
-    generate_power_law, split_for_update, split_for_update_count, Graph, UpdateWorkload,
-};
+pub use generator::{generate_power_law, split_for_update_count, Graph, UpdateWorkload};
 pub use update::{run_graph_update, GraphRepr, GraphUpdateConfig, GraphUpdateResult};
