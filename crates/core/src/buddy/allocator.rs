@@ -31,7 +31,6 @@ pub struct BuddyAllocator {
     geometry: BuddyGeometry,
     store: MetadataBackend,
     free_bytes: u64,
-    live_blocks: u64,
     policy: DescentPolicy,
 }
 
@@ -69,7 +68,6 @@ impl BuddyAllocator {
             free_bytes: u64::from(geometry.heap_size()),
             geometry,
             store,
-            live_blocks: 0,
             policy: DescentPolicy::default(),
         }
     }
@@ -100,16 +98,10 @@ impl BuddyAllocator {
         self.free_bytes
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> u64 {
-        self.live_blocks
-    }
-
     /// Re-initializes the heap: all memory free, metadata zeroed.
     pub fn reset(&mut self, ctx: &mut TaskletCtx<'_>) {
         self.store.reset(ctx);
         self.free_bytes = u64::from(self.geometry.heap_size());
-        self.live_blocks = 0;
     }
 
     /// Allocates a block of at least `size` bytes, returning its heap
@@ -133,7 +125,6 @@ impl BuddyAllocator {
                     self.mark_full_upward(ctx, node);
                 }
                 self.free_bytes -= u64::from(block);
-                self.live_blocks += 1;
                 Ok(self.geometry.addr_of(node))
             }
             None => Err(AllocError::OutOfMemory { requested: size }),
@@ -252,7 +243,6 @@ impl BuddyAllocator {
         self.store.set(ctx, node, NodeState::Free);
         self.merge_upward(ctx, node);
         self.free_bytes += u64::from(block);
-        self.live_blocks -= 1;
         Ok(block)
     }
 
@@ -405,7 +395,6 @@ mod tests {
             a.free(&mut ctx, addr).unwrap();
         }
         assert_eq!(a.free_bytes(), 1024);
-        assert_eq!(a.live_blocks(), 0);
         assert!(a.alloc(&mut ctx, 1024).is_ok());
         a.check_invariants();
     }

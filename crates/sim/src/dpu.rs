@@ -62,15 +62,22 @@ impl Default for DpuConfig {
 struct MutexState {
     free_at: Cycles,
     locked_by: Option<usize>,
-    acquisitions: u64,
-    contended_acquisitions: u64,
 }
 
 /// One simulated DPU: clocks, stats, mutexes, DMA engine, MRAM, WRAM.
 #[derive(Debug)]
 pub struct DpuSim {
     config: DpuConfig,
+    /// Cycles between two instructions of one tasklet,
+    /// [`CostModel::issue_interval`] of the configured tasklet count.
+    interval: u64,
+    /// Each tasklet's logical time, instructions included.
     clocks: Vec<Cycles>,
+    /// Each tasklet's charges as made: the instruction count, DMA
+    /// stalls, mutex spins and explicit waits. The cycles of the
+    /// counted instructions are linear in the count, so they are not
+    /// stored: [`DpuSim::tasklet_stats`] derives their `run` and
+    /// issue-gap `idle_etc` shares when it is read.
     stats: Vec<TaskletStats>,
     mutexes: Vec<MutexState>,
     /// Outstanding DMA occupancy (cycles) not yet drained by elapsed
@@ -78,18 +85,6 @@ pub struct DpuSim {
     dma_backlog: u64,
     /// Virtual time of the most recent DMA request.
     dma_last_req: Cycles,
-    /// Instructions charged through a [`TaskletCtx`] but not yet
-    /// folded into the owing tasklet's clock and stats. Instruction
-    /// accounting is linear in the count (fixed issue interval per
-    /// DPU), so adjacent `instrs` calls accumulate here and settle in
-    /// one step at the next observation point — any DMA, mutex, wait,
-    /// or the creation of the next context. The clock and stats
-    /// accessors compensate for a still-pending batch, which makes the
-    /// batching unobservable: every readable value equals what eager
-    /// per-call accounting would produce.
-    pending_instrs: u64,
-    /// Tasklet owing `pending_instrs` (meaningful only when nonzero).
-    pending_tid: usize,
     traffic: DramTraffic,
     mram: Mram,
     wram: Wram,
@@ -102,14 +97,13 @@ impl DpuSim {
         DpuSim {
             mram: Mram::new(config.mram_bytes),
             wram: Wram::new(config.wram_bytes),
+            interval: config.cost.issue_interval(n),
             config,
             clocks: vec![Cycles::ZERO; n],
             stats: vec![TaskletStats::default(); n],
             mutexes: Vec::new(),
             dma_backlog: 0,
             dma_last_req: Cycles::ZERO,
-            pending_instrs: 0,
-            pending_tid: 0,
             traffic: DramTraffic::default(),
         }
     }
@@ -133,109 +127,58 @@ impl DpuSim {
     /// Panics if `tid` is not below the configured tasklet count.
     pub fn ctx(&mut self, tid: usize) -> TaskletCtx<'_> {
         assert!(tid < self.config.n_tasklets, "tasklet {tid} out of range");
-        self.settle_instrs();
         TaskletCtx { dpu: self, tid }
-    }
-
-    /// Folds the pending instruction batch into the owing tasklet's
-    /// clock and stats (see `pending_instrs`). Additive, so a settled
-    /// batch is byte-identical to the same instructions charged one by
-    /// one.
-    fn settle_instrs(&mut self) {
-        let n = self.pending_instrs;
-        if n == 0 {
-            return;
-        }
-        self.pending_instrs = 0;
-        let cost = &self.config.cost;
-        let interval = cost.issue_interval(self.config.n_tasklets);
-        let run = n * cost.pipeline_depth;
-        let s = &mut self.stats[self.pending_tid];
-        s.run += Cycles(run);
-        s.idle_etc += Cycles(n * interval - run);
-        s.instrs += n;
-        self.clocks[self.pending_tid] += Cycles(n * interval);
-    }
-
-    /// Clock adjustment tasklet `tid` is owed by the pending batch.
-    fn pending_cycles(&self, tid: usize) -> Cycles {
-        if self.pending_instrs == 0 || self.pending_tid != tid {
-            return Cycles::ZERO;
-        }
-        let cost = &self.config.cost;
-        Cycles(self.pending_instrs * cost.issue_interval(self.config.n_tasklets))
     }
 
     /// The tasklet with the smallest logical clock — the one whose next
     /// request should execute to keep virtual time causally ordered.
     /// The smallest id wins a tie.
-    ///
-    /// One pass over the settled clocks; only the tasklet owing the
-    /// pending instruction batch has it added.
     pub fn next_tasklet(&self) -> usize {
-        let (owing, owed) = (self.pending_tid, self.pending_cycles(self.pending_tid));
         self.clocks
             .iter()
             .enumerate()
-            .min_by_key(|&(tid, &clock)| if tid == owing { clock + owed } else { clock })
+            .min_by_key(|&(_, &clock)| clock)
             .map(|(tid, _)| tid)
             .expect("DPU has at least one tasklet")
     }
 
     /// Current logical time of tasklet `tid`.
     pub fn clock(&self, tid: usize) -> Cycles {
-        self.clocks[tid] + self.pending_cycles(tid)
+        self.clocks[tid]
     }
 
     /// The largest tasklet clock — the DPU-wide finish time.
     pub fn max_clock(&self) -> Cycles {
-        (0..self.clocks.len())
-            .map(|i| self.clock(i))
-            .max()
-            .unwrap_or(Cycles::ZERO)
+        self.clocks.iter().copied().max().unwrap_or(Cycles::ZERO)
     }
 
     /// Statistics of tasklet `tid`.
     pub fn tasklet_stats(&self, tid: usize) -> TaskletStats {
-        let mut s = self.stats[tid];
-        self.compensate(tid, &mut s);
-        s
+        self.with_instr_cycles(self.stats[tid])
     }
 
     /// Sum of all tasklets' statistics.
     pub fn total_stats(&self) -> TaskletStats {
-        let mut total = self
+        let total = self
             .stats
             .iter()
             .fold(TaskletStats::default(), |acc, s| acc.merged(s));
-        self.compensate(self.pending_tid, &mut total);
-        total
+        self.with_instr_cycles(total)
     }
 
-    /// Adds the pending batch's share to a stats copy for tasklet
-    /// `tid` (no-op unless `tid` owes the batch).
-    fn compensate(&self, tid: usize, s: &mut TaskletStats) {
-        let n = self.pending_instrs;
-        if n == 0 || self.pending_tid != tid {
-            return;
-        }
-        let cost = &self.config.cost;
-        let run = n * cost.pipeline_depth;
-        s.run += Cycles(run);
-        s.idle_etc += Cycles(n * cost.issue_interval(self.config.n_tasklets) - run);
-        s.instrs += n;
+    /// Adds the cycles of `s.instrs` instructions to charges as made:
+    /// `pipeline_depth` each as *run*, the rest of the issue interval
+    /// as *idle (etc)*.
+    fn with_instr_cycles(&self, mut s: TaskletStats) -> TaskletStats {
+        let depth = self.config.cost.pipeline_depth;
+        s.run += Cycles(s.instrs * depth);
+        s.idle_etc += Cycles(s.instrs * (self.interval - depth));
+        s
     }
 
     /// Aggregate MRAM↔WRAM traffic since construction.
     pub fn traffic(&self) -> DramTraffic {
         self.traffic
-    }
-
-    /// Number of times a mutex was acquired, and how many of those
-    /// acquisitions had to wait.
-    pub fn mutex_stats(&self, m: MutexId) -> (u64, u64) {
-        let s = &self.mutexes[m.0];
-        (s.acquisitions, s.contended_acquisitions)
     }
 
     /// Shared read access to the MRAM bank.
@@ -277,9 +220,7 @@ impl TaskletCtx<'_> {
     /// The tasklet's current logical time.
     #[inline]
     pub fn now(&self) -> Cycles {
-        // Compensated for batched-but-unsettled instructions, so lazy
-        // accumulation is unobservable (see `DpuSim::pending_instrs`).
-        self.dpu.clocks[self.tid] + self.dpu.pending_cycles(self.tid)
+        self.dpu.clocks[self.tid]
     }
 
     /// The DPU cost model.
@@ -287,23 +228,21 @@ impl TaskletCtx<'_> {
         self.dpu.config.cost
     }
 
-    /// Charges `n` instructions of compute.
+    /// Charges `n` instructions of compute: counts them and advances
+    /// the clock by `n` issue intervals.
     ///
-    /// `n × pipeline_depth` cycles are accounted as *run*; any extra
-    /// spacing from issue-slot sharing (when more tasklets than pipeline
-    /// stages are active) is accounted as *idle (etc)*. Accounting is
-    /// linear in `n`, so adjacent charges accumulate and settle
-    /// together (byte-identical; see `DpuSim::pending_instrs`).
+    /// The stats accessors account `n × pipeline_depth` of those cycles
+    /// as *run* and the rest, the spacing from issue-slot sharing when
+    /// more tasklets than pipeline stages are active, as *idle (etc)*.
     #[inline]
     pub fn instrs(&mut self, n: u64) {
-        self.dpu.pending_tid = self.tid;
-        self.dpu.pending_instrs += n;
+        self.dpu.stats[self.tid].instrs += n;
+        self.dpu.clocks[self.tid] += Cycles(n * self.dpu.interval);
     }
 
     /// Blocks the tasklet until absolute time `t` (no-op if in the
     /// past), accounting the gap as *idle (etc)*.
     pub fn wait_until(&mut self, t: Cycles) {
-        self.dpu.settle_instrs();
         let now = self.now();
         if t > now {
             self.dpu.stats[self.tid].idle_etc += t - now;
@@ -313,7 +252,6 @@ impl TaskletCtx<'_> {
 
     #[inline]
     fn dma(&mut self, bytes: u32, is_read: bool) {
-        self.dpu.settle_instrs();
         let now = self.now();
         // Backlog queue model of the shared DMA engine: each transfer
         // occupies the engine for its beat time; elapsed time since the
@@ -374,7 +312,6 @@ impl TaskletCtx<'_> {
     ///
     /// Panics if this tasklet already holds the mutex (self-deadlock).
     pub fn mutex_lock(&mut self, m: MutexId) {
-        self.dpu.settle_instrs();
         let now = self.now();
         let state = &mut self.dpu.mutexes[m.0];
         assert_ne!(
@@ -385,11 +322,7 @@ impl TaskletCtx<'_> {
             m
         );
         let grant = now.max(state.free_at);
-        state.acquisitions += 1;
-        if grant > now {
-            state.contended_acquisitions += 1;
-            self.dpu.stats[self.tid].busy_wait += grant - now;
-        }
+        self.dpu.stats[self.tid].busy_wait += grant - now;
         state.locked_by = Some(self.tid);
         self.dpu.clocks[self.tid] = grant;
     }
@@ -400,7 +333,6 @@ impl TaskletCtx<'_> {
     ///
     /// Panics if the mutex is not held by this tasklet.
     pub fn mutex_unlock(&mut self, m: MutexId) {
-        self.dpu.settle_instrs();
         let now = self.now();
         let state = &mut self.dpu.mutexes[m.0];
         assert_eq!(
@@ -461,8 +393,6 @@ mod tests {
         }
         assert_eq!(d.tasklet_stats(1).busy_wait, Cycles(1100));
         assert_eq!(d.clock(1), Cycles(1100));
-        let (acq, contended) = d.mutex_stats(m);
-        assert_eq!((acq, contended), (2, 1));
     }
 
     #[test]
@@ -537,22 +467,21 @@ mod tests {
     }
 
     proptest! {
-        /// The one-pass pick is the laggard by the compensated clocks,
-        /// smallest id first on a tie, with an instruction batch still
-        /// pending on any tasklet.
+        /// The one-pass pick is the laggard by the clocks, smallest id
+        /// first on a tie, also right after any tasklet's instructions.
         #[test]
         fn next_tasklet_is_the_first_smallest_clock(
             tasklets in 1usize..25,
             clocks in proptest::collection::vec(0u64..4, 24),
-            owing in 0usize..24,
-            batch in 0u64..3,
+            charged in 0usize..24,
+            n in 0u64..3,
         ) {
             let mut d = dpu(tasklets);
             let interval = d.config().cost.issue_interval(tasklets);
             for (tid, &c) in clocks.iter().take(tasklets).enumerate() {
                 d.ctx(tid).wait_until(Cycles(c * interval));
             }
-            d.ctx(owing % tasklets).instrs(batch);
+            d.ctx(charged % tasklets).instrs(n);
             let laggard = (0..tasklets).min_by_key(|&i| d.clock(i)).unwrap();
             prop_assert_eq!(d.next_tasklet(), laggard);
         }

@@ -55,11 +55,6 @@ impl Mram {
         }
     }
 
-    /// Total capacity of the bank in bytes.
-    pub fn size_bytes(&self) -> u32 {
-        self.size_bytes
-    }
-
     /// Number of 64 KB pages currently materialized.
     ///
     /// Useful in tests to confirm the store stays sparse.
@@ -121,32 +116,6 @@ impl Mram {
         let mut b = [0u8; 4];
         self.read(addr, &mut b);
         u32::from_le_bytes(b)
-    }
-
-    /// Zeroes a byte range without materializing pages for it.
-    pub fn clear(&mut self, addr: u32, len: u32) {
-        self.check_range(addr, len as usize);
-        // Drop whole pages where possible, zero partial edges. A page
-        // ends at the end of the bank if that comes first.
-        let mut cur = addr;
-        let end = addr + len;
-        while cur < end {
-            let page = cur >> PAGE_SHIFT;
-            let page_start = page << PAGE_SHIFT;
-            let page_end = self.size_bytes.min(page_start.saturating_add(PAGE_SIZE));
-            if cur == page_start && end >= page_end {
-                self.pages[page as usize] = None;
-                cur = page_end;
-            } else {
-                let stop = end.min(page_end);
-                if let Some(p) = &mut self.pages[page as usize] {
-                    let a = (cur - page_start) as usize;
-                    let b = (stop - page_start) as usize;
-                    p[a..b].fill(0);
-                }
-                cur = stop;
-            }
-        }
     }
 }
 
@@ -212,25 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_releases_whole_pages_and_zeroes_edges() {
-        let mut m = Mram::new(4 * PAGE_SIZE);
-        for p in 0..4u32 {
-            m.write(p * PAGE_SIZE, &[0xaa; 32]);
-        }
-        assert_eq!(m.resident_pages(), 4);
-        // Clear from mid-page 0 to mid-page 2: page 1 dropped entirely.
-        m.clear(PAGE_SIZE / 2, 2 * PAGE_SIZE);
-        assert!(m.resident_pages() <= 3);
-        let mut buf = [0u8; 32];
-        m.read(PAGE_SIZE, &mut buf);
-        assert_eq!(buf, [0u8; 32]);
-        // Page 3 untouched.
-        m.read(3 * PAGE_SIZE, &mut buf);
-        assert_eq!(buf, [0xaa; 32]);
-    }
-
-    #[test]
-    fn partial_last_page_is_addressable_and_clears() {
+    fn partial_last_page_is_addressable() {
         let mut m = Mram::new(ODD_BANK);
         m.write(ODD_BANK - 1, &[0x5a]);
         let mut last = [0u8; 1];
@@ -239,16 +190,6 @@ mod tests {
         assert_eq!(m.resident_pages(), 1);
         m.write(PAGE_SIZE - 16, &[0xaa; 32]);
         assert_eq!(m.resident_pages(), 2);
-        // From mid-page 0 to the end of the bank: the partial last
-        // page is dropped whole, page 0 keeps its head.
-        m.clear(PAGE_SIZE - 8, ODD_BANK - (PAGE_SIZE - 8));
-        assert_eq!(m.resident_pages(), 1);
-        let mut buf = [0u8; 32];
-        m.read(PAGE_SIZE - 16, &mut buf);
-        assert_eq!(buf[..8], [0xaa; 8]);
-        assert_eq!(buf[8..], [0u8; 24]);
-        m.read(ODD_BANK - 1, &mut last);
-        assert_eq!(last, [0]);
     }
 
     #[test]

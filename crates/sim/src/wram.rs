@@ -5,10 +5,10 @@
 //! simulator does not model WRAM *timing* separately — what matters for
 //! allocator design is the *capacity budget*: the software-managed
 //! metadata buffer, the per-tasklet thread-cache bitmaps, and tasklet
-//! stacks must all fit. [`Wram`] is a named-region bump allocator that
-//! makes running out of scratchpad an explicit, testable error.
+//! stacks must all fit. [`Wram`] is a capacity ledger that makes
+//! running out of scratchpad an explicit, testable error naming the
+//! region that did not fit.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -40,71 +40,44 @@ impl Error for WramOverflow {}
 /// ```
 /// use pim_sim::Wram;
 /// let mut w = Wram::new(64 * 1024);
-/// let buf = w.reserve("metadata buffer", 2048)?;
-/// assert_eq!(w.used_bytes(), 2048);
-/// assert_eq!(buf, 0); // first reservation starts at offset 0
+/// w.reserve("metadata buffer", 2048)?;
+/// assert_eq!(w.available_bytes(), 62 * 1024);
 /// # Ok::<(), pim_sim::wram::WramOverflow>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Wram {
-    size_bytes: u32,
-    used_bytes: u32,
-    regions: BTreeMap<String, (u32, u32)>, // name -> (offset, len)
+    available_bytes: u32,
 }
 
 impl Wram {
     /// Creates a scratchpad with `size_bytes` capacity (64 KB on UPMEM).
     pub fn new(size_bytes: u32) -> Self {
         Wram {
-            size_bytes,
-            used_bytes: 0,
-            regions: BTreeMap::new(),
+            available_bytes: size_bytes,
         }
-    }
-
-    /// Total scratchpad capacity in bytes.
-    pub fn size_bytes(&self) -> u32 {
-        self.size_bytes
-    }
-
-    /// Bytes consumed by reservations so far.
-    pub fn used_bytes(&self) -> u32 {
-        self.used_bytes
     }
 
     /// Bytes still available.
     pub fn available_bytes(&self) -> u32 {
-        self.size_bytes - self.used_bytes
+        self.available_bytes
     }
 
-    /// Reserves `bytes` under `name`, returning the region's offset.
+    /// Reserves `bytes` for the region `name`.
     ///
     /// # Errors
     ///
-    /// Returns [`WramOverflow`] if the reservation does not fit; the
-    /// ledger is left unchanged in that case.
-    pub fn reserve(&mut self, name: &str, bytes: u32) -> Result<u32, WramOverflow> {
-        if bytes > self.available_bytes() {
+    /// Returns [`WramOverflow`] naming the region if the reservation
+    /// does not fit; the ledger is left unchanged in that case.
+    pub fn reserve(&mut self, name: &str, bytes: u32) -> Result<(), WramOverflow> {
+        if bytes > self.available_bytes {
             return Err(WramOverflow {
                 region: name.to_owned(),
                 requested: bytes,
-                available: self.available_bytes(),
+                available: self.available_bytes,
             });
         }
-        let offset = self.used_bytes;
-        self.used_bytes += bytes;
-        self.regions.insert(name.to_owned(), (offset, bytes));
-        Ok(offset)
-    }
-
-    /// Returns the `(offset, len)` of a named region, if reserved.
-    pub fn region(&self, name: &str) -> Option<(u32, u32)> {
-        self.regions.get(name).copied()
-    }
-
-    /// Iterates over `(name, offset, len)` of all reservations.
-    pub fn regions(&self) -> impl Iterator<Item = (&str, u32, u32)> {
-        self.regions.iter().map(|(n, &(o, l))| (n.as_str(), o, l))
+        self.available_bytes -= bytes;
+        Ok(())
     }
 }
 
@@ -122,13 +95,10 @@ mod tests {
     #[test]
     fn reservations_bump_sequentially() {
         let mut w = Wram::new(1024);
-        assert_eq!(w.reserve("a", 100).unwrap(), 0);
-        assert_eq!(w.reserve("b", 200).unwrap(), 100);
-        assert_eq!(w.used_bytes(), 300);
+        w.reserve("a", 100).unwrap();
+        assert_eq!(w.available_bytes(), 924);
+        w.reserve("b", 200).unwrap();
         assert_eq!(w.available_bytes(), 724);
-        assert_eq!(w.region("a"), Some((0, 100)));
-        assert_eq!(w.region("b"), Some((100, 200)));
-        assert_eq!(w.region("c"), None);
     }
 
     #[test]
@@ -139,7 +109,7 @@ mod tests {
         assert_eq!(err.requested, 64);
         assert_eq!(err.available, 28);
         assert_eq!(err.region, "big");
-        assert_eq!(w.used_bytes(), 100, "failed reserve must not consume");
+        assert_eq!(w.available_bytes(), 28, "failed reserve must not consume");
         let msg = err.to_string();
         assert!(msg.contains("big") && msg.contains("64"), "message: {msg}");
     }
@@ -154,15 +124,6 @@ mod tests {
 
     #[test]
     fn default_is_upmem_sized() {
-        assert_eq!(Wram::default().size_bytes(), 65536);
-    }
-
-    #[test]
-    fn regions_iterates_all() {
-        let mut w = Wram::new(1024);
-        w.reserve("x", 8).unwrap();
-        w.reserve("y", 8).unwrap();
-        let names: Vec<&str> = w.regions().map(|(n, _, _)| n).collect();
-        assert_eq!(names, vec!["x", "y"]);
+        assert_eq!(Wram::default().available_bytes(), 65536);
     }
 }

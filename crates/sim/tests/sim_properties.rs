@@ -2,14 +2,16 @@
 //! cost model must satisfy under arbitrary operation sequences.
 
 use pim_sim::{
-    Cycles, DpuConfig, DpuSim, HostBatching, ShardedXfer, TransferDirection, TransferModel,
-    TransferPlan,
+    Cycles, DpuConfig, DpuSim, HostBatching, ShardedXfer, TaskletStats, TransferDirection,
+    TransferModel, TransferPlan,
 };
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Instrs(u64),
+    /// Waits `k` cycles past the tasklet's clock.
+    Wait(u64),
     Read(u32),
     Write(u32),
     Lock,
@@ -19,6 +21,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u64..200).prop_map(Op::Instrs),
+        (0u64..5000).prop_map(Op::Wait),
         (1u32..4096).prop_map(Op::Read),
         (1u32..4096).prop_map(Op::Write),
         Just(Op::Lock),
@@ -53,23 +56,40 @@ fn check_summary(samples: &[u64]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Clocks never move backwards, accounted time never exceeds the
-    /// clock, and traffic counters match the bytes requested.
+    /// Clocks never move backwards, accounted time equals the clock,
+    /// instruction time splits into `pipeline_depth` cycles of run and
+    /// the rest of the issue interval as idle (etc), the DPU total is
+    /// the sum of its tasklets, and traffic counters match the bytes
+    /// requested.
     #[test]
     fn time_and_traffic_conservation(
         tasklets in 1usize..16,
         ops in proptest::collection::vec((0usize..16, op_strategy()), 1..200),
     ) {
         let mut dpu = DpuSim::new(DpuConfig::default().with_tasklets(tasklets));
+        let cost = dpu.config().cost;
+        let depth = cost.pipeline_depth;
+        let gap = cost.issue_interval(tasklets) - depth;
         let m = dpu.alloc_mutex();
         let mut held: Option<usize> = None;
         let mut expect_read = 0u64;
         let mut expect_written = 0u64;
         let mut last_clock = vec![Cycles::ZERO; tasklets];
+        let mut instrs = vec![0u64; tasklets];
+        let mut waits = vec![Cycles::ZERO; tasklets];
         for (t, op) in ops {
             let tid = t % tasklets;
             match op {
-                Op::Instrs(n) => dpu.ctx(tid).instrs(n),
+                Op::Instrs(n) => {
+                    dpu.ctx(tid).instrs(n);
+                    instrs[tid] += n;
+                }
+                Op::Wait(k) => {
+                    let mut ctx = dpu.ctx(tid);
+                    let until = ctx.now() + Cycles(k);
+                    ctx.wait_until(until);
+                    waits[tid] += Cycles(k);
+                }
                 Op::Read(b) => {
                     dpu.ctx(tid).mram_read(0, b);
                     expect_read += u64::from(b);
@@ -96,6 +116,15 @@ proptest! {
             // classified into one of the four breakdown classes.
             let s = dpu.tasklet_stats(tid);
             prop_assert_eq!(s.total(), dpu.clock(tid), "unaccounted cycles");
+            let mut merged = TaskletStats::default();
+            for (i, (&n, &waited)) in instrs.iter().zip(&waits).enumerate() {
+                let s = dpu.tasklet_stats(i);
+                prop_assert_eq!(s.instrs, n);
+                prop_assert_eq!(s.run, Cycles(n * depth), "run of tasklet {}", i);
+                prop_assert_eq!(s.idle_etc, waited + Cycles(n * gap), "idle (etc) of tasklet {}", i);
+                merged = merged.merged(&s);
+            }
+            prop_assert_eq!(dpu.total_stats(), merged);
         }
         let traffic = dpu.traffic();
         prop_assert_eq!(traffic.bytes_read, expect_read);
